@@ -74,12 +74,16 @@ def composition(text: str) -> tuple:
 
 
 def _read_matrix(spec_text: str):
-    if spec_text == "-":
-        raw = sys.stdin.read()
-    elif os.path.exists(spec_text):
-        raw = Path(spec_text).read_text()
-    else:
-        raw = spec_text.replace(";", "\n")
+    """Decode --matrix; every malformed input raises ValueError (exit 2)."""
+    try:
+        if spec_text == "-":
+            raw = sys.stdin.read()
+        elif os.path.exists(spec_text):
+            raw = Path(spec_text).read_text()
+        else:
+            raw = spec_text.replace(";", "\n")
+    except OSError as err:
+        raise ValueError(f"cannot read matrix: {err}") from None
     raw = raw.strip()
     if raw.startswith("{"):
         return matrix_from_json(raw)
@@ -161,8 +165,8 @@ def cmd_standard_basis(args):
 
 
 def cmd_verify(args):
-    report = dict(verify_associated_graded(args.alpha, args.beta))
     model = QuotientModel(args.alpha, args.beta)
+    report = dict(verify_associated_graded(args.alpha, args.beta, model=model))
     report["standard_equals_matrix_ball"] = (
         model.standard_exponent_matrices()
         == derived_matrix_set(args.alpha, args.beta)
@@ -263,8 +267,6 @@ def cmd_figure1(args):
 
 
 def cmd_sweep(args):
-    from .quotient import derived_matrix_set
-
     failures = []
     conjecture_violations = []
     pairs = 0
@@ -283,7 +285,7 @@ def cmd_sweep(args):
                 zz = hilbert_series_zigzag(alpha, beta)
                 if not (list(model.hilbert) == kost == zz):
                     failures.append({**record, "check": "hilbert-agreement"})
-                report = verify_associated_graded(alpha, beta)
+                report = verify_associated_graded(alpha, beta, model=model)
                 if not (report["lifts_vanish"] and report["dimension_match"]):
                     failures.append({**record, "check": "graded-vanishing-ideal"})
                 for k in log_concavity_violations(kost):

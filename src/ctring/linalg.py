@@ -1,33 +1,37 @@
 """Degree-by-degree exact linear algebra for homogeneous ideals.
 
-The degree-d slice of an ideal generated by homogeneous polynomials is
-spanned by monomial multiples of the generators.  Reducing that span to
-echelon form with columns sorted descending in a term order yields the
-degree-d part of the initial ideal (the pivots) and the degree-d standard
-monomials (the complement).
+An ideal is presented by homogeneous non-monomial generators plus line caps.
+A cap (support, c) puts every monomial of degree > c on the variables of
+`support` into the ideal.  A monomial that meets every cap is "clean"; every
+multiple of an unclean monomial is unclean, so the elimination only ever sees
+clean monomials, which keeps the systems small.
 
-Monomial generators are handled separately: any multiple of one is itself a
-monomial of the ideal, so the elimination only ever sees monomials that are
-"clean" (not divisible by a monomial generator), which keeps the systems
-small.  Inside a slice the clean monomials are sorted once and rows are
-sparse dicts keyed by column position, so finding a pivot is a plain min();
-coefficients are Fraction, which stays cheap at these sizes.
+The degree-d slice of the ideal, modulo unclean monomials, is spanned by the
+clean-monomial multiples of the generators.  Its columns are the clean
+monomials of degree d sorted once, descending in the term order, and rows are
+sparse dicts keyed by column position, so finding a pivot is a plain min().
+Forward elimination runs over the integers on primitive rows (fraction-free,
+as in Bareiss): its pivots are the degree-d part of the initial ideal, and
+the remaining columns are the standard monomials.  Reduced rows with rational
+(Fraction) coefficients, which only normal forms need, come from
+back-substitution on first use.
 """
+
+from fractions import Fraction
+from math import gcd, lcm
 
 from .polys import Poly
 
 
-def bounded_exponents(nvars, degree, caps=None):
-    """All exponent tuples with the given total degree, honoring per-variable caps."""
-    caps = caps or (degree,) * nvars
+def bounded_exponents(nvars, degree):
+    """All exponent tuples in nvars variables with the given total degree."""
     out = []
 
     def rec(i, left, prefix):
         if i == nvars - 1:
-            if left <= caps[i]:
-                out.append(prefix + (left,))
+            out.append(prefix + (left,))
             return
-        for v in range(min(left, caps[i]), -1, -1):
+        for v in range(left, -1, -1):
             rec(i + 1, left - v, prefix + (v,))
 
     if nvars:
@@ -37,53 +41,86 @@ def bounded_exponents(nvars, degree, caps=None):
     return out
 
 
-def _divides(small, big):
-    return all(a <= b for a, b in zip(small, big))
+def integer_row(row):
+    """A sparse rational row scaled by the lcm of its denominators: the same
+    row up to a nonzero factor, with integer entries."""
+    den = lcm(*(Fraction(c).denominator for c in row.values()))
+    return {p: int(c * den) for p, c in row.items()}
 
 
-def position_echelon(rows, reduce_fully=True):
-    """Row echelon form of sparse rows keyed by integer column positions,
-    position 0 being the leading column.  Returns {pivot position: row} with
-    pivot coefficients scaled to one; with reduce_fully, every other pivot is
-    eliminated from every row."""
+def _primitive(vec):
+    """Divide out the gcd of the entries and make the lead positive, in place."""
+    g = gcd(*vec.values())
+    if vec[min(vec)] < 0:
+        g = -g
+    if g != 1:
+        for p in vec:
+            vec[p] //= g
+    return vec
+
+
+def _eliminate(vec, p, prow):
+    """Clear position p of the integer row vec with the integer row prow, in
+    place: vec <- (a/g) vec - (c/g) prow, where a = prow[p], c = vec[p] and
+    g = gcd(a, c)."""
+    c = vec.pop(p)
+    a = prow[p]
+    if a != 1:
+        g = gcd(a, c)
+        a //= g
+        c //= g
+        if a != 1:
+            for q in vec:
+                vec[q] *= a
+    for q, pc in prow.items():
+        if q == p:
+            continue
+        val = vec.get(q, 0) - c * pc
+        if val:
+            vec[q] = val
+        else:
+            del vec[q]
+
+
+def position_echelon(rows):
+    """Row echelon form over the integers of sparse integer rows keyed by
+    column position, position 0 being the leading column.
+
+    Returns {pivot position: row}, each row primitive (entries with gcd 1)
+    with a positive pivot entry and no entries left of its pivot.  Forward
+    elimination only: a pivot row may still hold later pivot columns; see
+    back_substitute."""
     pivot_rows = {}
-    for vec in rows:
+    # trailing leads first: a row whose lead is not yet a pivot column becomes
+    # a pivot row without reduction.  On margin ideals this order eliminates
+    # about three times faster than the order the rows are generated in.
+    for vec in sorted(filter(None, rows), key=min, reverse=True):
         vec = dict(vec)
         while vec:
             lead = min(vec)
             prow = pivot_rows.get(lead)
             if prow is None:
-                c = vec[lead]
-                if c != 1:
-                    vec = {p: v / c for p, v in vec.items()}
-                pivot_rows[lead] = vec
+                pivot_rows[lead] = _primitive(vec)
                 break
-            c = vec.pop(lead)
-            for p, pc in prow.items():
-                if p == lead:
-                    continue
-                val = vec.get(p, 0) - c * pc
-                if val:
-                    vec[p] = val
-                else:
-                    vec.pop(p, None)
-    if reduce_fully:
-        # substitute smallest-order pivots first: each step only introduces
-        # non-pivot columns, so one pass suffices
-        for lead in sorted(pivot_rows, reverse=True):
-            row = pivot_rows[lead]
-            inner = [p for p in row if p != lead and p in pivot_rows]
-            for p in inner:
-                c = row.pop(p)
-                for q, pc in pivot_rows[p].items():
-                    if q == p:
-                        continue
-                    val = row.get(q, 0) - c * pc
-                    if val:
-                        row[q] = val
-                    else:
-                        row.pop(q, None)
+            _eliminate(vec, lead, prow)
     return pivot_rows
+
+
+def back_substitute(pivot_rows):
+    """Reduced echelon rows, {pivot: {position: Fraction}} with pivot entries
+    one, from the integer echelon rows of position_echelon."""
+    done = {}
+    # substitute smallest-order pivots first: each step only introduces
+    # non-pivot columns, so one pass suffices
+    for lead in sorted(pivot_rows, reverse=True):
+        row = dict(pivot_rows[lead])
+        for p in [p for p in row if p != lead and p in done]:
+            _eliminate(row, p, done[p])
+        done[lead] = _primitive(row)
+    return {
+        lead: {p: Fraction(v, row[lead]) for p, v in row.items()}
+        for lead, row in done.items()
+    }
 
 
 def echelon(rows, keyf):
@@ -92,8 +129,8 @@ def echelon(rows, keyf):
     rows = list(rows)
     monomials = sorted({m for row in rows for m in row}, key=keyf, reverse=True)
     index = {m: i for i, m in enumerate(monomials)}
-    translated = [{index[m]: c for m, c in row.items()} for row in rows]
-    reduced = position_echelon(translated)
+    translated = [integer_row({index[m]: c for m, c in row.items()}) for row in rows]
+    reduced = back_substitute(position_echelon(translated))
     return {
         monomials[lead]: {monomials[p]: c for p, c in row.items()}
         for lead, row in reduced.items()
@@ -130,23 +167,36 @@ class _Neg:
 
 
 class DegreeBasis:
-    """Reduced echelon basis of one degree slice of a homogeneous ideal.
+    """Echelon basis of one degree slice of a homogeneous ideal.
 
     `columns` lists the clean monomials of the degree in order-descending
-    sequence; `rows` maps pivot positions to sparse rows keyed by position.
+    sequence and `index` maps them to their positions.  `echelon_rows` holds
+    the primitive integer rows of forward elimination, keyed by pivot
+    position; `rows` holds the reduced rows (Fraction coefficients, pivot
+    entry one), computed on first access.
     """
 
-    __slots__ = ("degree", "columns", "index", "rows", "pivots", "standard")
+    __slots__ = (
+        "degree", "columns", "index", "echelon_rows", "pivots", "standard", "_rows"
+    )
 
-    def __init__(self, degree, columns, rows):
+    def __init__(self, degree, columns, index, echelon_rows):
         self.degree = degree
         self.columns = columns
-        self.index = {m: i for i, m in enumerate(columns)}
-        self.rows = rows
-        self.pivots = tuple(columns[p] for p in sorted(rows))
+        self.index = index
+        self.echelon_rows = echelon_rows
+        self.pivots = tuple(columns[p] for p in sorted(echelon_rows))
         self.standard = tuple(
-            m for i, m in enumerate(columns) if i not in rows
+            m for i, m in enumerate(columns) if i not in echelon_rows
         )
+        self._rows = None
+
+    @property
+    def rows(self):
+        """Reduced rows, pivot position -> {position: Fraction}."""
+        if self._rows is None:
+            self._rows = back_substitute(self.echelon_rows)
+        return self._rows
 
     @property
     def pivot_rows(self):
@@ -158,60 +208,93 @@ class DegreeBasis:
 
 
 class HomogeneousIdeal:
-    """An ideal presented by homogeneous generators, sliced degree by degree."""
+    """An ideal presented by homogeneous generators and line caps, sliced
+    degree by degree.
 
-    def __init__(self, generators, nvars, order):
+    `generators` are homogeneous polynomials with at least two terms; a
+    monomial generator raises ValueError (state it as a cap) and zero ones
+    are skipped.  `caps` holds (support, cap) pairs: support is a sequence of
+    variable indices, and every monomial on those variables of degree
+    greater than cap lies in the ideal.  For the margin ideal these are the
+    row and column caps; a single-variable support caps one exponent.
+    """
+
+    def __init__(self, generators, nvars, order, caps=()):
         self.nvars = nvars
         self.order = order
-        self.monomial_gens = []
-        self.other_gens = []
+        self.generators = []
         for g in generators:
             if not g:
                 continue
             if not g.is_homogeneous():
                 raise ValueError("generators must be homogeneous")
             if len(g.terms) == 1:
-                exps = next(iter(g.terms))
-                if exps not in self.monomial_gens:
-                    self.monomial_gens.append(exps)
-            else:
-                if g not in self.other_gens:
-                    self.other_gens.append(g)
-        # keep only divisibility-minimal monomial generators
-        self.monomial_gens = [
-            m
-            for m in self.monomial_gens
-            if not any(_divides(o, m) for o in self.monomial_gens if o != m)
+                raise ValueError("monomial generators must be given as caps")
+            if g not in self.generators:
+                self.generators.append(g)
+        # generator rows over the integers: (degree, [(exponents, coefficient)])
+        self._int_gens = [
+            (g.degree(), list(integer_row(g.terms).items())) for g in self.generators
         ]
-        self._caps = self._variable_caps()
+        bounds = {}
+        for support, cap in caps:
+            support = tuple(support)
+            if cap < 0 or not all(0 <= v < nvars for v in support):
+                raise ValueError(f"bad cap {cap} on support {support}")
+            bounds[support] = min(cap, bounds.get(support, cap))
+        self.caps = tuple(bounds.items())
+        # caps touching each variable, as indices into self.caps
+        self._var_caps = [
+            [c for c, (support, _) in enumerate(self.caps) if v in support]
+            for v in range(nvars)
+        ]
         self._slices = {}
         self._clean = {}
 
-    def _variable_caps(self):
-        caps = [None] * self.nvars
-        for exps in self.monomial_gens:
-            nz = [i for i, e in enumerate(exps) if e]
-            if len(nz) == 1:
-                i = nz[0]
-                bound = exps[i] - 1
-                caps[i] = bound if caps[i] is None else min(caps[i], bound)
-        return caps
-
     def is_clean(self, exps) -> bool:
-        """Monomial not divisible by any monomial generator."""
-        return not any(_divides(g, exps) for g in self.monomial_gens)
+        """Monomial within every cap, i.e. not in the ideal's monomial part."""
+        return all(sum(exps[v] for v in support) <= cap for support, cap in self.caps)
 
     def clean_monomials(self, degree):
+        """The clean monomials of one degree, lexicographically descending.
+
+        One backtracking pass over the variables that tracks each cap's room
+        left; for the margin ideal these are the subtingency tables of the
+        degree."""
         cached = self._clean.get(degree)
-        if cached is None:
-            caps = tuple(degree if c is None else min(c, degree) for c in self._caps)
-            cached = [
-                m
-                for m in bounded_exponents(self.nvars, degree, caps)
-                if self.is_clean(m)
-            ]
-            self._clean[degree] = cached
-        return cached
+        if cached is not None:
+            return cached
+        nvars = self.nvars
+        var_caps = self._var_caps
+        room = [cap for _, cap in self.caps]
+        exps = [0] * nvars
+        out = []
+
+        def rec(v, left):
+            touching = var_caps[v]
+            top = left
+            for c in touching:
+                if room[c] < top:
+                    top = room[c]
+            if v == nvars - 1:
+                if left <= top:
+                    exps[v] = left
+                    out.append(tuple(exps))
+                return
+            for e in range(top, -1, -1):
+                exps[v] = e
+                for c in touching:
+                    room[c] -= e
+                rec(v + 1, left - e)
+                for c in touching:
+                    room[c] += e
+
+        if nvars:
+            rec(0, degree)
+        elif degree == 0:
+            out.append(())
+        self._clean[degree] = out
+        return out
 
     def slice(self, degree) -> DegreeBasis:
         cached = self._slices.get(degree)
@@ -222,20 +305,19 @@ class HomogeneousIdeal:
         )
         index = {m: i for i, m in enumerate(columns)}
         rows = []
-        for g in self.other_gens:
-            gdeg = g.degree()
+        for gdeg, terms in self._int_gens:
             if gdeg > degree:
                 continue
             for factor in self.clean_monomials(degree - gdeg):
+                # distinct generator terms give distinct products
                 row = {}
-                for exps, coeff in g.terms.items():
-                    pos = index.get(tuple(a + b for a, b in zip(factor, exps)))
+                for exps, coeff in terms:
+                    pos = index.get(tuple([a + b for a, b in zip(factor, exps)]))
                     if pos is not None:
-                        row[pos] = row.get(pos, 0) + coeff
-                row = {p: c for p, c in row.items() if c}
+                        row[pos] = coeff
                 if row:
                     rows.append(row)
-        basis = DegreeBasis(degree, columns, position_echelon(rows))
+        basis = DegreeBasis(degree, columns, index, position_echelon(rows))
         self._slices[degree] = basis
         return basis
 
@@ -246,7 +328,7 @@ class HomogeneousIdeal:
         if not self.is_clean(exps):
             return True
         basis = self.slice(sum(exps))
-        return basis.index[exps] in basis.rows
+        return basis.index[exps] in basis.echelon_rows
 
     def initial_count(self, degree) -> int:
         """Number of degree-d monomials in the initial ideal."""
@@ -276,9 +358,9 @@ class HomogeneousIdeal:
 
     def reduce_positions(self, degree, vec):
         """Reduce a position-keyed vector against the reduced slice rows."""
-        basis = self.slice(degree)
+        rows = self.slice(degree).rows
         for p in list(vec):
-            row = basis.rows.get(p)
+            row = rows.get(p)
             if row is None:
                 continue
             c = vec.pop(p)
@@ -301,11 +383,12 @@ class HomogeneousIdeal:
         out = {}
         for degree, part in poly.homogeneous_parts().items():
             basis = self.slice(degree)
-            vec = {
-                basis.index[m]: c
-                for m, c in part.terms.items()
-                if self.is_clean(m)
-            }
+            # the slice's columns are exactly the clean monomials of the degree
+            vec = {}
+            for m, c in part.terms.items():
+                pos = basis.index.get(m)
+                if pos is not None:
+                    vec[pos] = c
             vec = self.reduce_positions(degree, vec)
             for p, c in vec.items():
                 m = basis.columns[p]
@@ -314,3 +397,25 @@ class HomogeneousIdeal:
 
     def contains(self, poly: Poly) -> bool:
         return not self.normal_form(poly)
+
+
+def linear_form(nvars, support) -> Poly:
+    """The sum of the variables whose indices are in support."""
+    return Poly(
+        nvars,
+        {tuple(1 if v == u else 0 for v in range(nvars)): 1 for u in support},
+    )
+
+
+def line_ideal(nvars, order, sums, caps=()) -> HomogeneousIdeal:
+    """The ideal of the variable sums over each support in `sums`, plus the
+    (support, cap) pairs in `caps`.  A sum over a single variable is that
+    variable itself, which is the cap 0 on it."""
+    gens = []
+    caps = list(caps)
+    for support in sums:
+        if len(support) == 1:
+            caps.append((support, 0))
+        else:
+            gens.append(linear_form(nvars, support))
+    return HomogeneousIdeal(gens, nvars, order, caps)

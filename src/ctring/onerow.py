@@ -7,7 +7,7 @@ at most d_i copies of i, a truncated-product Hilbert series, and a
 saturation procedure pairing off weak compositions.
 """
 
-from .linalg import HomogeneousIdeal
+from .linalg import HomogeneousIdeal, line_ideal
 from .polys import LexOrder, Poly
 
 
@@ -27,8 +27,12 @@ def one_row_generators(bounds) -> list:
 
 
 def one_row_ideal(bounds) -> HomogeneousIdeal:
+    """The variable sum, with the exponent of x_i capped at d_i."""
     bounds = tuple(bounds)
-    return HomogeneousIdeal(one_row_generators(bounds), len(bounds), LexOrder(len(bounds)))
+    n = len(bounds)
+    return line_ideal(
+        n, LexOrder(n), [tuple(range(n))], [((i,), d) for i, d in enumerate(bounds)]
+    )
 
 
 def _qpoly_mul(a, b):

@@ -3,29 +3,36 @@
 For weak compositions alpha (rows) and beta (columns) of n, the defining
 ideal is generated by all row sums, all column sums, the monomials supported
 on row i of degree alpha_i + 1, and the monomials supported on column j of
-degree beta_j + 1.  Its standard monomial basis under the diagonal order is
-computed by degree slices; the exponent matrices are compared against the
-derived matrices of the contingency tables with margins (alpha, beta).
+degree beta_j + 1.  The slices state those monomials as line caps (row i of
+degree at most alpha_i, column j at most beta_j; see margin_ideal), so their
+columns are the subtingency tables.  The standard monomial basis under the
+diagonal order is computed by degree slices; the exponent matrices are
+compared against the derived matrices of the contingency tables with margins
+(alpha, beta).
 """
 
-from .linalg import HomogeneousIdeal, bounded_exponents, echelon
+from .linalg import HomogeneousIdeal, bounded_exponents, echelon, line_ideal, linear_form
 from .matrixball import derived_matrix
 from .polys import Grid, Poly
 from .tables import contingency_tables, count_contingency_tables, zigzag_number
 
 
+def row_support(grid: Grid, i: int) -> tuple:
+    """Variable indices of row i (1-based)."""
+    return tuple(grid.index(i, j) for j in range(1, grid.p + 1))
+
+
+def col_support(grid: Grid, j: int) -> tuple:
+    """Variable indices of column j (1-based)."""
+    return tuple(grid.index(i, j) for i in range(1, grid.k + 1))
+
+
 def row_sum_poly(grid: Grid, i: int) -> Poly:
-    out = Poly.zero(grid.nvars)
-    for j in range(1, grid.p + 1):
-        out = out + grid.variable(i, j)
-    return out
+    return linear_form(grid.nvars, row_support(grid, i))
 
 
 def col_sum_poly(grid: Grid, j: int) -> Poly:
-    out = Poly.zero(grid.nvars)
-    for i in range(1, grid.k + 1):
-        out = out + grid.variable(i, j)
-    return out
+    return linear_form(grid.nvars, col_support(grid, j))
 
 
 def _line_monomials(grid, indices, degree):
@@ -40,11 +47,20 @@ def _line_monomials(grid, indices, degree):
 
 
 def row_monomials(grid: Grid, i: int, degree: int) -> list:
-    return _line_monomials(grid, [grid.index(i, j) for j in range(1, grid.p + 1)], degree)
+    return _line_monomials(grid, row_support(grid, i), degree)
 
 
 def col_monomials(grid: Grid, j: int, degree: int) -> list:
-    return _line_monomials(grid, [grid.index(i, j) for i in range(1, grid.k + 1)], degree)
+    return _line_monomials(grid, col_support(grid, j), degree)
+
+
+def margin_ideal(alpha, beta, grid: Grid, order) -> HomogeneousIdeal:
+    """The margin ideal as line sums and line caps: every row and column sum,
+    row i capped at alpha_i and column j at beta_j.  Its clean monomials are
+    the subtingency tables.  Same ideal as contingency_generators presents."""
+    lines = [row_support(grid, i) for i in range(1, grid.k + 1)]
+    lines += [col_support(grid, j) for j in range(1, grid.p + 1)]
+    return line_ideal(grid.nvars, order, lines, zip(lines, tuple(alpha) + tuple(beta)))
 
 
 def contingency_generators(alpha, beta, grid: Grid | None = None):
@@ -99,9 +115,9 @@ class QuotientModel:
         if sum(self.alpha) != sum(self.beta):
             raise ValueError("row and column sums must agree")
         self.n = sum(self.alpha)
-        self.grid, gens = contingency_generators(self.alpha, self.beta)
+        self.grid = Grid(len(self.alpha), len(self.beta))
         self.order = self.grid.diagonal_order()
-        self.ideal = HomogeneousIdeal(gens, self.grid.nvars, self.order)
+        self.ideal = margin_ideal(self.alpha, self.beta, self.grid, self.order)
         self.size = count_contingency_tables(self.alpha, self.beta)
         hilbert = []
         standard = []

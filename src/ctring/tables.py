@@ -176,11 +176,16 @@ def matrix_to_text(matrix) -> str:
 
 
 def matrix_from_json(data) -> tuple:
+    """Decode {"rows", "cols", "entries"}; any malformed input raises
+    ValueError (json.JSONDecodeError is one)."""
     if isinstance(data, str):
         data = json.loads(data)
-    mat = as_matrix(data["entries"])
-    k, p = dimensions(mat)
-    if (k, p) != (data["rows"], data["cols"]):
+    try:
+        mat = as_matrix(data["entries"])
+        declared = (data["rows"], data["cols"])
+    except (KeyError, TypeError) as err:
+        raise ValueError(f"malformed matrix JSON: {err!r}") from None
+    if dimensions(mat) != declared:
         raise ValueError("declared dimensions do not match entries")
     return mat
 

@@ -4,6 +4,9 @@ Everything here is deliberately naive and shares no code path with the
 implementations under test.
 """
 
+from fractions import Fraction
+
+
 def brute_zigzag(matrix) -> int:
     """Maximum weight over all chains of cells, by explicit chain extension."""
     k, p = len(matrix), len(matrix[0])
@@ -169,3 +172,90 @@ def monomials_of_degree(nvars, degree):
         for rest in monomials_of_degree(nvars - 1, degree - first):
             out.append((first,) + rest)
     return out
+
+
+def _divides(small, big):
+    return all(a <= b for a, b in zip(small, big))
+
+
+def divisibility_clean_monomials(monomial_gens, nvars, degree):
+    """Exponent tuples of the degree divisible by no monomial generator,
+    lexicographically descending: every monomial within the exponent bounds
+    set by pure-power generators, filtered by divisibility."""
+    bounds = [degree] * nvars
+    for g in monomial_gens:
+        support = [i for i, e in enumerate(g) if e]
+        if len(support) == 1:
+            i = support[0]
+            bounds[i] = min(bounds[i], g[i] - 1)
+    out = []
+
+    def extend(i, left, prefix):
+        if i == nvars - 1:
+            if left <= bounds[i]:
+                out.append(prefix + (left,))
+            return
+        for v in range(min(left, bounds[i]), -1, -1):
+            extend(i + 1, left - v, prefix + (v,))
+
+    extend(0, degree, ())
+    return [m for m in out if not any(_divides(g, m) for g in monomial_gens)]
+
+
+def fraction_rref(rows):
+    """Reduced row echelon form by Gauss-Jordan over Fraction, of sparse rows
+    keyed by column position (position 0 leads).  Returns {pivot: row} with
+    pivot entries one."""
+    pivots = {}
+    for row in rows:
+        vec = {p: Fraction(c) for p, c in row.items() if c}
+        for lead in sorted(pivots):
+            c = vec.pop(lead, 0)
+            if c:
+                for p, pc in pivots[lead].items():
+                    if p != lead:
+                        vec[p] = vec.get(p, 0) - c * pc
+                vec = {p: v for p, v in vec.items() if v}
+        if not vec:
+            continue
+        lead = min(vec)
+        vec = {p: v / vec[lead] for p, v in vec.items()}
+        for other in pivots.values():
+            c = other.pop(lead, 0)
+            if c:
+                for p, v in vec.items():
+                    if p != lead:
+                        other[p] = other.get(p, 0) - c * v
+                for p in [p for p, v in other.items() if not v]:
+                    del other[p]
+        pivots[lead] = vec
+    return pivots
+
+
+def oracle_slice(generators, nvars, order, degree):
+    """(pivots, standard) of one degree slice of the ideal generated by
+    arbitrary homogeneous polynomials (monomials included): monomial
+    generators filter the columns by divisibility, and the rest are
+    eliminated by Fraction Gauss-Jordan.  Both lists are order-descending."""
+    monos = [next(iter(g.terms)) for g in generators if len(g.terms) == 1]
+    others = [g for g in generators if len(g.terms) > 1]
+    columns = sorted(
+        divisibility_clean_monomials(monos, nvars, degree), key=order.key, reverse=True
+    )
+    index = {m: i for i, m in enumerate(columns)}
+    rows = []
+    for g in others:
+        gdeg = sum(next(iter(g.terms)))
+        if gdeg > degree:
+            continue
+        for factor in divisibility_clean_monomials(monos, nvars, degree - gdeg):
+            row = {}
+            for exps, c in g.terms.items():
+                pos = index.get(tuple(a + b for a, b in zip(factor, exps)))
+                if pos is not None:
+                    row[pos] = c
+            rows.append(row)
+    reduced = fraction_rref(rows)
+    pivots = [columns[p] for p in sorted(reduced)]
+    standard = [m for i, m in enumerate(columns) if i not in reduced]
+    return pivots, standard

@@ -94,6 +94,36 @@ def test_rsk_from_json_matrix(capsys):
     assert json.loads(out)["P"] == [[1, 1, 1]]
 
 
+@pytest.mark.parametrize(
+    "blob",
+    [
+        '{"rows": 1, "cols": 2}',
+        '{"cols": 2, "entries": [[1, 2]]}',
+        '{"rows": 1, "entries": [[1, 2]]}',
+        '{"rows": 1, "cols": 1, "entries": 5}',
+        '{"rows": 1, "cols": 2, "entries": [[1, null]]}',
+        '{"rows": 1, "cols": 2, "entries": [[1, 2]]',
+        '{"rows": 2, "cols": 2, "entries": [[1, 2]]}',
+    ],
+    ids=["no-entries", "no-rows", "no-cols", "scalar", "null", "truncated", "dims"],
+)
+def test_malformed_json_matrix_is_usage_error(tmp_path, capsys, blob):
+    path = tmp_path / "f.json"
+    path.write_text(blob)
+    for command in ("rsk", "zigzag"):
+        status = main([command, "--matrix", str(path)])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert "error" in json.loads(captured.err)
+
+
+def test_unreadable_matrix_is_usage_error(tmp_path, capsys):
+    status = main(["rsk", "--matrix", str(tmp_path)])
+    assert status == 2
+    assert "error" in json.loads(capsys.readouterr().err)
+
+
 def test_zigzag_inline(capsys):
     status, out = run_cli(
         capsys, ["zigzag", "--matrix", "1 2 0 1;0 0 2 1;3 0 1 1"]
@@ -132,6 +162,26 @@ def test_verify_exit_code(capsys):
     assert status == 0
     payload = json.loads(out)
     assert payload["standard_equals_matrix_ball"] is True
+
+
+def test_verify_and_sweep_build_each_model_once(monkeypatch, capsys):
+    import ctring.cli
+    import ctring.quotient
+
+    built = []
+
+    class Counting(ctring.quotient.QuotientModel):
+        def __init__(self, alpha, beta):
+            built.append((alpha, beta))
+            super().__init__(alpha, beta)
+
+    monkeypatch.setattr(ctring.cli, "QuotientModel", Counting)
+    monkeypatch.setattr(ctring.quotient, "QuotientModel", Counting)
+    status, _ = run_cli(capsys, ["verify", "--alpha", "3,2", "--beta", "2,2,1"])
+    assert status == 0 and built == [((3, 2), (2, 2, 1))]
+    built.clear()
+    status, out = run_cli(capsys, ["sweep", "--max-n", "2", "--max-len", "2"])
+    assert status == 0 and len(built) == json.loads(out)["pairs"]
 
 
 def test_lefschetz(capsys):

@@ -1,15 +1,148 @@
+import math
 import random
 from fractions import Fraction
 
-from ctring.linalg import HomogeneousIdeal, bounded_exponents, echelon, extreme_monomials
+import pytest
+
+from oracles import (
+    divisibility_clean_monomials,
+    fraction_rref,
+    oracle_slice,
+    strict_compositions,
+)
+from ctring.linalg import (
+    HomogeneousIdeal,
+    back_substitute,
+    bounded_exponents,
+    echelon,
+    extreme_monomials,
+    integer_row,
+    position_echelon,
+)
+from ctring.onerow import one_row_generators, one_row_ideal
+from ctring.partitions import weak_compositions_upto
 from ctring.polys import LexOrder, Poly
-from ctring.quotient import contingency_generators
+from ctring.quotient import contingency_generators, margin_ideal
+
+
+def _margin(alpha, beta):
+    """The generator list of the margin ideal and the ideal built from caps."""
+    grid, gens = contingency_generators(alpha, beta)
+    return grid, gens, margin_ideal(alpha, beta, grid, grid.diagonal_order())
+
+
+def _monomials(gens):
+    return [next(iter(g.terms)) for g in gens if len(g.terms) == 1]
 
 
 def test_bounded_exponents():
     assert set(bounded_exponents(2, 2)) == {(2, 0), (1, 1), (0, 2)}
-    assert bounded_exponents(2, 2, (1, 2)) == [(1, 1), (0, 2)]
     assert bounded_exponents(3, 0) == [(0, 0, 0)]
+
+
+def test_single_variable_caps():
+    ideal = HomogeneousIdeal([], 2, LexOrder(2), caps=[((0,), 1), ((1,), 2)])
+    assert ideal.clean_monomials(2) == [(1, 1), (0, 2)]
+    assert ideal.is_clean((1, 2)) and not ideal.is_clean((2, 0))
+
+
+def test_monomial_generators_and_bad_caps_rejected():
+    with pytest.raises(ValueError):
+        HomogeneousIdeal([Poly.variable(2, 0, power=2)], 2, LexOrder(2))
+    with pytest.raises(ValueError):
+        HomogeneousIdeal([], 2, LexOrder(2), caps=[((0,), -1)])
+    with pytest.raises(ValueError):
+        HomogeneousIdeal([], 2, LexOrder(2), caps=[((2,), 1)])
+
+
+def test_caps_match_divisibility_on_margin_ideals():
+    # the caps' clean monomials are the monomials divisible by no monomial
+    # generator of contingency_generators, on every margin pair n <= 5
+    pairs = 0
+    for n in range(6):
+        comps = weak_compositions_upto(n, 3)
+        for alpha in comps:
+            for beta in comps:
+                grid, gens, ideal = _margin(alpha, beta)
+                monos = _monomials(gens)
+                for d in range(n + 2):
+                    assert ideal.clean_monomials(d) == divisibility_clean_monomials(
+                        monos, grid.nvars, d
+                    ), (alpha, beta, d)
+                pairs += 1
+    assert pairs > 1000
+
+
+def test_caps_match_divisibility_on_one_row_ideals():
+    specs = [b for total in range(1, 9) for b in strict_compositions(total)]
+    specs += [(0,), (0, 0), (1, 0, 2), (0, 3)]
+    for bounds in specs:
+        n = len(bounds)
+        ideal = one_row_ideal(bounds)
+        monos = _monomials(one_row_generators(bounds))
+        for d in range(sum(bounds) + 2):
+            assert ideal.clean_monomials(d) == divisibility_clean_monomials(
+                monos, n, d
+            ), (bounds, d)
+
+
+def _random_rows(rng):
+    """A sparse rational matrix whose rank is usually deficient: random rows
+    plus random combinations of them."""
+    ncols = rng.randint(1, 12)
+    rows = []
+    for _ in range(rng.randint(1, 8)):
+        row = {}
+        for p in rng.sample(range(ncols), rng.randint(1, min(4, ncols))):
+            num = rng.choice([-3, -2, -1, 1, 2, 3, 5])
+            row[p] = Fraction(num, rng.randint(1, 4))
+        rows.append(row)
+    for _ in range(rng.randint(0, 4)):
+        combo = {}
+        for row in rng.sample(rows, min(2, len(rows))):
+            scale = Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 3))
+            for p, c in row.items():
+                combo[p] = combo.get(p, 0) + scale * c
+        rows.append({p: c for p, c in combo.items() if c})
+    rng.shuffle(rows)
+    return [r for r in rows if r]
+
+
+def test_integer_echelon_matches_fraction_rref():
+    rng = random.Random(2025)
+    for _ in range(300):
+        rows = _random_rows(rng)
+        forward = position_echelon([integer_row(r) for r in rows])
+        for lead, row in forward.items():
+            assert all(isinstance(c, int) for c in row.values())
+            assert min(row) == lead and row[lead] > 0
+            assert math.gcd(*row.values()) == 1
+        assert back_substitute(forward) == fraction_rref(rows)
+        monomial_rows = [{(p,): c for p, c in r.items()} for r in rows]
+        expected = {
+            (lead,): {(p,): c for p, c in row.items()}
+            for lead, row in fraction_rref(rows).items()
+        }
+        assert echelon(monomial_rows, lambda m: -m[0]) == expected
+
+
+def test_slices_match_oracle():
+    # columns, pivots and standard monomials of every slice, against the
+    # divisibility filter plus Fraction Gauss-Jordan on the generator list
+    cases = [((2, 1), (1, 1, 1)), ((2, 2), (2, 1, 1)), ((3, 1), (2, 2)), ((2,), (1, 1))]
+    for alpha, beta in cases:
+        grid, gens, ideal = _margin(alpha, beta)
+        for d in range(sum(alpha) + 2):
+            pivots, standard = oracle_slice(gens, grid.nvars, ideal.order, d)
+            assert list(ideal.slice(d).pivots) == pivots
+            assert list(ideal.standard_monomials(d)) == standard
+    for bounds in [(1, 2, 1), (2, 2), (3,), (1, 1, 1, 1)]:
+        ideal = one_row_ideal(bounds)
+        gens = one_row_generators(bounds)
+        for d in range(sum(bounds) + 2):
+            pivots, standard = oracle_slice(gens, len(bounds), ideal.order, d)
+            assert list(ideal.slice(d).pivots) == pivots
+            assert list(ideal.standard_monomials(d)) == standard
 
 
 def test_echelon_reduced():
@@ -37,8 +170,7 @@ def test_simple_ideal_slice():
 
 
 def test_contingency_slice_degree_one():
-    grid, gens = contingency_generators((3, 2), (2, 2, 1))
-    ideal = HomogeneousIdeal(gens, grid.nvars, grid.diagonal_order())
+    grid, _, ideal = _margin((3, 2), (2, 2, 1))
     std = ideal.standard_monomials(1)
     assert {grid.matrix(m) for m in std} == {
         ((0, 0, 0), (0, 1, 0)),
@@ -47,8 +179,7 @@ def test_contingency_slice_degree_one():
 
 
 def test_degree_basis_counts():
-    grid, gens = contingency_generators((2, 2), (2, 2))
-    ideal = HomogeneousIdeal(gens, grid.nvars, grid.diagonal_order())
+    grid, _, ideal = _margin((2, 2), (2, 2))
     for d in range(4):
         basis = ideal.slice(d)
         assert len(basis.standard) + ideal.initial_count(d) == len(
@@ -58,8 +189,7 @@ def test_degree_basis_counts():
 
 
 def test_normal_form_fixes_standard_and_kills_generators():
-    grid, gens = contingency_generators((3, 2), (2, 2, 1))
-    ideal = HomogeneousIdeal(gens, grid.nvars, grid.diagonal_order())
+    grid, gens, ideal = _margin((3, 2), (2, 2, 1))
     for mono in ideal.standard_monomials(2):
         poly = Poly.monomial(mono)
         assert ideal.normal_form(poly) == poly
@@ -68,9 +198,8 @@ def test_normal_form_fixes_standard_and_kills_generators():
 
 
 def test_normal_form_difference_in_ideal():
-    grid, gens = contingency_generators((2, 1), (1, 1, 1))
-    order = grid.diagonal_order()
-    ideal = HomogeneousIdeal(gens, grid.nvars, order)
+    grid, _, ideal = _margin((2, 1), (1, 1, 1))
+    order = ideal.order
     rng = random.Random(61)
     for _ in range(15):
         exps = [tuple(rng.randint(0, 1) for _ in range(grid.nvars)) for _ in range(3)]
@@ -90,8 +219,7 @@ def test_normal_form_difference_in_ideal():
 
 
 def test_normal_form_linearity():
-    grid, gens = contingency_generators((2, 2), (2, 2))
-    ideal = HomogeneousIdeal(gens, grid.nvars, grid.diagonal_order())
+    _, _, ideal = _margin((2, 2), (2, 2))
     rng = random.Random(67)
     for _ in range(10):
         e1 = tuple(rng.randint(0, 1) for _ in range(4))
@@ -101,22 +229,17 @@ def test_normal_form_linearity():
 
 
 def test_ideal_hilbert_utility():
-    from ctring.onerow import one_row_generators
-
-    ideal = HomogeneousIdeal(one_row_generators((1, 2, 1)), 3, LexOrder(3))
+    ideal = one_row_ideal((1, 2, 1))
     assert ideal.hilbert(cap=10) == [1, 2, 1]
     # the polynomial ring itself is not Artinian: the cap must trip
     free = HomogeneousIdeal([], 2, LexOrder(2))
-    import pytest
-
     with pytest.raises(RuntimeError):
         free.hilbert(cap=3)
 
 
 def test_normal_form_respects_ring_structure():
     # reduction is idempotent and computes products correctly in the quotient
-    grid, gens = contingency_generators((2, 2), (2, 2))
-    ideal = HomogeneousIdeal(gens, grid.nvars, grid.diagonal_order())
+    _, _, ideal = _margin((2, 2), (2, 2))
     rng = random.Random(97)
     for _ in range(15):
         e1 = tuple(rng.randint(0, 1) for _ in range(4))

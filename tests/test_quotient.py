@@ -1,10 +1,14 @@
 import math
 import random
 
-from ctring.linalg import HomogeneousIdeal
-from ctring.polys import Grid, Poly, polarize_row
+import pytest
+
+from oracles import oracle_slice
+from ctring.linalg import line_ideal
+from ctring.polys import DiagonalOrder, Grid, Poly, polarize_row
 from ctring.quotient import (
     QuotientModel,
+    col_support,
     colsum_ideal_generators,
     contingency_generators,
     derived_matrix_set,
@@ -12,7 +16,9 @@ from ctring.quotient import (
     hilbert_series_zigzag,
     lefschetz_element,
     lefschetz_report,
+    margin_ideal,
     row_sum_poly,
+    row_support,
     rowsum_ideal_generators,
     verify_associated_graded,
 )
@@ -171,24 +177,36 @@ def test_verify_associated_graded():
 
 
 def test_ideal_sum_observation():
-    # generators of the two one-sided ideals together span the same slices
-    for alpha, beta in [((2, 1), (1, 1, 1)), ((2, 2), (2, 2))]:
+    # generators of the two one-sided ideals together span the same slices as
+    # the margin generators, and as the line sums with line caps
+    for alpha, beta in [((2, 1), (1, 1, 1)), ((2, 2), (2, 2)), ((3, 1), (2, 1, 1))]:
         grid, gens = contingency_generators(alpha, beta)
         order = grid.diagonal_order()
         _, row_side = rowsum_ideal_generators(beta, len(alpha), grid)
         _, col_side = colsum_ideal_generators(alpha, len(beta), grid)
-        combined = HomogeneousIdeal(row_side + col_side, grid.nvars, order)
-        direct = HomogeneousIdeal(gens, grid.nvars, order)
-        for d in range(sum(alpha) + 1):
-            assert combined.slice(d).pivots == direct.slice(d).pivots
+        caps = margin_ideal(alpha, beta, grid, order)
+        for d in range(sum(alpha) + 2):
+            combined = oracle_slice(row_side + col_side, grid.nvars, order, d)
+            assert combined == oracle_slice(gens, grid.nvars, order, d)
+            assert combined == (
+                list(caps.slice(d).pivots),
+                list(caps.standard_monomials(d)),
+            )
 
 
 def test_row_polarization_preserves_rowsum_ideal():
     beta = (2, 1)
     k = 3
     grid, gens = rowsum_ideal_generators(beta, k)
-    ideal = HomogeneousIdeal(gens, grid.nvars, grid.diagonal_order())
+    order = grid.diagonal_order()
+    ideal = line_ideal(
+        grid.nvars,
+        order,
+        [row_support(grid, i) for i in range(1, k + 1)],
+        [(col_support(grid, j), b) for j, b in enumerate(beta, start=1)],
+    )
     for d in range(1, 4):
+        assert list(ideal.slice(d).pivots) == oracle_slice(gens, grid.nvars, order, d)[0]
         for row in ideal.slice(d).pivot_rows.values():
             poly = Poly(grid.nvars, row)
             for source in range(1, k + 1):
@@ -208,18 +226,24 @@ def test_nonconvergence_guard():
 def test_standard_basis_independent_of_diagonal_tiebreak():
     # the standard monomial set is the same for every diagonal order, so the
     # column-ranked tiebreak must reproduce the row-ranked result
-    from ctring.linalg import HomogeneousIdeal
-    from ctring.polys import DiagonalOrder
-
     for alpha, beta in [((3, 2), (2, 2, 1)), ((2, 2), (2, 2)), ((2, 1, 1), (1, 2, 1))]:
-        grid, gens = contingency_generators(alpha, beta)
-        row_order = DiagonalOrder(grid, tiebreak="row")
-        col_order = DiagonalOrder(grid, tiebreak="column")
-        a = HomogeneousIdeal(gens, grid.nvars, row_order)
-        b = HomogeneousIdeal(gens, grid.nvars, col_order)
+        grid = Grid(len(alpha), len(beta))
+        a = margin_ideal(alpha, beta, grid, DiagonalOrder(grid, tiebreak="row"))
+        b = margin_ideal(alpha, beta, grid, DiagonalOrder(grid, tiebreak="column"))
         for d in range(sum(alpha) + 1):
             std_a = set(a.standard_monomials(d))
             std_b = set(b.standard_monomials(d))
             assert std_a == std_b
             if not std_a:
                 break
+
+
+@pytest.mark.parametrize(
+    "alpha, beta", [((3, 3, 3), (3, 3, 3)), ((3, 3, 2), (2, 2, 2, 2))]
+)
+def test_standard_basis_frontier(alpha, beta):
+    # the largest margins checked in tier 1: standard monomials are the
+    # matrix-ball derived matrices and the Hilbert series is the Kostka one
+    model = QuotientModel(alpha, beta)
+    assert model.standard_exponent_matrices() == derived_matrix_set(alpha, beta)
+    assert list(model.hilbert) == hilbert_kostka(alpha, beta)
