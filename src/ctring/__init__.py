@@ -29,7 +29,6 @@ from .onerow import (
 from .partitions import (
     conjugate,
     kostka,
-    partitions,
     semistandard_tableaux,
     standard_tableau_count,
     weak_compositions,
@@ -66,7 +65,6 @@ from .quotient import (
     hilbert_series_zigzag,
     lefschetz_element,
     lefschetz_report,
-    standard_monomial_matrices,
     verify_associated_graded,
 )
 from .series import (
@@ -76,7 +74,6 @@ from .series import (
     uniform_family,
 )
 from .symfunc import (
-    SymFunc,
     SymmetricProductGroup,
     TensorSymFunc,
     irreducible_character,

@@ -8,24 +8,17 @@ Set CTRING_CACHE_DIR to persist the Kostka memo cache between runs.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
 from pathlib import Path
 
+from .experiments import conjecture_scan, sweep
 from .matrixball import rsk, zigzag_witness
-from .partitions import (
-    kostka_cache_restore,
-    kostka_cache_snapshot,
-    partitions,
-    weak_compositions_upto,
-)
-from .psi import (
-    graded_decomposition,
-    kronecker_dominance,
-    kronecker_product,
-    pair_group,
-)
+# partitions is unused here; perfbench/tests reads it as ctring.cli.partitions
+from .partitions import kostka_cache_restore, kostka_cache_snapshot, partitions  # noqa: F401
+from .psi import graded_decomposition
 from .quotient import (
     QuotientModel,
     derived_matrix_set,
@@ -35,7 +28,6 @@ from .quotient import (
     verify_associated_graded,
 )
 from .series import hilbert_kostka, log_concavity_violations, q_ehrhart, uniform_family
-from .symfunc import TensorSymFunc
 from .tables import (
     matrix_from_json,
     matrix_from_text,
@@ -115,22 +107,19 @@ def _tableau_rows(tableau):
     return [list(row) for row in tableau]
 
 
+HILBERT_ROUTES = {
+    "kostka": hilbert_kostka,
+    "linalg": hilbert_series_linear,
+    "zigzag": hilbert_series_zigzag,
+}
+
+
 def cmd_hilbert(args):
-    if args.method in ("kostka", "all"):
-        coeffs = hilbert_kostka(args.alpha, args.beta)
-    if args.method in ("linalg", "all"):
-        linalg = hilbert_series_linear(args.alpha, args.beta)
-        if args.method == "linalg":
-            coeffs = linalg
-        elif linalg != coeffs:
-            return {"error": "hilbert methods disagree"}, CHECK_FAILED
-    if args.method in ("zigzag", "all"):
-        zz = hilbert_series_zigzag(args.alpha, args.beta)
-        if args.method == "zigzag":
-            coeffs = zz
-        elif zz != coeffs:
-            return {"error": "hilbert methods disagree"}, CHECK_FAILED
-    return {"alpha": list(args.alpha), "beta": list(args.beta), "coeffs": _big(coeffs)}, 0
+    methods = HILBERT_ROUTES if args.method == "all" else [args.method]
+    series = [HILBERT_ROUTES[m](args.alpha, args.beta) for m in methods]
+    if any(s != series[0] for s in series):
+        return {"error": "hilbert methods disagree"}, CHECK_FAILED
+    return {"alpha": list(args.alpha), "beta": list(args.beta), "coeffs": _big(series[0])}, 0
 
 
 def cmd_rsk(args):
@@ -206,43 +195,11 @@ def cmd_lefschetz(args):
 
 
 def cmd_conjectures(args):
-    violations = {"log_concavity": [], "lefschetz": [], "dominance": []}
-    for n in range(1, args.max_n + 1):
-        for mu in partitions(n):
-            for nu in partitions(n):
-                coeffs = hilbert_kostka(mu, nu)
-                for k in log_concavity_violations(coeffs):
-                    violations["log_concavity"].append(
-                        {"mu": list(mu), "nu": list(nu), "k": k}
-                    )
-    for n in range(1, args.lefschetz_n + 1):
-        for mu in partitions(n):
-            for nu in partitions(n):
-                model = QuotientModel(mu, nu)
-                for entry in lefschetz_report(model):
-                    if not entry["injective"]:
-                        violations["lefschetz"].append(
-                            {"mu": list(mu), "nu": list(nu), "k": entry["k"]}
-                        )
-    for n in range(1, args.dominance_n + 1):
-        for mu in partitions(n):
-            for nu in partitions(n):
-                decomposition = graded_decomposition(mu, nu)
-                group = pair_group(mu, nu)
-                top = max(decomposition, default=0)
-                degrees = tuple(group.sizes)
-                empty = TensorSymFunc(degrees, "s")
-                for k in range(1, top):
-                    outer = decomposition.get(k - 1, empty)
-                    inner = decomposition.get(k, empty)
-                    upper = decomposition.get(k + 1, empty)
-                    bad = kronecker_dominance(
-                        inner, kronecker_product(outer, upper, group), group
-                    )
-                    if bad:
-                        violations["dominance"].append(
-                            {"mu": list(mu), "nu": list(nu), "k": k}
-                        )
+    found = conjecture_scan(args.max_n, args.lefschetz_n, args.dominance_n)
+    violations = {
+        name: [{"mu": list(mu), "nu": list(nu), "k": k} for mu, nu, k in triples]
+        for name, triples in found.items()
+    }
     total = sum(len(v) for v in violations.values())
     return {"violations": violations, "total_violations": total}, 0
 
@@ -270,33 +227,28 @@ def cmd_sweep(args):
     failures = []
     conjecture_violations = []
     pairs = 0
-    for n in range(args.max_n + 1):
-        comps = weak_compositions_upto(n, args.max_len)
-        for alpha in comps:
-            for beta in comps:
-                pairs += 1
-                model = QuotientModel(alpha, beta)
-                record = {"alpha": list(alpha), "beta": list(beta)}
-                if model.standard_exponent_matrices() != derived_matrix_set(
-                    alpha, beta
-                ):
-                    failures.append({**record, "check": "standard-basis"})
-                kost = hilbert_kostka(alpha, beta)
-                zz = hilbert_series_zigzag(alpha, beta)
-                if not (list(model.hilbert) == kost == zz):
-                    failures.append({**record, "check": "hilbert-agreement"})
-                report = verify_associated_graded(alpha, beta, model=model)
-                if not (report["lifts_vanish"] and report["dimension_match"]):
-                    failures.append({**record, "check": "graded-vanishing-ideal"})
-                for k in log_concavity_violations(kost):
-                    conjecture_violations.append(
-                        {**record, "conjecture": "log-concavity", "k": k}
-                    )
-                for entry in lefschetz_report(model):
-                    if not entry["injective"]:
-                        conjecture_violations.append(
-                            {**record, "conjecture": "lefschetz", "k": entry["k"]}
-                        )
+    for r in sweep(args.max_n, args.max_len):
+        pairs += 1
+        record = {"alpha": list(r["alpha"]), "beta": list(r["beta"])}
+        checks = {
+            "standard-basis": r["standard_ok"],
+            "hilbert-agreement": (
+                r["hilbert_linear"] == r["hilbert_kostka"] == r["hilbert_zigzag"]
+            ),
+            "graded-vanishing-ideal": (
+                r["verify"]["lifts_vanish"] and r["verify"]["dimension_match"]
+            ),
+        }
+        failures += [{**record, "check": c} for c, ok in checks.items() if not ok]
+        conjecture_violations += [
+            {**record, "conjecture": "log-concavity", "k": k}
+            for k in log_concavity_violations(r["hilbert_kostka"])
+        ]
+        conjecture_violations += [
+            {**record, "conjecture": "lefschetz", "k": entry["k"]}
+            for entry in r["lefschetz"]
+            if not entry["injective"]
+        ]
     payload = {
         "pairs": pairs,
         "failures": failures,
@@ -305,6 +257,22 @@ def cmd_sweep(args):
     return payload, 0 if not failures else CHECK_FAILED
 
 
+def at_least(low: int):
+    """Argparse type for an integer count that must be at least `low`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+            if value >= low:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+
+    return parse
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ctring",
@@ -325,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd_hilbert,
         alpha={"type": composition, "required": True},
         beta={"type": composition, "required": True},
-        method={"choices": ["kostka", "linalg", "zigzag", "all"], "default": "kostka"},
+        method={"choices": [*HILBERT_ROUTES, "all"], "default": "kostka"},
     )
     add("rsk", cmd_rsk, matrix={"required": True})
     add("zigzag", cmd_zigzag, matrix={"required": True})
@@ -357,9 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
         "conjectures",
         cmd_conjectures,
         **{
-            "max-n": {"type": int, "default": 8, "dest": "max_n"},
-            "lefschetz-n": {"type": int, "default": 4, "dest": "lefschetz_n"},
-            "dominance-n": {"type": int, "default": 4, "dest": "dominance_n"},
+            "max-n": {"type": at_least(0), "default": 8, "dest": "max_n"},
+            "lefschetz-n": {"type": at_least(0), "default": 4, "dest": "lefschetz_n"},
+            "dominance-n": {"type": at_least(0), "default": 4, "dest": "dominance_n"},
         },
     )
     add(
@@ -367,21 +335,21 @@ def build_parser() -> argparse.ArgumentParser:
         cmd_ehrhart,
         alpha={"type": composition, "required": True},
         beta={"type": composition, "required": True},
-        upto={"type": int, "default": 3},
+        upto={"type": at_least(0), "default": 3},
         interior={"action": "store_true"},
     )
     add(
         "figure1",
         cmd_figure1,
         family={"type": int, "required": True, "choices": [1, 2, 3, 4]},
-        upto={"type": int, "default": 3},
+        upto={"type": at_least(0), "default": 3},
     )
     add(
         "sweep",
         cmd_sweep,
         **{
-            "max-n": {"type": int, "default": 4, "dest": "max_n"},
-            "max-len": {"type": int, "default": 2, "dest": "max_len"},
+            "max-n": {"type": at_least(0), "default": 4, "dest": "max_n"},
+            "max-len": {"type": at_least(1), "default": 2, "dest": "max_len"},
         },
     )
     return parser
@@ -426,8 +394,7 @@ def _save_cache():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     _load_cache()
     try:
         payload, status = args.fn(args)

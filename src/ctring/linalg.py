@@ -395,9 +395,6 @@ class HomogeneousIdeal:
                 out[m] = out.get(m, 0) + c
         return Poly(poly.nvars, out)
 
-    def contains(self, poly: Poly) -> bool:
-        return not self.normal_form(poly)
-
 
 def linear_form(nvars, support) -> Poly:
     """The sum of the variables whose indices are in support."""

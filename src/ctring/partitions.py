@@ -20,10 +20,6 @@ def is_partition(seq) -> bool:
     return all(a >= b for a, b in zip(parts, parts[1:])) and all(a > 0 for a in parts)
 
 
-def is_weak_composition(seq) -> bool:
-    return all(isinstance(a, int) and a >= 0 for a in seq)
-
-
 def check_partition(seq) -> tuple:
     parts = tuple(seq)
     if not is_partition(parts):

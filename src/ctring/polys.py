@@ -256,12 +256,10 @@ def diff_pairing(f: Poly, g: Poly) -> Poly:
     return Poly(f.nvars, out)
 
 
-def polarize_row(f: Poly, grid: Grid, source: int, dest: int) -> Poly:
-    """Row polarization: sum over columns of x_{dest,j} d/dx_{source,j}."""
-    out = Poly.zero(grid.nvars)
-    for j in range(1, grid.p + 1):
-        src = grid.index(source, j)
-        dst = grid.index(dest, j)
+def _polarize(f: Poly, nvars: int, pairs) -> Poly:
+    """Sum over (src, dst) variable pairs of x_dst d/dx_src."""
+    out = Poly.zero(nvars)
+    for src, dst in pairs:
         terms = {}
         for exps, coeff in f.terms.items():
             if exps[src]:
@@ -274,30 +272,20 @@ def polarize_row(f: Poly, grid: Grid, source: int, dest: int) -> Poly:
                     terms[key] = val
                 else:
                     terms.pop(key, None)
-        out = out + Poly(grid.nvars, terms)
+        out = out + Poly(nvars, terms)
     return out
+
+
+def polarize_row(f: Poly, grid: Grid, source: int, dest: int) -> Poly:
+    """Row polarization: sum over columns of x_{dest,j} d/dx_{source,j}."""
+    pairs = [(grid.index(source, j), grid.index(dest, j)) for j in range(1, grid.p + 1)]
+    return _polarize(f, grid.nvars, pairs)
 
 
 def polarize_col(f: Poly, grid: Grid, source: int, dest: int) -> Poly:
     """Column polarization: sum over rows of x_{i,dest} d/dx_{i,source}."""
-    out = Poly.zero(grid.nvars)
-    for i in range(1, grid.k + 1):
-        src = grid.index(i, source)
-        dst = grid.index(i, dest)
-        terms = {}
-        for exps, coeff in f.terms.items():
-            if exps[src]:
-                new = list(exps)
-                new[src] -= 1
-                new[dst] += 1
-                key = tuple(new)
-                val = terms.get(key, 0) + coeff * exps[src]
-                if val:
-                    terms[key] = val
-                else:
-                    terms.pop(key, None)
-        out = out + Poly(grid.nvars, terms)
-    return out
+    pairs = [(grid.index(i, source), grid.index(i, dest)) for i in range(1, grid.k + 1)]
+    return _polarize(f, grid.nvars, pairs)
 
 
 def shift_row(matrix, source: int, dest: int, amount: int) -> tuple:

@@ -173,10 +173,6 @@ def hilbert_series_zigzag(alpha, beta) -> list:
     return [counts.get(d, 0) for d in range(top + 1)]
 
 
-def standard_monomial_matrices(alpha, beta) -> frozenset:
-    return QuotientModel(alpha, beta).standard_exponent_matrices()
-
-
 def derived_matrix_set(alpha, beta) -> frozenset:
     return frozenset(derived_matrix(t) for t in contingency_tables(alpha, beta))
 
@@ -252,36 +248,24 @@ def verify_associated_graded(alpha, beta, model: QuotientModel | None = None) ->
     """Check the witnesses placing each generator in the graded vanishing ideal
     of the contingency-table locus, and the dimension count.
 
-    Row and column sums lift to (sum - margin); a violating monomial lifts to
-    the product of falling factorials of its exponents, which vanishes on
-    every table because the row (or column) cannot supply enough weight.
+    Each line (row i or column j) has its sum lift to (sum - margin); a
+    monomial on the line of degree margin + 1 lifts to the product of falling
+    factorials of its exponents, which vanishes on every table because the
+    line cannot supply enough weight.
     """
     alpha = tuple(alpha)
     beta = tuple(beta)
     tables = contingency_tables(alpha, beta)
-    k, p = len(alpha), len(beta)
+    caps = alpha + beta
     lifts_vanish = True
     for table in tables:
-        for i in range(k):
-            if sum(table[i]) - alpha[i] != 0:
+        for line, cap in zip(table + tuple(zip(*table)), caps):
+            if sum(line) != cap:
                 lifts_vanish = False
-        for j in range(p):
-            if sum(row[j] for row in table) - beta[j] != 0:
-                lifts_vanish = False
-        for i in range(k):
-            for exps in bounded_exponents(p, alpha[i] + 1):
+            for exps in bounded_exponents(len(line), cap + 1):
                 value = 1
-                for j, e in enumerate(exps):
-                    value *= _falling(table[i][j], e)
-                    if value == 0:
-                        break
-                if value != 0:
-                    lifts_vanish = False
-        for j in range(p):
-            for exps in bounded_exponents(k, beta[j] + 1):
-                value = 1
-                for i, e in enumerate(exps):
-                    value *= _falling(table[i][j], e)
+                for x, e in zip(line, exps):
+                    value *= _falling(x, e)
                     if value == 0:
                         break
                 if value != 0:

@@ -72,65 +72,6 @@ def cycle_type_size(cycle_type, n: int) -> int:
     return factorial(n) // centralizer
 
 
-class SymFunc:
-    """A homogeneous symmetric function: coefficients on h or s basis elements."""
-
-    __slots__ = ("n", "basis", "coeffs")
-
-    def __init__(self, n, basis, coeffs=None):
-        if basis not in ("h", "s"):
-            raise ValueError("basis must be 'h' or 's'")
-        self.n = n
-        self.basis = basis
-        clean = {}
-        for lam, c in (coeffs or {}).items():
-            lam = check_partition(lam)
-            if sum(lam) != n:
-                raise ValueError("index partition of wrong size")
-            c = Fraction(c)
-            if c:
-                clean[lam] = c
-        self.coeffs = clean
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SymFunc)
-            and (self.n, self.basis, self.coeffs) == (other.n, other.basis, other.coeffs)
-        )
-
-    def __repr__(self):
-        terms = ", ".join(f"{self.basis}{list(l)}: {c}" for l, c in sorted(self.coeffs.items(), reverse=True))
-        return f"SymFunc({terms})"
-
-    def to_s(self):
-        if self.basis == "s":
-            return self
-        out: dict = {}
-        for mu, c in self.coeffs.items():
-            for lam, k in h_to_s_expansion(mu).items():
-                out[lam] = out.get(lam, 0) + c * k
-        return SymFunc(self.n, "s", out)
-
-    def to_h(self):
-        if self.basis == "h":
-            return self
-        out: dict = {}
-        for lam, c in self.coeffs.items():
-            for mu, k in s_to_h_expansion(lam).items():
-                out[mu] = out.get(mu, 0) + c * k
-        return SymFunc(self.n, "h", out)
-
-    def dimension(self):
-        """Dimension of a module with this Frobenius image."""
-        if self.basis == "s":
-            total = sum(c * standard_tableau_count(l) for l, c in self.coeffs.items())
-        else:
-            total = sum(
-                c * permutation_module_dimension(l) for l, c in self.coeffs.items()
-            )
-        return int(total) if getattr(total, "denominator", 1) == 1 else total
-
-
 def permutation_module_dimension(shape) -> int:
     out = factorial(sum(shape))
     for part in shape:
@@ -257,24 +198,20 @@ class TensorSymFunc:
         return TensorSymFunc(self.degrees + other.degrees, self.basis, out)
 
     def to_s(self):
-        if self.basis == "s":
-            return self
-        out: dict = {}
-        for key, c in self.coeffs.items():
-            expansions = [h_to_s_expansion(lam) for lam in key]
-            for combo, value in _expand(expansions):
-                out[combo] = out.get(combo, 0) + c * value
-        return TensorSymFunc(self.degrees, "s", out)
+        return self._to_basis("s", h_to_s_expansion)
 
     def to_h(self):
-        if self.basis == "h":
+        return self._to_basis("h", s_to_h_expansion)
+
+    def _to_basis(self, basis, expansion):
+        """Rewrite in `basis`, expanding each factor's partition by `expansion`."""
+        if self.basis == basis:
             return self
         out: dict = {}
         for key, c in self.coeffs.items():
-            expansions = [s_to_h_expansion(lam) for lam in key]
-            for combo, value in _expand(expansions):
+            for combo, value in _expand([expansion(lam) for lam in key]):
                 out[combo] = out.get(combo, 0) + c * value
-        return TensorSymFunc(self.degrees, "h", out)
+        return TensorSymFunc(self.degrees, basis, out)
 
     def dimension(self):
         total = 0
@@ -291,17 +228,11 @@ class TensorSymFunc:
 
     def character(self, class_tuple):
         """Character of the underlying module at a class of the product group,
-        given as one cycle type per factor.  Requires the s basis."""
-        current = self.to_s()
-        total = 0
-        for key, c in current.coeffs.items():
-            value = 1
-            for lam, rho in zip(key, class_tuple):
-                value *= irreducible_character(lam, rho)
-                if value == 0:
-                    break
-            total += c * value
-        return total
+        given as one cycle type per factor."""
+        group = SymmetricProductGroup(self.degrees)
+        return sum(
+            c * group.character(key, class_tuple) for key, c in self.to_s().coeffs.items()
+        )
 
 
 def _expand(expansions):

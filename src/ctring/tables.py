@@ -39,23 +39,8 @@ def total(matrix) -> int:
     return sum(sum(row) for row in matrix)
 
 
-def zero_matrix(k: int, p: int) -> tuple:
-    return tuple((0,) * p for _ in range(k))
-
-
 def ones_matrix(k: int, p: int) -> tuple:
     return tuple((1,) * p for _ in range(k))
-
-
-def matrix_add(a, b) -> tuple:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def matrix_sub(a, b) -> tuple:
-    out = tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-    if any(v < 0 for row in out for v in row):
-        raise ValueError("difference has negative entries")
-    return out
 
 
 def transpose(matrix) -> tuple:

@@ -6,15 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from ctring.partitions import weak_compositions_upto
-from ctring.quotient import (
-    QuotientModel,
-    derived_matrix_set,
-    hilbert_series_zigzag,
-    lefschetz_report,
-    verify_associated_graded,
-)
-from ctring.series import hilbert_kostka
+from ctring.experiments import sweep as sweep_records
 
 SWEEP_MAX_N = 6
 SWEEP_MAX_LEN = 3
@@ -24,46 +16,7 @@ SWEEP_MAX_LEN = 3
 def sweep():
     """Every pair of weak compositions with equal sum n <= 6, lengths <= 3:
     standard-basis equality, three Hilbert series, Lefschetz ranks, and the
-    vanishing-ideal witnesses, with per-stage wall times."""
-    records = []
-    seconds = {"standard": 0.0, "hilbert": 0.0, "lefschetz": 0.0, "verify": 0.0}
-    for n in range(SWEEP_MAX_N + 1):
-        comps = weak_compositions_upto(n, SWEEP_MAX_LEN)
-        for alpha in comps:
-            for beta in comps:
-                t0 = time.perf_counter()
-                model = QuotientModel(alpha, beta)
-                standard_ok = (
-                    model.standard_exponent_matrices()
-                    == derived_matrix_set(alpha, beta)
-                )
-                seconds["standard"] += time.perf_counter() - t0
-
-                t0 = time.perf_counter()
-                kostka_series = hilbert_kostka(alpha, beta)
-                zigzag_series = hilbert_series_zigzag(alpha, beta)
-                seconds["hilbert"] += time.perf_counter() - t0
-
-                t0 = time.perf_counter()
-                lefschetz = lefschetz_report(model)
-                seconds["lefschetz"] += time.perf_counter() - t0
-
-                t0 = time.perf_counter()
-                verify = verify_associated_graded(alpha, beta, model=model)
-                seconds["verify"] += time.perf_counter() - t0
-
-                records.append(
-                    {
-                        "alpha": alpha,
-                        "beta": beta,
-                        "n": n,
-                        "tables": model.size,
-                        "standard_ok": standard_ok,
-                        "hilbert_linear": list(model.hilbert),
-                        "hilbert_kostka": kostka_series,
-                        "hilbert_zigzag": zigzag_series,
-                        "lefschetz": lefschetz,
-                        "verify": verify,
-                    }
-                )
-    return {"records": records, "seconds": seconds}
+    vanishing-ideal witnesses, with the wall time of the whole sweep."""
+    t0 = time.perf_counter()
+    records = list(sweep_records(SWEEP_MAX_N, SWEEP_MAX_LEN))
+    return {"records": records, "seconds": time.perf_counter() - t0}

@@ -9,6 +9,7 @@ import itertools
 import random
 import time
 import timeit
+from math import comb
 
 from oracles import (
     count_fixed_tables,
@@ -16,6 +17,7 @@ from oracles import (
     random_zigzag_matrix,
     strict_compositions,
 )
+from ctring.experiments import conjecture_scan
 from ctring.matrixball import matrix_ball_step, rsk
 from ctring.onerow import (
     column_product,
@@ -42,14 +44,10 @@ from ctring.psi import (
     graded_decomposition,
     invariants_frobenius_h,
     invariants_frobenius_s,
-    kronecker_dominance,
-    kronecker_product,
-    pair_group,
     stab_group,
     stab_permutation,
 )
-from ctring.series import hilbert_kostka, log_concavity_violations, q_ehrhart, uniform_family
-from ctring.symfunc import TensorSymFunc
+from ctring.series import hilbert_kostka, q_ehrhart, uniform_family
 from ctring.tables import (
     contingency_tables,
     is_zigzag_cells,
@@ -97,8 +95,9 @@ def test_criterion_03_standard_basis_theorem(sweep):
     records = sweep["records"]
     bad = [r for r in records if not r["standard_ok"]]
     ok = not bad
+    ok = ok and len(records) == sum((2 + n + comb(n + 2, 2)) ** 2 for n in range(7))
     ok = ok and all(sum(r["hilbert_linear"]) == r["tables"] for r in records)
-    seconds = sweep["seconds"]["standard"]
+    seconds = sweep["seconds"]
     ok = ok and seconds < 300
     report(
         3,
@@ -349,41 +348,16 @@ def test_criterion_08_module_structure():
 
 def test_criterion_09_conjecture_reports(sweep):
     # conjecture findings are data: the suite passes either way and prints them
-    log_concave = []
-    for n in range(1, 13):
-        for mu in partitions(n):
-            for nu in partitions(n):
-                if log_concavity_violations(hilbert_kostka(mu, nu)):
-                    log_concave.append((mu, nu))
+    scan = conjecture_scan(12, 5, 5)
+    log_concave = scan["log_concavity"]
+    # full-length partition pairs extend the sweep's lengths <= 3 coverage
     lefschetz_bad = [
         (r["alpha"], r["beta"], entry["k"])
         for r in sweep["records"]
         for entry in r["lefschetz"]
         if not entry["injective"]
-    ]
-    # full-length partition pairs extend the sweep's lengths <= 3 coverage
-    from ctring.quotient import QuotientModel, lefschetz_report
-
-    for n in range(1, 6):
-        for mu in partitions(n):
-            for nu in partitions(n):
-                for entry in lefschetz_report(QuotientModel(mu, nu)):
-                    if not entry["injective"]:
-                        lefschetz_bad.append((mu, nu, entry["k"]))
-    dominance_bad = []
-    for n in range(1, 6):
-        for mu in partitions(n):
-            for nu in partitions(n):
-                dec = graded_decomposition(mu, nu)
-                group = pair_group(mu, nu)
-                empty = TensorSymFunc(group.sizes, "s")
-                top = max(dec)
-                for k in range(1, top + 1):
-                    product = kronecker_product(
-                        dec.get(k - 1, empty), dec.get(k + 1, empty), group
-                    )
-                    if kronecker_dominance(dec.get(k, empty), product, group):
-                        dominance_bad.append((mu, nu, k))
+    ] + scan["lefschetz"]
+    dominance_bad = scan["dominance"]
     detail = (
         f"log-concavity n<=12: {len(log_concave)} violations; "
         f"lefschetz (sweep n<=6 + partition pairs n<=5): "

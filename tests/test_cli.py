@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import sys
@@ -166,6 +167,7 @@ def test_verify_exit_code(capsys):
 
 def test_verify_and_sweep_build_each_model_once(monkeypatch, capsys):
     import ctring.cli
+    import ctring.experiments
     import ctring.quotient
 
     built = []
@@ -176,6 +178,7 @@ def test_verify_and_sweep_build_each_model_once(monkeypatch, capsys):
             super().__init__(alpha, beta)
 
     monkeypatch.setattr(ctring.cli, "QuotientModel", Counting)
+    monkeypatch.setattr(ctring.experiments, "QuotientModel", Counting)
     monkeypatch.setattr(ctring.quotient, "QuotientModel", Counting)
     status, _ = run_cli(capsys, ["verify", "--alpha", "3,2", "--beta", "2,2,1"])
     assert status == 0 and built == [((3, 2), (2, 2, 1))]
@@ -241,6 +244,54 @@ def test_sweep_vacuous(capsys):
     status, out = run_cli(capsys, ["sweep", "--max-n", "0", "--max-len", "2"])
     assert status == 0
     assert json.loads(out)["failures"] == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["figure1", "--family", "1", "--upto", "-2"],
+        ["sweep", "--max-n", "-3"],
+        ["sweep", "--max-len", "0"],
+        ["ehrhart", "--alpha", "3,2", "--beta", "2,2,1", "--upto", "-1"],
+        ["conjectures", "--max-n", "-1"],
+    ],
+    ids=["figure1", "sweep-max-n", "sweep-max-len", "ehrhart", "conjectures"],
+)
+def test_negative_count_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err and "expected an integer >=" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["sweep", "--max-n", "3", "--max-len", "3"],
+            "197fc814cd3bb16c6016e00e425c05cf87e4ba54198ac02b87411c7dc8625672",
+        ),
+        (
+            ["conjectures", "--max-n", "6", "--lefschetz-n", "4", "--dominance-n", "4"],
+            "59eb49da58117ae538359da17a9c6d9d4c2bd2f4f11aea8e890f748fc4e61b3d",
+        ),
+    ],
+    ids=["sweep", "conjectures"],
+)
+def test_scan_output_is_pinned(capsys, argv, digest):
+    status, out = run_cli(capsys, argv)
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_repeated_main_calls_do_not_share_flags(capsys):
+    argv = ["hilbert", "--alpha", "3,2", "--beta", "2,2,1"]
+    _, csv_out = run_cli(capsys, argv + ["--csv"])
+    _, json_out = run_cli(capsys, argv)
+    assert csv_out.splitlines()[0] == "degree,coefficient"
+    assert json.loads(json_out)["coeffs"] == ["1", "2", "2"]
 
 
 def test_determinism(capsys):

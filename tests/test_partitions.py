@@ -113,3 +113,9 @@ def test_ssyt_are_valid():
                 assert is_semistandard(t)
                 assert tableau_shape(t) == lam
                 assert tableau_content(t, 3) == alpha
+
+
+def test_package_does_not_shadow_module():
+    import ctring.partitions as m
+
+    assert m.kostka

@@ -4,7 +4,6 @@ import pytest
 
 from ctring.partitions import partitions
 from ctring.symfunc import (
-    SymFunc,
     SymmetricProductGroup,
     TensorSymFunc,
     cycle_type_size,
@@ -65,9 +64,9 @@ def test_s_to_h_golden():
 def test_transform_roundtrip():
     for n in range(0, 9):
         for lam in partitions(n):
-            f = SymFunc(n, "s", {lam: 1})
+            f = TensorSymFunc((n,), "s", {(lam,): 1})
             assert f.to_h().to_s() == f
-            g = SymFunc(n, "h", {lam: 1})
+            g = TensorSymFunc((n,), "h", {(lam,): 1})
             assert g.to_s().to_h() == g
 
 
@@ -90,7 +89,7 @@ def test_kostka_matrices_inverse():
 
 
 def test_symfunc_dimensions():
-    f = SymFunc(3, "h", {(2, 1): 1})
+    f = TensorSymFunc((3,), "h", {((2, 1),): 1})
     assert f.dimension() == permutation_module_dimension((2, 1)) == 3
     assert f.to_s().dimension() == 3
 
