@@ -10,9 +10,10 @@ All enumeration functions return deterministic orders so that results can be
 frozen in golden tests.
 """
 
-from functools import reduce
+from functools import lru_cache, reduce
 from math import factorial
 from operator import mul
+from types import MappingProxyType
 
 
 def is_partition(seq) -> bool:
@@ -30,18 +31,24 @@ def check_partition(seq) -> tuple:
 def partitions(n: int, max_part: int | None = None) -> list:
     """All partitions of n, in reverse-lexicographic (descending) order.
 
-    Optionally restrict to parts <= max_part.
+    Optionally restrict to parts <= max_part.  Returns a fresh list; the
+    enumeration itself is cached.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     cap = n if max_part is None else min(max_part, n)
+    return list(_partitions(n, max(cap, 0)))
+
+
+@lru_cache(maxsize=None)
+def _partitions(n, cap):
     if n == 0:
-        return [()]
-    out = []
-    for first in range(cap, 0, -1):
-        for rest in partitions(n - first, max_part=first):
-            out.append((first,) + rest)
-    return out
+        return ((),)
+    return tuple(
+        (first,) + rest
+        for first in range(cap, 0, -1)
+        for rest in _partitions(n - first, min(first, n - first))
+    )
 
 
 def weak_compositions(n: int, length: int) -> list:
@@ -139,6 +146,53 @@ def _kostka(shape, content):
         total += _kostka(smaller, content[:-1])
     _KOSTKA_CACHE[key] = total
     return total
+
+
+def _horizontal_strip_successors(shape, size):
+    """Partitions nu containing `shape` with nu/shape a horizontal strip of `size` cells."""
+    rows = shape + (0,)  # the strip may open one new row
+    out = []
+
+    def rec(i, remaining, tail):
+        # row i may grow at most to the old length of row i - 1; row 0 takes the rest
+        if i == 0:
+            nu = (rows[0] + remaining,) + tail
+            out.append(nu if nu[-1] else nu[:-1])
+            return
+        for add in range(min(remaining, rows[i - 1] - rows[i]) + 1):
+            rec(i - 1, remaining - add, (rows[i] + add,) + tail)
+
+    rec(len(shape), size, ())
+    return out
+
+
+def kostka_column(content):
+    """Every nonzero Kostka number with the given content, as a read-only
+    {shape: K(shape, content)} mapping in partitions() order.
+
+    The Schur expansion of h_content by the Pieri rule: one horizontal-strip
+    step per nonzero part.  K is symmetric in the content, so the parts are
+    taken in decreasing order and the column of every prefix is cached.
+    """
+    content = tuple(content)
+    if any(c < 0 for c in content):
+        raise ValueError(f"not a weak composition: {content}")
+    return _kostka_column(tuple(sorted((c for c in content if c), reverse=True)))
+
+
+@lru_cache(maxsize=None)
+def _kostka_column(parts):
+    if not parts:
+        return MappingProxyType({(): 1})
+    step: dict = {}
+    for shape, value in _kostka_column(parts[:-1]).items():
+        for bigger in _horizontal_strip_successors(shape, parts[-1]):
+            step[bigger] = step.get(bigger, 0) + value
+    column = {lam: step[lam] for lam in sorted(step, reverse=True)}
+    # share the values with the per-shape memo (and so with the persisted cache)
+    for lam, value in column.items():
+        _KOSTKA_CACHE[(lam, parts)] = value
+    return MappingProxyType(column)
 
 
 def kostka_cache_snapshot() -> list:

@@ -116,6 +116,7 @@ def _multiplicity_type(blocks) -> tuple:
     return tuple(sorted(counts.values(), reverse=True))
 
 
+@lru_cache(maxsize=None)
 def invariants_frobenius_h(mu, lam) -> TensorSymFunc:
     """Frobenius image, on the h basis, of the parabolic invariants of the
     permutation module with content lam, as a module over the group permuting

@@ -1,7 +1,10 @@
 """Hilbert series from Kostka numbers, log-concavity checks, and the graded
 lattice-point series of transportation polytopes."""
 
-from .partitions import kostka, partitions
+from functools import lru_cache
+from operator import mul
+
+from .partitions import kostka, kostka_column, partitions
 
 
 def _truncated_partitions(n, max_degree):
@@ -18,29 +21,43 @@ def _truncated_partitions(n, max_degree):
 def hilbert_kostka(alpha, beta, max_degree=None) -> list:
     """Coefficients of the quotient Hilbert series: the degree-d coefficient
     sums K(lam, alpha) * K(lam, beta) over partitions lam of n with
-    lam_1 = n - d.  Truncating to max_degree only enumerates the shapes with
-    a long enough first row."""
+    lam_1 = n - d.  The full series is one dot product per degree of the two
+    Kostka columns; truncating to max_degree only computes the shapes with a
+    long enough first row, which keeps n = 60 cheap."""
     alpha = tuple(alpha)
     beta = tuple(beta)
     n = sum(alpha)
     if n != sum(beta):
         raise ValueError("row and column sums must agree")
-    if max_degree is None:
-        shapes = partitions(n)
-        size = n + 1
-    else:
-        shapes = _truncated_partitions(n, max_degree)
-        size = min(max_degree, n) + 1
-    coeffs = [0] * size
-    for lam in shapes:
-        d = n - lam[0] if lam else 0
-        value = kostka(lam, alpha)
-        if value:
-            coeffs[d] += value * kostka(lam, beta)
-    if max_degree is None:
-        while len(coeffs) > 1 and coeffs[-1] == 0:
-            coeffs.pop()
+    if max_degree is not None:
+        coeffs = [0] * (min(max_degree, n) + 1)
+        for lam in _truncated_partitions(n, max_degree):
+            value = kostka(lam, alpha)
+            if value:
+                coeffs[n - lam[0] if lam else 0] += value * kostka(lam, beta)
+        return coeffs
+    coeffs = [
+        sum(map(mul, a, b)) for a, b in zip(_degree_blocks(alpha), _degree_blocks(beta))
+    ]
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
     return coeffs
+
+
+@lru_cache(maxsize=None)
+def _degree_blocks(content) -> tuple:
+    """The Kostka column of `content`, dense and split by degree: block d
+    holds K(lam, content) for the partitions lam with lam_1 = n - d, in
+    partitions() order, zeros included, so that a Hilbert coefficient is one
+    dot product of two blocks.  Trailing all-zero blocks are dropped."""
+    n = sum(content)
+    column = kostka_column(content)
+    blocks = [[] for _ in range(n + 1)]
+    for lam in partitions(n):
+        blocks[n - lam[0] if lam else 0].append(column.get(lam, 0))
+    while len(blocks) > 1 and not any(blocks[-1]):
+        blocks.pop()
+    return tuple(map(tuple, blocks))
 
 
 def log_concavity_violations(coeffs) -> list:

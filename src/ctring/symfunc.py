@@ -5,13 +5,15 @@ Irreducible characters are evaluated by border-strip removal on beta sets
 (first-column hook lengths); all arithmetic is exact.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from operator import mul
 
 from .partitions import (
     check_partition,
-    kostka,
+    kostka_column,
     partitions,
     standard_tableau_count,
 )
@@ -79,17 +81,8 @@ def permutation_module_dimension(shape) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
-def h_to_s_expansion(mu) -> dict:
-    """Schur expansion of a complete homogeneous basis element: the coefficient
-    of s_lam is the Kostka number with shape lam and content mu."""
-    mu = check_partition(mu)
-    out = {}
-    for lam in partitions(sum(mu)):
-        value = kostka(lam, mu)
-        if value:
-            out[lam] = value
-    return out
+# The Schur expansion of h_mu: the coefficient of s_lam is K(lam, mu).
+h_to_s_expansion = kostka_column
 
 
 @lru_cache(maxsize=None)
@@ -160,6 +153,16 @@ class TensorSymFunc:
                 clean[key] = c
         self.coeffs = clean
 
+    @classmethod
+    def _from_terms(cls, degrees, basis, coeffs):
+        """Construct from terms built out of existing ones: keys already valid,
+        coefficients already Fractions; only zero terms are dropped."""
+        self = object.__new__(cls)
+        self.degrees = degrees
+        self.basis = basis
+        self.coeffs = {key: c for key, c in coeffs.items() if c}
+        return self
+
     def __eq__(self, other):
         return (
             isinstance(other, TensorSymFunc)
@@ -175,12 +178,8 @@ class TensorSymFunc:
             raise ValueError("mismatched tensor spaces")
         out = dict(self.coeffs)
         for key, c in other.coeffs.items():
-            val = out.get(key, 0) + c
-            if val:
-                out[key] = val
-            else:
-                out.pop(key, None)
-        return TensorSymFunc(self.degrees, self.basis, out)
+            out[key] = out.get(key, 0) + c
+        return TensorSymFunc._from_terms(self.degrees, self.basis, out)
 
     def scale(self, c):
         return TensorSymFunc(
@@ -195,7 +194,7 @@ class TensorSymFunc:
             for k2, c2 in other.coeffs.items():
                 key = k1 + k2
                 out[key] = out.get(key, 0) + c1 * c2
-        return TensorSymFunc(self.degrees + other.degrees, self.basis, out)
+        return TensorSymFunc._from_terms(self.degrees + other.degrees, self.basis, out)
 
     def to_s(self):
         return self._to_basis("s", h_to_s_expansion)
@@ -211,7 +210,7 @@ class TensorSymFunc:
         for key, c in self.coeffs.items():
             for combo, value in _expand([expansion(lam) for lam in key]):
                 out[combo] = out.get(combo, 0) + c * value
-        return TensorSymFunc(self.degrees, basis, out)
+        return TensorSymFunc._from_terms(self.degrees, basis, out)
 
     def dimension(self):
         total = 0
@@ -247,6 +246,32 @@ def _expand(expansions):
     return combos
 
 
+CharacterTable = namedtuple("CharacterTable", "classes irreducibles index matrix")
+
+
+@lru_cache(maxsize=None)
+def _character_table(sizes) -> CharacterTable:
+    """The character table of S_{m_1} x ... x S_{m_r}: (class tuple, class
+    size) pairs, irreducible labels, each label's row index, and one row of
+    integer characters per irreducible, aligned with the classes.  The matrix
+    is the Kronecker product of the factors' tables."""
+    classes = [((), 1)]
+    irreducibles = [()]
+    matrix = [[1]]
+    for m in sizes:
+        parts = partitions(m)
+        classes = [
+            (key + (rho,), size * cycle_type_size(rho, m))
+            for key, size in classes
+            for rho in parts
+        ]
+        irreducibles = [key + (lam,) for key in irreducibles for lam in parts]
+        factor = [[irreducible_character(lam, rho) for rho in parts] for lam in parts]
+        matrix = [[a * b for a in row for b in frow] for row in matrix for frow in factor]
+    index = {irrep: i for i, irrep in enumerate(irreducibles)}
+    return CharacterTable(tuple(classes), tuple(irreducibles), index, matrix)
+
+
 class SymmetricProductGroup:
     """A product of symmetric groups S_{m_1} x ... x S_{m_r}.
 
@@ -262,20 +287,10 @@ class SymmetricProductGroup:
 
     def classes(self):
         """(class tuple, class size) pairs."""
-        out = [((), 1)]
-        for m in self.sizes:
-            out = [
-                (key + (rho,), size * cycle_type_size(rho, m))
-                for key, size in out
-                for rho in partitions(m)
-            ]
-        return out
+        return list(_character_table(self.sizes).classes)
 
     def irreducibles(self):
-        out = [()]
-        for m in self.sizes:
-            out = [key + (lam,) for key in out for lam in partitions(m)]
-        return out
+        return list(_character_table(self.sizes).irreducibles)
 
     def character(self, irrep, class_tuple) -> int:
         value = 1
@@ -288,32 +303,40 @@ class SymmetricProductGroup:
     def irreducible_multiplicities(self, character_values) -> dict:
         """Decompose a class function (dict class tuple -> value) into
         irreducible multiplicities; raises unless they are nonnegative ints."""
-        out = {}
-        classes = self.classes()
-        for irrep in self.irreducibles():
-            total = 0
-            for class_tuple, size in classes:
-                total += size * character_values[class_tuple] * self.character(
-                    irrep, class_tuple
-                )
-            mult = Fraction(total, self.order)
-            if mult.denominator != 1 or mult < 0:
-                raise ArithmeticError("class function is not a character")
-            if mult:
-                out[irrep] = int(mult)
-        return out
+        table = _character_table(self.sizes)
+        return self._decompose(
+            table, [size * character_values[c] for c, size in table.classes]
+        )
 
     def tensor_multiplicities(self, mod_a: dict, mod_b: dict) -> dict:
         """Irreducible multiplicities of the tensor product of two modules
         given by their own irreducible multiplicities."""
-        classes = self.classes()
-        values = {}
-        for class_tuple, _ in classes:
-            va = sum(
-                c * self.character(irrep, class_tuple) for irrep, c in mod_a.items()
-            )
-            vb = sum(
-                c * self.character(irrep, class_tuple) for irrep, c in mod_b.items()
-            )
-            values[class_tuple] = va * vb
-        return self.irreducible_multiplicities(values)
+        table = _character_table(self.sizes)
+        va = _module_character(table, mod_a)
+        vb = _module_character(table, mod_b)
+        return self._decompose(
+            table, [size * a * b for (_, size), a, b in zip(table.classes, va, vb)]
+        )
+
+    def _decompose(self, table, weighted) -> dict:
+        """Multiplicities <chi, f> = sum over classes of size * f * chi, over
+        the group order, from the class-size-weighted values of f."""
+        out = {}
+        for irrep, row in zip(table.irreducibles, table.matrix):
+            mult, rest = divmod(sum(map(mul, row, weighted)), self.order)
+            if rest or mult < 0:
+                raise ArithmeticError("class function is not a character")
+            if mult:
+                out[irrep] = mult
+        return out
+
+
+def _module_character(table, module) -> list:
+    """Class values of the module with the given irreducible multiplicities."""
+    values = [0] * len(table.classes)
+    for irrep, c in module.items():
+        row = table.index.get(irrep)
+        if row is None:
+            raise ValueError(f"not an irreducible of this group: {irrep}")
+        values = [v + c * x for v, x in zip(values, table.matrix[row])]
+    return values

@@ -1,10 +1,18 @@
 """Independent brute-force oracles used to cross-check the library.
 
 Everything here is deliberately naive and shares no code path with the
-implementations under test.
+implementations under test.  The old routes kept here for rewritten layers
+(the per-shape Kostka series, class-by-class tensor multiplicities) reuse
+only library primitives that are tested on their own: the strip-DP
+`kostka` and `irreducible_character`.
 """
 
 from fractions import Fraction
+from itertools import product
+from math import factorial
+
+from ctring.partitions import kostka, partitions
+from ctring.symfunc import cycle_type_size, irreducible_character
 
 
 def brute_zigzag(matrix) -> int:
@@ -259,3 +267,51 @@ def oracle_slice(generators, nvars, order, degree):
     pivots = [columns[p] for p in sorted(reduced)]
     standard = [m for i, m in enumerate(columns) if i not in reduced]
     return pivots, standard
+
+
+def per_shape_hilbert_kostka(alpha, beta) -> list:
+    """The Kostka Hilbert series shape by shape: K(lam, alpha) * K(lam, beta)
+    added into degree n - lam_1 for every partition lam of n, one strip-DP
+    call per shape and margin."""
+    n = sum(alpha)
+    coeffs = [0] * (n + 1)
+    for lam in partitions(n):
+        coeffs[n - lam[0] if lam else 0] += kostka(lam, alpha) * kostka(lam, beta)
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def classwise_tensor_multiplicities(sizes, mod_a, mod_b) -> dict:
+    """Irreducible multiplicities of the tensor product of two modules over
+    S_{m_1} x ... x S_{m_r}, class by class: the product of the two module
+    characters, then one rational inner product per irreducible."""
+
+    def character(irrep, class_tuple):
+        value = 1
+        for lam, rho in zip(irrep, class_tuple):
+            value *= irreducible_character(lam, rho)
+        return value
+
+    labels = list(product(*[partitions(m) for m in sizes]))
+    order = 1
+    for m in sizes:
+        order *= factorial(m)
+    values = {}
+    for class_tuple in labels:
+        va = sum(c * character(irrep, class_tuple) for irrep, c in mod_a.items())
+        vb = sum(c * character(irrep, class_tuple) for irrep, c in mod_b.items())
+        size = 1
+        for rho, m in zip(class_tuple, sizes):
+            size *= cycle_type_size(rho, m)
+        values[class_tuple] = size * va * vb
+    out = {}
+    for irrep in labels:
+        mult = Fraction(
+            sum(v * character(irrep, cls) for cls, v in values.items()), order
+        )
+        if mult.denominator != 1 or mult < 0:
+            raise ArithmeticError("class function is not a character")
+        if mult:
+            out[irrep] = int(mult)
+    return out

@@ -348,7 +348,7 @@ def test_criterion_08_module_structure():
 
 def test_criterion_09_conjecture_reports(sweep):
     # conjecture findings are data: the suite passes either way and prints them
-    scan = conjecture_scan(12, 5, 5)
+    scan = conjecture_scan(14, 5, 5)
     log_concave = scan["log_concavity"]
     # full-length partition pairs extend the sweep's lengths <= 3 coverage
     lefschetz_bad = [
@@ -359,7 +359,7 @@ def test_criterion_09_conjecture_reports(sweep):
     ] + scan["lefschetz"]
     dominance_bad = scan["dominance"]
     detail = (
-        f"log-concavity n<=12: {len(log_concave)} violations; "
+        f"log-concavity n<=14: {len(log_concave)} violations; "
         f"lefschetz (sweep n<=6 + partition pairs n<=5): "
         f"{len(lefschetz_bad)} non-injective maps; "
         f"equivariant dominance n<=5: {len(dominance_bad)} violations"

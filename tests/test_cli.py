@@ -1,11 +1,16 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import ctring
 from ctring.cli import composition, main
+from ctring.partitions import kostka_column
 
 
 def run_cli(capsys, argv, stdin=None):
@@ -312,3 +317,45 @@ def test_cache_roundtrip(tmp_path, monkeypatch, capsys):
     status, out = run_cli(capsys, ["hilbert", "--alpha", "2,2", "--beta", "2,2"])
     assert status == 0
     assert json.loads(out)["coeffs"] == ["1", "1", "1"]
+
+
+def test_tampered_cache_is_ignored(tmp_path):
+    # fresh processes, as a user would run them: a cache file whose every
+    # value was raised by 3 must not change any result
+    env = {
+        **os.environ,
+        "CTRING_CACHE_DIR": str(tmp_path),
+        "PYTHONPATH": str(Path(ctring.__file__).resolve().parents[1]),
+    }
+    hilbert = ["hilbert", "--alpha", "3,3", "--beta", "2,2,2"]
+    commands = [
+        (hilbert, ["1", "2", "3", "1"]),
+        (["figure1", "--family", "2"], ["1", "841", "354061", "99222341"]),
+        (hilbert + ["--method", "all"], ["1", "2", "3", "1"]),
+    ]
+
+    def run(argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "ctring.cli", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)["coeffs"]
+
+    for argv, expected in commands:
+        assert run(argv) == expected
+    cache_file = tmp_path / "kostka-cache-v1.json"
+    data = json.loads(cache_file.read_text())
+    assert data["kostka"]
+    for entry in data["kostka"]:
+        entry[2] = str(int(entry[2]) + 3)
+    cache_file.write_text(json.dumps(data))
+    for argv, expected in commands:
+        assert run(argv) == expected
+    # the file was rejected, so no tampered value was written back, and the
+    # atomic writes left no temporary file behind
+    for shape, content, value in json.loads(cache_file.read_text())["kostka"]:
+        assert kostka_column(content).get(tuple(shape), 0) == int(value)
+    assert [p.name for p in tmp_path.iterdir()] == ["kostka-cache-v1.json"]

@@ -7,6 +7,7 @@ from ctring.partitions import (
     conjugate,
     is_semistandard,
     kostka,
+    kostka_column,
     partitions,
     semistandard_tableaux,
     standard_tableau_count,
@@ -119,3 +120,67 @@ def test_package_does_not_shadow_module():
     import ctring.partitions as m
 
     assert m.kostka
+
+
+def _weak_compositions_small():
+    """Every weak composition with n <= 8 and length <= 4, zeros and
+    unsorted parts included."""
+    return [
+        alpha
+        for n in range(9)
+        for length in range(5)
+        for alpha in weak_compositions(n, length)
+    ]
+
+
+def test_kostka_column_matches_strip_dp_and_tableaux():
+    for alpha in _weak_compositions_small():
+        n = sum(alpha)
+        column = kostka_column(alpha)
+        assert list(column) == [lam for lam in partitions(n) if lam in column]
+        for lam in partitions(n):
+            expected = len(semistandard_tableaux(lam, alpha))
+            assert column.get(lam, 0) == kostka(lam, alpha) == expected
+            assert (lam in column) == (expected > 0)
+
+
+def test_kostka_column_is_read_only_and_rejects_negative_parts():
+    column = kostka_column((2, 1))
+    with pytest.raises(TypeError):
+        column[(3,)] = 5
+    assert kostka_column((2, 1)) == {(3,): 1, (2, 1): 1}
+    with pytest.raises(ValueError):
+        kostka_column((2, -1))
+
+
+def test_partitions_list_is_a_fresh_copy():
+    first = partitions(5)
+    first.append((9,))
+    first[0] = (1,)
+    partitions(3, max_part=2).clear()
+    assert partitions(5) == [(5,), (4, 1), (3, 2), (3, 1, 1), (2, 2, 1), (2, 1, 1, 1), (1,) * 5]
+    assert partitions(3, max_part=2) == [(2, 1), (1, 1, 1)]
+    assert partitions(0) == [()]
+    assert partitions(4) is not partitions(4)
+
+
+def test_new_memos_are_lru_caches():
+    # a fresh CLI process and a per-pass cache clear both start cold only if
+    # every memo is a module-level lru_cache that cache_clear empties
+    from ctring import partitions as part_module
+    from ctring import psi, series, symfunc
+
+    memos = {
+        part_module: ["_partitions", "_kostka_column"],
+        series: ["_degree_blocks"],
+        symfunc: ["_character_table"],
+        psi: ["invariants_frobenius_h"],
+    }
+    series.hilbert_kostka((3, 1), (2, 2))
+    psi.kronecker_dominance(*[psi.graded_decomposition((2, 1), (2, 1))[1]] * 2)
+    for module, names in memos.items():
+        for name in names:
+            memo = vars(module)[name]
+            assert memo.cache_info().currsize > 0, name
+            memo.cache_clear()
+            assert memo.cache_info().currsize == 0, name

@@ -1,6 +1,10 @@
 import random
 
-from oracles import count_fixed_tables, ordered_block_partition_count
+from oracles import (
+    classwise_tensor_multiplicities,
+    count_fixed_tables,
+    ordered_block_partition_count,
+)
 from ctring.partitions import partitions
 from ctring.psi import (
     graded_decomposition,
@@ -171,3 +175,26 @@ def test_permutation_case_consecutive_degrees_dominate():
             dec.get(k - 1, empty), dec.get(k + 1, empty), group
         )
         assert kronecker_dominance(dec.get(k, empty), outer, group) == []
+
+
+def test_tensor_multiplicities_match_classwise_oracle_on_dominance_pairs():
+    # every tensor product the dominance scan forms for n <= 6: neighbours
+    # k - 1 and k + 1, and the square of degree k
+    checked = 0
+    for n in range(1, 7):
+        for mu in partitions(n):
+            for nu in partitions(n):
+                group = pair_group(mu, nu)
+                mults = {
+                    d: {k: int(v) for k, v in t.to_s().coeffs.items()}
+                    for d, t in graded_decomposition(mu, nu).items()
+                }
+                for k in range(1, max(mults, default=0)):
+                    pairs = [(mults.get(k - 1, {}), mults.get(k + 1, {}))]
+                    pairs.append((mults.get(k, {}), mults.get(k, {})))
+                    for a, b in pairs:
+                        if a and b:
+                            expected = classwise_tensor_multiplicities(group.sizes, a, b)
+                            assert group.tensor_multiplicities(a, b) == expected
+                            checked += 1
+    assert checked > 300

@@ -1,5 +1,7 @@
 import pytest
 
+from oracles import per_shape_hilbert_kostka
+from ctring.partitions import partitions, weak_compositions
 from ctring.series import (
     hilbert_kostka,
     log_concavity_violations,
@@ -31,6 +33,23 @@ def test_hilbert_kostka_truncation_consistency():
         assert hilbert_kostka((2, 2, 1), (3, 2), max_degree=cap)[: cap + 1] == full[
             : cap + 1
         ]
+
+
+def test_hilbert_kostka_matches_per_shape_loop_on_partition_pairs():
+    for n in range(11):
+        parts = partitions(n)
+        for alpha in parts:
+            for beta in parts:
+                assert hilbert_kostka(alpha, beta) == per_shape_hilbert_kostka(alpha, beta)
+
+
+def test_hilbert_kostka_matches_per_shape_loop_on_weak_compositions():
+    # zeros and unsorted parts, n <= 8 and lengths <= 4: each composition
+    # against every partition of n and against its own reversal
+    for n in range(9):
+        for alpha in (c for length in range(1, 5) for c in weak_compositions(n, length)):
+            for beta in partitions(n) + [alpha[::-1]]:
+                assert hilbert_kostka(alpha, beta) == per_shape_hilbert_kostka(alpha, beta)
 
 
 def test_uniform_family():

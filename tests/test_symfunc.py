@@ -137,3 +137,23 @@ def test_product_group_tensor():
     assert g.tensor_multiplicities(sign, sign) == {((2,),): 1}
     triv = {((2,),): 1}
     assert g.tensor_multiplicities(sign, triv) == {((1, 1),): 1}
+
+
+def test_product_group_rejects_non_characters():
+    g = SymmetricProductGroup((3,))
+    # the class indicator of the identity: multiplicities dim / 6, not integral
+    identity = {cls: (1 if cls == ((1, 1, 1),) else 0) for cls, _ in g.classes()}
+    with pytest.raises(ArithmeticError):
+        g.irreducible_multiplicities(identity)
+    # trivial minus sign: integral, but one multiplicity is negative
+    difference = {
+        cls: g.character(((3,),), cls) - g.character(((1, 1, 1),), cls)
+        for cls, _ in g.classes()
+    }
+    with pytest.raises(ArithmeticError):
+        g.irreducible_multiplicities(difference)
+    assert g.tensor_multiplicities({((2, 1),): 1}, {((2, 1),): 1}) == {
+        ((3,),): 1,
+        ((2, 1),): 1,
+        ((1, 1, 1),): 1,
+    }
