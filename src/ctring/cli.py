@@ -3,30 +3,19 @@
 Deterministic, machine-readable output: JSON by default (sorted keys), CSV
 for coefficient tables via --csv.  Coefficients and dimensions are emitted as
 decimal strings because they routinely exceed what JSON numbers can carry.
-
-Set CTRING_CACHE_DIR to persist the Kostka memo cache between runs; a cache
-file with any entry that fails its check is ignored as a whole.
 """
 
 import argparse
-import contextlib
 import functools
 import json
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 from .experiments import conjecture_scan, sweep
 from .matrixball import rsk, zigzag_witness
 # partitions is unused here; perfbench/tests reads it as ctring.cli.partitions
-from .partitions import (  # noqa: F401
-    check_partition,
-    kostka_cache_restore,
-    kostka_cache_snapshot,
-    kostka_column,
-    partitions,
-)
+from .partitions import partitions  # noqa: F401
 from .psi import graded_decomposition
 from .quotient import (
     QuotientModel,
@@ -43,12 +32,6 @@ from .tables import (
     matrix_to_json,
     zigzag_number,
 )
-
-CACHE_ENV = "CTRING_CACHE_DIR"
-CACHE_FILE = "kostka-cache-v1.json"
-# Kostka numbers of larger size are not persisted: checking them on load
-# would cost a Pieri column far larger than the work they save.
-CACHE_MAX_N = 20
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -367,79 +350,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cache_path():
-    root = os.environ.get(CACHE_ENV)
-    if not root:
-        return None
-    return Path(root) / CACHE_FILE
-
-
-def _checked_entries(data) -> list:
-    """The (shape, content, value) entries of a parsed cache file, each one
-    checked against the Pieri column of its content.  Raises ValueError,
-    TypeError, AttributeError or KeyError on a malformed, oversized or wrong
-    entry: one bad entry rejects the whole file."""
-    if data.get("version") != 1:
-        raise ValueError("unknown cache version")
-    entries = []
-    for shape, content, value in data["kostka"]:
-        shape, content, value = check_partition(shape), tuple(content), int(value)
-        n = sum(shape)
-        if n != sum(content) or n > CACHE_MAX_N:
-            raise ValueError("entry out of range")
-        if kostka_column(content).get(shape, 0) != value:
-            raise ValueError("entry disagrees with its Kostka column")
-        entries.append((shape, content, value))
-    return entries
-
-
-def _load_cache():
-    path = _cache_path()
-    if path is None or not path.exists():
-        return
-    try:
-        entries = _checked_entries(json.loads(path.read_text()))
-    except (OSError, ValueError, TypeError, AttributeError, KeyError):
-        return
-    kostka_cache_restore(entries)
-
-
-def _save_cache():
-    """Write the Kostka memo (sizes up to CACHE_MAX_N) through a temporary
-    file in the same directory, so a reader never sees a partial file."""
-    path = _cache_path()
-    if path is None:
-        return
-    entries = [
-        [list(shape), list(content), str(value)]
-        for shape, content, value in kostka_cache_snapshot()
-        if sum(content) <= CACHE_MAX_N
-    ]
-    tmp = None
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with tempfile.NamedTemporaryFile(
-            "w", dir=path.parent, prefix=f".{path.name}.", suffix=".tmp", delete=False
-        ) as fh:
-            tmp = fh.name
-            json.dump({"version": 1, "kostka": entries}, fh)
-        os.replace(tmp, path)
-    except OSError:
-        if tmp is not None:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _load_cache()
     try:
         payload, status = args.fn(args)
     except (ValueError, RuntimeError) as err:
         print(json.dumps({"error": str(err)}), file=sys.stderr)
         return USAGE_ERROR
     _emit(payload, args)
-    _save_cache()
     return status
 
 

@@ -93,115 +93,97 @@ def standard_tableau_count(shape) -> int:
     return factorial(sum(shape)) // reduce(mul, hooks, 1)
 
 
-def _horizontal_strip_predecessors(shape, size):
-    """Partitions mu contained in `shape` with shape/mu a horizontal strip of `size` cells."""
-    shape = tuple(shape)
-    rows = len(shape)
-
-    def rec(i, remaining, prefix):
-        if i == rows:
-            if remaining == 0:
-                yield tuple(p for p in prefix if p > 0)
-            return
-        lo = shape[i + 1] if i + 1 < rows else 0
-        # mu_i ranges so that shape_i - mu_i cells are removed from row i
-        for mu_i in range(max(lo, shape[i] - remaining), shape[i] + 1):
-            yield from rec(i + 1, remaining - (shape[i] - mu_i), prefix + (mu_i,))
-
-    yield from rec(0, size, ())
-
-
 _KOSTKA_CACHE: dict = {}
 
 
 def kostka(shape, content) -> int:
     """Number of semistandard tableaux of the given shape and content.
 
-    Computed by a horizontal-strip DP on the content entries, with a hook
-    length fast path when the content is all ones.  The memo cache is shared
-    process-wide (see kostka_cache_snapshot / kostka_cache_restore); cache
-    writes are idempotent single dict stores, so concurrent use cannot change
-    results.
+    The hook length formula when the content is all ones; otherwise a lookup
+    in the Pieri column of the content truncated to the depth n - shape_1,
+    so a lookup builds (and memoises) that whole truncated column: cheap for a
+    long first row, the full column for a short one.
     """
     shape = check_partition(shape)
     content = tuple(content)
-    if sum(shape) != sum(content):
+    n = sum(shape)
+    if n != sum(content):
         raise ValueError("shape size and content sum differ")
     if content and all(c == 1 for c in content):
         return standard_tableau_count(shape)
-    return _kostka(shape, content)
+    return kostka_column(content, n - shape[0] if shape else 0).get(shape, 0)
 
 
-def _kostka(shape, content):
-    while content and content[-1] == 0:
-        content = content[:-1]
-    if not content:
-        return 1 if not shape else 0
-    key = (shape, content)
-    cached = _KOSTKA_CACHE.get(key)
-    if cached is not None:
-        return cached
-    total = 0
-    for smaller in _horizontal_strip_predecessors(shape, content[-1]):
-        total += _kostka(smaller, content[:-1])
-    _KOSTKA_CACHE[key] = total
-    return total
-
-
-def _horizontal_strip_successors(shape, size):
-    """Partitions nu containing `shape` with nu/shape a horizontal strip of `size` cells."""
+def _horizontal_strip_successors(shape, size, spare):
+    """Partitions nu containing `shape` with nu/shape a horizontal strip of
+    `size` cells, at most `spare` of them below the first row."""
     rows = shape + (0,)  # the strip may open one new row
+    below = min(size, spare)
     out = []
 
-    def rec(i, remaining, tail):
-        # row i may grow at most to the old length of row i - 1; row 0 takes the rest
+    def rec(i, left, tail):
+        # row i may grow at most to the old length of row i - 1; row 0 takes
+        # the cells not placed below it
         if i == 0:
-            nu = (rows[0] + remaining,) + tail
+            nu = (rows[0] + size - below + left,) + tail
             out.append(nu if nu[-1] else nu[:-1])
             return
-        for add in range(min(remaining, rows[i - 1] - rows[i]) + 1):
-            rec(i - 1, remaining - add, (rows[i] + add,) + tail)
+        for add in range(min(left, rows[i - 1] - rows[i]) + 1):
+            rec(i - 1, left - add, (rows[i] + add,) + tail)
 
-    rec(len(shape), size, ())
+    rec(len(shape), below, ())
     return out
 
 
-def kostka_column(content):
-    """Every nonzero Kostka number with the given content, as a read-only
-    {shape: K(shape, content)} mapping in partitions() order.
+def kostka_column(content, depth=None):
+    """The nonzero Kostka numbers with the given content, as a read-only
+    {shape: K(shape, content)} mapping in partitions() order: every shape,
+    or with `depth` only the shapes lam with |lam| - lam_1 <= depth.
 
     The Schur expansion of h_content by the Pieri rule: one horizontal-strip
     step per nonzero part.  K is symmetric in the content, so the parts are
-    taken in decreasing order and the column of every prefix is cached.
+    taken in decreasing order and the column of every prefix is memoised.  A
+    strip never shortens a row below the first, so cutting every step at the
+    depth loses no shape of the truncated column.
     """
     content = tuple(content)
     if any(c < 0 for c in content):
         raise ValueError(f"not a weak composition: {content}")
-    return _kostka_column(tuple(sorted((c for c in content if c), reverse=True)))
+    if depth is not None and depth < 0:
+        raise ValueError(f"depth must be nonnegative, got {depth}")
+    parts = tuple(sorted((c for c in content if c), reverse=True))
+    return _kostka_column(parts, sum(parts) if depth is None else depth)
 
 
-@lru_cache(maxsize=None)
-def _kostka_column(parts):
+def _kostka_column(parts, depth):
+    # every shape with content `parts` has first row >= parts[0]
+    depth = min(depth, sum(parts) - parts[0]) if parts else 0
+    key = (parts, depth)
+    column = _KOSTKA_CACHE.get(key)
+    if column is not None:
+        return column
     if not parts:
-        return MappingProxyType({(): 1})
-    step: dict = {}
-    for shape, value in _kostka_column(parts[:-1]).items():
-        for bigger in _horizontal_strip_successors(shape, parts[-1]):
-            step[bigger] = step.get(bigger, 0) + value
-    column = {lam: step[lam] for lam in sorted(step, reverse=True)}
-    # share the values with the per-shape memo (and so with the persisted cache)
-    for lam, value in column.items():
-        _KOSTKA_CACHE[(lam, parts)] = value
-    return MappingProxyType(column)
+        column = {(): 1}
+    else:
+        step: dict = {}
+        size = sum(parts) - parts[-1]
+        for shape, value in _kostka_column(parts[:-1], depth).items():
+            spare = depth - size + (shape[0] if shape else 0)
+            for bigger in _horizontal_strip_successors(shape, parts[-1], spare):
+                step[bigger] = step.get(bigger, 0) + value
+        column = {lam: step[lam] for lam in sorted(step, reverse=True)}
+    _KOSTKA_CACHE[key] = column = MappingProxyType(column)
+    return column
 
 
 def kostka_cache_snapshot() -> list:
-    return [(shape, content, value) for (shape, content), value in _KOSTKA_CACHE.items()]
-
-
-def kostka_cache_restore(entries) -> None:
-    for shape, content, value in entries:
-        _KOSTKA_CACHE[(tuple(shape), tuple(content))] = int(value)
+    """The distinct memoised Kostka numbers as (shape, content, value)
+    triples: a value held by columns of several depths is listed once."""
+    return list(dict.fromkeys(
+        (shape, parts, value)
+        for (parts, _), column in _KOSTKA_CACHE.items()
+        for shape, value in column.items()
+    ))
 
 
 def tableau_shape(tableau) -> tuple:
@@ -236,8 +218,8 @@ def is_semistandard(tableau) -> bool:
 def semistandard_tableaux(shape, content) -> list:
     """All SSYT of given shape and content, filled cell by cell in row-major order.
 
-    Deliberately independent of the strip DP behind kostka(), so the two can
-    cross-check each other.
+    Deliberately independent of the Pieri columns behind kostka(), so the two
+    can cross-check each other.
     """
     shape = check_partition(shape)
     content = tuple(content)

@@ -4,37 +4,25 @@ lattice-point series of transportation polytopes."""
 from functools import lru_cache
 from operator import mul
 
-from .partitions import kostka, kostka_column, partitions
-
-
-def _truncated_partitions(n, max_degree):
-    """Partitions of n with first part >= n - max_degree: the only shapes that
-    can contribute to coefficients of degree <= max_degree."""
-    out = []
-    for d in range(min(max_degree, n) + 1):
-        first = n - d
-        for rest in partitions(d, max_part=first):
-            out.append((first,) + rest if first else rest)
-    return out
+from .partitions import kostka_column, partitions
 
 
 def hilbert_kostka(alpha, beta, max_degree=None) -> list:
     """Coefficients of the quotient Hilbert series: the degree-d coefficient
     sums K(lam, alpha) * K(lam, beta) over partitions lam of n with
     lam_1 = n - d.  The full series is one dot product per degree of the two
-    Kostka columns; truncating to max_degree only computes the shapes with a
-    long enough first row, which keeps n = 60 cheap."""
+    Kostka columns; truncated to max_degree it is one join of the two columns
+    cut at that depth, which keeps n = 60 cheap."""
     alpha = tuple(alpha)
     beta = tuple(beta)
     n = sum(alpha)
     if n != sum(beta):
         raise ValueError("row and column sums must agree")
     if max_degree is not None:
+        a, b = kostka_column(alpha, max_degree), kostka_column(beta, max_degree)
         coeffs = [0] * (min(max_degree, n) + 1)
-        for lam in _truncated_partitions(n, max_degree):
-            value = kostka(lam, alpha)
-            if value:
-                coeffs[n - lam[0] if lam else 0] += value * kostka(lam, beta)
+        for lam, value in a.items():
+            coeffs[n - lam[0] if lam else 0] += value * b.get(lam, 0)
         return coeffs
     coeffs = [
         sum(map(mul, a, b)) for a, b in zip(_degree_blocks(alpha), _degree_blocks(beta))

@@ -7,7 +7,7 @@ positions) are 1-based, matching the usual display convention.
 
 import json
 
-from .partitions import kostka, partitions
+from .partitions import kostka, kostka_column
 
 
 def dimensions(matrix) -> tuple:
@@ -130,13 +130,14 @@ def contingency_tables(alpha, beta) -> list:
 
 
 def count_contingency_tables(alpha, beta) -> int:
-    """Table count via the RSK identity: sum of products of Kostka numbers."""
-    alpha = tuple(alpha)
-    beta = tuple(beta)
-    n = sum(alpha)
-    if n != sum(beta):
+    """Table count via the RSK identity: K(lam, alpha) * K(lam, beta) summed
+    over the shapes lam of the Kostka column of alpha."""
+    alpha, beta = tuple(alpha), tuple(beta)
+    if sum(alpha) != sum(beta):
         raise ValueError("row and column sums must agree")
-    return sum(kostka(lam, alpha) * kostka(lam, beta) for lam in partitions(n))
+    # K(lam, beta) through kostka, where perfbench/tracer.py measures the
+    # Kostka layer; see ROADMAP item 6 before making this a column join
+    return sum(value * kostka(lam, beta) for lam, value in kostka_column(alpha).items())
 
 
 def is_subtingency(matrix, alpha, beta) -> bool:

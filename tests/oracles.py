@@ -2,16 +2,17 @@
 
 Everything here is deliberately naive and shares no code path with the
 implementations under test.  The old routes kept here for rewritten layers
-(the per-shape Kostka series, class-by-class tensor multiplicities) reuse
-only library primitives that are tested on their own: the strip-DP
-`kostka` and `irreducible_character`.
+(the per-shape Kostka series on the strip DP `strip_kostka`, class-by-class
+tensor multiplicities) reuse only library primitives that are tested on
+their own: `partitions` and `irreducible_character`.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import factorial
 
-from ctring.partitions import kostka, partitions
+from ctring.partitions import partitions
 from ctring.symfunc import cycle_type_size, irreducible_character
 
 
@@ -269,6 +270,44 @@ def oracle_slice(generators, nvars, order, degree):
     return pivots, standard
 
 
+def _horizontal_strips_below(shape, size):
+    """Partitions mu inside `shape` with shape/mu a horizontal strip of `size`
+    cells: mu_i lies between shape_{i+1} and shape_i."""
+    rows = len(shape)
+
+    def rec(i, remaining, prefix):
+        if i == rows:
+            if remaining == 0:
+                yield tuple(p for p in prefix if p > 0)
+            return
+        lo = shape[i + 1] if i + 1 < rows else 0
+        for mu_i in range(max(lo, shape[i] - remaining), shape[i] + 1):
+            yield from rec(i + 1, remaining - (shape[i] - mu_i), prefix + (mu_i,))
+
+    yield from rec(0, size, ())
+
+
+@lru_cache(maxsize=None)
+def _strip_kostka(shape, content):
+    if not content:
+        return 1 if not shape else 0
+    return sum(
+        _strip_kostka(mu, content[:-1])
+        for mu in _horizontal_strips_below(shape, content[-1])
+    )
+
+
+def strip_kostka(shape, content) -> int:
+    """K(shape, content) shape by shape: the cells of the largest letter in a
+    semistandard tableau form a horizontal strip, so strip them off one letter
+    at a time.  Unlike the Pieri columns in ctring.partitions, this removes
+    strips from a fixed shape and takes the content in its given order."""
+    shape, content = tuple(shape), tuple(content)
+    if sum(shape) != sum(content):
+        raise ValueError("shape size and content sum differ")
+    return _strip_kostka(shape, content)
+
+
 def per_shape_hilbert_kostka(alpha, beta) -> list:
     """The Kostka Hilbert series shape by shape: K(lam, alpha) * K(lam, beta)
     added into degree n - lam_1 for every partition lam of n, one strip-DP
@@ -276,7 +315,7 @@ def per_shape_hilbert_kostka(alpha, beta) -> list:
     n = sum(alpha)
     coeffs = [0] * (n + 1)
     for lam in partitions(n):
-        coeffs[n - lam[0] if lam else 0] += kostka(lam, alpha) * kostka(lam, beta)
+        coeffs[n - lam[0] if lam else 0] += strip_kostka(lam, alpha) * strip_kostka(lam, beta)
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs

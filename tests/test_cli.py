@@ -10,7 +10,6 @@ import pytest
 
 import ctring
 from ctring.cli import composition, main
-from ctring.partitions import kostka_column
 
 
 def run_cli(capsys, argv, stdin=None):
@@ -305,23 +304,10 @@ def test_determinism(capsys):
     assert first == second
 
 
-def test_cache_roundtrip(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("CTRING_CACHE_DIR", str(tmp_path))
-    status, _ = run_cli(capsys, ["hilbert", "--alpha", "2,2", "--beta", "2,2"])
-    assert status == 0
-    cache_file = tmp_path / "kostka-cache-v1.json"
-    assert cache_file.exists()
-    data = json.loads(cache_file.read_text())
-    assert data["version"] == 1 and data["kostka"]
-    # a second run loads the cache and still answers correctly
-    status, out = run_cli(capsys, ["hilbert", "--alpha", "2,2", "--beta", "2,2"])
-    assert status == 0
-    assert json.loads(out)["coeffs"] == ["1", "1", "1"]
-
-
-def test_tampered_cache_is_ignored(tmp_path):
-    # fresh processes, as a user would run them: a cache file whose every
-    # value was raised by 3 must not change any result
+def test_runs_leave_no_persisted_state(tmp_path):
+    # fresh processes, as a user would run them: nothing is written between
+    # runs, so the second run of each command answers exactly as the first,
+    # and a CTRING_CACHE_DIR left over from older versions stays empty
     env = {
         **os.environ,
         "CTRING_CACHE_DIR": str(tmp_path),
@@ -344,18 +330,7 @@ def test_tampered_cache_is_ignored(tmp_path):
         assert proc.returncode == 0, proc.stderr
         return json.loads(proc.stdout)["coeffs"]
 
-    for argv, expected in commands:
-        assert run(argv) == expected
-    cache_file = tmp_path / "kostka-cache-v1.json"
-    data = json.loads(cache_file.read_text())
-    assert data["kostka"]
-    for entry in data["kostka"]:
-        entry[2] = str(int(entry[2]) + 3)
-    cache_file.write_text(json.dumps(data))
-    for argv, expected in commands:
-        assert run(argv) == expected
-    # the file was rejected, so no tampered value was written back, and the
-    # atomic writes left no temporary file behind
-    for shape, content, value in json.loads(cache_file.read_text())["kostka"]:
-        assert kostka_column(content).get(tuple(shape), 0) == int(value)
-    assert [p.name for p in tmp_path.iterdir()] == ["kostka-cache-v1.json"]
+    for _ in range(2):
+        for argv, expected in commands:
+            assert run(argv) == expected
+    assert list(tmp_path.iterdir()) == []

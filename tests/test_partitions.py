@@ -2,8 +2,8 @@ import random
 
 import pytest
 
+from oracles import strip_kostka
 from ctring.partitions import (
-    _kostka,
     conjugate,
     is_semistandard,
     kostka,
@@ -68,10 +68,10 @@ def test_standard_count_hook_golden():
 
 
 def test_standard_count_matches_kostka_dp():
-    # bypass the hook-length fast path inside kostka()
+    # the hook-length fast path inside kostka() against the strip DP
     for n in range(1, 11):
         for lam in partitions(n):
-            assert standard_tableau_count(lam) == _kostka(lam, (1,) * n)
+            assert standard_tableau_count(lam) == strip_kostka(lam, (1,) * n)
 
 
 def test_kostka_golden():
@@ -84,6 +84,12 @@ def test_kostka_golden():
 def test_kostka_size_mismatch():
     with pytest.raises(ValueError):
         kostka((2, 1), (1, 1))
+
+
+def test_kostka_rejects_negative_content():
+    # the sizes agree, so only the content check can catch it
+    with pytest.raises(ValueError):
+        kostka((1,), (-1, 2))
 
 
 def test_kostka_content_symmetry():
@@ -134,14 +140,21 @@ def _weak_compositions_small():
 
 
 def test_kostka_column_matches_strip_dp_and_tableaux():
+    # every depth, truncated and full: the column holds exactly the shapes
+    # lam with n - lam_1 <= depth and a nonzero count, with the right count
     for alpha in _weak_compositions_small():
         n = sum(alpha)
-        column = kostka_column(alpha)
-        assert list(column) == [lam for lam in partitions(n) if lam in column]
-        for lam in partitions(n):
-            expected = len(semistandard_tableaux(lam, alpha))
-            assert column.get(lam, 0) == kostka(lam, alpha) == expected
-            assert (lam in column) == (expected > 0)
+        expected = {lam: len(semistandard_tableaux(lam, alpha)) for lam in partitions(n)}
+        for lam, count in expected.items():
+            assert strip_kostka(lam, alpha) == count
+            assert kostka(lam, alpha) == count
+        for depth in [*range(n + 1), None]:
+            column = kostka_column(alpha, depth)
+            assert list(column) == [lam for lam in partitions(n) if lam in column]
+            for lam, count in expected.items():
+                shown = depth is None or n - (lam[0] if lam else 0) <= depth
+                assert column.get(lam, 0) == (count if shown else 0)
+                assert (lam in column) == (shown and count > 0)
 
 
 def test_kostka_column_is_read_only_and_rejects_negative_parts():
@@ -151,6 +164,8 @@ def test_kostka_column_is_read_only_and_rejects_negative_parts():
     assert kostka_column((2, 1)) == {(3,): 1, (2, 1): 1}
     with pytest.raises(ValueError):
         kostka_column((2, -1))
+    with pytest.raises(ValueError):
+        kostka_column((2, 1), -1)
 
 
 def test_partitions_list_is_a_fresh_copy():
@@ -166,12 +181,14 @@ def test_partitions_list_is_a_fresh_copy():
 
 def test_new_memos_are_lru_caches():
     # a fresh CLI process and a per-pass cache clear both start cold only if
-    # every memo is a module-level lru_cache that cache_clear empties
+    # every memo is a module-level lru_cache that cache_clear empties, or a
+    # module-level dict named as a cache (the Kostka columns, which
+    # kostka_cache_snapshot reads)
     from ctring import partitions as part_module
     from ctring import psi, series, symfunc
 
     memos = {
-        part_module: ["_partitions", "_kostka_column"],
+        part_module: ["_partitions"],
         series: ["_degree_blocks"],
         symfunc: ["_character_table"],
         psi: ["invariants_frobenius_h"],
@@ -184,3 +201,20 @@ def test_new_memos_are_lru_caches():
             assert memo.cache_info().currsize > 0, name
             memo.cache_clear()
             assert memo.cache_info().currsize == 0, name
+    assert part_module.kostka_cache_snapshot()
+    part_module._KOSTKA_CACHE.clear()
+    assert part_module.kostka_cache_snapshot() == []
+
+
+
+def test_snapshot_lists_each_kostka_number_once():
+    from ctring import partitions as part_module
+
+    part_module._KOSTKA_CACHE.clear()
+    kostka((3, 1), (2, 1, 1))  # the depth-1 column
+    kostka((2, 2), (2, 1, 1))  # the full column, which repeats it
+    snapshot = part_module.kostka_cache_snapshot()
+    assert len(snapshot) == len(set(snapshot))
+    assert sorted(t for t in snapshot if t[1] == (2, 1, 1)) == sorted(
+        (lam, (2, 1, 1), value) for lam, value in kostka_column((2, 1, 1)).items()
+    )

@@ -28,11 +28,20 @@ def test_hilbert_kostka_families():
 
 
 def test_hilbert_kostka_truncation_consistency():
-    full = hilbert_kostka((2, 2, 1), (3, 2))
-    for cap in range(len(full)):
-        assert hilbert_kostka((2, 2, 1), (3, 2), max_degree=cap)[: cap + 1] == full[
-            : cap + 1
-        ]
+    # the truncated series is the zero-padded prefix of the full series
+    for n in range(11):
+        parts = partitions(n)
+        for alpha in parts:
+            for beta in parts:
+                full = hilbert_kostka(alpha, beta)
+                for cap in range(5):
+                    padded = (full + [0] * cap)[: min(cap, n) + 1]
+                    assert hilbert_kostka(alpha, beta, max_degree=cap) == padded
+
+
+def test_negative_max_degree_is_rejected():
+    with pytest.raises(ValueError):
+        hilbert_kostka((2, 1), (3,), max_degree=-1)
 
 
 def test_hilbert_kostka_matches_per_shape_loop_on_partition_pairs():

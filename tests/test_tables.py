@@ -97,6 +97,14 @@ def test_contingency_mismatched_sums():
         contingency_tables((2, 1), (1, 1))
 
 
+def test_count_rejects_negative_margins():
+    # the sums agree, so only the composition check can catch it
+    with pytest.raises(ValueError):
+        count_contingency_tables((-1, 2), (1,))
+    with pytest.raises(ValueError):
+        count_contingency_tables((1,), (-1, 2))
+
+
 def test_contingency_count_identity_golden():
     alpha, beta = (4, 3, 5), (4, 2, 3, 3)
     assert len(contingency_tables(alpha, beta)) == count_contingency_tables(alpha, beta)
