@@ -3,6 +3,11 @@
 Deterministic, machine-readable output: JSON by default (sorted keys), CSV
 for coefficient tables via --csv.  Coefficients and dimensions are emitted as
 decimal strings because they routinely exceed what JSON numbers can carry.
+
+Exit status: 0 on success, 1 when a theorem check fails (reported by the
+command or raised as CheckFailed), 2 on a usage error, and 3 on any other
+exception, so that a crash never reads as a failed check.  An exception
+writes one JSON object with an "error" key to stderr and nothing to stdout.
 """
 
 import argparse
@@ -10,8 +15,10 @@ import functools
 import json
 import os
 import sys
+import traceback
 from pathlib import Path
 
+from .errors import CheckFailed
 from .experiments import conjecture_scan, sweep
 from .matrixball import rsk, zigzag_witness
 # partitions is unused here; perfbench/tests reads it as ctring.cli.partitions
@@ -33,8 +40,9 @@ from .tables import (
     zigzag_number,
 )
 
-USAGE_ERROR = 2
 CHECK_FAILED = 1
+USAGE_ERROR = 2
+INTERNAL_ERROR = 3
 
 
 def composition(text: str) -> tuple:
@@ -354,10 +362,18 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         payload, status = args.fn(args)
-    except (ValueError, RuntimeError) as err:
-        print(json.dumps({"error": str(err)}), file=sys.stderr)
-        return USAGE_ERROR
-    _emit(payload, args)
+    except CheckFailed as err:
+        error, status = {"error": str(err)}, CHECK_FAILED
+    except ValueError as err:
+        error, status = {"error": str(err)}, USAGE_ERROR
+    except Exception as err:  # a crash, which must not read as a failed check
+        error = {"error": f"{type(err).__name__}: {err}"}
+        error["traceback"] = traceback.format_exc()
+        status = INTERNAL_ERROR
+    else:
+        _emit(payload, args)
+        return status
+    print(json.dumps(error), file=sys.stderr)
     return status
 
 

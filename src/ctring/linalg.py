@@ -12,9 +12,11 @@ monomials of degree d sorted once, descending in the term order, and rows are
 sparse dicts keyed by column position, so finding a pivot is a plain min().
 Forward elimination runs over the integers on primitive rows (fraction-free,
 as in Bareiss): its pivots are the degree-d part of the initial ideal, and
-the remaining columns are the standard monomials.  Reduced rows with rational
-(Fraction) coefficients, which only normal forms need, come from
-back-substitution on first use.
+the remaining columns are the standard monomials.  These forward rows are the
+only echelon form.  Normal forms need no back-substitution: a row holds no
+entries left of its pivot, so reducing against the pivots in ascending
+position order never brings back a pivot already cleared.  A normal form is
+computed on integers times one common scale, divided out once at the end.
 """
 
 from fractions import Fraction
@@ -44,7 +46,7 @@ def bounded_exponents(nvars, degree):
 def integer_row(row):
     """A sparse rational row scaled by the lcm of its denominators: the same
     row up to a nonzero factor, with integer entries."""
-    den = lcm(*(Fraction(c).denominator for c in row.values()))
+    den = lcm(*(c.denominator for c in row.values()))
     return {p: int(c * den) for p, c in row.items()}
 
 
@@ -62,7 +64,7 @@ def _primitive(vec):
 def _eliminate(vec, p, prow):
     """Clear position p of the integer row vec with the integer row prow, in
     place: vec <- (a/g) vec - (c/g) prow, where a = prow[p], c = vec[p] and
-    g = gcd(a, c)."""
+    g = gcd(a, c).  Returns the factor a/g that vec was scaled by."""
     c = vec.pop(p)
     a = prow[p]
     if a != 1:
@@ -80,6 +82,7 @@ def _eliminate(vec, p, prow):
             vec[q] = val
         else:
             del vec[q]
+    return a
 
 
 def position_echelon(rows):
@@ -88,9 +91,8 @@ def position_echelon(rows):
 
     Returns {pivot position: row}, each row primitive (entries with gcd 1)
     with a positive pivot entry and no entries left of its pivot.  Forward
-    elimination only: a pivot row may still hold later pivot columns; see
-    back_substitute."""
-    pivot_rows = {}
+    elimination only: a pivot row may still hold later pivot columns."""
+    done = {}
     # trailing leads first: a row whose lead is not yet a pivot column becomes
     # a pivot row without reduction.  On margin ideals this order eliminates
     # about three times faster than the order the rows are generated in.
@@ -98,113 +100,46 @@ def position_echelon(rows):
         vec = dict(vec)
         while vec:
             lead = min(vec)
-            prow = pivot_rows.get(lead)
+            prow = done.get(lead)
             if prow is None:
-                pivot_rows[lead] = _primitive(vec)
+                done[lead] = _primitive(vec)
                 break
             _eliminate(vec, lead, prow)
-    return pivot_rows
-
-
-def back_substitute(pivot_rows):
-    """Reduced echelon rows, {pivot: {position: Fraction}} with pivot entries
-    one, from the integer echelon rows of position_echelon."""
-    done = {}
-    # substitute smallest-order pivots first: each step only introduces
-    # non-pivot columns, so one pass suffices
-    for lead in sorted(pivot_rows, reverse=True):
-        row = dict(pivot_rows[lead])
-        for p in [p for p in row if p != lead and p in done]:
-            _eliminate(row, p, done[p])
-        done[lead] = _primitive(row)
-    return {
-        lead: {p: Fraction(v, row[lead]) for p, v in row.items()}
-        for lead, row in done.items()
-    }
-
-
-def echelon(rows, keyf):
-    """Reduced row echelon form of sparse rows (dicts monomial -> coefficient),
-    keyf mapping monomials to sortable keys, larger key = leading column."""
-    rows = list(rows)
-    monomials = sorted({m for row in rows for m in row}, key=keyf, reverse=True)
-    index = {m: i for i, m in enumerate(monomials)}
-    translated = [integer_row({index[m]: c for m, c in row.items()}) for row in rows]
-    reduced = back_substitute(position_echelon(translated))
-    return {
-        monomials[lead]: {monomials[p]: c for p, c in row.items()}
-        for lead, row in reduced.items()
-    }
+    return done
 
 
 def extreme_monomials(polys, order, smallest=False):
     """The set { leading (or trailing) monomial of f : f in span(polys) - 0 }.
 
-    Gaussian elimination with columns sorted by the order (reversed when
+    Gaussian elimination with columns sorted by the order (ascending when
     `smallest`) makes these exactly the pivot monomials.
     """
-    keyf = order.key
-    if smallest:
-        rows = echelon((p.terms for p in polys), lambda m: _Neg(keyf(m)))
-    else:
-        rows = echelon((p.terms for p in polys), keyf)
-    return set(rows)
-
-
-class _Neg:
-    """Reverses comparisons of a wrapped key."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key):
-        self.key = key
-
-    def __lt__(self, other):
-        return other.key < self.key
-
-    def __gt__(self, other):
-        return other.key > self.key
+    monomials = sorted(
+        {m for p in polys for m in p.terms}, key=order.key, reverse=not smallest
+    )
+    index = {m: i for i, m in enumerate(monomials)}
+    rows = [integer_row({index[m]: c for m, c in p.terms.items()}) for p in polys]
+    return {monomials[lead] for lead in position_echelon(rows)}
 
 
 class DegreeBasis:
     """Echelon basis of one degree slice of a homogeneous ideal.
 
     `columns` lists the clean monomials of the degree in order-descending
-    sequence and `index` maps them to their positions.  `echelon_rows` holds
-    the primitive integer rows of forward elimination, keyed by pivot
-    position; `rows` holds the reduced rows (Fraction coefficients, pivot
-    entry one), computed on first access.
+    sequence and `index` maps them to their positions.  `rows` holds the
+    primitive integer rows of forward elimination keyed by pivot position,
+    in ascending pivot order.
     """
 
-    __slots__ = (
-        "degree", "columns", "index", "echelon_rows", "pivots", "standard", "_rows"
-    )
+    __slots__ = ("degree", "columns", "index", "rows", "pivots", "standard")
 
-    def __init__(self, degree, columns, index, echelon_rows):
+    def __init__(self, degree, columns, index, rows):
         self.degree = degree
         self.columns = columns
         self.index = index
-        self.echelon_rows = echelon_rows
-        self.pivots = tuple(columns[p] for p in sorted(echelon_rows))
-        self.standard = tuple(
-            m for i, m in enumerate(columns) if i not in echelon_rows
-        )
-        self._rows = None
-
-    @property
-    def rows(self):
-        """Reduced rows, pivot position -> {position: Fraction}."""
-        if self._rows is None:
-            self._rows = back_substitute(self.echelon_rows)
-        return self._rows
-
-    @property
-    def pivot_rows(self):
-        """Rows re-keyed by monomial, pivot monomial -> {monomial: coeff}."""
-        return {
-            self.columns[lead]: {self.columns[p]: c for p, c in row.items()}
-            for lead, row in self.rows.items()
-        }
+        self.rows = dict(sorted(rows.items()))
+        self.pivots = tuple(columns[p] for p in self.rows)
+        self.standard = tuple(m for i, m in enumerate(columns) if i not in rows)
 
 
 class HomogeneousIdeal:
@@ -328,7 +263,7 @@ class HomogeneousIdeal:
         if not self.is_clean(exps):
             return True
         basis = self.slice(sum(exps))
-        return basis.index[exps] in basis.echelon_rows
+        return basis.index[exps] in basis.rows
 
     def initial_count(self, degree) -> int:
         """Number of degree-d monomials in the initial ideal."""
@@ -357,29 +292,25 @@ class HomogeneousIdeal:
         return out
 
     def reduce_positions(self, degree, vec):
-        """Reduce a position-keyed vector against the reduced slice rows."""
-        rows = self.slice(degree).rows
-        for p in list(vec):
-            row = rows.get(p)
-            if row is None:
-                continue
-            c = vec.pop(p)
-            for q, pc in row.items():
-                if q == p:
-                    continue
-                val = vec.get(q, 0) - c * pc
-                if val:
-                    vec[q] = val
-                else:
-                    vec.pop(q, None)
-        return vec
+        """Reduce an integer position-keyed vector against the slice rows in
+        place, smallest pivot position first.  Returns the factor s > 0 such
+        that the reduction of the input is vec / s."""
+        scale = 1
+        for p, prow in self.slice(degree).rows.items():
+            if p in vec:
+                scale *= _eliminate(vec, p, prow)
+        return scale
 
     def normal_form(self, poly: Poly) -> Poly:
         """Reduce modulo the ideal onto the span of standard monomials.
 
         The result is the unique representative of poly supported on standard
-        monomials; the map is linear and fixes standard monomials.
+        monomials; the map is linear and fixes standard monomials.  The input
+        is scaled to integers by the lcm of its denominators, and each
+        coefficient is divided by the accumulated scale once; it stays an int
+        when the division is exact.
         """
+        den = lcm(*(c.denominator for c in poly.terms.values()))
         out = {}
         for degree, part in poly.homogeneous_parts().items():
             basis = self.slice(degree)
@@ -388,11 +319,11 @@ class HomogeneousIdeal:
             for m, c in part.terms.items():
                 pos = basis.index.get(m)
                 if pos is not None:
-                    vec[pos] = c
-            vec = self.reduce_positions(degree, vec)
+                    vec[pos] = int(c * den)
+            scale = den * self.reduce_positions(degree, vec)
             for p, c in vec.items():
-                m = basis.columns[p]
-                out[m] = out.get(m, 0) + c
+                q, r = divmod(c, scale)
+                out[basis.columns[p]] = Fraction(c, scale) if r else q
         return Poly(poly.nvars, out)
 
 

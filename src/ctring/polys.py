@@ -1,8 +1,10 @@
 """Exact multivariate polynomials, diagonal term orders, and the operator kit.
 
 A Poly stores a map from exponent tuples (one slot per variable, row-major
-for grid variables) to Fraction coefficients.  Row and column indices in the
-grid API are 1-based.
+for grid variables) to exact coefficients: an int stays an int, so integer
+polynomials and their products never leave the integers, and any other
+coefficient (a float included) is converted to a Fraction.  Row and column
+indices in the grid API are 1-based.
 """
 
 from fractions import Fraction
@@ -17,7 +19,8 @@ class Poly:
         self.nvars = nvars
         clean = {}
         for exps, coeff in (terms or {}).items():
-            coeff = Fraction(coeff)
+            if type(coeff) is not int:
+                coeff = Fraction(coeff)
             if coeff:
                 if len(exps) != nvars:
                     raise ValueError("exponent length mismatch")

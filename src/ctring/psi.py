@@ -15,6 +15,7 @@ obtained numerically through the Kostka transforms.
 
 from functools import lru_cache
 
+from .errors import CheckFailed
 from .partitions import check_partition, partitions
 from .symfunc import SymmetricProductGroup, TensorSymFunc, s_to_h_expansion
 
@@ -151,7 +152,7 @@ def invariants_frobenius_s(mu, lam) -> TensorSymFunc:
         total = total + invariants_frobenius_h(mu, rho).to_s().scale(c)
     for value in total.coeffs.values():
         if value.denominator != 1 or value < 0:
-            raise ArithmeticError("invariant multiplicities must be nonnegative ints")
+            raise CheckFailed("invariant multiplicities must be nonnegative ints")
     return TensorSymFunc(degrees, "s", {k: int(v) for k, v in total.coeffs.items()})
 
 

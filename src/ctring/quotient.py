@@ -11,7 +11,14 @@ compared against the derived matrices of the contingency tables with margins
 (alpha, beta).
 """
 
-from .linalg import HomogeneousIdeal, bounded_exponents, echelon, line_ideal, linear_form
+from .errors import CheckFailed
+from .linalg import (
+    HomogeneousIdeal,
+    bounded_exponents,
+    line_ideal,
+    linear_form,
+    position_echelon,
+)
 from .matrixball import derived_matrix
 from .polys import Grid, Poly
 from .tables import contingency_tables, count_contingency_tables, zigzag_number
@@ -106,7 +113,8 @@ class QuotientModel:
     Slices are computed until the accumulated standard monomial count reaches
     the contingency table count (the quotient dimension), with a hard degree
     cap of n.  Failing to converge would mean the quotient dimension differs
-    from the table count, which never happens; it raises rather than guessing.
+    from the table count, which never happens; it raises CheckFailed rather
+    than guessing.
     """
 
     def __init__(self, alpha, beta):
@@ -125,7 +133,7 @@ class QuotientModel:
         degree = 0
         while seen < self.size:
             if degree > self.n:
-                raise RuntimeError(
+                raise CheckFailed(
                     "standard monomials did not converge by degree n; "
                     "the quotient dimension cannot exceed the table count"
                 )
@@ -135,7 +143,7 @@ class QuotientModel:
             seen += len(std)
             degree += 1
         if seen != self.size:
-            raise RuntimeError("standard monomial count overshot the table count")
+            raise CheckFailed("standard monomial count overshot the table count")
         while hilbert and hilbert[-1] == 0:
             hilbert.pop()
         self.hilbert = tuple(hilbert)
@@ -151,9 +159,6 @@ class QuotientModel:
 
     def standard_exponent_matrices(self) -> frozenset:
         return frozenset(self.grid.matrix(m) for m in self.standard)
-
-    def normal_form(self, poly: Poly) -> Poly:
-        return self.ideal.normal_form(poly)
 
 
 def hilbert_series_linear(alpha, beta) -> list:
@@ -207,6 +212,11 @@ def lefschetz_report(model: QuotientModel) -> list:
     With m the minimum zigzag number and top = n - m, the map multiplies
     degree k into degree top - k by the (top - 2k)-th power; k runs while the
     exponent stays nonnegative.  Rank deficiencies are reported, not raised.
+
+    The rank is read off the target slice without normal forms: the images
+    L^e m of the standard monomials m, restricted to the clean monomials of
+    the target degree, raise the rank of the slice rows by exactly the rank
+    of the map on the quotient.
     """
     lef = lefschetz_element(model.alpha, model.beta, model.grid)
     top = model.top_degree
@@ -217,19 +227,23 @@ def lefschetz_report(model: QuotientModel) -> list:
     for k in range(0, top // 2 + 1):
         e = top - 2 * k
         source = model.ideal.standard_monomials(k)
-        target_degree = top - k
-        rows = []
+        target = model.ideal.slice(top - k)
+        images = []
         for mono in source:
-            image = model.normal_form(powers[e] * Poly.monomial(mono))
-            if image:
-                rows.append(image.terms)
-        rank = len(echelon(rows, model.order.key))
+            image = {}
+            for exps, c in powers[e].terms.items():
+                pos = target.index.get(tuple([a + b for a, b in zip(mono, exps)]))
+                if pos is not None:
+                    image[pos] = c
+            images.append(image)
+        rows = list(target.rows.values())
+        rank = len(position_echelon(rows + images)) - len(rows)
         out.append(
             {
                 "k": k,
                 "power": e,
                 "dim_source": len(source),
-                "dim_target": len(model.ideal.standard_monomials(target_degree)),
+                "dim_target": len(target.standard),
                 "rank": rank,
                 "injective": rank == len(source),
             }

@@ -11,6 +11,7 @@ from functools import lru_cache
 from math import factorial
 from operator import mul
 
+from .errors import CheckFailed
 from .partitions import (
     check_partition,
     kostka_column,
@@ -325,7 +326,7 @@ class SymmetricProductGroup:
         for irrep, row in zip(table.irreducibles, table.matrix):
             mult, rest = divmod(sum(map(mul, row, weighted)), self.order)
             if rest or mult < 0:
-                raise ArithmeticError("class function is not a character")
+                raise CheckFailed("class function is not a character")
             if mult:
                 out[irrep] = mult
         return out

@@ -136,7 +136,7 @@ def count_contingency_tables(alpha, beta) -> int:
     if sum(alpha) != sum(beta):
         raise ValueError("row and column sums must agree")
     # K(lam, beta) through kostka, where perfbench/tracer.py measures the
-    # Kostka layer; see ROADMAP item 6 before making this a column join
+    # Kostka layer; see ROADMAP item 1 before making this a column join
     return sum(value * kostka(lam, beta) for lam, value in kostka_column(alpha).items())
 
 

@@ -3,8 +3,11 @@
 Everything here is deliberately naive and shares no code path with the
 implementations under test.  The old routes kept here for rewritten layers
 (the per-shape Kostka series on the strip DP `strip_kostka`, class-by-class
-tensor multiplicities) reuse only library primitives that are tested on
-their own: `partitions` and `irreducible_character`.
+tensor multiplicities, normal forms and Lefschetz ranks over Fraction
+Gauss-Jordan in `RrefIdeal` and `nf_lefschetz_report`) reuse only library
+primitives that are tested on their own: `partitions`,
+`irreducible_character`, the generator list `contingency_generators`, the
+linear form `lefschetz_element` and the diagonal term order.
 """
 
 from fractions import Fraction
@@ -13,6 +16,7 @@ from itertools import product
 from math import factorial
 
 from ctring.partitions import partitions
+from ctring.quotient import contingency_generators, lefschetz_element
 from ctring.symfunc import cycle_type_size, irreducible_character
 
 
@@ -241,33 +245,122 @@ def fraction_rref(rows):
     return pivots
 
 
+class RrefIdeal:
+    """Slices of the ideal generated by arbitrary homogeneous polynomials
+    (monomials included), by the old route: monomial generators filter the
+    columns by divisibility, and the clean multiples of the rest are reduced
+    by Fraction Gauss-Jordan.  Columns are order-descending."""
+
+    def __init__(self, generators, nvars, order):
+        self.nvars = nvars
+        self.order = order
+        self.monos = [next(iter(g.terms)) for g in generators if len(g.terms) == 1]
+        self.others = [dict(g.terms) for g in generators if len(g.terms) > 1]
+        self._slices = {}
+        self._clean = {}
+
+    def clean(self, degree):
+        if degree not in self._clean:
+            self._clean[degree] = divisibility_clean_monomials(
+                self.monos, self.nvars, degree
+            )
+        return self._clean[degree]
+
+    def slice(self, degree):
+        """(columns, {column: position}, {pivot position: reduced row}) of
+        one degree."""
+        if degree in self._slices:
+            return self._slices[degree]
+        columns = sorted(self.clean(degree), key=self.order.key, reverse=True)
+        index = {m: i for i, m in enumerate(columns)}
+        rows = []
+        for g in self.others:
+            gdeg = sum(next(iter(g)))
+            if gdeg > degree:
+                continue
+            for factor in self.clean(degree - gdeg):
+                row = {}
+                for exps, c in g.items():
+                    pos = index.get(tuple(a + b for a, b in zip(factor, exps)))
+                    if pos is not None:
+                        row[pos] = c
+                rows.append(row)
+        self._slices[degree] = columns, index, fraction_rref(rows)
+        return self._slices[degree]
+
+    def standard(self, degree):
+        columns, _, reduced = self.slice(degree)
+        return [m for i, m in enumerate(columns) if i not in reduced]
+
+    def normal_form(self, terms) -> dict:
+        """Normal form of a polynomial given as {exponents: coefficient}, as
+        {standard monomial: Fraction}: each homogeneous part loses one
+        multiple of every reduced row whose pivot it holds."""
+        out = {}
+        for m, c in terms.items():
+            columns, index, reduced = self.slice(sum(m))
+            if m not in index:
+                continue
+            row = reduced.get(index[m])
+            if row is None:
+                out[m] = out.get(m, 0) + Fraction(c)
+                continue
+            for p, v in row.items():
+                if columns[p] != m:
+                    out[columns[p]] = out.get(columns[p], 0) - c * v
+        return {m: c for m, c in out.items() if c}
+
+
 def oracle_slice(generators, nvars, order, degree):
-    """(pivots, standard) of one degree slice of the ideal generated by
-    arbitrary homogeneous polynomials (monomials included): monomial
-    generators filter the columns by divisibility, and the rest are
-    eliminated by Fraction Gauss-Jordan.  Both lists are order-descending."""
-    monos = [next(iter(g.terms)) for g in generators if len(g.terms) == 1]
-    others = [g for g in generators if len(g.terms) > 1]
-    columns = sorted(
-        divisibility_clean_monomials(monos, nvars, degree), key=order.key, reverse=True
-    )
-    index = {m: i for i, m in enumerate(columns)}
-    rows = []
-    for g in others:
-        gdeg = sum(next(iter(g.terms)))
-        if gdeg > degree:
-            continue
-        for factor in divisibility_clean_monomials(monos, nvars, degree - gdeg):
-            row = {}
-            for exps, c in g.terms.items():
-                pos = index.get(tuple(a + b for a, b in zip(factor, exps)))
-                if pos is not None:
-                    row[pos] = c
-            rows.append(row)
-    reduced = fraction_rref(rows)
+    """(pivots, standard) of one degree slice of RrefIdeal, both lists
+    order-descending."""
+    columns, _, reduced = RrefIdeal(generators, nvars, order).slice(degree)
     pivots = [columns[p] for p in sorted(reduced)]
     standard = [m for i, m in enumerate(columns) if i not in reduced]
     return pivots, standard
+
+
+def nf_lefschetz_report(alpha, beta, support=None) -> list:
+    """The Lefschetz report by the old route: the normal form of L^e m for
+    every standard monomial m of degree k, over RrefIdeal of the generator
+    list, then the rank of those images by Fraction Gauss-Jordan.  L is the
+    sum of the variables in `support` (by default those of the diagonal
+    blocks), and L^e m is expanded one factor L at a time on plain dicts."""
+    grid, gens = contingency_generators(alpha, beta)
+    ideal = RrefIdeal(gens, grid.nvars, grid.diagonal_order())
+    if support is None:
+        support = [m.index(1) for m in lefschetz_element(alpha, beta, grid).terms]
+    dims = []
+    while not dims or dims[-1]:
+        dims.append(len(ideal.standard(len(dims))))
+    top = len(dims) - 2
+    out = []
+    for k in range(top // 2 + 1):
+        e = top - 2 * k
+        _, index, _ = ideal.slice(top - k)
+        images = []
+        for mono in ideal.standard(k):
+            terms = {mono: 1}
+            for _ in range(e):
+                product = {}
+                for m, c in terms.items():
+                    for v in support:
+                        up = m[:v] + (m[v] + 1,) + m[v + 1:]
+                        product[up] = product.get(up, 0) + c
+                terms = product
+            images.append({index[m]: c for m, c in ideal.normal_form(terms).items()})
+        rank = len(fraction_rref(images))
+        out.append(
+            {
+                "k": k,
+                "power": e,
+                "dim_source": dims[k],
+                "dim_target": dims[top - k],
+                "rank": rank,
+                "injective": rank == dims[k],
+            }
+        )
+    return out
 
 
 def _horizontal_strips_below(shape, size):

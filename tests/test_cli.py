@@ -334,3 +334,76 @@ def test_runs_leave_no_persisted_state(tmp_path):
         for argv, expected in commands:
             assert run(argv) == expected
     assert list(tmp_path.iterdir()) == []
+
+
+def run_failing(capsys, argv):
+    """Status, stdout and the stderr JSON object of a run that must fail."""
+    status = main(argv)
+    captured = capsys.readouterr()
+    return status, captured.out, json.loads(captured.err)
+
+
+@pytest.mark.parametrize("shift", [1, -1], ids=["never-converges", "overshoots"])
+def test_quotient_dimension_mismatch_is_a_failed_check(monkeypatch, capsys, shift):
+    # a table count off by one makes QuotientModel's own dimension check fail
+    import ctring.quotient
+
+    count = ctring.quotient.count_contingency_tables
+    monkeypatch.setattr(
+        ctring.quotient, "count_contingency_tables", lambda a, b: count(a, b) + shift
+    )
+    for command in ("standard-basis", "verify", "lefschetz"):
+        status, out, err = run_failing(
+            capsys, [command, "--alpha", "3,2", "--beta", "2,2,1"]
+        )
+        assert status == 1 and out == ""
+        assert "table count" in err["error"]
+
+
+def test_non_character_is_a_failed_check(monkeypatch, capsys):
+    import ctring.psi
+    import ctring.symfunc
+
+    # psi: a negated Schur-to-h transform gives negative invariant multiplicities
+    expansion = ctring.psi.s_to_h_expansion
+    monkeypatch.setattr(
+        ctring.psi,
+        "s_to_h_expansion",
+        lambda lam: {rho: -c for rho, c in expansion(lam).items()},
+    )
+    ctring.psi.invariants_frobenius_s.cache_clear()
+    try:
+        status, out, err = run_failing(capsys, ["frobenius", "--mu", "2,1", "--nu", "2,1"])
+    finally:
+        monkeypatch.undo()
+        ctring.psi.invariants_frobenius_s.cache_clear()
+    assert status == 1 and out == ""
+    assert "nonnegative ints" in err["error"]
+    # symfunc: a module character raised by one on a single class is no character
+    module_character = ctring.symfunc._module_character
+
+    def off_on_one_class(table, module):
+        values = module_character(table, module)
+        return [values[0] + 1] + values[1:]
+
+    monkeypatch.setattr(ctring.symfunc, "_module_character", off_on_one_class)
+    argv = ["conjectures", "--max-n", "0", "--lefschetz-n", "0", "--dominance-n", "3"]
+    status, out, err = run_failing(capsys, argv)
+    assert status == 1 and out == ""
+    assert "not a character" in err["error"]
+
+
+@pytest.mark.parametrize("exc", [ZeroDivisionError, RecursionError, KeyError])
+def test_crash_is_not_a_failed_check(monkeypatch, capsys, exc):
+    # ZeroDivisionError is an ArithmeticError and RecursionError a
+    # RuntimeError: neither may read as a failed check or a usage error
+    import ctring.cli
+
+    def crash(matrix):
+        raise exc("boom")
+
+    monkeypatch.setattr(ctring.cli, "rsk", crash)
+    status, out, err = run_failing(capsys, ["rsk", "--matrix", "1 0;0 1"])
+    assert status == 3 and out == ""
+    assert err["error"].startswith(exc.__name__) and "boom" in err["error"]
+    assert "Traceback" in err["traceback"]

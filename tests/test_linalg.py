@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import (
+    RrefIdeal,
     divisibility_clean_monomials,
     fraction_rref,
     oracle_slice,
@@ -12,9 +13,7 @@ from oracles import (
 )
 from ctring.linalg import (
     HomogeneousIdeal,
-    back_substitute,
     bounded_exponents,
-    echelon,
     extreme_monomials,
     integer_row,
     position_echelon,
@@ -117,13 +116,8 @@ def test_integer_echelon_matches_fraction_rref():
             assert all(isinstance(c, int) for c in row.values())
             assert min(row) == lead and row[lead] > 0
             assert math.gcd(*row.values()) == 1
-        assert back_substitute(forward) == fraction_rref(rows)
-        monomial_rows = [{(p,): c for p, c in r.items()} for r in rows]
-        expected = {
-            (lead,): {(p,): c for p, c in row.items()}
-            for lead, row in fraction_rref(rows).items()
-        }
-        assert echelon(monomial_rows, lambda m: -m[0]) == expected
+        # the same row space: equal reduced forms
+        assert fraction_rref(list(forward.values())) == fraction_rref(rows)
 
 
 def test_slices_match_oracle():
@@ -143,18 +137,6 @@ def test_slices_match_oracle():
             pivots, standard = oracle_slice(gens, len(bounds), ideal.order, d)
             assert list(ideal.slice(d).pivots) == pivots
             assert list(ideal.standard_monomials(d)) == standard
-
-
-def test_echelon_reduced():
-    o = LexOrder(3)
-    rows = [
-        {(1, 0, 0): Fraction(1), (0, 1, 0): Fraction(1)},
-        {(1, 0, 0): Fraction(1), (0, 0, 1): Fraction(2)},
-    ]
-    piv = echelon(rows, o.key)
-    assert set(piv) == {(1, 0, 0), (0, 1, 0)}
-    # fully reduced: the row pivoted at x1 must not contain x2
-    assert (0, 1, 0) not in piv[(1, 0, 0)]
 
 
 def test_simple_ideal_slice():
@@ -199,7 +181,6 @@ def test_normal_form_fixes_standard_and_kills_generators():
 
 def test_normal_form_difference_in_ideal():
     grid, _, ideal = _margin((2, 1), (1, 1, 1))
-    order = ideal.order
     rng = random.Random(61)
     for _ in range(15):
         exps = [tuple(rng.randint(0, 1) for _ in range(grid.nvars)) for _ in range(3)]
@@ -209,13 +190,13 @@ def test_normal_form_difference_in_ideal():
         # homogeneous parts must lie in the span of the slice rows
         assert not ideal.normal_form(diff)
         for d, part in diff.homogeneous_parts().items():
-            rows = [dict(r) for r in ideal.slice(d).pivot_rows.values()]
-            clean_part = {
-                m: c for m, c in part.terms.items() if ideal.is_clean(m)
-            }
-            before = len(echelon([dict(r) for r in rows], order.key))
-            after = len(echelon([dict(r) for r in rows] + [clean_part], order.key))
-            assert before == after  # no rank increase: it is in the span
+            basis = ideal.slice(d)
+            rows = list(basis.rows.values())
+            clean_part = integer_row(
+                {basis.index[m]: c for m, c in part.terms.items() if ideal.is_clean(m)}
+            )
+            # no rank increase: it is in the span
+            assert len(position_echelon(rows + [clean_part])) == len(rows)
 
 
 def test_normal_form_linearity():
@@ -259,6 +240,11 @@ def test_extreme_monomials_smallest():
     got = extreme_monomials([f], LexOrder(n), smallest=True)
     assert got == {(0, 1, 1)}
     assert extreme_monomials([f], LexOrder(n)) == {(1, 1, 0)}
+    # span of x1 + x2 and x1 + 2 x3: leading monomials x1 and x2 (the
+    # difference 2 x3 - x2 leads with x2), trailing monomials x2 and x3
+    g = [Poly(n, {(1, 0, 0): 1, (0, 1, 0): 1}), Poly(n, {(1, 0, 0): 1, (0, 0, 1): 2})]
+    assert extreme_monomials(g, LexOrder(n)) == {(1, 0, 0), (0, 1, 0)}
+    assert extreme_monomials(g, LexOrder(n), smallest=True) == {(0, 1, 0), (0, 0, 1)}
 
 
 def test_extreme_monomials_span_property():
@@ -282,3 +268,64 @@ def test_extreme_monomials_span_property():
             combo = combo + rng.randint(-2, 2) * p
         if combo:
             assert o.min_term(combo) in fins
+
+
+def _random_poly(rng, ideal, degree, coeff):
+    """Random terms of one degree: up to three clean monomials and two
+    arbitrary ones (usually unclean, which reduce to zero)."""
+    clean = ideal.clean_monomials(degree)
+    monomials = rng.sample(clean, min(3, len(clean)))
+    for _ in range(2):
+        exps = [0] * ideal.nvars
+        for _ in range(degree):
+            exps[rng.randrange(ideal.nvars)] += 1
+        monomials.append(tuple(exps))
+    return Poly(ideal.nvars, {m: coeff() for m in monomials})
+
+
+def test_normal_form_matches_fraction_rref_oracle():
+    # every slice of every margin pair with n <= 4 and lengths <= 3, against
+    # Fraction Gauss-Jordan on the generator list, with integer and rational
+    # coefficients, one homogeneous poly per slice and one mixed-degree poly
+    rng = random.Random(4)
+
+    def integer():
+        return rng.randint(-3, 3)
+
+    def rational():
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+
+    pairs = 0
+    for n in range(5):
+        comps = weak_compositions_upto(n, 3)
+        for alpha in comps:
+            for beta in comps:
+                grid, gens, ideal = _margin(alpha, beta)
+                oracle = RrefIdeal(gens, grid.nvars, ideal.order)
+                mixed = Poly.zero(grid.nvars)
+                for d in range(n + 1):
+                    for coeff in (integer, rational):
+                        f = _random_poly(rng, ideal, d, coeff)
+                        assert ideal.normal_form(f).terms == oracle.normal_form(
+                            f.terms
+                        ), (alpha, beta, f)
+                        mixed = mixed + f
+                assert ideal.normal_form(mixed).terms == oracle.normal_form(mixed.terms)
+                pairs += 1
+    assert pairs > 800
+
+
+def test_integer_inputs_stay_integers():
+    # slice rows, normal forms of integer polys and integer products never
+    # leave the integers on a margin model
+    grid, gens, ideal = _margin((3, 2), (2, 2, 1))
+    rng = random.Random(5)
+    for d in range(6):
+        for row in ideal.slice(d).rows.values():
+            assert all(type(c) is int for c in row.values())
+        for _ in range(10):
+            f = _random_poly(rng, ideal, d, lambda: rng.randint(-4, 4))
+            assert all(type(c) is int for c in ideal.normal_form(f).terms.values())
+    product = gens[0] * gens[-1] * Poly.variable(grid.nvars, 0, coeff=3)
+    assert product and all(type(c) is int for c in product.terms.values())
+    assert all(type(c) is int for c in (gens[0] - 2 * gens[1]).terms.values())

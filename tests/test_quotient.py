@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from oracles import oracle_slice
-from ctring.linalg import line_ideal
+from oracles import nf_lefschetz_report, oracle_slice
+from ctring.linalg import line_ideal, linear_form
+from ctring.partitions import weak_compositions_upto
 from ctring.polys import DiagonalOrder, Grid, Poly, polarize_row
 from ctring.quotient import (
     QuotientModel,
@@ -207,8 +208,9 @@ def test_row_polarization_preserves_rowsum_ideal():
     )
     for d in range(1, 4):
         assert list(ideal.slice(d).pivots) == oracle_slice(gens, grid.nvars, order, d)[0]
-        for row in ideal.slice(d).pivot_rows.values():
-            poly = Poly(grid.nvars, row)
+        basis = ideal.slice(d)
+        for row in basis.rows.values():
+            poly = Poly(grid.nvars, {basis.columns[p]: c for p, c in row.items()})
             for source in range(1, k + 1):
                 for dest in range(1, k + 1):
                     if source == dest:
@@ -247,3 +249,44 @@ def test_standard_basis_frontier(alpha, beta):
     model = QuotientModel(alpha, beta)
     assert model.standard_exponent_matrices() == derived_matrix_set(alpha, beta)
     assert list(model.hilbert) == hilbert_kostka(alpha, beta)
+
+
+def test_lefschetz_ranks_match_normal_form_route(sweep):
+    # every pair with n <= 5 and lengths <= 3: the slice-rank route against
+    # normal forms over Fraction Gauss-Jordan on the generator list
+    pairs = 0
+    for r in sweep["records"]:
+        if r["n"] <= 5:
+            assert r["lefschetz"] == nf_lefschetz_report(r["alpha"], r["beta"]), r
+            pairs += 1
+    assert pairs > 900
+
+
+def test_deficient_lefschetz_ranks_match_normal_form_route(monkeypatch):
+    # the diagonal-block form is injective on every pair the sweep covers, so
+    # there the rank equals dim_source whatever the route; a single variable
+    # or one row sum as the linear form makes ranks drop, and the slice-rank
+    # route must still agree with normal forms over Fraction Gauss-Jordan
+    import ctring.quotient
+
+    forms = {
+        "x11": lambda grid: [grid.index(1, 1)],
+        "row1": lambda grid: [grid.index(1, j) for j in range(1, grid.p + 1)],
+    }
+    deficient = 0
+    for name, support_of in forms.items():
+        monkeypatch.setattr(
+            ctring.quotient,
+            "lefschetz_element",
+            lambda alpha, beta, grid: linear_form(grid.nvars, support_of(grid)),
+        )
+        for n in range(1, 4):
+            comps = weak_compositions_upto(n, 3)
+            for alpha in comps:
+                for beta in comps:
+                    model = QuotientModel(alpha, beta)
+                    report = lefschetz_report(model)
+                    expected = nf_lefschetz_report(alpha, beta, support_of(model.grid))
+                    assert report == expected, (name, alpha, beta)
+                    deficient += sum(not r["injective"] for r in report)
+    assert deficient > 100
