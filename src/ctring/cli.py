@@ -21,8 +21,6 @@ from pathlib import Path
 from .errors import CheckFailed
 from .experiments import conjecture_scan, sweep
 from .matrixball import rsk, zigzag_witness
-# partitions is unused here; perfbench/tests reads it as ctring.cli.partitions
-from .partitions import partitions  # noqa: F401
 from .psi import graded_decomposition
 from .quotient import (
     QuotientModel,
@@ -176,7 +174,7 @@ def cmd_frobenius(args):
     out = []
     for d, tensor in decomposition.items():
         terms = [
-            {"factors": [list(part) for part in key], "mult": int(c)}
+            {"factors": [list(part) for part in key], "mult": c}
             for key, c in sorted(tensor.coeffs.items())
         ]
         out.append(

@@ -1,13 +1,14 @@
 """Degree-by-degree exact linear algebra for homogeneous ideals.
 
-An ideal is presented by homogeneous non-monomial generators plus line caps.
-A cap (support, c) puts every monomial of degree > c on the variables of
-`support` into the ideal.  A monomial that meets every cap is "clean"; every
-multiple of an unclean monomial is unclean, so the elimination only ever sees
-clean monomials, which keeps the systems small.
+An ideal is presented by variable sums and line caps.  A sum puts the sum of
+the variables of its support into the ideal; a cap (support, c) puts every
+monomial of degree > c on the variables of support into the ideal.  A
+monomial that meets every cap is "clean"; every multiple of an unclean
+monomial is unclean, so the elimination only ever sees clean monomials, which
+keeps the systems small.
 
 The degree-d slice of the ideal, modulo unclean monomials, is spanned by the
-clean-monomial multiples of the generators.  Its columns are the clean
+sums times the clean monomials of degree d - 1.  Its columns are the clean
 monomials of degree d sorted once, descending in the term order, and rows are
 sparse dicts keyed by column position, so finding a pivot is a plain min().
 Forward elimination runs over the integers on primitive rows (fraction-free,
@@ -143,34 +144,32 @@ class DegreeBasis:
 
 
 class HomogeneousIdeal:
-    """An ideal presented by homogeneous generators and line caps, sliced
-    degree by degree.
+    """An ideal presented by variable sums and line caps, sliced degree by
+    degree.
 
-    `generators` are homogeneous polynomials with at least two terms; a
-    monomial generator raises ValueError (state it as a cap) and zero ones
-    are skipped.  `caps` holds (support, cap) pairs: support is a sequence of
-    variable indices, and every monomial on those variables of degree
-    greater than cap lies in the ideal.  For the margin ideal these are the
-    row and column caps; a single-variable support caps one exponent.
+    `sums` holds supports, sequences of variable indices; each puts the sum
+    of its variables into the ideal.  Supports holding the same variables
+    are one sum, and a sum over a single variable is that variable itself,
+    which is the cap 0 on it.  `caps` holds (support, cap) pairs: every
+    monomial on the variables of support of degree greater than cap lies in
+    the ideal.  For the margin ideal the sums are the row and column sums and
+    the caps the row and column margins.  A negative cap or a variable index
+    outside range(nvars) raises ValueError.
     """
 
-    def __init__(self, generators, nvars, order, caps=()):
+    def __init__(self, nvars, order, sums=(), caps=()):
         self.nvars = nvars
         self.order = order
-        self.generators = []
-        for g in generators:
-            if not g:
-                continue
-            if not g.is_homogeneous():
-                raise ValueError("generators must be homogeneous")
-            if len(g.terms) == 1:
-                raise ValueError("monomial generators must be given as caps")
-            if g not in self.generators:
-                self.generators.append(g)
-        # generator rows over the integers: (degree, [(exponents, coefficient)])
-        self._int_gens = [
-            (g.degree(), list(integer_row(g.terms).items())) for g in self.generators
-        ]
+        caps = list(caps)
+        self.sums = []
+        for support in sums:
+            support = tuple(sorted(set(support)))
+            if not all(0 <= v < nvars for v in support):
+                raise ValueError(f"bad sum on support {support}")
+            if len(support) == 1:
+                caps.append((support, 0))
+            elif support not in self.sums:
+                self.sums.append(support)
         bounds = {}
         for support, cap in caps:
             support = tuple(support)
@@ -240,18 +239,16 @@ class HomogeneousIdeal:
         )
         index = {m: i for i, m in enumerate(columns)}
         rows = []
-        for gdeg, terms in self._int_gens:
-            if gdeg > degree:
-                continue
-            for factor in self.clean_monomials(degree - gdeg):
-                # distinct generator terms give distinct products
+        factors = self.clean_monomials(degree - 1) if degree else ()
+        for support in self.sums:
+            for factor in factors:
+                # the sum times a clean factor, restricted to clean monomials
                 row = {}
-                for exps, coeff in terms:
-                    pos = index.get(tuple([a + b for a, b in zip(factor, exps)]))
+                for v in support:
+                    pos = index.get(factor[:v] + (factor[v] + 1,) + factor[v + 1 :])
                     if pos is not None:
-                        row[pos] = coeff
-                if row:
-                    rows.append(row)
+                        row[pos] = 1
+                rows.append(row)
         basis = DegreeBasis(degree, columns, index, position_echelon(rows))
         self._slices[degree] = basis
         return basis
@@ -269,27 +266,6 @@ class HomogeneousIdeal:
         """Number of degree-d monomials in the initial ideal."""
         all_count = len(bounded_exponents(self.nvars, degree))
         return all_count - len(self.slice(degree).standard)
-
-    def hilbert(self, cap=None):
-        """Standard monomial counts by degree, stopping at the first empty slice.
-
-        For a quotient by a homogeneous ideal a zero graded piece forces all
-        higher pieces to vanish, so this truncation is exact for Artinian
-        quotients; `cap` guards against accidentally non-Artinian input.
-        """
-        out = []
-        degree = 0
-        while True:
-            count = len(self.slice(degree).standard)
-            if count == 0:
-                if degree == 0:
-                    out.append(0)
-                break
-            out.append(count)
-            degree += 1
-            if cap is not None and degree > cap:
-                raise RuntimeError(f"quotient not finite through degree {cap}")
-        return out
 
     def reduce_positions(self, degree, vec):
         """Reduce an integer position-keyed vector against the slice rows in
@@ -334,16 +310,3 @@ def linear_form(nvars, support) -> Poly:
         {tuple(1 if v == u else 0 for v in range(nvars)): 1 for u in support},
     )
 
-
-def line_ideal(nvars, order, sums, caps=()) -> HomogeneousIdeal:
-    """The ideal of the variable sums over each support in `sums`, plus the
-    (support, cap) pairs in `caps`.  A sum over a single variable is that
-    variable itself, which is the cap 0 on it."""
-    gens = []
-    caps = list(caps)
-    for support in sums:
-        if len(support) == 1:
-            caps.append((support, 0))
-        else:
-            gens.append(linear_form(nvars, support))
-    return HomogeneousIdeal(gens, nvars, order, caps)

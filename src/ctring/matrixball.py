@@ -50,10 +50,6 @@ class BallDiagram:
         return range(b + 1, b + self.source[i - 1][j - 1] + 1)
 
 
-def label_balls(matrix) -> BallDiagram:
-    return BallDiagram(matrix)
-
-
 def matrix_ball_step(matrix):
     """One iteration: (derived matrix, northern counts by row, western counts by column).
 
@@ -62,7 +58,7 @@ def matrix_ball_step(matrix):
     (row of the next position, column of the previous one).
     """
     k, p = dimensions(matrix)
-    diagram = label_balls(matrix)
+    diagram = BallDiagram(matrix)
     nxt = [[0] * p for _ in range(k)]
     northern = [0] * k
     western = [0] * p
@@ -114,7 +110,7 @@ def zigzag_witness(matrix) -> tuple:
     """
     if total(matrix) == 0:
         raise ValueError("zero matrix has no zigzag witness")
-    diagram = label_balls(matrix)
+    diagram = BallDiagram(matrix)
     cell = min(diagram.labels[diagram.max_label])
     cells = [cell]
     label = diagram.base[cell[0] - 1][cell[1] - 1] + 1

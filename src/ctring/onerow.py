@@ -7,7 +7,7 @@ at most d_i copies of i, a truncated-product Hilbert series, and a
 saturation procedure pairing off weak compositions.
 """
 
-from .linalg import HomogeneousIdeal, line_ideal
+from .linalg import HomogeneousIdeal
 from .polys import LexOrder, Poly
 
 
@@ -30,7 +30,7 @@ def one_row_ideal(bounds) -> HomogeneousIdeal:
     """The variable sum, with the exponent of x_i capped at d_i."""
     bounds = tuple(bounds)
     n = len(bounds)
-    return line_ideal(
+    return HomogeneousIdeal(
         n, LexOrder(n), [tuple(range(n))], [((i,), d) for i, d in enumerate(bounds)]
     )
 

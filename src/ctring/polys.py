@@ -101,12 +101,6 @@ class Poly:
             parts.setdefault(sum(exps), {})[exps] = coeff
         return {d: Poly(self.nvars, t) for d, t in sorted(parts.items())}
 
-    def power(self, exponent):
-        result = Poly(self.nvars, {(0,) * self.nvars: 1})
-        for _ in range(exponent):
-            result = result * self
-        return result
-
     def __repr__(self):
         if not self.terms:
             return "Poly(0)"
@@ -191,9 +185,6 @@ class TermOrder:
         if not poly.terms:
             raise ValueError("zero polynomial has no trailing term")
         return min(poly.terms, key=self.key)
-
-    def sorted(self, monomials, reverse=False):
-        return sorted(monomials, key=self.key, reverse=reverse)
 
 
 class LexOrder(TermOrder):

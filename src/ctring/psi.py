@@ -142,7 +142,7 @@ def invariants_frobenius_h(mu, lam) -> TensorSymFunc:
 def invariants_frobenius_s(mu, lam) -> TensorSymFunc:
     """Schur expansion of the parabolic invariants of the irreducible labeled
     lam; the coefficients are module multiplicities, hence checked to be
-    nonnegative integers."""
+    nonnegative."""
     mu = check_partition(mu)
     lam = check_partition(lam)
     factors = stab_factor_data(mu)
@@ -150,10 +150,9 @@ def invariants_frobenius_s(mu, lam) -> TensorSymFunc:
     total = TensorSymFunc(degrees, "s")
     for rho, c in s_to_h_expansion(lam).items():
         total = total + invariants_frobenius_h(mu, rho).to_s().scale(c)
-    for value in total.coeffs.values():
-        if value.denominator != 1 or value < 0:
-            raise CheckFailed("invariant multiplicities must be nonnegative ints")
-    return TensorSymFunc(degrees, "s", {k: int(v) for k, v in total.coeffs.items()})
+    if any(value < 0 for value in total.coeffs.values()):
+        raise CheckFailed("invariant multiplicities must be nonnegative ints")
+    return total
 
 
 def graded_decomposition(mu, nu) -> dict:
@@ -195,8 +194,8 @@ def kronecker_product(dec_a: TensorSymFunc, dec_b: TensorSymFunc, group=None) ->
         raise ValueError("modules live over different groups")
     if group is None:
         group = SymmetricProductGroup(dec_a.degrees)
-    mults_a = {k: int(v) for k, v in dec_a.to_s().coeffs.items()}
-    mults_b = {k: int(v) for k, v in dec_b.to_s().coeffs.items()}
+    mults_a = dec_a.to_s().coeffs
+    mults_b = dec_b.to_s().coeffs
     if not mults_a or not mults_b:
         return TensorSymFunc(dec_a.degrees, "s")
     return TensorSymFunc(
@@ -216,8 +215,8 @@ def kronecker_dominance(dec_a: TensorSymFunc, dec_b: TensorSymFunc, group=None):
         raise ValueError("modules live over different groups")
     if group is None:
         group = SymmetricProductGroup(dec_a.degrees)
-    mults_a = {k: int(v) for k, v in dec_a.to_s().coeffs.items()}
-    mults_b = {k: int(v) for k, v in dec_b.to_s().coeffs.items()}
+    mults_a = dec_a.to_s().coeffs
+    mults_b = dec_b.to_s().coeffs
     if not mults_b:
         return []
     square = group.tensor_multiplicities(mults_a, mults_a)

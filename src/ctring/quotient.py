@@ -15,7 +15,6 @@ from .errors import CheckFailed
 from .linalg import (
     HomogeneousIdeal,
     bounded_exponents,
-    line_ideal,
     linear_form,
     position_echelon,
 )
@@ -67,7 +66,9 @@ def margin_ideal(alpha, beta, grid: Grid, order) -> HomogeneousIdeal:
     the subtingency tables.  Same ideal as contingency_generators presents."""
     lines = [row_support(grid, i) for i in range(1, grid.k + 1)]
     lines += [col_support(grid, j) for j in range(1, grid.p + 1)]
-    return line_ideal(grid.nvars, order, lines, zip(lines, tuple(alpha) + tuple(beta)))
+    return HomogeneousIdeal(
+        grid.nvars, order, lines, zip(lines, tuple(alpha) + tuple(beta))
+    )
 
 
 def contingency_generators(alpha, beta, grid: Grid | None = None):
@@ -144,8 +145,6 @@ class QuotientModel:
             degree += 1
         if seen != self.size:
             raise CheckFailed("standard monomial count overshot the table count")
-        while hilbert and hilbert[-1] == 0:
-            hilbert.pop()
         self.hilbert = tuple(hilbert)
         self.standard = tuple(standard)
 
@@ -192,18 +191,16 @@ def lefschetz_element(alpha, beta, grid: Grid | None = None) -> Poly:
     alpha = tuple(alpha)
     beta = tuple(beta)
     grid = grid or Grid(len(alpha), len(beta))
-    out = Poly.zero(grid.nvars)
+    support = []
     rstart = 0
     for i, a in enumerate(alpha, start=1):
         cstart = 0
         for j, b in enumerate(beta, start=1):
-            lo = max(rstart + 1, cstart + 1)
-            hi = min(rstart + a, cstart + b)
-            if lo <= hi:
-                out = out + grid.variable(i, j)
+            if max(rstart, cstart) < min(rstart + a, cstart + b):
+                support.append(grid.index(i, j))
             cstart += b
         rstart += a
-    return out
+    return linear_form(grid.nvars, support)
 
 
 def lefschetz_report(model: QuotientModel) -> list:
@@ -272,11 +269,15 @@ def verify_associated_graded(alpha, beta, model: QuotientModel | None = None) ->
     tables = contingency_tables(alpha, beta)
     caps = alpha + beta
     lifts_vanish = True
+    lifts = {}  # (line length, cap) -> exponents of the monomial lifts
     for table in tables:
         for line, cap in zip(table + tuple(zip(*table)), caps):
             if sum(line) != cap:
                 lifts_vanish = False
-            for exps in bounded_exponents(len(line), cap + 1):
+            key = (len(line), cap)
+            if key not in lifts:
+                lifts[key] = bounded_exponents(len(line), cap + 1)
+            for exps in lifts[key]:
                 value = 1
                 for x, e in zip(line, exps):
                     value *= _falling(x, e)

@@ -6,7 +6,6 @@ Irreducible characters are evaluated by border-strip removal on beta sets
 """
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from operator import mul
@@ -149,7 +148,8 @@ class TensorSymFunc:
             key = tuple(check_partition(lam) for lam in key)
             if tuple(sum(lam) for lam in key) != self.degrees:
                 raise ValueError("factor degrees do not match")
-            c = Fraction(c)
+            if type(c) is not int:
+                raise ValueError(f"coefficients must be ints, not {c!r}")
             if c:
                 clean[key] = c
         self.coeffs = clean
@@ -157,7 +157,7 @@ class TensorSymFunc:
     @classmethod
     def _from_terms(cls, degrees, basis, coeffs):
         """Construct from terms built out of existing ones: keys already valid,
-        coefficients already Fractions; only zero terms are dropped."""
+        coefficients already ints; only zero terms are dropped."""
         self = object.__new__(cls)
         self.degrees = degrees
         self.basis = basis
@@ -224,7 +224,7 @@ class TensorSymFunc:
                     else permutation_module_dimension(lam)
                 )
             total += c * block
-        return int(total) if getattr(total, "denominator", 1) == 1 else total
+        return total
 
     def character(self, class_tuple):
         """Character of the underlying module at a class of the product group,

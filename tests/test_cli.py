@@ -169,6 +169,23 @@ def test_verify_exit_code(capsys):
     assert payload["standard_equals_matrix_ball"] is True
 
 
+def test_line_over_its_margin_fails_verify(monkeypatch, capsys):
+    # one extra matrix whose first column holds 3 against the margin 2: the
+    # lifts no longer vanish on every table, and verify reports the failure
+    import ctring.quotient
+
+    tables = ctring.quotient.contingency_tables
+    bad = ((3, 0, 0), (0, 1, 1))
+    monkeypatch.setattr(
+        ctring.quotient, "contingency_tables", lambda a, b: tables(a, b) + [bad]
+    )
+    report = ctring.quotient.verify_associated_graded((3, 2), (2, 2, 1))
+    assert report["lifts_vanish"] is False
+    status, out = run_cli(capsys, ["verify", "--alpha", "3,2", "--beta", "2,2,1"])
+    assert status == 1
+    assert json.loads(out)["lifts_vanish"] is False
+
+
 def test_verify_and_sweep_build_each_model_once(monkeypatch, capsys):
     import ctring.cli
     import ctring.experiments

@@ -40,18 +40,37 @@ def test_bounded_exponents():
 
 
 def test_single_variable_caps():
-    ideal = HomogeneousIdeal([], 2, LexOrder(2), caps=[((0,), 1), ((1,), 2)])
+    ideal = HomogeneousIdeal(2, LexOrder(2), caps=[((0,), 1), ((1,), 2)])
     assert ideal.clean_monomials(2) == [(1, 1), (0, 2)]
     assert ideal.is_clean((1, 2)) and not ideal.is_clean((2, 0))
 
 
-def test_monomial_generators_and_bad_caps_rejected():
+def test_bad_sums_and_caps_rejected():
     with pytest.raises(ValueError):
-        HomogeneousIdeal([Poly.variable(2, 0, power=2)], 2, LexOrder(2))
+        HomogeneousIdeal(2, LexOrder(2), caps=[((0,), -1)])
     with pytest.raises(ValueError):
-        HomogeneousIdeal([], 2, LexOrder(2), caps=[((0,), -1)])
+        HomogeneousIdeal(2, LexOrder(2), caps=[((2,), 1)])
     with pytest.raises(ValueError):
-        HomogeneousIdeal([], 2, LexOrder(2), caps=[((2,), 1)])
+        HomogeneousIdeal(2, LexOrder(2), sums=[(0, 2)])
+    with pytest.raises(ValueError):
+        HomogeneousIdeal(2, LexOrder(2), sums=[(-1,)])
+
+
+def test_sums_contract():
+    # a one-variable sum is the cap 0 on that variable, and supports holding
+    # the same variables, in any order or repeated, are one sum
+    order = LexOrder(3)
+    plain = HomogeneousIdeal(3, order, [(0, 1)], [((2,), 0)])
+    single = HomogeneousIdeal(3, order, [(0, 1), (2,)])
+    listed = HomogeneousIdeal(3, order, [(0, 1), (1, 0), (0, 0, 1), (2,), (2,)])
+    assert single.caps == listed.caps == plain.caps
+    assert single.sums == listed.sums == plain.sums == [(0, 1)]
+    for d in range(4):
+        expected = plain.slice(d)
+        for ideal in (single, listed):
+            basis = ideal.slice(d)
+            assert (basis.columns, basis.rows) == (expected.columns, expected.rows)
+    assert plain.standard_monomials(2) == ((0, 2, 0),)
 
 
 def test_caps_match_divisibility_on_margin_ideals():
@@ -141,9 +160,7 @@ def test_slices_match_oracle():
 
 def test_simple_ideal_slice():
     # (x1 + x2) in two variables: degree-1 leading {x1}, standard {x2}
-    ideal = HomogeneousIdeal(
-        [Poly(2, {(1, 0): 1, (0, 1): 1})], 2, LexOrder(2)
-    )
+    ideal = HomogeneousIdeal(2, LexOrder(2), [(0, 1)])
     basis = ideal.slice(1)
     assert basis.pivots == ((1, 0),)
     assert basis.standard == ((0, 1),)
@@ -207,15 +224,6 @@ def test_normal_form_linearity():
         e2 = tuple(rng.randint(0, 1) for _ in range(4))
         f, g = Poly.monomial(e1), Poly.monomial(e2)
         assert ideal.normal_form(f + g) == ideal.normal_form(f) + ideal.normal_form(g)
-
-
-def test_ideal_hilbert_utility():
-    ideal = one_row_ideal((1, 2, 1))
-    assert ideal.hilbert(cap=10) == [1, 2, 1]
-    # the polynomial ring itself is not Artinian: the cap must trip
-    free = HomogeneousIdeal([], 2, LexOrder(2))
-    with pytest.raises(RuntimeError):
-        free.hilbert(cap=3)
 
 
 def test_normal_form_respects_ring_structure():

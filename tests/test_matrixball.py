@@ -5,9 +5,9 @@ import pytest
 
 from oracles import insertion_rsk, random_matrix
 from ctring.matrixball import (
+    BallDiagram,
     derived_matrix,
     in_matrix_ball_image,
-    label_balls,
     matrix_ball_step,
     rsk,
     rsk_shape,
@@ -36,7 +36,7 @@ GOLDEN_THIRD = ((0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 1))
 
 
 def test_label_golden_cells():
-    diagram = label_balls(GOLDEN_MATRIX)
+    diagram = BallDiagram(GOLDEN_MATRIX)
     assert list(diagram.cell_labels(3, 1)) == [2, 3, 4]
     assert list(diagram.cell_labels(3, 4)) == [7]
     assert list(diagram.cell_labels(1, 2)) == [2, 3]
@@ -46,7 +46,7 @@ def test_label_golden_cells():
 
 
 def test_label_single_cell():
-    diagram = label_balls(((4,),))
+    diagram = BallDiagram(((4,),))
     assert list(diagram.cell_labels(1, 1)) == [1, 2, 3, 4]
 
 
@@ -54,7 +54,7 @@ def test_label_antichain_invariant():
     rng = random.Random(3)
     for _ in range(50):
         m = random_matrix(rng, 4, 4, 3)
-        diagram = label_balls(m)
+        diagram = BallDiagram(m)
         for cells in diagram.labels.values():
             rows = [c[0] for c in cells]
             cols = [c[1] for c in cells]

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from oracles import nf_lefschetz_report, oracle_slice
-from ctring.linalg import line_ideal, linear_form
+from ctring.linalg import HomogeneousIdeal, linear_form
 from ctring.partitions import weak_compositions_upto
 from ctring.polys import DiagonalOrder, Grid, Poly, polarize_row
 from ctring.quotient import (
@@ -200,7 +200,7 @@ def test_row_polarization_preserves_rowsum_ideal():
     k = 3
     grid, gens = rowsum_ideal_generators(beta, k)
     order = grid.diagonal_order()
-    ideal = line_ideal(
+    ideal = HomogeneousIdeal(
         grid.nvars,
         order,
         [row_support(grid, i) for i in range(1, k + 1)],

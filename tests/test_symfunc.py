@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import factorial
 
 import pytest
@@ -92,6 +93,15 @@ def test_symfunc_dimensions():
     f = TensorSymFunc((3,), "h", {((2, 1),): 1})
     assert f.dimension() == permutation_module_dimension((2, 1)) == 3
     assert f.to_s().dimension() == 3
+    assert type(f.to_s().dimension()) is int
+
+
+def test_symfunc_coefficients_are_ints():
+    f = TensorSymFunc((3,), "s", {((2, 1),): 2, ((3,),): -1}).to_h()
+    assert all(type(c) is int for c in f.coeffs.values())
+    for bad in (Fraction(1, 2), Fraction(2), 1.0):
+        with pytest.raises(ValueError):
+            TensorSymFunc((3,), "h", {((2, 1),): bad})
 
 
 def test_tensor_basics():
