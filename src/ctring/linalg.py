@@ -18,6 +18,19 @@ only echelon form.  Normal forms need no back-substitution: a row holds no
 entries left of its pivot, so reducing against the pivots in ascending
 position order never brings back a pivot already cleared.  A normal form is
 computed on integers times one common scale, divided out once at the end.
+
+Most rows of a slice are Koszul consequences of the others, s * (s' * q) =
+s' * (s * q), and are skipped before any arithmetic.  The degree-1 slice is
+eliminated one sum at a time: a sum in the span of the earlier sums is
+dropped from every degree, and each kept sum records its lead, the pivot it
+adds.  The leads of the sums before s are the lead variables of their span,
+and in degree d >= 2 the row s * factor is skipped when factor = x * q for
+such a lead x.  With h in that span, led by x, s * x * q = s * q * h -
+s * q * (h - x): the first term lies in the rows of the earlier sums, and
+h - x holds only variables smaller than x, so in a monomial order the second
+term is made of rows of s with smaller factors.  By induction over the sums
+and then the factors in the order, every skipped row lies in the span of the
+rows kept, which are eliminated together, as above.
 """
 
 from fractions import Fraction
@@ -86,14 +99,18 @@ def _eliminate(vec, p, prow):
     return a
 
 
-def position_echelon(rows):
+def position_echelon(rows, done=None):
     """Row echelon form over the integers of sparse integer rows keyed by
     column position, position 0 being the leading column.
 
     Returns {pivot position: row}, each row primitive (entries with gcd 1)
     with a positive pivot entry and no entries left of its pivot.  Forward
-    elimination only: a pivot row may still hold later pivot columns."""
-    done = {}
+    elimination only: a pivot row may still hold later pivot columns.  Given
+    `done`, an echelon of this form, the rows are reduced into it: new pivot
+    rows are added to `done`, which is returned, and its own rows are left
+    as they are."""
+    if done is None:
+        done = {}
     # trailing leads first: a row whose lead is not yet a pivot column becomes
     # a pivot row without reduction.  On margin ideals this order eliminates
     # about three times faster than the order the rows are generated in.
@@ -155,6 +172,12 @@ class HomogeneousIdeal:
     the ideal.  For the margin ideal the sums are the row and column sums and
     the caps the row and column margins.  A negative cap or a variable index
     outside range(nvars) raises ValueError.
+
+    `order` must be a monomial order (y < x implies y * q < x * q), as
+    `DiagonalOrder` and `LexOrder` are: the slices skip every row s * x * q
+    whose factor is divisible by a lead variable x of the sums before s, and
+    the skipped row lies in the span of the rows kept only under such an
+    order.
     """
 
     def __init__(self, nvars, order, sums=(), caps=()):
@@ -184,6 +207,7 @@ class HomogeneousIdeal:
         ]
         self._slices = {}
         self._clean = {}
+        self._kept = None  # (support, lead variable) of each sum kept, set by slice(1)
 
     def is_clean(self, exps) -> bool:
         """Monomial within every cap, i.e. not in the ideal's monomial part."""
@@ -238,18 +262,38 @@ class HomogeneousIdeal:
             sorted(self.clean_monomials(degree), key=self.order.key, reverse=True)
         )
         index = {m: i for i, m in enumerate(columns)}
-        rows = []
-        factors = self.clean_monomials(degree - 1) if degree else ()
-        for support in self.sums:
-            for factor in factors:
-                # the sum times a clean factor, restricted to clean monomials
-                row = {}
-                for v in support:
-                    pos = index.get(factor[:v] + (factor[v] + 1,) + factor[v + 1 :])
-                    if pos is not None:
-                        row[pos] = 1
-                rows.append(row)
-        basis = DegreeBasis(degree, columns, index, position_echelon(rows))
+        if degree == 1:
+            # one sum at a time: a sum that raises the rank is kept, with its
+            # own lead, the pivot it adds (the last key of done)
+            var = [m.index(1) for m in columns]
+            position = {v: p for p, v in enumerate(var)}
+            done = {}
+            self._kept = []
+            for support in self.sums:
+                rank = len(done)
+                row = {position[v]: 1 for v in support if v in position}
+                position_echelon([row], done)
+                if len(done) > rank:
+                    self._kept.append((support, var[next(reversed(done))]))
+            basis = DegreeBasis(degree, columns, index, done)
+        else:
+            rows = []
+            if degree:
+                self.slice(1)  # records self._kept
+                factors = self.clean_monomials(degree - 1)
+                for support, lead in self._kept:
+                    for factor in factors:
+                        # the sum times a clean factor, restricted to clean monomials
+                        row = {}
+                        for v in support:
+                            up = factor[:v] + (factor[v] + 1,) + factor[v + 1 :]
+                            pos = index.get(up)
+                            if pos is not None:
+                                row[pos] = 1
+                        rows.append(row)
+                    # Koszul: every later sum skips the factors this lead divides
+                    factors = [factor for factor in factors if not factor[lead]]
+            basis = DegreeBasis(degree, columns, index, position_echelon(rows))
         self._slices[degree] = basis
         return basis
 
@@ -261,11 +305,6 @@ class HomogeneousIdeal:
             return True
         basis = self.slice(sum(exps))
         return basis.index[exps] in basis.rows
-
-    def initial_count(self, degree) -> int:
-        """Number of degree-d monomials in the initial ideal."""
-        all_count = len(bounded_exponents(self.nvars, degree))
-        return all_count - len(self.slice(degree).standard)
 
     def reduce_positions(self, degree, vec):
         """Reduce an integer position-keyed vector against the slice rows in

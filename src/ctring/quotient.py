@@ -233,8 +233,7 @@ def lefschetz_report(model: QuotientModel) -> list:
                 if pos is not None:
                     image[pos] = c
             images.append(image)
-        rows = list(target.rows.values())
-        rank = len(position_echelon(rows + images)) - len(rows)
+        rank = len(position_echelon(images, dict(target.rows))) - len(target.rows)
         out.append(
             {
                 "k": k,
@@ -268,23 +267,26 @@ def verify_associated_graded(alpha, beta, model: QuotientModel | None = None) ->
     beta = tuple(beta)
     tables = contingency_tables(alpha, beta)
     caps = alpha + beta
+    # lines repeat heavily across tables: check each distinct (line, cap) once
+    lines = {
+        pair for table in tables for pair in zip(table + tuple(zip(*table)), caps)
+    }
     lifts_vanish = True
     lifts = {}  # (line length, cap) -> exponents of the monomial lifts
-    for table in tables:
-        for line, cap in zip(table + tuple(zip(*table)), caps):
-            if sum(line) != cap:
+    for line, cap in lines:
+        if sum(line) != cap:
+            lifts_vanish = False
+        key = (len(line), cap)
+        if key not in lifts:
+            lifts[key] = bounded_exponents(len(line), cap + 1)
+        for exps in lifts[key]:
+            value = 1
+            for x, e in zip(line, exps):
+                value *= _falling(x, e)
+                if value == 0:
+                    break
+            if value != 0:
                 lifts_vanish = False
-            key = (len(line), cap)
-            if key not in lifts:
-                lifts[key] = bounded_exponents(len(line), cap + 1)
-            for exps in lifts[key]:
-                value = 1
-                for x, e in zip(line, exps):
-                    value *= _falling(x, e)
-                    if value == 0:
-                        break
-                if value != 0:
-                    lifts_vanish = False
     if model is None:
         model = QuotientModel(alpha, beta)
     dim = sum(model.hilbert)

@@ -4,16 +4,18 @@ Everything here is deliberately naive and shares no code path with the
 implementations under test.  The old routes kept here for rewritten layers
 (the per-shape Kostka series on the strip DP `strip_kostka`, class-by-class
 tensor multiplicities, normal forms and Lefschetz ranks over Fraction
-Gauss-Jordan in `RrefIdeal` and `nf_lefschetz_report`) reuse only library
-primitives that are tested on their own: `partitions`,
-`irreducible_character`, the generator list `contingency_generators`, the
-linear form `lefschetz_element` and the diagonal term order.
+Gauss-Jordan in `RrefIdeal` and `nf_lefschetz_report`, the unpruned slice
+rows `full_slice_rows`) reuse only library primitives that are tested on
+their own: `partitions`, `irreducible_character`, the generator list
+`contingency_generators`, the linear form `lefschetz_element`, the diagonal
+term order and the clean monomials of `HomogeneousIdeal`.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import factorial
+from operator import le
 
 from ctring.partitions import partitions
 from ctring.quotient import contingency_generators, lefschetz_element
@@ -187,14 +189,12 @@ def monomials_of_degree(nvars, degree):
     return out
 
 
-def _divides(small, big):
-    return all(a <= b for a, b in zip(small, big))
-
-
 def divisibility_clean_monomials(monomial_gens, nvars, degree):
     """Exponent tuples of the degree divisible by no monomial generator,
     lexicographically descending: every monomial within the exponent bounds
-    set by pure-power generators, filtered by divisibility."""
+    set by pure-power generators, filtered by divisibility.  Generators of
+    higher degree cannot divide and are dropped first."""
+    monomial_gens = [g for g in monomial_gens if sum(g) <= degree]
     bounds = [degree] * nvars
     for g in monomial_gens:
         support = [i for i, e in enumerate(g) if e]
@@ -212,7 +212,9 @@ def divisibility_clean_monomials(monomial_gens, nvars, degree):
             extend(i + 1, left - v, prefix + (v,))
 
     extend(0, degree, ())
-    return [m for m in out if not any(_divides(g, m) for g in monomial_gens)]
+    return [
+        m for m in out if not any(all(map(le, g, m)) for g in monomial_gens)
+    ]
 
 
 def fraction_rref(rows):
@@ -309,6 +311,27 @@ class RrefIdeal:
                 if columns[p] != m:
                     out[columns[p]] = out.get(columns[p], 0) - c * v
         return {m: c for m, c in out.items() if c}
+
+
+def full_slice_rows(ideal, degree):
+    """(columns, rows) of one degree slice of a HomogeneousIdeal with no row
+    skipped: every sum times every clean factor of degree - 1, restricted to
+    the clean monomials of the degree, which are the columns, order-descending.
+    Rows are keyed by column position."""
+    columns = sorted(ideal.clean_monomials(degree), key=ideal.order.key, reverse=True)
+    index = {m: i for i, m in enumerate(columns)}
+    rows = []
+    for support in ideal.sums:
+        for factor in ideal.clean_monomials(degree - 1) if degree else ():
+            row = {}
+            for v in support:
+                up = list(factor)
+                up[v] += 1
+                pos = index.get(tuple(up))
+                if pos is not None:
+                    row[pos] = 1
+            rows.append(row)
+    return columns, rows
 
 
 def oracle_slice(generators, nvars, order, degree):

@@ -8,6 +8,7 @@ from oracles import (
     RrefIdeal,
     divisibility_clean_monomials,
     fraction_rref,
+    full_slice_rows,
     oracle_slice,
     strict_compositions,
 )
@@ -158,6 +159,34 @@ def test_slices_match_oracle():
             assert list(ideal.standard_monomials(d)) == standard
 
 
+def _assert_slices_unpruned(ideal, top):
+    for d in range(top + 1):
+        basis = ideal.slice(d)
+        columns, rows = full_slice_rows(ideal, d)
+        full = position_echelon(rows)
+        assert list(basis.columns) == columns
+        assert list(basis.rows) == sorted(full), d
+        assert fraction_rref(list(basis.rows.values())) == fraction_rref(
+            list(full.values())
+        ), d
+
+
+def test_koszul_skipping_keeps_every_slice():
+    # the slices that skip Koszul rows have the pivots and the row space of
+    # every sum times every clean factor
+    pairs = 0
+    for n in range(6):
+        comps = weak_compositions_upto(n, 3)
+        for alpha in comps:
+            for beta in comps:
+                _assert_slices_unpruned(_margin(alpha, beta)[2], n + 1)
+                pairs += 1
+    assert pairs > 1000
+    for bounds in [b for total in range(1, 9) for b in strict_compositions(total)]:
+        _assert_slices_unpruned(one_row_ideal(bounds), sum(bounds) + 1)
+    _assert_slices_unpruned(_margin((1,) * 5, (1,) * 5)[2], 6)
+
+
 def test_simple_ideal_slice():
     # (x1 + x2) in two variables: degree-1 leading {x1}, standard {x2}
     ideal = HomogeneousIdeal(2, LexOrder(2), [(0, 1)])
@@ -178,13 +207,16 @@ def test_contingency_slice_degree_one():
 
 
 def test_degree_basis_counts():
+    # every clean monomial is a pivot or standard, and every unclean monomial
+    # lies in the initial ideal
     grid, _, ideal = _margin((2, 2), (2, 2))
     for d in range(4):
         basis = ideal.slice(d)
-        assert len(basis.standard) + ideal.initial_count(d) == len(
-            bounded_exponents(grid.nvars, d)
-        )
+        clean = ideal.clean_monomials(d)
+        assert len(basis.standard) + len(basis.rows) == len(basis.columns) == len(clean)
         assert len(set(basis.pivots)) == len(basis.pivots)
+        unclean = set(bounded_exponents(grid.nvars, d)) - set(clean)
+        assert all(ideal.in_initial_ideal(m) for m in unclean)
 
 
 def test_normal_form_fixes_standard_and_kills_generators():
