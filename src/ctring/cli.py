@@ -281,11 +281,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    csv = {"action": "store_true", "help": "CSV coefficient output"}
+
     def add(name, fn, **flags):
         p = sub.add_parser(name)
         for flag, kwargs in flags.items():
             p.add_argument(f"--{flag}", **kwargs)
-        p.add_argument("--csv", action="store_true", help="CSV coefficient output")
         p.set_defaults(fn=fn)
         return p
 
@@ -295,6 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
         alpha={"type": composition, "required": True},
         beta={"type": composition, "required": True},
         method={"choices": [*HILBERT_ROUTES, "all"], "default": "kostka"},
+        csv=csv,
     )
     add("rsk", cmd_rsk, matrix={"required": True})
     add("zigzag", cmd_zigzag, matrix={"required": True})
@@ -338,12 +340,14 @@ def build_parser() -> argparse.ArgumentParser:
         beta={"type": composition, "required": True},
         upto={"type": at_least(0), "default": 3},
         interior={"action": "store_true"},
+        csv=csv,
     )
     add(
         "figure1",
         cmd_figure1,
         family={"type": int, "required": True, "choices": [1, 2, 3, 4]},
         upto={"type": at_least(0), "default": 3},
+        csv=csv,
     )
     add(
         "sweep",
@@ -360,17 +364,21 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         payload, status = args.fn(args)
+        _emit(payload, args)
+        sys.stdout.flush()  # a closed stdout fails here, inside the handlers
+        return status
     except CheckFailed as err:
         error, status = {"error": str(err)}, CHECK_FAILED
     except ValueError as err:
         error, status = {"error": str(err)}, USAGE_ERROR
     except Exception as err:  # a crash, which must not read as a failed check
+        if isinstance(err, BrokenPipeError):
+            # Python's recipe: point stdout at devnull, so that the flush at
+            # exit does not fail on the closed pipe a second time
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         error = {"error": f"{type(err).__name__}: {err}"}
         error["traceback"] = traceback.format_exc()
         status = INTERNAL_ERROR
-    else:
-        _emit(payload, args)
-        return status
     print(json.dumps(error), file=sys.stderr)
     return status
 

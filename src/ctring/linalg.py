@@ -36,25 +36,14 @@ rows kept, which are eliminated together, as above.
 from fractions import Fraction
 from math import gcd, lcm
 
+from .partitions import bounded_compositions
 from .polys import Poly
 
 
 def bounded_exponents(nvars, degree):
-    """All exponent tuples in nvars variables with the given total degree."""
-    out = []
-
-    def rec(i, left, prefix):
-        if i == nvars - 1:
-            out.append(prefix + (left,))
-            return
-        for v in range(left, -1, -1):
-            rec(i + 1, left - v, prefix + (v,))
-
-    if nvars:
-        rec(0, degree, ())
-    elif degree == 0:
-        out.append(())
-    return out
+    """All exponent tuples in nvars variables with the given total degree,
+    lexicographically descending."""
+    return bounded_compositions(degree, (degree,) * nvars)
 
 
 def integer_row(row):
@@ -126,14 +115,15 @@ def position_echelon(rows, done=None):
     return done
 
 
-def extreme_monomials(polys, order, smallest=False):
-    """The set { leading (or trailing) monomial of f : f in span(polys) - 0 }.
+def extreme_monomials(polys, key, smallest=False):
+    """The set { leading (or trailing) monomial of f : f in span(polys) - 0 }
+    in the term order with sort key `key` (None: plain lex).
 
     Gaussian elimination with columns sorted by the order (ascending when
     `smallest`) makes these exactly the pivot monomials.
     """
     monomials = sorted(
-        {m for p in polys for m in p.terms}, key=order.key, reverse=not smallest
+        {m for p in polys for m in p.terms}, key=key, reverse=not smallest
     )
     index = {m: i for i, m in enumerate(monomials)}
     rows = [integer_row({index[m]: c for m, c in p.terms.items()}) for p in polys]
@@ -173,16 +163,17 @@ class HomogeneousIdeal:
     the caps the row and column margins.  A negative cap or a variable index
     outside range(nvars) raises ValueError.
 
-    `order` must be a monomial order (y < x implies y * q < x * q), as
-    `DiagonalOrder` and `LexOrder` are: the slices skip every row s * x * q
-    whose factor is divisible by a lead variable x of the sums before s, and
-    the skipped row lies in the span of the rows kept only under such an
-    order.
+    `key` sorts exponent tuples ascending in the term order (None: plain
+    lex).  It must be the key of a monomial order (y < x implies
+    y * q < x * q), as plain lex and `Grid.diagonal_key` are: the slices skip
+    every row s * x * q whose factor is divisible by a lead variable x of the
+    sums before s, and the skipped row lies in the span of the rows kept only
+    under such an order.
     """
 
-    def __init__(self, nvars, order, sums=(), caps=()):
+    def __init__(self, nvars, key, sums=(), caps=()):
         self.nvars = nvars
-        self.order = order
+        self.key = key
         caps = list(caps)
         self.sums = []
         for support in sums:
@@ -259,7 +250,7 @@ class HomogeneousIdeal:
         if cached is not None:
             return cached
         columns = tuple(
-            sorted(self.clean_monomials(degree), key=self.order.key, reverse=True)
+            sorted(self.clean_monomials(degree), key=self.key, reverse=True)
         )
         index = {m: i for i, m in enumerate(columns)}
         if degree == 1:

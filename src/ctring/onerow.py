@@ -7,8 +7,9 @@ at most d_i copies of i, a truncated-product Hilbert series, and a
 saturation procedure pairing off weak compositions.
 """
 
+from .errors import CheckFailed
 from .linalg import HomogeneousIdeal
-from .polys import LexOrder, Poly
+from .polys import Poly
 
 
 def one_row_generators(bounds) -> list:
@@ -27,11 +28,11 @@ def one_row_generators(bounds) -> list:
 
 
 def one_row_ideal(bounds) -> HomogeneousIdeal:
-    """The variable sum, with the exponent of x_i capped at d_i."""
+    """The variable sum, with the exponent of x_i capped at d_i; plain lex."""
     bounds = tuple(bounds)
     n = len(bounds)
     return HomogeneousIdeal(
-        n, LexOrder(n), [tuple(range(n))], [((i,), d) for i, d in enumerate(bounds)]
+        n, None, [tuple(range(n))], [((i,), d) for i, d in enumerate(bounds)]
     )
 
 
@@ -57,7 +58,7 @@ def one_row_hilbert(bounds) -> list:
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     if any(c < 0 for c in coeffs):
-        raise AssertionError("truncated Hilbert series must be nonnegative")
+        raise CheckFailed("truncated Hilbert series must be nonnegative")
     return coeffs
 
 
@@ -163,7 +164,7 @@ def saturation_successor(bounds, beta) -> tuple:
     for i in range(len(bounds) - 1, -1, -1):
         if dots[i] + beta[i] < bounds[i]:
             return beta[:i] + (beta[i] + 1,) + beta[i + 1 :]
-    raise AssertionError("no unsaturated entry below half the total bound")
+    raise CheckFailed("no unsaturated entry below half the total bound")
 
 
 def tableau_from_first_row(bounds, beta):
@@ -198,5 +199,5 @@ def one_row_standard_monomials(bounds):
         out[degree] = std
         degree += 1
         if degree > sum(bounds) + 1:
-            raise RuntimeError("quotient failed to terminate")
+            raise CheckFailed("quotient failed to terminate")
     return out

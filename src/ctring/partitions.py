@@ -1,4 +1,4 @@
-"""Partitions, weak compositions, tableaux, and Kostka numbers.
+"""Partitions, weak and bounded compositions, tableaux, and Kostka numbers.
 
 Conventions used throughout the package:
 
@@ -51,17 +51,30 @@ def _partitions(n, cap):
     )
 
 
+def bounded_compositions(total: int, bounds) -> list:
+    """All weak compositions of `total` whose entry i is at most bounds[i],
+    lexicographically descending."""
+    bounds = tuple(bounds)
+    if total < 0 or not bounds:
+        return [] if total else [()]
+    last = len(bounds) - 1
+    out = []
+
+    def rec(i, left, prefix):
+        if i == last:
+            if left <= bounds[i]:
+                out.append(prefix + (left,))
+            return
+        for v in range(bounds[i] if bounds[i] < left else left, -1, -1):
+            rec(i + 1, left - v, prefix + (v,))
+
+    rec(0, total, ())
+    return out
+
+
 def weak_compositions(n: int, length: int) -> list:
     """All weak compositions of n with exactly `length` parts, lexicographic."""
-    if length == 0:
-        return [()] if n == 0 else []
-    if length == 1:
-        return [(n,)]
-    out = []
-    for first in range(n + 1):
-        for rest in weak_compositions(n - first, length - 1):
-            out.append((first,) + rest)
-    return out
+    return bounded_compositions(n, (n,) * length)[::-1]
 
 
 def weak_compositions_upto(n: int, max_length: int) -> list:

@@ -1,4 +1,4 @@
-"""Exact multivariate polynomials, diagonal term orders, and the operator kit.
+"""Exact multivariate polynomials, diagonal term order keys, and the operator kit.
 
 A Poly stores a map from exponent tuples (one slot per variable, row-major
 for grid variables) to exact coefficients: an int stays an int, so integer
@@ -162,66 +162,23 @@ class Grid:
                 out[i + j] += exps[i * p + j]
         return tuple(out)
 
-    def diagonal_order(self):
-        return DiagonalOrder(self)
+    def diagonal_key(self, tiebreak="row"):
+        """The sort key of a diagonal term order (a larger key is a larger
+        term): the ddeg vectors are compared first, lexicographically, then
+        the exponents of the variables ranked by (i+j, i) ascending
+        (tiebreak="row"; tiebreak="column" ranks by (i+j, j) instead).
 
-
-class TermOrder:
-    """Total order on exponent tuples via a key map; larger key = larger term."""
-
-    def key(self, exps):
-        raise NotImplementedError
-
-    def compare(self, a, b):
-        ka, kb = self.key(a), self.key(b)
-        return (ka > kb) - (ka < kb)
-
-    def max_term(self, poly):
-        if not poly.terms:
-            raise ValueError("zero polynomial has no leading term")
-        return max(poly.terms, key=self.key)
-
-    def min_term(self, poly):
-        if not poly.terms:
-            raise ValueError("zero polynomial has no trailing term")
-        return min(poly.terms, key=self.key)
-
-
-class LexOrder(TermOrder):
-    """Plain lexicographic order with x_1 > x_2 > ... (exponents compared as given)."""
-
-    def __init__(self, nvars):
-        self.nvars = nvars
-
-    def key(self, exps):
-        return exps
-
-
-class DiagonalOrder(TermOrder):
-    """Antidiagonal-degree order: compare ddeg vectors lexicographically, then
-    break ties lexicographically on variables ranked by (i+j, i) ascending
-    (tiebreak="row"; tiebreak="column" ranks by (i+j, j) instead).
-
-    Comparing ddeg first, rather than ranking variables alone, is what makes
-    the order respect every strict ddeg comparison regardless of total degree.
-    Restricted to the variables of a single row or column it reduces to plain
-    lexicographic order, whichever tiebreak is chosen.
-    """
-
-    def __init__(self, grid, tiebreak="row"):
+        Comparing ddeg first, rather than ranking variables alone, is what
+        makes the order respect every strict ddeg comparison regardless of
+        total degree.  On the variables of one row or one column it is plain
+        lex, whichever tiebreak is chosen.
+        """
         if tiebreak not in ("row", "column"):
             raise ValueError("tiebreak must be 'row' or 'column'")
-        self.grid = grid
-        self.tiebreak = tiebreak
-        second = (lambda v: v // grid.p) if tiebreak == "row" else (lambda v: v % grid.p)
-        cells = sorted(
-            range(grid.nvars),
-            key=lambda v: (v // grid.p + v % grid.p, second(v)),
-        )
-        self.priority = tuple(cells)
-
-    def key(self, exps):
-        return self.grid.ddeg(exps) + tuple(exps[v] for v in self.priority)
+        p = self.p
+        second = (lambda v: v // p) if tiebreak == "row" else (lambda v: v % p)
+        priority = sorted(range(self.nvars), key=lambda v: (v // p + v % p, second(v)))
+        return lambda exps: self.ddeg(exps) + tuple(exps[v] for v in priority)
 
 
 def diff_pairing(f: Poly, g: Poly) -> Poly:

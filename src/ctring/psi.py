@@ -16,7 +16,7 @@ obtained numerically through the Kostka transforms.
 from functools import lru_cache
 
 from .errors import CheckFailed
-from .partitions import check_partition, partitions
+from .partitions import bounded_compositions, check_partition, partitions
 from .symfunc import SymmetricProductGroup, TensorSymFunc, s_to_h_expansion
 
 
@@ -59,27 +59,6 @@ def stab_permutation(mu, class_tuple) -> tuple:
     return tuple(image)
 
 
-def _block_candidates(remaining, size, bound):
-    """Content vectors <= remaining summing to `size`, lexicographically
-    descending, optionally capped above by `bound`."""
-    n = len(remaining)
-    out = []
-
-    def rec(i, left, prefix):
-        if i == n:
-            if left == 0:
-                out.append(tuple(prefix))
-            return
-        hi = min(left, remaining[i])
-        for v in range(hi, -1, -1):
-            rec(i + 1, left - v, prefix + [v])
-
-    rec(0, size, [])
-    if bound is not None:
-        out = [b for b in out if b <= bound]
-    return out
-
-
 def multiset_partitions(content, shape) -> list:
     """Unordered multiset partitions of the multiset with the given letter
     counts into blocks whose sizes are the parts of `shape`, each exactly once.
@@ -99,7 +78,9 @@ def multiset_partitions(content, shape) -> list:
             out.append(tuple(blocks))
             return
         bound = blocks[-1] if i and shape[i] == shape[i - 1] else None
-        for block in _block_candidates(remaining, shape[i], bound):
+        for block in bounded_compositions(shape[i], remaining):
+            if bound is not None and block > bound:
+                continue
             rec(
                 i + 1,
                 tuple(r - b for r, b in zip(remaining, block)),

@@ -60,14 +60,14 @@ def col_monomials(grid: Grid, j: int, degree: int) -> list:
     return _line_monomials(grid, col_support(grid, j), degree)
 
 
-def margin_ideal(alpha, beta, grid: Grid, order) -> HomogeneousIdeal:
+def margin_ideal(alpha, beta, grid: Grid, key) -> HomogeneousIdeal:
     """The margin ideal as line sums and line caps: every row and column sum,
     row i capped at alpha_i and column j at beta_j.  Its clean monomials are
     the subtingency tables.  Same ideal as contingency_generators presents."""
     lines = [row_support(grid, i) for i in range(1, grid.k + 1)]
     lines += [col_support(grid, j) for j in range(1, grid.p + 1)]
     return HomogeneousIdeal(
-        grid.nvars, order, lines, zip(lines, tuple(alpha) + tuple(beta))
+        grid.nvars, key, lines, zip(lines, tuple(alpha) + tuple(beta))
     )
 
 
@@ -125,8 +125,9 @@ class QuotientModel:
             raise ValueError("row and column sums must agree")
         self.n = sum(self.alpha)
         self.grid = Grid(len(self.alpha), len(self.beta))
-        self.order = self.grid.diagonal_order()
-        self.ideal = margin_ideal(self.alpha, self.beta, self.grid, self.order)
+        self.ideal = margin_ideal(
+            self.alpha, self.beta, self.grid, self.grid.diagonal_key()
+        )
         self.size = count_contingency_tables(self.alpha, self.beta)
         hilbert = []
         standard = []

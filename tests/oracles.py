@@ -253,9 +253,9 @@ class RrefIdeal:
     columns by divisibility, and the clean multiples of the rest are reduced
     by Fraction Gauss-Jordan.  Columns are order-descending."""
 
-    def __init__(self, generators, nvars, order):
+    def __init__(self, generators, nvars, key):
         self.nvars = nvars
-        self.order = order
+        self.key = key
         self.monos = [next(iter(g.terms)) for g in generators if len(g.terms) == 1]
         self.others = [dict(g.terms) for g in generators if len(g.terms) > 1]
         self._slices = {}
@@ -273,7 +273,7 @@ class RrefIdeal:
         one degree."""
         if degree in self._slices:
             return self._slices[degree]
-        columns = sorted(self.clean(degree), key=self.order.key, reverse=True)
+        columns = sorted(self.clean(degree), key=self.key, reverse=True)
         index = {m: i for i, m in enumerate(columns)}
         rows = []
         for g in self.others:
@@ -318,7 +318,7 @@ def full_slice_rows(ideal, degree):
     skipped: every sum times every clean factor of degree - 1, restricted to
     the clean monomials of the degree, which are the columns, order-descending.
     Rows are keyed by column position."""
-    columns = sorted(ideal.clean_monomials(degree), key=ideal.order.key, reverse=True)
+    columns = sorted(ideal.clean_monomials(degree), key=ideal.key, reverse=True)
     index = {m: i for i, m in enumerate(columns)}
     rows = []
     for support in ideal.sums:
@@ -334,10 +334,10 @@ def full_slice_rows(ideal, degree):
     return columns, rows
 
 
-def oracle_slice(generators, nvars, order, degree):
+def oracle_slice(generators, nvars, key, degree):
     """(pivots, standard) of one degree slice of RrefIdeal, both lists
     order-descending."""
-    columns, _, reduced = RrefIdeal(generators, nvars, order).slice(degree)
+    columns, _, reduced = RrefIdeal(generators, nvars, key).slice(degree)
     pivots = [columns[p] for p in sorted(reduced)]
     standard = [m for i, m in enumerate(columns) if i not in reduced]
     return pivots, standard
@@ -350,7 +350,7 @@ def nf_lefschetz_report(alpha, beta, support=None) -> list:
     sum of the variables in `support` (by default those of the diagonal
     blocks), and L^e m is expanded one factor L at a time on plain dicts."""
     grid, gens = contingency_generators(alpha, beta)
-    ideal = RrefIdeal(gens, grid.nvars, grid.diagonal_order())
+    ideal = RrefIdeal(gens, grid.nvars, grid.diagonal_key())
     if support is None:
         support = [m.index(1) for m in lefschetz_element(alpha, beta, grid).terms]
     dims = []

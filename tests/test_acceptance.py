@@ -220,7 +220,7 @@ def test_criterion_07_operator_lemmas():
     # polarization leading terms: exhaustive on 3x3 up to degree 4, seeded
     # samples on 4x5 up to degree 5
     def check_polarization(grid, matrix):
-        order = grid.diagonal_order()
+        key = grid.diagonal_key()
         for i1 in range(2, grid.k + 1):
             for i0 in range(1, i1):
                 r = row_sums(matrix)[i1 - 1]
@@ -230,7 +230,7 @@ def test_criterion_07_operator_lemmas():
                         current = polarize_row(current, grid, i1, i0)
                     if not current:
                         return False
-                    if grid.matrix(order.max_term(current)) != shift_row(
+                    if grid.matrix(max(current.terms, key=key)) != shift_row(
                         matrix, i1, i0, m
                     ):
                         return False

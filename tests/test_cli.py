@@ -56,6 +56,23 @@ def test_hilbert_json(capsys):
     }
 
 
+def test_csv_only_on_coefficient_commands(capsys):
+    # --csv belongs to hilbert, ehrhart and figure1 alone; elsewhere it is a
+    # usage error rather than a flag that silently prints JSON
+    for argv in (
+        ["verify", "--alpha", "2,1", "--beta", "1,1,1"],
+        ["sweep", "--max-n", "2"],
+        ["rsk", "--matrix", "1 0;0 1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--csv"])
+        assert exc.value.code == 2
+        assert "--csv" in capsys.readouterr().err
+    for argv in (["ehrhart", "--alpha", "2,1", "--beta", "1,1,1"], ["figure1", "--family", "4"]):
+        status, out = run_cli(capsys, argv + ["--csv"])
+        assert status == 0 and out.split(",")[0] in ("degree", "m")
+
+
 def test_hilbert_all_methods_agree(capsys):
     status, out = run_cli(
         capsys,
@@ -424,3 +441,25 @@ def test_crash_is_not_a_failed_check(monkeypatch, capsys, exc):
     assert status == 3 and out == ""
     assert err["error"].startswith(exc.__name__) and "boom" in err["error"]
     assert "Traceback" in err["traceback"]
+
+
+def test_closed_stdout_is_a_crash():
+    # the reader closed the pipe before the payload is written: the write
+    # fails, which is a crash (3), not a failed check (1), reported as one
+    # JSON object on stderr with no second report at interpreter exit
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ctring.cli", "sweep", "--max-n", "3", "--max-len", "2"],
+            env={**os.environ, "PYTHONPATH": str(Path(ctring.__file__).resolve().parents[1])},
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 3, proc.stderr
+    error = json.loads(proc.stderr)
+    assert error["error"].startswith("BrokenPipeError")
+    assert "Exception ignored" not in proc.stderr

@@ -3,7 +3,9 @@ import random
 
 import pytest
 
-from ctring.linalg import extreme_monomials
+import ctring.onerow
+from ctring.errors import CheckFailed
+from ctring.linalg import HomogeneousIdeal, extreme_monomials
 from ctring.onerow import (
     column_product,
     dimension_counts,
@@ -19,7 +21,7 @@ from ctring.onerow import (
     two_row_tableaux,
 )
 from ctring.partitions import weak_compositions
-from ctring.polys import LexOrder, Poly, diff_pairing
+from ctring.polys import Poly, diff_pairing
 
 
 def test_generators_golden():
@@ -176,18 +178,17 @@ def test_standard_equals_second_row_monomials():
 def test_trailing_term_of_column_product():
     # lex-smallest term of the column product is the bottom-row monomial,
     # lex-largest is the top-row monomial
-    o = LexOrder(3)
     for t in two_row_tableaux((1, 2, 1)):
         f = column_product(t, 3)
-        assert o.min_term(f) == row_content(t[1], 3)
-        assert o.max_term(f) == row_content(t[0], 3)
+        assert min(f.terms) == row_content(t[1], 3)
+        assert max(f.terms) == row_content(t[0], 3)
 
 
 def test_inverse_system_trailing_monomials_match_standard():
     for bounds in [(1, 2, 1), (2, 2), (2, 1, 1)]:
         n = len(bounds)
         polys = [column_product(t, n) for t in two_row_tableaux(bounds)]
-        fins = extreme_monomials(polys, LexOrder(n), smallest=True)
+        fins = extreme_monomials(polys, None, smallest=True)
         std = {m for v in one_row_standard_monomials(bounds).values() for m in v}
         assert fins == std
 
@@ -208,3 +209,39 @@ def test_violating_monomials_lie_in_initial_ideal():
                 )
                 if violating:
                     assert ideal.in_initial_ideal(exps)
+
+
+# Injected faults: each one-row theorem check fails as CheckFailed, the
+# exception the CLI maps to a failed check, not as a crash.
+
+
+def test_negative_hilbert_coefficient_is_a_failed_check(monkeypatch):
+    # a product that flips the sign of every coefficient
+    mul = ctring.onerow._qpoly_mul
+    monkeypatch.setattr(
+        ctring.onerow, "_qpoly_mul", lambda a, b: [-c for c in mul(a, b)]
+    )
+    with pytest.raises(CheckFailed, match="nonnegative"):
+        one_row_hilbert((1, 1))
+
+
+def test_fully_saturated_composition_is_a_failed_check(monkeypatch):
+    # dotting that fills every entry up to its bound leaves none to increment
+    def saturate(bounds, beta):
+        dots = tuple(d - b for d, b in zip(bounds, beta))
+        return dots, (False,) * len(bounds)
+
+    monkeypatch.setattr(ctring.onerow, "run_saturation", saturate)
+    with pytest.raises(CheckFailed, match="unsaturated"):
+        saturation_successor((1, 2, 1), (0, 1, 0))
+
+
+def test_nonterminating_walk_is_a_failed_check(monkeypatch):
+    # without its caps the quotient has standard monomials in every degree
+    monkeypatch.setattr(
+        ctring.onerow,
+        "one_row_ideal",
+        lambda bounds: HomogeneousIdeal(len(bounds), None, [tuple(range(len(bounds)))]),
+    )
+    with pytest.raises(CheckFailed, match="terminate"):
+        one_row_standard_monomials((1, 2, 1))

@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from oracles import monomials_of_degree, random_zigzag_matrix
+from ctring.linalg import extreme_monomials
 from ctring.polys import (
     Grid,
-    LexOrder,
     Poly,
     diff_pairing,
     merge_row,
@@ -53,59 +53,72 @@ def test_ddeg_constant():
     assert g.ddeg((0,) * 6) == (0, 0, 0, 0)
 
 
+TIEBREAKS = ("row", "column")
+
+
 def test_diagonal_order_basic():
     g = Grid(2, 2)
-    ord_ = g.diagonal_order()
     x11 = g.exponents(((1, 0), (0, 0)))
     x22 = g.exponents(((0, 0), (0, 1)))
-    assert ord_.compare(x11, x22) > 0
-    # within one row the order is plain lex
-    g13 = Grid(1, 3)
-    d = g13.diagonal_order()
-    v = [g13.exponents(((1, 0, 0),)), g13.exponents(((0, 1, 0),)), g13.exponents(((0, 0, 1),))]
-    assert d.compare(v[0], v[1]) > 0 and d.compare(v[1], v[2]) > 0
-    # within one column likewise
-    g31 = Grid(3, 1)
-    d = g31.diagonal_order()
-    w = [g31.exponents(((1,), (0,), (0,))), g31.exponents(((0,), (1,), (0,))), g31.exponents(((0,), (0,), (1,)))]
-    assert d.compare(w[0], w[1]) > 0 and d.compare(w[1], w[2]) > 0
+    g13, g31 = Grid(1, 3), Grid(3, 1)
+    row = [g13.exponents((unit,)) for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    col = [g31.exponents(tuple(zip(unit))) for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    for tiebreak in TIEBREAKS:
+        key = g.diagonal_key(tiebreak)
+        assert key(x11) > key(x22)
+        # within one row, or one column, the order is plain lex
+        for grid, v in ((g13, row), (g31, col)):
+            key = grid.diagonal_key(tiebreak)
+            assert key(v[0]) > key(v[1]) > key(v[2])
+    with pytest.raises(ValueError):
+        g.diagonal_key("diagonal")
 
 
 def test_diagonal_order_follows_ddeg():
     g = Grid(2, 3)
-    ord_ = g.diagonal_order()
-    rng = random.Random(41)
-    for _ in range(300):
-        m1 = tuple(rng.randint(0, 3) for _ in range(6))
-        m2 = tuple(rng.randint(0, 3) for _ in range(6))
-        d1, d2 = g.ddeg(m1), g.ddeg(m2)
-        if d1 != d2:
-            assert (ord_.compare(m1, m2) > 0) == (d1 > d2)
+    for tiebreak in TIEBREAKS:
+        key = g.diagonal_key(tiebreak)
+        rng = random.Random(41)
+        for _ in range(300):
+            m1 = tuple(rng.randint(0, 3) for _ in range(6))
+            m2 = tuple(rng.randint(0, 3) for _ in range(6))
+            d1, d2 = g.ddeg(m1), g.ddeg(m2)
+            if d1 != d2:
+                assert (key(m1) > key(m2)) == (d1 > d2)
 
 
 def test_term_order_axioms():
-    g = Grid(2, 2)
-    ord_ = g.diagonal_order()
-    one = (0, 0, 0, 0)
-    rng = random.Random(43)
-    monos = [tuple(rng.randint(0, 2) for _ in range(4)) for _ in range(40)]
-    for m in monos:
-        if m != one:
-            assert ord_.compare(one, m) < 0
-    for m1, m2, m3 in itertools.product(monos[:10], repeat=3):
-        c = ord_.compare(m1, m2)
-        shifted = ord_.compare(
-            tuple(a + b for a, b in zip(m1, m3)), tuple(a + b for a, b in zip(m2, m3))
-        )
-        assert c == shifted
+    # a monomial order: total, 1 is the smallest monomial, and comparisons
+    # survive multiplication by any monomial
+    for grid in (Grid(2, 2), Grid(2, 3)):
+        one = (0,) * grid.nvars
+        rng = random.Random(43)
+        monos = [tuple(rng.randint(0, 2) for _ in range(grid.nvars)) for _ in range(40)]
+        for tiebreak in TIEBREAKS:
+            key = grid.diagonal_key(tiebreak)
+            assert len({key(m) for m in monos}) == len(set(monos))
+            for m in monos:
+                if m != one:
+                    assert key(one) < key(m)
+            for m1, m2, m3 in itertools.product(monos[:10], repeat=3):
+                shifted = (
+                    key(tuple(a + b for a, b in zip(m1, m3))),
+                    key(tuple(a + b for a, b in zip(m2, m3))),
+                )
+                assert (key(m1) > key(m2)) == (shifted[0] > shifted[1])
+                assert (key(m1) == key(m2)) == (shifted[0] == shifted[1])
 
 
 def test_lex_order():
-    o = LexOrder(3)
-    assert o.compare((1, 0, 0), (0, 5, 5)) > 0
-    f = Poly(3, {(1, 0, 0): 1, (0, 1, 1): 1})
-    assert o.max_term(f) == (1, 0, 0)
-    assert o.min_term(f) == (0, 1, 1)
+    # plain lex is the sort key None: of one polynomial, its own lex-largest
+    # and lex-smallest terms, however large the total degree of the smaller one
+    n = 3
+    f = Poly(n, {(1, 0, 0): 1, (0, 1, 1): 1})
+    assert extreme_monomials([f], None) == {(1, 0, 0)}
+    assert extreme_monomials([f], None, smallest=True) == {(0, 1, 1)}
+    g = Poly(n, {(1, 0, 0): 1, (0, 5, 5): 1})
+    assert extreme_monomials([g], None) == {(1, 0, 0)}
+    assert extreme_monomials([g], None, smallest=True) == {(0, 5, 5)}
 
 
 def test_diff_pairing_basics():
@@ -331,7 +344,7 @@ def test_polarization_leading_monomial_lemma():
     # on every 3x3 monomial of degree <= 4, iterated polarization moving a row
     # upward has the shifted monomial as its leading term
     g = Grid(3, 3)
-    ord_ = g.diagonal_order()
+    key = g.diagonal_key()
     for degree in range(5):
         for exps in monomials_of_degree(9, degree):
             a = g.matrix(exps)
@@ -343,5 +356,5 @@ def test_polarization_leading_monomial_lemma():
                         for _ in range(m):
                             current = polarize_row(current, g, i1, i0)
                         assert current
-                        lead = ord_.max_term(current)
+                        lead = max(current.terms, key=key)
                         assert g.matrix(lead) == shift_row(a, i1, i0, m)

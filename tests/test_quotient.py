@@ -6,7 +6,7 @@ import pytest
 from oracles import nf_lefschetz_report, oracle_slice
 from ctring.linalg import HomogeneousIdeal, linear_form
 from ctring.partitions import weak_compositions_upto
-from ctring.polys import DiagonalOrder, Grid, Poly, polarize_row
+from ctring.polys import Grid, Poly, polarize_row
 from ctring.quotient import (
     QuotientModel,
     col_support,
@@ -182,13 +182,13 @@ def test_ideal_sum_observation():
     # the margin generators, and as the line sums with line caps
     for alpha, beta in [((2, 1), (1, 1, 1)), ((2, 2), (2, 2)), ((3, 1), (2, 1, 1))]:
         grid, gens = contingency_generators(alpha, beta)
-        order = grid.diagonal_order()
+        key = grid.diagonal_key()
         _, row_side = rowsum_ideal_generators(beta, len(alpha), grid)
         _, col_side = colsum_ideal_generators(alpha, len(beta), grid)
-        caps = margin_ideal(alpha, beta, grid, order)
+        caps = margin_ideal(alpha, beta, grid, key)
         for d in range(sum(alpha) + 2):
-            combined = oracle_slice(row_side + col_side, grid.nvars, order, d)
-            assert combined == oracle_slice(gens, grid.nvars, order, d)
+            combined = oracle_slice(row_side + col_side, grid.nvars, key, d)
+            assert combined == oracle_slice(gens, grid.nvars, key, d)
             assert combined == (
                 list(caps.slice(d).pivots),
                 list(caps.standard_monomials(d)),
@@ -199,15 +199,15 @@ def test_row_polarization_preserves_rowsum_ideal():
     beta = (2, 1)
     k = 3
     grid, gens = rowsum_ideal_generators(beta, k)
-    order = grid.diagonal_order()
+    key = grid.diagonal_key()
     ideal = HomogeneousIdeal(
         grid.nvars,
-        order,
+        key,
         [row_support(grid, i) for i in range(1, k + 1)],
         [(col_support(grid, j), b) for j, b in enumerate(beta, start=1)],
     )
     for d in range(1, 4):
-        assert list(ideal.slice(d).pivots) == oracle_slice(gens, grid.nvars, order, d)[0]
+        assert list(ideal.slice(d).pivots) == oracle_slice(gens, grid.nvars, key, d)[0]
         basis = ideal.slice(d)
         for row in basis.rows.values():
             poly = Poly(grid.nvars, {basis.columns[p]: c for p, c in row.items()})
@@ -230,8 +230,8 @@ def test_standard_basis_independent_of_diagonal_tiebreak():
     # column-ranked tiebreak must reproduce the row-ranked result
     for alpha, beta in [((3, 2), (2, 2, 1)), ((2, 2), (2, 2)), ((2, 1, 1), (1, 2, 1))]:
         grid = Grid(len(alpha), len(beta))
-        a = margin_ideal(alpha, beta, grid, DiagonalOrder(grid, tiebreak="row"))
-        b = margin_ideal(alpha, beta, grid, DiagonalOrder(grid, tiebreak="column"))
+        a = margin_ideal(alpha, beta, grid, grid.diagonal_key(tiebreak="row"))
+        b = margin_ideal(alpha, beta, grid, grid.diagonal_key(tiebreak="column"))
         for d in range(sum(alpha) + 1):
             std_a = set(a.standard_monomials(d))
             std_b = set(b.standard_monomials(d))
