@@ -119,7 +119,8 @@ def cmd_hilbert(args):
     methods = HILBERT_ROUTES if args.method == "all" else [args.method]
     series = [HILBERT_ROUTES[m](args.alpha, args.beta) for m in methods]
     if any(s != series[0] for s in series):
-        return {"error": "hilbert methods disagree"}, CHECK_FAILED
+        routes = {m: _big(s) for m, s in zip(methods, series)}
+        return {"error": "hilbert methods disagree", "routes": routes}, CHECK_FAILED
     return {"alpha": list(args.alpha), "beta": list(args.beta), "coeffs": _big(series[0])}, 0
 
 

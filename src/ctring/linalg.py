@@ -139,14 +139,12 @@ class DegreeBasis:
     in ascending pivot order.
     """
 
-    __slots__ = ("degree", "columns", "index", "rows", "pivots", "standard")
+    __slots__ = ("columns", "index", "rows", "standard")
 
-    def __init__(self, degree, columns, index, rows):
-        self.degree = degree
+    def __init__(self, columns, index, rows):
         self.columns = columns
         self.index = index
         self.rows = dict(sorted(rows.items()))
-        self.pivots = tuple(columns[p] for p in self.rows)
         self.standard = tuple(m for i, m in enumerate(columns) if i not in rows)
 
 
@@ -266,7 +264,7 @@ class HomogeneousIdeal:
                 position_echelon([row], done)
                 if len(done) > rank:
                     self._kept.append((support, var[next(reversed(done))]))
-            basis = DegreeBasis(degree, columns, index, done)
+            basis = DegreeBasis(columns, index, done)
         else:
             rows = []
             if degree:
@@ -284,7 +282,7 @@ class HomogeneousIdeal:
                         rows.append(row)
                     # Koszul: every later sum skips the factors this lead divides
                     factors = [factor for factor in factors if not factor[lead]]
-            basis = DegreeBasis(degree, columns, index, position_echelon(rows))
+            basis = DegreeBasis(columns, index, position_echelon(rows))
         self._slices[degree] = basis
         return basis
 

@@ -96,10 +96,6 @@ def rsk(matrix) -> RskPair:
     return RskPair(tuple(p_rows), tuple(q_rows))
 
 
-def rsk_shape(matrix) -> tuple:
-    return tuple(len(row) for row in rsk(matrix).P)
-
-
 def zigzag_witness(matrix) -> tuple:
     """A maximum-weight zigzag, by backward chaining through ball labels.
 

@@ -91,10 +91,6 @@ class Poly:
             return None
         return max(sum(e) for e in self.terms)
 
-    def is_homogeneous(self):
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
-
     def homogeneous_parts(self):
         parts = {}
         for exps, coeff in self.terms.items():
@@ -144,14 +140,6 @@ class Grid:
 
     def monomial(self, matrix, coeff=1):
         return Poly(self.nvars, {self.exponents(matrix): coeff})
-
-    def rdeg(self, exps):
-        p = self.p
-        return tuple(sum(exps[i * p : (i + 1) * p]) for i in range(self.k))
-
-    def cdeg(self, exps):
-        p = self.p
-        return tuple(sum(exps[j::p]) for j in range(p))
 
     def ddeg(self, exps):
         """Antidiagonal degree vector: slot q-1 sums cells with i+j-1 = q."""

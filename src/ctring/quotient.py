@@ -33,14 +33,6 @@ def col_support(grid: Grid, j: int) -> tuple:
     return tuple(grid.index(i, j) for i in range(1, grid.k + 1))
 
 
-def row_sum_poly(grid: Grid, i: int) -> Poly:
-    return linear_form(grid.nvars, row_support(grid, i))
-
-
-def col_sum_poly(grid: Grid, j: int) -> Poly:
-    return linear_form(grid.nvars, col_support(grid, j))
-
-
 def _line_monomials(grid, indices, degree):
     """Monomials of the given degree supported on a fixed list of variables."""
     out = []
@@ -50,14 +42,6 @@ def _line_monomials(grid, indices, degree):
             full[idx] = e
         out.append(Poly.monomial(tuple(full)))
     return out
-
-
-def row_monomials(grid: Grid, i: int, degree: int) -> list:
-    return _line_monomials(grid, row_support(grid, i), degree)
-
-
-def col_monomials(grid: Grid, j: int, degree: int) -> list:
-    return _line_monomials(grid, col_support(grid, j), degree)
 
 
 def margin_ideal(alpha, beta, grid: Grid, key) -> HomogeneousIdeal:
@@ -79,12 +63,11 @@ def contingency_generators(alpha, beta, grid: Grid | None = None):
     if sum(alpha) != sum(beta):
         raise ValueError("row and column sums must agree")
     grid = grid or Grid(len(alpha), len(beta))
-    gens = [row_sum_poly(grid, i) for i in range(1, grid.k + 1)]
-    gens += [col_sum_poly(grid, j) for j in range(1, grid.p + 1)]
-    for i in range(1, grid.k + 1):
-        gens += row_monomials(grid, i, alpha[i - 1] + 1)
-    for j in range(1, grid.p + 1):
-        gens += col_monomials(grid, j, beta[j - 1] + 1)
+    rows = [row_support(grid, i) for i in range(1, grid.k + 1)]
+    cols = [col_support(grid, j) for j in range(1, grid.p + 1)]
+    gens = [linear_form(grid.nvars, line) for line in rows + cols]
+    for line, cap in [*zip(rows, alpha), *zip(cols, beta)]:
+        gens += _line_monomials(grid, line, cap + 1)
     return grid, gens
 
 
@@ -92,9 +75,9 @@ def rowsum_ideal_generators(beta, k: int, grid: Grid | None = None):
     """Row sums plus column monomials of degree beta_j + 1."""
     beta = tuple(beta)
     grid = grid or Grid(k, len(beta))
-    gens = [row_sum_poly(grid, i) for i in range(1, grid.k + 1)]
-    for j in range(1, grid.p + 1):
-        gens += col_monomials(grid, j, beta[j - 1] + 1)
+    gens = [linear_form(grid.nvars, row_support(grid, i)) for i in range(1, grid.k + 1)]
+    for j, b in enumerate(beta, start=1):
+        gens += _line_monomials(grid, col_support(grid, j), b + 1)
     return grid, gens
 
 
@@ -102,9 +85,9 @@ def colsum_ideal_generators(alpha, p: int, grid: Grid | None = None):
     """Column sums plus row monomials of degree alpha_i + 1."""
     alpha = tuple(alpha)
     grid = grid or Grid(len(alpha), p)
-    gens = [col_sum_poly(grid, j) for j in range(1, grid.p + 1)]
-    for i in range(1, grid.k + 1):
-        gens += row_monomials(grid, i, alpha[i - 1] + 1)
+    gens = [linear_form(grid.nvars, col_support(grid, j)) for j in range(1, grid.p + 1)]
+    for i, a in enumerate(alpha, start=1):
+        gens += _line_monomials(grid, row_support(grid, i), a + 1)
     return grid, gens
 
 

@@ -81,22 +81,19 @@ def permutation_module_dimension(shape) -> int:
     return out
 
 
-# The Schur expansion of h_mu: the coefficient of s_lam is K(lam, mu).
-h_to_s_expansion = kostka_column
-
-
 @lru_cache(maxsize=None)
 def _s_to_h_table(n) -> dict:
     """Rows of the inverse Kostka transform for all partitions of n.
 
-    The h-to-s matrix is unitriangular against lexicographic order, so back
+    The h-to-s matrix, with the Kostka columns K(-, mu) as the Schur
+    expansions of h_mu, is unitriangular against lexicographic order, so back
     substitution inverts it exactly over the integers.
     """
     order = partitions(n)  # lexicographically descending
     table: dict = {}
     for lam in order:
         row = {lam: 1}
-        expansion = h_to_s_expansion(lam)
+        expansion = kostka_column(lam)
         for nu, c in expansion.items():
             if nu == lam:
                 continue
@@ -110,23 +107,6 @@ def _s_to_h_table(n) -> dict:
 def s_to_h_expansion(lam) -> dict:
     lam = check_partition(lam)
     return _s_to_h_table(sum(lam))[lam]
-
-
-def kostka_matrix(n) -> dict:
-    """All nonzero (shape, content-partition) Kostka numbers for size n."""
-    out = {}
-    for mu in partitions(n):
-        for lam, value in h_to_s_expansion(mu).items():
-            out[(lam, mu)] = value
-    return out
-
-
-def inverse_kostka_matrix(n) -> dict:
-    out = {}
-    for lam, row in _s_to_h_table(n).items():
-        for mu, value in row.items():
-            out[(mu, lam)] = value
-    return out
 
 
 class TensorSymFunc:
@@ -198,20 +178,15 @@ class TensorSymFunc:
         return TensorSymFunc._from_terms(self.degrees + other.degrees, self.basis, out)
 
     def to_s(self):
-        return self._to_basis("s", h_to_s_expansion)
-
-    def to_h(self):
-        return self._to_basis("h", s_to_h_expansion)
-
-    def _to_basis(self, basis, expansion):
-        """Rewrite in `basis`, expanding each factor's partition by `expansion`."""
-        if self.basis == basis:
+        """Rewrite in the Schur basis: each factor h_mu expands as the sum of
+        K(lam, mu) s_lam."""
+        if self.basis == "s":
             return self
         out: dict = {}
         for key, c in self.coeffs.items():
-            for combo, value in _expand([expansion(lam) for lam in key]):
+            for combo, value in _expand([kostka_column(lam) for lam in key]):
                 out[combo] = out.get(combo, 0) + c * value
-        return TensorSymFunc._from_terms(self.degrees, basis, out)
+        return TensorSymFunc._from_terms(self.degrees, "s", out)
 
     def dimension(self):
         total = 0
@@ -301,27 +276,17 @@ class SymmetricProductGroup:
                 return 0
         return value
 
-    def irreducible_multiplicities(self, character_values) -> dict:
-        """Decompose a class function (dict class tuple -> value) into
-        irreducible multiplicities; raises unless they are nonnegative ints."""
-        table = _character_table(self.sizes)
-        return self._decompose(
-            table, [size * character_values[c] for c, size in table.classes]
-        )
-
     def tensor_multiplicities(self, mod_a: dict, mod_b: dict) -> dict:
         """Irreducible multiplicities of the tensor product of two modules
-        given by their own irreducible multiplicities."""
+        given by their own irreducible multiplicities.
+
+        The multiplicity of chi is <chi, f> = sum over classes of size * f *
+        chi, over the group order, with f the product of the two characters;
+        raises CheckFailed unless every multiplicity is a nonnegative int."""
         table = _character_table(self.sizes)
         va = _module_character(table, mod_a)
         vb = _module_character(table, mod_b)
-        return self._decompose(
-            table, [size * a * b for (_, size), a, b in zip(table.classes, va, vb)]
-        )
-
-    def _decompose(self, table, weighted) -> dict:
-        """Multiplicities <chi, f> = sum over classes of size * f * chi, over
-        the group order, from the class-size-weighted values of f."""
+        weighted = [size * a * b for (_, size), a, b in zip(table.classes, va, vb)]
         out = {}
         for irrep, row in zip(table.irreducibles, table.matrix):
             mult, rest = divmod(sum(map(mul, row, weighted)), self.order)

@@ -28,6 +28,8 @@ def as_matrix(rows) -> tuple:
 
 
 def row_sums(matrix) -> tuple:
+    """The paper's rdeg of a monomial, read off its exponent matrix
+    (Grid.matrix); col_sums is its cdeg."""
     return tuple(sum(row) for row in matrix)
 
 
@@ -37,10 +39,6 @@ def col_sums(matrix) -> tuple:
 
 def total(matrix) -> int:
     return sum(sum(row) for row in matrix)
-
-
-def ones_matrix(k: int, p: int) -> tuple:
-    return tuple((1,) * p for _ in range(k))
 
 
 def transpose(matrix) -> tuple:
@@ -157,17 +155,17 @@ def matrix_from_text(text: str) -> tuple:
     return as_matrix(rows)
 
 
-def matrix_to_text(matrix) -> str:
-    return "\n".join(" ".join(str(v) for v in row) for row in matrix)
-
-
 def matrix_from_json(data) -> tuple:
     """Decode {"rows", "cols", "entries"}; any malformed input raises
     ValueError (json.JSONDecodeError is one)."""
     if isinstance(data, str):
         data = json.loads(data)
     try:
-        mat = as_matrix(data["entries"])
+        entries = data["entries"]
+        # int() would cut a float and take a bool: accept JSON ints alone
+        if any(type(v) is not int for row in entries for v in row):
+            raise ValueError("matrix JSON entries must be integers")
+        mat = as_matrix(entries)
         declared = (data["rows"], data["cols"])
     except (KeyError, TypeError) as err:
         raise ValueError(f"malformed matrix JSON: {err!r}") from None

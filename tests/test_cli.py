@@ -126,8 +126,22 @@ def test_rsk_from_json_matrix(capsys):
         '{"rows": 1, "cols": 2, "entries": [[1, null]]}',
         '{"rows": 1, "cols": 2, "entries": [[1, 2]]',
         '{"rows": 2, "cols": 2, "entries": [[1, 2]]}',
+        '{"rows": 1, "cols": 2, "entries": [[1.9, 2]]}',
+        '{"rows": 1, "cols": 2, "entries": [[1, true]]}',
+        '{"rows": 1, "cols": 2, "entries": [[1.0, 2]]}',
     ],
-    ids=["no-entries", "no-rows", "no-cols", "scalar", "null", "truncated", "dims"],
+    ids=[
+        "no-entries",
+        "no-rows",
+        "no-cols",
+        "scalar",
+        "null",
+        "truncated",
+        "dims",
+        "float",
+        "bool",
+        "integral-float",
+    ],
 )
 def test_malformed_json_matrix_is_usage_error(tmp_path, capsys, blob):
     path = tmp_path / "f.json"
@@ -392,6 +406,29 @@ def test_quotient_dimension_mismatch_is_a_failed_check(monkeypatch, capsys, shif
         )
         assert status == 1 and out == ""
         assert "table count" in err["error"]
+
+
+def test_hilbert_routes_disagreeing_is_a_failed_check(monkeypatch, capsys):
+    # a route one off in degree 0: --method all exits 1 and reports every
+    # route's series under its name
+    import ctring.cli
+
+    def wrong(alpha, beta):
+        series = ctring.cli.hilbert_kostka(alpha, beta)
+        return [series[0] + 1] + series[1:]
+
+    monkeypatch.setitem(ctring.cli.HILBERT_ROUTES, "zigzag", wrong)
+    argv = ["hilbert", "--alpha", "3,3", "--beta", "2,2,2", "--method", "all"]
+    status, out = run_cli(capsys, argv)
+    assert status == 1
+    assert json.loads(out) == {
+        "error": "hilbert methods disagree",
+        "routes": {
+            "kostka": ["1", "2", "3", "1"],
+            "linalg": ["1", "2", "3", "1"],
+            "zigzag": ["2", "2", "3", "1"],
+        },
+    }
 
 
 def test_non_character_is_a_failed_check(monkeypatch, capsys):

@@ -8,7 +8,7 @@ from ctring.series import (
     q_ehrhart,
     uniform_family,
 )
-from ctring.tables import contingency_tables, ones_matrix, zigzag_number
+from ctring.tables import contingency_tables, zigzag_number
 
 
 def test_hilbert_kostka_golden():
@@ -106,7 +106,6 @@ def test_zigzag_translation_identity():
     cases = [((2, 2), (2, 2)), ((3, 1), (2, 2)), ((2, 1, 1), (2, 2))]
     for alpha, beta in cases:
         k, p = len(alpha), len(beta)
-        ones = ones_matrix(k, p)
         for table in contingency_tables(alpha, beta):
             shifted = tuple(
                 tuple(v + 1 for v in row) for row in table

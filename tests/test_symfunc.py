@@ -3,15 +3,13 @@ from math import factorial
 
 import pytest
 
-from ctring.partitions import partitions
+from ctring.errors import CheckFailed
+from ctring.partitions import kostka_column, partitions
 from ctring.symfunc import (
     SymmetricProductGroup,
     TensorSymFunc,
     cycle_type_size,
-    h_to_s_expansion,
-    inverse_kostka_matrix,
     irreducible_character,
-    kostka_matrix,
     permutation_module_dimension,
     s_to_h_expansion,
 )
@@ -53,8 +51,9 @@ def test_character_column_orthogonality():
 
 
 def test_h_to_s_goldens():
-    assert h_to_s_expansion((3,)) == {(3,): 1}
-    assert h_to_s_expansion((2, 1)) == {(2, 1): 1, (3,): 1}
+    # the Schur expansion of h_mu is the Kostka column of mu
+    assert kostka_column((3,)) == {(3,): 1}
+    assert kostka_column((2, 1)) == {(2, 1): 1, (3,): 1}
 
 
 def test_s_to_h_golden():
@@ -63,30 +62,38 @@ def test_s_to_h_golden():
 
 
 def test_transform_roundtrip():
+    # s_lam to h by s_to_h_expansion and back by to_s; h_lam to s by to_s and
+    # back by s_to_h_expansion
     for n in range(0, 9):
         for lam in partitions(n):
             f = TensorSymFunc((n,), "s", {(lam,): 1})
-            assert f.to_h().to_s() == f
-            g = TensorSymFunc((n,), "h", {(lam,): 1})
-            assert g.to_s().to_h() == g
+            h_terms = {(mu,): c for mu, c in s_to_h_expansion(lam).items()}
+            assert TensorSymFunc((n,), "h", h_terms).to_s() == f
+            back = {}
+            for (nu,), c in TensorSymFunc((n,), "h", {(lam,): 1}).to_s().coeffs.items():
+                for mu, d in s_to_h_expansion(nu).items():
+                    back[mu] = back.get(mu, 0) + c * d
+            assert {mu: c for mu, c in back.items() if c} == {lam: 1}
 
 
 def test_kostka_matrices_inverse():
+    # K(lam, rho) = kostka_column(rho)[lam] and K^-1(rho, mu) =
+    # s_to_h_expansion(mu)[rho]: their product is the identity
     for n in range(1, 8):
-        K = kostka_matrix(n)
-        K_inv = inverse_kostka_matrix(n)
         parts = partitions(n)
         for lam in parts:
             for mu in parts:
+                inverse = s_to_h_expansion(mu)
                 total = sum(
-                    K.get((lam, rho), 0) * K_inv.get((rho, mu), 0) for rho in parts
+                    kostka_column(rho).get(lam, 0) * inverse.get(rho, 0)
+                    for rho in parts
                 )
                 assert total == (1 if lam == mu else 0)
-        # unitriangular against lexicographic order
-        for (lam, mu), value in K.items():
-            assert lam >= mu
-            if lam == mu:
-                assert value == 1
+        # both unitriangular against lexicographic order
+        for mu in parts:
+            for expansion in (kostka_column(mu), s_to_h_expansion(mu)):
+                assert all(lam >= mu for lam in expansion)
+                assert expansion[mu] == 1
 
 
 def test_symfunc_dimensions():
@@ -97,8 +104,10 @@ def test_symfunc_dimensions():
 
 
 def test_symfunc_coefficients_are_ints():
-    f = TensorSymFunc((3,), "s", {((2, 1),): 2, ((3,),): -1}).to_h()
+    f = TensorSymFunc((3,), "h", {((2, 1),): 2, ((1, 1, 1),): -1}).to_s()
     assert all(type(c) is int for c in f.coeffs.values())
+    for lam in partitions(6):
+        assert all(type(c) is int for c in s_to_h_expansion(lam).values())
     for bad in (Fraction(1, 2), Fraction(2), 1.0):
         with pytest.raises(ValueError):
             TensorSymFunc((3,), "h", {((2, 1),): bad})
@@ -108,7 +117,9 @@ def test_tensor_basics():
     t = TensorSymFunc((2, 1), "h", {((2,), (1,)): 1, ((1, 1), (1,)): 2})
     assert t.dimension() == 1 * 1 + 2 * 2
     s = t.to_s()
-    assert s.to_h() == t
+    # h_2 = s_2 and h_11 = s_2 + s_11
+    assert s == TensorSymFunc((2, 1), "s", {((2,), (1,)): 3, ((1, 1), (1,)): 2})
+    assert s.dimension() == t.dimension()
     product = t.tensor(TensorSymFunc((1,), "h", {((1,),): 1}))
     assert product.degrees == (2, 1, 1)
 
@@ -132,13 +143,12 @@ def test_product_group_classes():
 
 
 def test_product_group_multiplicity_roundtrip():
+    # the trivial module is the unit of the tensor product
     g = SymmetricProductGroup((2, 2))
     module = {((2,), (1, 1)): 2, ((1, 1), (2,)): 1}
-    values = {
-        cls: sum(c * g.character(irrep, cls) for irrep, c in module.items())
-        for cls, _ in g.classes()
-    }
-    assert g.irreducible_multiplicities(values) == module
+    trivial = {((2,), (2,)): 1}
+    assert g.tensor_multiplicities(module, trivial) == module
+    assert g.tensor_multiplicities(trivial, module) == module
 
 
 def test_product_group_tensor():
@@ -151,17 +161,12 @@ def test_product_group_tensor():
 
 def test_product_group_rejects_non_characters():
     g = SymmetricProductGroup((3,))
-    # the class indicator of the identity: multiplicities dim / 6, not integral
-    identity = {cls: (1 if cls == ((1, 1, 1),) else 0) for cls, _ in g.classes()}
-    with pytest.raises(ArithmeticError):
-        g.irreducible_multiplicities(identity)
-    # trivial minus sign: integral, but one multiplicity is negative
-    difference = {
-        cls: g.character(((3,),), cls) - g.character(((1, 1, 1),), cls)
-        for cls, _ in g.classes()
-    }
-    with pytest.raises(ArithmeticError):
-        g.irreducible_multiplicities(difference)
+    # the virtual module trivial - sign, tensored with the trivial module:
+    # integral, but one multiplicity is negative.  The non-integral case is
+    # tests/test_cli.py::test_non_character_is_a_failed_check
+    difference = {((3,),): 1, ((1, 1, 1),): -1}
+    with pytest.raises(CheckFailed):
+        g.tensor_multiplicities(difference, {((3,),): 1})
     assert g.tensor_multiplicities({((2, 1),): 1}, {((2, 1),): 1}) == {
         ((3,),): 1,
         ((2, 1),): 1,
