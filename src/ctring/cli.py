@@ -32,6 +32,7 @@ from .quotient import (
 )
 from .series import hilbert_kostka, log_concavity_violations, q_ehrhart, uniform_family
 from .tables import (
+    decimal,
     matrix_from_json,
     matrix_from_text,
     matrix_to_json,
@@ -51,11 +52,9 @@ def composition(text: str) -> tuple:
         try:
             if "^" in token:
                 base, count = token.split("^")
-                value, times = int(base), int(count)
+                value, times = decimal(base.strip()), decimal(count.strip())
             else:
-                value, times = int(token), 1
-            if value < 0 or times < 0:
-                raise ValueError
+                value, times = decimal(token), 1
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"malformed composition {text!r}: token {token!r}"
@@ -264,7 +263,7 @@ def at_least(low: int):
 
     def parse(text: str) -> int:
         try:
-            value = int(text)
+            value = decimal(text)
             if value >= low:
                 return value
         except ValueError:
@@ -346,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     add(
         "figure1",
         cmd_figure1,
-        family={"type": int, "required": True, "choices": [1, 2, 3, 4]},
+        family={"type": decimal, "required": True, "choices": [1, 2, 3, 4]},
         upto={"type": at_least(0), "default": 3},
         csv=csv,
     )

@@ -8,9 +8,13 @@ monomial is unclean, so the elimination only ever sees clean monomials, which
 keeps the systems small.
 
 The degree-d slice of the ideal, modulo unclean monomials, is spanned by the
-sums times the clean monomials of degree d - 1.  Its columns are the clean
-monomials of degree d sorted once, descending in the term order, and rows are
-sparse dicts keyed by column position, so finding a pivot is a plain min().
+sums times the clean monomials of degree d - 1.  The term order is packed for
+the degree into one integer weight per variable (order_weights), so each
+monomial has one integer key, and the key is linear: key(f * x_v) = key(f) +
+w[v].  The columns are the clean monomials of degree d sorted on their keys,
+descending in the term order; a row's entries are found by adding w[v] to the
+key of its factor and looking the sum up in one key -> position map.  Rows
+are sparse dicts keyed by column position, so finding a pivot is a plain min().
 Forward elimination runs over the integers on primitive rows (fraction-free,
 as in Bareiss): its pivots are the degree-d part of the initial ideal, and
 the remaining columns are the standard monomials.  These forward rows are the
@@ -35,9 +39,10 @@ rows kept, which are eliminated together, as above.
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .partitions import bounded_compositions
-from .polys import Poly
+from .polys import Poly, order_weights
 
 
 def bounded_exponents(nvars, degree):
@@ -115,37 +120,54 @@ def position_echelon(rows, done=None):
     return done
 
 
-def extreme_monomials(polys, key, smallest=False):
+def extreme_monomials(polys, order, smallest=False):
     """The set { leading (or trailing) monomial of f : f in span(polys) - 0 }
-    in the term order with sort key `key` (None: plain lex).
+    in the term order given by the supports `order` (None: plain lex).
 
     Gaussian elimination with columns sorted by the order (ascending when
-    `smallest`) makes these exactly the pivot monomials.
+    `smallest`) makes these exactly the pivot monomials.  The order is packed
+    with the largest total degree present, so terms of mixed degrees compare
+    exactly.
     """
-    monomials = sorted(
-        {m for p in polys for m in p.terms}, key=key, reverse=not smallest
-    )
-    index = {m: i for i, m in enumerate(monomials)}
+    monomials = {m for p in polys for m in p.terms}
+    if not monomials:
+        return set()
+    if order is not None:
+        order = tuple(map(tuple, order))
+    top = max(map(sum, monomials))
+    weights = order_weights(order, polys[0].nvars, top)
+    by_key = {sum(map(mul, weights, m)): m for m in monomials}
+    columns = [by_key[k] for k in sorted(by_key, reverse=not smallest)]
+    index = {m: i for i, m in enumerate(columns)}
     rows = [integer_row({index[m]: c for m, c in p.terms.items()}) for p in polys]
-    return {monomials[lead] for lead in position_echelon(rows)}
+    return {columns[lead] for lead in position_echelon(rows)}
 
 
 class DegreeBasis:
     """Echelon basis of one degree slice of a homogeneous ideal.
 
     `columns` lists the clean monomials of the degree in order-descending
-    sequence and `index` maps them to their positions.  `rows` holds the
-    primitive integer rows of forward elimination keyed by pivot position,
-    in ascending pivot order.
+    sequence.  `weights` is the term order packed for the degree
+    (order_weights), so key(m) is one integer per monomial, and `position`
+    maps the key of each column to its position.  `rows` holds the primitive
+    integer rows of forward elimination keyed by pivot position, in
+    ascending pivot order.
     """
 
-    __slots__ = ("columns", "index", "rows", "standard")
+    __slots__ = ("columns", "weights", "position", "rows", "standard")
 
-    def __init__(self, columns, index, rows):
+    def __init__(self, columns, weights, position, rows):
         self.columns = columns
-        self.index = index
+        self.weights = weights
+        self.position = position
         self.rows = dict(sorted(rows.items()))
         self.standard = tuple(m for i, m in enumerate(columns) if i not in rows)
+
+    def key(self, exps) -> int:
+        """The packed order key, injective on monomials of degree at most the
+        slice degree: position.get(key(m)) is m's column, or None when m is
+        not clean."""
+        return sum(map(mul, self.weights, exps))
 
 
 class HomogeneousIdeal:
@@ -161,17 +183,21 @@ class HomogeneousIdeal:
     the caps the row and column margins.  A negative cap or a variable index
     outside range(nvars) raises ValueError.
 
-    `key` sorts exponent tuples ascending in the term order (None: plain
-    lex).  It must be the key of a monomial order (y < x implies
-    y * q < x * q), as plain lex and `Grid.diagonal_key` are: the slices skip
-    every row s * x * q whose factor is divisible by a lead variable x of the
-    sums before s, and the skipped row lies in the span of the rows kept only
-    under such an order.
+    `order` is the term order as supports, most significant first
+    (order_weights; None: plain lex).  Monomials compare by their degree on
+    each support in turn, and each degree is linear, so y < x implies
+    y * q < x * q: every such order is a monomial order by construction.  The
+    slices need that, as they skip every row s * x * q whose factor is
+    divisible by a lead variable x of the sums before s, and the skipped row
+    lies in the span of the rows kept only under a monomial order.  An order
+    with no singleton support on some variable is not total and raises
+    ValueError.
     """
 
-    def __init__(self, nvars, key, sums=(), caps=()):
+    def __init__(self, nvars, order, sums=(), caps=()):
         self.nvars = nvars
-        self.key = key
+        self.order = None if order is None else tuple(map(tuple, order))
+        order_weights(self.order, nvars, 0)  # raises on an order that is not total
         caps = list(caps)
         self.sums = []
         for support in sums:
@@ -247,42 +273,49 @@ class HomogeneousIdeal:
         cached = self._slices.get(degree)
         if cached is not None:
             return cached
-        columns = tuple(
-            sorted(self.clean_monomials(degree), key=self.key, reverse=True)
-        )
-        index = {m: i for i, m in enumerate(columns)}
+        weights = order_weights(self.order, self.nvars, degree)
+        by_key = {sum(map(mul, weights, m)): m for m in self.clean_monomials(degree)}
+        keys = sorted(by_key, reverse=True)
+        columns = tuple(map(by_key.__getitem__, keys))
+        position = dict(zip(keys, range(len(keys))))
         if degree == 1:
             # one sum at a time: a sum that raises the rank is kept, with its
-            # own lead, the pivot it adds (the last key of done)
-            var = [m.index(1) for m in columns]
-            position = {v: p for p, v in enumerate(var)}
+            # own lead, the pivot it adds (the last key of done); the key of
+            # x_v is w[v]
             done = {}
             self._kept = []
             for support in self.sums:
                 rank = len(done)
-                row = {position[v]: 1 for v in support if v in position}
+                row = {
+                    position[weights[v]]: 1 for v in support if weights[v] in position
+                }
                 position_echelon([row], done)
                 if len(done) > rank:
-                    self._kept.append((support, var[next(reversed(done))]))
-            basis = DegreeBasis(columns, index, done)
+                    lead = columns[next(reversed(done))].index(1)
+                    self._kept.append((support, lead))
+            basis = DegreeBasis(columns, weights, position, done)
         else:
             rows = []
             if degree:
                 self.slice(1)  # records self._kept
-                factors = self.clean_monomials(degree - 1)
+                # each clean factor with its key: key(factor * x_v) = key + w[v]
+                factors = [
+                    (factor, sum(map(mul, weights, factor)))
+                    for factor in self.clean_monomials(degree - 1)
+                ]
                 for support, lead in self._kept:
-                    for factor in factors:
+                    steps = [weights[v] for v in support]
+                    for _, key in factors:
                         # the sum times a clean factor, restricted to clean monomials
                         row = {}
-                        for v in support:
-                            up = factor[:v] + (factor[v] + 1,) + factor[v + 1 :]
-                            pos = index.get(up)
+                        for step in steps:
+                            pos = position.get(key + step)
                             if pos is not None:
                                 row[pos] = 1
                         rows.append(row)
                     # Koszul: every later sum skips the factors this lead divides
-                    factors = [factor for factor in factors if not factor[lead]]
-            basis = DegreeBasis(columns, index, position_echelon(rows))
+                    factors = [pair for pair in factors if not pair[0][lead]]
+            basis = DegreeBasis(columns, weights, position, position_echelon(rows))
         self._slices[degree] = basis
         return basis
 
@@ -293,7 +326,7 @@ class HomogeneousIdeal:
         if not self.is_clean(exps):
             return True
         basis = self.slice(sum(exps))
-        return basis.index[exps] in basis.rows
+        return basis.position[basis.key(exps)] in basis.rows
 
     def reduce_positions(self, degree, vec):
         """Reduce an integer position-keyed vector against the slice rows in
@@ -321,7 +354,7 @@ class HomogeneousIdeal:
             # the slice's columns are exactly the clean monomials of the degree
             vec = {}
             for m, c in part.terms.items():
-                pos = basis.index.get(m)
+                pos = basis.position.get(basis.key(m))
                 if pos is not None:
                     vec[pos] = int(c * den)
             scale = den * self.reduce_positions(degree, vec)

@@ -1,4 +1,5 @@
-"""Exact multivariate polynomials, diagonal term order keys, and the operator kit.
+"""Exact multivariate polynomials, term orders packed into integer weights, and
+the operator kit.
 
 A Poly stores a map from exponent tuples (one slot per variable, row-major
 for grid variables) to exact coefficients: an int stays an int, so integer
@@ -8,6 +9,7 @@ indices in the grid API are 1-based.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .tables import dimensions, is_zigzag_matrix, row_sums
 
@@ -150,10 +152,11 @@ class Grid:
                 out[i + j] += exps[i * p + j]
         return tuple(out)
 
-    def diagonal_key(self, tiebreak="row"):
-        """The sort key of a diagonal term order (a larger key is a larger
-        term): the ddeg vectors are compared first, lexicographically, then
-        the exponents of the variables ranked by (i+j, i) ascending
+    def diagonal_order(self, tiebreak="row"):
+        """The diagonal term order as supports, most significant first (see
+        order_weights): the k + p - 1 antidiagonals by i + j ascending, so
+        that ddeg vectors are compared first, lexicographically, then every
+        variable as a singleton, ranked by (i+j, i) ascending
         (tiebreak="row"; tiebreak="column" ranks by (i+j, j) instead).
 
         Comparing ddeg first, rather than ranking variables alone, is what
@@ -164,9 +167,47 @@ class Grid:
         if tiebreak not in ("row", "column"):
             raise ValueError("tiebreak must be 'row' or 'column'")
         p = self.p
+        antidiagonals = [[] for _ in range(self.k + p - 1)]
+        for v in range(self.nvars):
+            antidiagonals[v // p + v % p].append(v)
         second = (lambda v: v // p) if tiebreak == "row" else (lambda v: v % p)
-        priority = sorted(range(self.nvars), key=lambda v: (v // p + v % p, second(v)))
-        return lambda exps: self.ddeg(exps) + tuple(exps[v] for v in priority)
+        ranked = sorted(range(self.nvars), key=lambda v: (v // p + v % p, second(v)))
+        return tuple(map(tuple, antidiagonals)) + tuple((v,) for v in ranked)
+
+
+@lru_cache(maxsize=256)
+def order_weights(order, nvars, degree) -> tuple:
+    """A term order packed into one integer weight per variable, exact on the
+    monomials of total degree at most `degree`.
+
+    `order` is a tuple of supports (tuples of variable indices), most
+    significant first, as Grid.diagonal_order returns: monomials compare by
+    their degree on each support in turn.  None is plain lex, one singleton
+    per variable, x0 first.  On such a monomial every support degree is a
+    digit below base = degree + 1, so with w[v] the sum of base**r over the
+    supports holding v, r counted from the last support, the key w . exps
+    ranks monomials exactly as the order does.  The key is linear:
+    key(f * x_v) = key(f) + w[v].  Raises ValueError on a variable index
+    outside range(nvars), or when some variable has no singleton support,
+    as the order is then not total.
+    """
+    if order is None:
+        order = tuple((v,) for v in range(nvars))
+    singletons = set()
+    for support in order:
+        if not all(0 <= v < nvars for v in support):
+            raise ValueError(f"bad support {support} in term order")
+        if len(set(support)) == 1:
+            singletons.add(support[0])
+    if len(singletons) < nvars:
+        raise ValueError("term order is not total: a variable has no singleton support")
+    base = degree + 1
+    weights = [0] * nvars
+    for support in order:
+        weights = [w * base for w in weights]
+        for v in set(support):
+            weights[v] += 1
+    return tuple(weights)
 
 
 def diff_pairing(f: Poly, g: Poly) -> Poly:

@@ -44,14 +44,14 @@ def _line_monomials(grid, indices, degree):
     return out
 
 
-def margin_ideal(alpha, beta, grid: Grid, key) -> HomogeneousIdeal:
+def margin_ideal(alpha, beta, grid: Grid, order) -> HomogeneousIdeal:
     """The margin ideal as line sums and line caps: every row and column sum,
     row i capped at alpha_i and column j at beta_j.  Its clean monomials are
     the subtingency tables.  Same ideal as contingency_generators presents."""
     lines = [row_support(grid, i) for i in range(1, grid.k + 1)]
     lines += [col_support(grid, j) for j in range(1, grid.p + 1)]
     return HomogeneousIdeal(
-        grid.nvars, key, lines, zip(lines, tuple(alpha) + tuple(beta))
+        grid.nvars, order, lines, zip(lines, tuple(alpha) + tuple(beta))
     )
 
 
@@ -109,7 +109,7 @@ class QuotientModel:
         self.n = sum(self.alpha)
         self.grid = Grid(len(self.alpha), len(self.beta))
         self.ideal = margin_ideal(
-            self.alpha, self.beta, self.grid, self.grid.diagonal_key()
+            self.alpha, self.beta, self.grid, self.grid.diagonal_order()
         )
         self.size = count_contingency_tables(self.alpha, self.beta)
         hilbert = []
@@ -209,11 +209,14 @@ def lefschetz_report(model: QuotientModel) -> list:
         e = top - 2 * k
         source = model.ideal.standard_monomials(k)
         target = model.ideal.slice(top - k)
+        # the packed key is linear: key(mono * term) = key(mono) + key(term)
+        terms = [(target.key(exps), c) for exps, c in powers[e].terms.items()]
         images = []
         for mono in source:
+            base = target.key(mono)
             image = {}
-            for exps, c in powers[e].terms.items():
-                pos = target.index.get(tuple([a + b for a, b in zip(mono, exps)]))
+            for key, c in terms:
+                pos = target.position.get(base + key)
                 if pos is not None:
                     image[pos] = c
             images.append(image)

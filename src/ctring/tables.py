@@ -6,6 +6,7 @@ positions) are 1-based, matching the usual display convention.
 """
 
 import json
+from functools import lru_cache
 
 from .partitions import kostka, kostka_column
 
@@ -87,10 +88,15 @@ def is_zigzag_matrix(matrix) -> bool:
     return is_zigzag_cells(support(matrix))
 
 
-def contingency_tables(alpha, beta) -> list:
-    """All matrices with the given row and column sums, by row-major backtracking."""
-    alpha = tuple(alpha)
-    beta = tuple(beta)
+def contingency_tables(alpha, beta) -> tuple:
+    """All matrices with the given row and column sums, by row-major
+    backtracking.  The last few results are kept: checking one margin pair
+    every way (a sweep record, verify) asks for its tables more than once."""
+    return _contingency_tables(tuple(alpha), tuple(beta))
+
+
+@lru_cache(maxsize=4)
+def _contingency_tables(alpha, beta) -> tuple:
     if sum(alpha) != sum(beta):
         raise ValueError("row and column sums must agree")
     k, p = len(alpha), len(beta)
@@ -124,7 +130,7 @@ def contingency_tables(alpha, beta) -> list:
         fill_cell(0, alpha[i])
 
     fill_row(0, beta)
-    return out
+    return tuple(out)
 
 
 def count_contingency_tables(alpha, beta) -> int:
@@ -148,8 +154,20 @@ def is_subtingency(matrix, alpha, beta) -> bool:
     )
 
 
+def decimal(text: str) -> int:
+    """A nonnegative integer written in ASCII decimal digits alone; int()
+    would also take '1_0', '+3', surrounding blanks and non-ASCII digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"expected decimal digits, got {text!r}")
+    return int(text)
+
+
 def matrix_from_text(text: str) -> tuple:
-    rows = [line.split() for line in text.strip().splitlines() if line.strip()]
+    rows = [
+        [decimal(v) for v in line.split()]
+        for line in text.strip().splitlines()
+        if line.strip()
+    ]
     if not rows:
         raise ValueError("empty matrix text")
     return as_matrix(rows)
@@ -167,6 +185,8 @@ def matrix_from_json(data) -> tuple:
             raise ValueError("matrix JSON entries must be integers")
         mat = as_matrix(entries)
         declared = (data["rows"], data["cols"])
+        if any(type(v) is not int for v in declared):
+            raise ValueError("declared matrix dimensions must be integers")
     except (KeyError, TypeError) as err:
         raise ValueError(f"malformed matrix JSON: {err!r}") from None
     if dimensions(mat) != declared:

@@ -7,8 +7,10 @@ tensor multiplicities, normal forms and Lefschetz ranks over Fraction
 Gauss-Jordan in `RrefIdeal` and `nf_lefschetz_report`, the unpruned slice
 rows `full_slice_rows`) reuse only library primitives that are tested on
 their own: `partitions`, `irreducible_character`, the generator list
-`contingency_generators`, the linear form `lefschetz_element`, the diagonal
-term order and the clean monomials of `HomogeneousIdeal`.
+`contingency_generators`, the linear form `lefschetz_element`, `Grid.ddeg`
+and the clean monomials of `HomogeneousIdeal`.  The diagonal term order is
+kept here as a tuple sort key, `diagonal_key`, against which the library's
+packed integer keys are checked.
 """
 
 from fractions import Fraction
@@ -178,6 +180,17 @@ def strict_compositions(total) -> list:
     return out
 
 
+def diagonal_key(grid, tiebreak="row"):
+    """The diagonal term order as a tuple sort key (a larger key is a larger
+    term): the ddeg vectors compared lexicographically, then the exponents of
+    the variables ranked by (i+j, i) ascending (tiebreak="row"; "column"
+    ranks by (i+j, j)).  Valid for every total degree at once."""
+    p = grid.p
+    second = (lambda v: v // p) if tiebreak == "row" else (lambda v: v % p)
+    priority = sorted(range(grid.nvars), key=lambda v: (v // p + v % p, second(v)))
+    return lambda exps: grid.ddeg(exps) + tuple(exps[v] for v in priority)
+
+
 def monomials_of_degree(nvars, degree):
     """All exponent tuples of the given total degree (stars and bars)."""
     if nvars == 1:
@@ -313,12 +326,12 @@ class RrefIdeal:
         return {m: c for m, c in out.items() if c}
 
 
-def full_slice_rows(ideal, degree):
+def full_slice_rows(ideal, key, degree):
     """(columns, rows) of one degree slice of a HomogeneousIdeal with no row
     skipped: every sum times every clean factor of degree - 1, restricted to
-    the clean monomials of the degree, which are the columns, order-descending.
-    Rows are keyed by column position."""
-    columns = sorted(ideal.clean_monomials(degree), key=ideal.key, reverse=True)
+    the clean monomials of the degree, which are the columns, descending by
+    the sort key `key`.  Rows are keyed by column position."""
+    columns = sorted(ideal.clean_monomials(degree), key=key, reverse=True)
     index = {m: i for i, m in enumerate(columns)}
     rows = []
     for support in ideal.sums:
@@ -350,7 +363,7 @@ def nf_lefschetz_report(alpha, beta, support=None) -> list:
     sum of the variables in `support` (by default those of the diagonal
     blocks), and L^e m is expanded one factor L at a time on plain dicts."""
     grid, gens = contingency_generators(alpha, beta)
-    ideal = RrefIdeal(gens, grid.nvars, grid.diagonal_key())
+    ideal = RrefIdeal(gens, grid.nvars, diagonal_key(grid))
     if support is None:
         support = [m.index(1) for m in lefschetz_element(alpha, beta, grid).terms]
     dims = []

@@ -10,6 +10,7 @@ import random
 import time
 import timeit
 from math import comb
+from operator import mul
 
 from oracles import (
     count_fixed_tables,
@@ -36,6 +37,7 @@ from ctring.polys import (
     Grid,
     diff_pairing,
     merge_row,
+    order_weights,
     polarize_row,
     shift_row,
     split_left,
@@ -220,7 +222,12 @@ def test_criterion_07_operator_lemmas():
     # polarization leading terms: exhaustive on 3x3 up to degree 4, seeded
     # samples on 4x5 up to degree 5
     def check_polarization(grid, matrix):
-        key = grid.diagonal_key()
+        degree = sum(map(sum, matrix))
+        weights = order_weights(grid.diagonal_order(), grid.nvars, degree)
+
+        def key(exps):
+            return sum(map(mul, weights, exps))
+
         for i1 in range(2, grid.k + 1):
             for i0 in range(1, i1):
                 r = row_sums(matrix)[i1 - 1]

@@ -36,6 +36,44 @@ def test_composition_parser():
         composition("3,x")
     with pytest.raises(argparse.ArgumentTypeError):
         composition("-1,2")
+    # int() would read all of these
+    for text in ("1_0", "+3", "3^+2", "\u0663", "2^1_0"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            composition(text)
+    assert composition(" 3 ^ 2 , 1") == (3, 3, 1)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zigzag", "--matrix", "1_0 2"],
+        ["rsk", "--matrix", "1 +2"],
+        ["zigzag", "--matrix", "\u0663 1"],
+        ["hilbert", "--alpha", "1_0", "--beta", "10"],
+        ["hilbert", "--alpha", "\u0663", "--beta", "3"],
+        ["conjectures", "--max-n", "1_0"],
+        ["sweep", "--max-len", "+2"],
+        ["figure1", "--family", "+1"],
+    ],
+    ids=[
+        "matrix-underscore",
+        "matrix-plus",
+        "matrix-unicode-digit",
+        "composition-underscore",
+        "composition-unicode-digit",
+        "count-underscore",
+        "count-plus",
+        "family-plus",
+    ],
+)
+def test_integer_inputs_take_ascii_digits_only(capsys, argv):
+    try:
+        status = main(argv)
+    except SystemExit as exc:  # argparse rejects the flag
+        status = exc.code
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
 
 
 def test_usage_error_names_flag(capsys):
@@ -129,6 +167,8 @@ def test_rsk_from_json_matrix(capsys):
         '{"rows": 1, "cols": 2, "entries": [[1.9, 2]]}',
         '{"rows": 1, "cols": 2, "entries": [[1, true]]}',
         '{"rows": 1, "cols": 2, "entries": [[1.0, 2]]}',
+        '{"rows": true, "cols": 2, "entries": [[10, 2]]}',
+        '{"rows": 1, "cols": 2.0, "entries": [[10, 2]]}',
     ],
     ids=[
         "no-entries",
@@ -141,6 +181,8 @@ def test_rsk_from_json_matrix(capsys):
         "float",
         "bool",
         "integral-float",
+        "bool-rows",
+        "float-cols",
     ],
 )
 def test_malformed_json_matrix_is_usage_error(tmp_path, capsys, blob):
@@ -208,7 +250,7 @@ def test_line_over_its_margin_fails_verify(monkeypatch, capsys):
     tables = ctring.quotient.contingency_tables
     bad = ((3, 0, 0), (0, 1, 1))
     monkeypatch.setattr(
-        ctring.quotient, "contingency_tables", lambda a, b: tables(a, b) + [bad]
+        ctring.quotient, "contingency_tables", lambda a, b: tables(a, b) + (bad,)
     )
     report = ctring.quotient.verify_associated_graded((3, 2), (2, 2, 1))
     assert report["lifts_vanish"] is False
@@ -237,6 +279,22 @@ def test_verify_and_sweep_build_each_model_once(monkeypatch, capsys):
     built.clear()
     status, out = run_cli(capsys, ["sweep", "--max-n", "2", "--max-len", "2"])
     assert status == 0 and len(built) == json.loads(out)["pairs"]
+
+
+def test_verify_and_sweep_enumerate_each_pair_once(capsys):
+    # verify asks for the tables of its pair twice and a sweep record three
+    # times; every request after the first is served from the memo
+    from ctring.tables import _contingency_tables
+
+    _contingency_tables.cache_clear()
+    status, _ = run_cli(capsys, ["verify", "--alpha", "3,2", "--beta", "2,2,1"])
+    info = _contingency_tables.cache_info()
+    assert status == 0 and (info.misses, info.hits) == (1, 1)
+    _contingency_tables.cache_clear()
+    status, out = run_cli(capsys, ["sweep", "--max-n", "2", "--max-len", "2"])
+    pairs = json.loads(out)["pairs"]
+    info = _contingency_tables.cache_info()
+    assert status == 0 and (info.misses, info.hits) == (pairs, 2 * pairs)
 
 
 def test_lefschetz(capsys):
@@ -318,6 +376,9 @@ def test_negative_count_is_usage_error(capsys, argv):
     assert "usage:" in captured.err and "expected an integer >=" in captured.err
 
 
+MARGINS_332_2222 = ["--alpha", "3,3,2", "--beta", "2,2,2,2"]
+
+
 @pytest.mark.parametrize(
     "argv, digest",
     [
@@ -329,8 +390,31 @@ def test_negative_count_is_usage_error(capsys, argv):
             ["conjectures", "--max-n", "6", "--lefschetz-n", "4", "--dominance-n", "4"],
             "59eb49da58117ae538359da17a9c6d9d4c2bd2f4f11aea8e890f748fc4e61b3d",
         ),
+        (
+            ["standard-basis", *MARGINS_332_2222],
+            "b035969885689c33da84c4c3acedef868ae618019dd6fafa93dc1e8e8ac6a89b",
+        ),
+        (
+            ["verify", *MARGINS_332_2222],
+            "f845ac663bf24e4c05eea30f78a8fb8c7e570b3ac4bcdc2f9ba42b2b6a4c5bab",
+        ),
+        (
+            ["lefschetz", *MARGINS_332_2222],
+            "39220948654ddf6e7ebef6f21a2a07378c2ad8fd107ce88414b48c7fca59756c",
+        ),
+        (
+            ["hilbert", *MARGINS_332_2222, "--method", "all"],
+            "adc223db5d22a2916dba3c29ac85a0592fc67049d19707c9ecaafa80b85510f7",
+        ),
     ],
-    ids=["sweep", "conjectures"],
+    ids=[
+        "sweep",
+        "conjectures",
+        "standard-basis",
+        "verify",
+        "lefschetz",
+        "hilbert-all",
+    ],
 )
 def test_scan_output_is_pinned(capsys, argv, digest):
     status, out = run_cli(capsys, argv)

@@ -7,6 +7,7 @@ import pytest
 
 from oracles import (
     RrefIdeal,
+    diagonal_key,
     divisibility_clean_monomials,
     fraction_rref,
     full_slice_rows,
@@ -34,7 +35,7 @@ from ctring.quotient import (
 def _margin(alpha, beta):
     """The generator list of the margin ideal and the ideal built from caps."""
     grid, gens = contingency_generators(alpha, beta)
-    return grid, gens, margin_ideal(alpha, beta, grid, grid.diagonal_key())
+    return grid, gens, margin_ideal(alpha, beta, grid, grid.diagonal_order())
 
 
 def _monomials(gens):
@@ -73,6 +74,14 @@ def test_bad_sums_and_caps_rejected():
         HomogeneousIdeal(2, None, sums=[(0, 2)])
     with pytest.raises(ValueError):
         HomogeneousIdeal(2, None, sums=[(-1,)])
+    # an order needs a singleton support on every variable to be total
+    with pytest.raises(ValueError):
+        HomogeneousIdeal(3, [(0, 1, 2), (0,), (1,)])
+    with pytest.raises(ValueError):
+        HomogeneousIdeal(2, [(0,), (1,), (2,)])
+    assert HomogeneousIdeal(3, [(0, 1), (2,), (1, 1), (0,)]).order == (
+        (0, 1), (2,), (1, 1), (0,)
+    )
 
 
 def test_sums_contract():
@@ -164,7 +173,7 @@ def test_slices_match_oracle():
     for alpha, beta in cases:
         grid, gens, ideal = _margin(alpha, beta)
         for d in range(sum(alpha) + 2):
-            pivots, standard = oracle_slice(gens, grid.nvars, ideal.key, d)
+            pivots, standard = oracle_slice(gens, grid.nvars, diagonal_key(grid), d)
             basis = ideal.slice(d)
             assert [basis.columns[p] for p in basis.rows] == pivots
             assert list(ideal.standard_monomials(d)) == standard
@@ -172,16 +181,16 @@ def test_slices_match_oracle():
         ideal = one_row_ideal(bounds)
         gens = one_row_generators(bounds)
         for d in range(sum(bounds) + 2):
-            pivots, standard = oracle_slice(gens, len(bounds), ideal.key, d)
+            pivots, standard = oracle_slice(gens, len(bounds), None, d)
             basis = ideal.slice(d)
             assert [basis.columns[p] for p in basis.rows] == pivots
             assert list(ideal.standard_monomials(d)) == standard
 
 
-def _assert_slices_unpruned(ideal, top):
+def _assert_slices_unpruned(ideal, key, top):
     for d in range(top + 1):
         basis = ideal.slice(d)
-        columns, rows = full_slice_rows(ideal, d)
+        columns, rows = full_slice_rows(ideal, key, d)
         full = position_echelon(rows)
         assert list(basis.columns) == columns
         assert list(basis.rows) == sorted(full), d
@@ -198,7 +207,7 @@ def _columns_first(alpha, beta):
     lines = [col_support(grid, j) for j in range(1, grid.p + 1)]
     lines += [row_support(grid, i) for i in range(1, grid.k + 1)]
     caps = zip(lines, tuple(beta) + tuple(alpha))
-    return HomogeneousIdeal(grid.nvars, grid.diagonal_key(), lines, caps)
+    return HomogeneousIdeal(grid.nvars, grid.diagonal_order(), lines, caps)
 
 
 def test_koszul_skipping_keeps_every_slice():
@@ -209,12 +218,48 @@ def test_koszul_skipping_keeps_every_slice():
         comps = weak_compositions_upto(n, 3)
         for alpha in comps:
             for beta in comps:
-                _assert_slices_unpruned(_margin(alpha, beta)[2], n + 1)
+                grid, _, ideal = _margin(alpha, beta)
+                key = diagonal_key(grid)
+                _assert_slices_unpruned(ideal, key, n + 1)
                 if n <= 4:
-                    _assert_slices_unpruned(_columns_first(alpha, beta), n + 1)
+                    _assert_slices_unpruned(_columns_first(alpha, beta), key, n + 1)
                 pairs += 1
     assert pairs > 1000
-    _assert_slices_unpruned(_margin((1,) * 5, (1,) * 5)[2], 6)
+    grid, _, ideal = _margin((1,) * 5, (1,) * 5)
+    _assert_slices_unpruned(ideal, diagonal_key(grid), 6)
+
+
+def _assert_columns_sorted(ideal, key, top):
+    for d in range(top + 1):
+        expected = sorted(ideal.clean_monomials(d), key=key, reverse=True)
+        assert list(ideal.slice(d).columns) == expected, d
+
+
+def test_packed_order_sorts_every_slice():
+    # the columns, sorted on packed integer keys, against the sort by the
+    # oracle's tuple key: every slice of every margin pair with n <= 5 and
+    # lengths <= 3 on both tiebreaks, and of the one-row ideals under lex
+    pairs = 0
+    for n in range(6):
+        comps = weak_compositions_upto(n, 3)
+        for alpha in comps:
+            for beta in comps:
+                grid = Grid(len(alpha), len(beta))
+                for tiebreak in ("row", "column"):
+                    order = grid.diagonal_order(tiebreak)
+                    ideal = margin_ideal(alpha, beta, grid, order)
+                    _assert_columns_sorted(ideal, diagonal_key(grid, tiebreak), n + 1)
+                pairs += 1
+    assert pairs > 1000
+    for bounds in [b for total in range(1, 9) for b in strict_compositions(total)]:
+        _assert_columns_sorted(one_row_ideal(bounds), None, sum(bounds) + 1)
+    # the carry edge: with no caps, the degree-d slice holds x_v^d, whose
+    # singleton digit is d, the largest that base d + 1 allows
+    for grid in (Grid(2, 3), Grid(3, 2)):
+        for tiebreak in ("row", "column"):
+            ideal = HomogeneousIdeal(grid.nvars, grid.diagonal_order(tiebreak))
+            _assert_columns_sorted(ideal, diagonal_key(grid, tiebreak), 4)
+            assert (4,) + (0,) * (grid.nvars - 1) in ideal.slice(4).columns
 
 
 def test_simple_ideal_slice():
@@ -237,15 +282,19 @@ def test_contingency_slice_degree_one():
 
 
 def test_degree_basis_counts():
-    # every clean monomial is a pivot or standard, and every unclean monomial
-    # lies in the initial ideal
+    # every clean monomial is a pivot or standard, the rows are an echelon
+    # form, and every unclean monomial lies in the initial ideal
     grid, _, ideal = _margin((2, 2), (2, 2))
     for d in range(4):
         basis = ideal.slice(d)
         clean = ideal.clean_monomials(d)
         assert len(basis.standard) + len(basis.rows) == len(basis.columns) == len(clean)
-        pivots = [basis.columns[p] for p in basis.rows]
-        assert len(set(pivots)) == len(pivots)
+        # each row starts at its pivot with a positive entry, is primitive,
+        # and the pivots ascend
+        for pivot, row in basis.rows.items():
+            assert min(row) == pivot and row[pivot] > 0
+            assert math.gcd(*row.values()) == 1
+        assert list(basis.rows) == sorted(basis.rows)
         unclean = set(bounded_exponents(grid.nvars, d)) - set(clean)
         assert all(ideal.in_initial_ideal(m) for m in unclean)
 
@@ -273,7 +322,11 @@ def test_normal_form_difference_in_ideal():
             basis = ideal.slice(d)
             rows = list(basis.rows.values())
             clean_part = integer_row(
-                {basis.index[m]: c for m, c in part.terms.items() if ideal.is_clean(m)}
+                {
+                    basis.position[basis.key(m)]: c
+                    for m, c in part.terms.items()
+                    if ideal.is_clean(m)
+                }
             )
             # no rank increase: it is in the span
             assert len(position_echelon(rows + [clean_part])) == len(rows)
@@ -371,7 +424,7 @@ def test_normal_form_matches_fraction_rref_oracle():
         for alpha in comps:
             for beta in comps:
                 grid, gens, ideal = _margin(alpha, beta)
-                oracle = RrefIdeal(gens, grid.nvars, ideal.key)
+                oracle = RrefIdeal(gens, grid.nvars, diagonal_key(grid))
                 mixed = Poly.zero(grid.nvars)
                 for d in range(n + 1):
                     for coeff in (integer, rational):

@@ -1,16 +1,18 @@
 import itertools
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
-from oracles import monomials_of_degree, random_zigzag_matrix
+from oracles import diagonal_key, monomials_of_degree, random_zigzag_matrix
 from ctring.linalg import extreme_monomials
 from ctring.polys import (
     Grid,
     Poly,
     diff_pairing,
     merge_row,
+    order_weights,
     polarize_col,
     polarize_row,
     shift_row,
@@ -58,6 +60,12 @@ def test_ddeg_constant():
 TIEBREAKS = ("row", "column")
 
 
+def packed_key(order, nvars, degree):
+    """The integer sort key of an order given as supports, exact up to degree."""
+    weights = order_weights(order, nvars, degree)
+    return lambda exps: sum(map(mul, weights, exps))
+
+
 def test_diagonal_order_basic():
     g = Grid(2, 2)
     x11 = g.exponents(((1, 0), (0, 0)))
@@ -66,24 +74,49 @@ def test_diagonal_order_basic():
     row = [g13.exponents((unit,)) for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
     col = [g31.exponents(tuple(zip(unit))) for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
     for tiebreak in TIEBREAKS:
-        key = g.diagonal_key(tiebreak)
+        key = packed_key(g.diagonal_order(tiebreak), g.nvars, 1)
         assert key(x11) > key(x22)
         # within one row, or one column, the order is plain lex
         for grid, v in ((g13, row), (g31, col)):
-            key = grid.diagonal_key(tiebreak)
+            key = packed_key(grid.diagonal_order(tiebreak), grid.nvars, 1)
             assert key(v[0]) > key(v[1]) > key(v[2])
     with pytest.raises(ValueError):
-        g.diagonal_key("diagonal")
+        g.diagonal_order("diagonal")
+    # on a 2 x 3 grid (variables row-major): the antidiagonals, then the
+    # singletons ranked by (i+j, i), or by (i+j, j)
+    antidiagonals = ((0,), (1, 3), (2, 4), (5,))
+    g23 = Grid(2, 3)
+    assert g23.diagonal_order() == antidiagonals + tuple(
+        (v,) for v in (0, 1, 3, 2, 4, 5)
+    )
+    assert g23.diagonal_order("column") == antidiagonals + tuple(
+        (v,) for v in (0, 3, 1, 4, 2, 5)
+    )
+
+
+def test_order_weights():
+    # base degree + 1, the first support most significant; None is plain lex
+    assert order_weights(None, 3, 2) == (9, 3, 1)
+    assert order_weights(((0, 1), (0,), (1,)), 2, 1) == (6, 5)
+    assert order_weights(((1,), (0,), (0, 0)), 2, 1) == (3, 4)
+    with pytest.raises(ValueError):
+        order_weights(((0, 1), (0,)), 2, 1)  # x1 has no singleton: not total
+    with pytest.raises(ValueError):
+        order_weights(((0,), (1,), (2,)), 2, 1)
 
 
 def test_diagonal_order_follows_ddeg():
+    # the packed key ranks as the oracle's tuple key, and so respects every
+    # strict ddeg comparison, whatever the total degrees
     g = Grid(2, 3)
     for tiebreak in TIEBREAKS:
-        key = g.diagonal_key(tiebreak)
+        key = packed_key(g.diagonal_order(tiebreak), g.nvars, 18)
+        oracle = diagonal_key(g, tiebreak)
         rng = random.Random(41)
         for _ in range(300):
             m1 = tuple(rng.randint(0, 3) for _ in range(6))
             m2 = tuple(rng.randint(0, 3) for _ in range(6))
+            assert (key(m1) > key(m2)) == (oracle(m1) > oracle(m2))
             d1, d2 = g.ddeg(m1), g.ddeg(m2)
             if d1 != d2:
                 assert (key(m1) > key(m2)) == (d1 > d2)
@@ -91,13 +124,13 @@ def test_diagonal_order_follows_ddeg():
 
 def test_term_order_axioms():
     # a monomial order: total, 1 is the smallest monomial, and comparisons
-    # survive multiplication by any monomial
+    # survive multiplication by any monomial (products have degree <= 4 nvars)
     for grid in (Grid(2, 2), Grid(2, 3)):
         one = (0,) * grid.nvars
         rng = random.Random(43)
         monos = [tuple(rng.randint(0, 2) for _ in range(grid.nvars)) for _ in range(40)]
         for tiebreak in TIEBREAKS:
-            key = grid.diagonal_key(tiebreak)
+            key = packed_key(grid.diagonal_order(tiebreak), grid.nvars, 4 * grid.nvars)
             assert len({key(m) for m in monos}) == len(set(monos))
             for m in monos:
                 if m != one:
@@ -112,12 +145,18 @@ def test_term_order_axioms():
 
 
 def test_lex_order():
-    # plain lex is the sort key None: of one polynomial, its own lex-largest
-    # and lex-smallest terms, however large the total degree of the smaller one
+    # plain lex is the order None, one singleton per variable: of one
+    # polynomial, its own lex-largest and lex-smallest terms, however large
+    # the total degree of the smaller one
     n = 3
-    f = Poly(n, {(1, 0, 0): 1, (0, 1, 1): 1})
-    assert extreme_monomials([f], None) == {(1, 0, 0)}
-    assert extreme_monomials([f], None, smallest=True) == {(0, 1, 1)}
+    for f in (
+        Poly(n, {(1, 0, 0): 1, (0, 1, 1): 1}),
+        Poly(n, {(1, 0, 0): 1, (0, 5, 5): 1}),
+    ):
+        low = min(f.terms)
+        for order in (None, [(0,), (1,), (2,)]):
+            assert extreme_monomials([f], order) == {(1, 0, 0)}
+            assert extreme_monomials([f], order, smallest=True) == {low}
     g = Poly(n, {(1, 0, 0): 1, (0, 5, 5): 1})
     assert extreme_monomials([g], None) == {(1, 0, 0)}
     assert extreme_monomials([g], None, smallest=True) == {(0, 5, 5)}
@@ -346,8 +385,8 @@ def test_polarization_leading_monomial_lemma():
     # on every 3x3 monomial of degree <= 4, iterated polarization moving a row
     # upward has the shifted monomial as its leading term
     g = Grid(3, 3)
-    key = g.diagonal_key()
     for degree in range(5):
+        key = packed_key(g.diagonal_order(), g.nvars, degree)
         for exps in monomials_of_degree(9, degree):
             a = g.matrix(exps)
             for i1 in range(2, 4):

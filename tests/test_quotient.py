@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from oracles import nf_lefschetz_report, oracle_slice
+from oracles import diagonal_key, nf_lefschetz_report, oracle_slice
 from ctring.linalg import HomogeneousIdeal, linear_form
 from ctring.partitions import weak_compositions_upto
 from ctring.polys import Grid, Poly, polarize_row
@@ -181,10 +181,10 @@ def test_ideal_sum_observation():
     # the margin generators, and as the line sums with line caps
     for alpha, beta in [((2, 1), (1, 1, 1)), ((2, 2), (2, 2)), ((3, 1), (2, 1, 1))]:
         grid, gens = contingency_generators(alpha, beta)
-        key = grid.diagonal_key()
+        key = diagonal_key(grid)
         _, row_side = rowsum_ideal_generators(beta, len(alpha), grid)
         _, col_side = colsum_ideal_generators(alpha, len(beta), grid)
-        caps = margin_ideal(alpha, beta, grid, key)
+        caps = margin_ideal(alpha, beta, grid, grid.diagonal_order())
         for d in range(sum(alpha) + 2):
             combined = oracle_slice(row_side + col_side, grid.nvars, key, d)
             assert combined == oracle_slice(gens, grid.nvars, key, d)
@@ -199,10 +199,10 @@ def test_row_polarization_preserves_rowsum_ideal():
     beta = (2, 1)
     k = 3
     grid, gens = rowsum_ideal_generators(beta, k)
-    key = grid.diagonal_key()
+    key = diagonal_key(grid)
     ideal = HomogeneousIdeal(
         grid.nvars,
-        key,
+        grid.diagonal_order(),
         [row_support(grid, i) for i in range(1, k + 1)],
         [(col_support(grid, j), b) for j, b in enumerate(beta, start=1)],
     )
@@ -231,8 +231,8 @@ def test_standard_basis_independent_of_diagonal_tiebreak():
     # column-ranked tiebreak must reproduce the row-ranked result
     for alpha, beta in [((3, 2), (2, 2, 1)), ((2, 2), (2, 2)), ((2, 1, 1), (1, 2, 1))]:
         grid = Grid(len(alpha), len(beta))
-        a = margin_ideal(alpha, beta, grid, grid.diagonal_key(tiebreak="row"))
-        b = margin_ideal(alpha, beta, grid, grid.diagonal_key(tiebreak="column"))
+        a = margin_ideal(alpha, beta, grid, grid.diagonal_order(tiebreak="row"))
+        b = margin_ideal(alpha, beta, grid, grid.diagonal_order(tiebreak="column"))
         for d in range(sum(alpha) + 1):
             std_a = set(a.standard_monomials(d))
             std_b = set(b.standard_monomials(d))

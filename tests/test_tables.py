@@ -74,6 +74,14 @@ def test_contingency_golden_set():
     assert len(tables) == len(expected)
 
 
+def test_contingency_tables_are_a_memoized_tuple():
+    # any sequence of margins is accepted, and a repeated request returns
+    # the same tuple without enumerating again
+    tables = contingency_tables([3, 2], [2, 2, 1])
+    assert type(tables) is tuple
+    assert contingency_tables((3, 2), (2, 2, 1)) is tables
+
+
 def test_contingency_permutation_case():
     assert set(contingency_tables((1, 1), (1, 1))) == {
         ((1, 0), (0, 1)),
