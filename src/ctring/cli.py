@@ -219,7 +219,7 @@ def cmd_figure1(args):
     alpha = uniform_family(args.family)
     coeffs = hilbert_kostka(alpha, alpha, max_degree=args.upto)
     return {
-        "family": f"{args.family}^{60 // args.family}",
+        "family": f"{args.family}^{len(alpha)}",
         "coeffs": _big(coeffs),
     }, 0
 
@@ -282,6 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     csv = {"action": "store_true", "help": "CSV coefficient output"}
+    margin = {"type": composition, "required": True}
 
     def add(name, fn, **flags):
         p = sub.add_parser(name)
@@ -293,37 +294,17 @@ def build_parser() -> argparse.ArgumentParser:
     add(
         "hilbert",
         cmd_hilbert,
-        alpha={"type": composition, "required": True},
-        beta={"type": composition, "required": True},
+        alpha=margin,
+        beta=margin,
         method={"choices": [*HILBERT_ROUTES, "all"], "default": "kostka"},
         csv=csv,
     )
     add("rsk", cmd_rsk, matrix={"required": True})
     add("zigzag", cmd_zigzag, matrix={"required": True})
-    add(
-        "standard-basis",
-        cmd_standard_basis,
-        alpha={"type": composition, "required": True},
-        beta={"type": composition, "required": True},
-    )
-    add(
-        "verify",
-        cmd_verify,
-        alpha={"type": composition, "required": True},
-        beta={"type": composition, "required": True},
-    )
-    add(
-        "frobenius",
-        cmd_frobenius,
-        mu={"type": composition, "required": True},
-        nu={"type": composition, "required": True},
-    )
-    add(
-        "lefschetz",
-        cmd_lefschetz,
-        alpha={"type": composition, "required": True},
-        beta={"type": composition, "required": True},
-    )
+    add("standard-basis", cmd_standard_basis, alpha=margin, beta=margin)
+    add("verify", cmd_verify, alpha=margin, beta=margin)
+    add("frobenius", cmd_frobenius, mu=margin, nu=margin)
+    add("lefschetz", cmd_lefschetz, alpha=margin, beta=margin)
     add(
         "conjectures",
         cmd_conjectures,
@@ -336,8 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     add(
         "ehrhart",
         cmd_ehrhart,
-        alpha={"type": composition, "required": True},
-        beta={"type": composition, "required": True},
+        alpha=margin,
+        beta=margin,
         upto={"type": at_least(0), "default": 3},
         interior={"action": "store_true"},
         csv=csv,

@@ -229,7 +229,8 @@ class HomogeneousIdeal:
         return all(sum(exps[v] for v in support) <= cap for support, cap in self.caps)
 
     def clean_monomials(self, degree):
-        """The clean monomials of one degree, lexicographically descending.
+        """The clean monomials of one degree, lexicographically descending,
+        as a tuple, which the slices and every caller share.
 
         One backtracking pass over the variables that tracks each cap's room
         left; for the margin ideal these are the subtingency tables of the
@@ -266,7 +267,7 @@ class HomogeneousIdeal:
             rec(0, degree)
         elif degree == 0:
             out.append(())
-        self._clean[degree] = out
+        self._clean[degree] = out = tuple(out)
         return out
 
     def slice(self, degree) -> DegreeBasis:
@@ -328,16 +329,6 @@ class HomogeneousIdeal:
         basis = self.slice(sum(exps))
         return basis.position[basis.key(exps)] in basis.rows
 
-    def reduce_positions(self, degree, vec):
-        """Reduce an integer position-keyed vector against the slice rows in
-        place, smallest pivot position first.  Returns the factor s > 0 such
-        that the reduction of the input is vec / s."""
-        scale = 1
-        for p, prow in self.slice(degree).rows.items():
-            if p in vec:
-                scale *= _eliminate(vec, p, prow)
-        return scale
-
     def normal_form(self, poly: Poly) -> Poly:
         """Reduce modulo the ideal onto the span of standard monomials.
 
@@ -357,7 +348,10 @@ class HomogeneousIdeal:
                 pos = basis.position.get(basis.key(m))
                 if pos is not None:
                     vec[pos] = int(c * den)
-            scale = den * self.reduce_positions(degree, vec)
+            scale = den  # times the factor of each elimination, smallest pivot first
+            for p, prow in basis.rows.items():
+                if p in vec:
+                    scale *= _eliminate(vec, p, prow)
             for p, c in vec.items():
                 q, r = divmod(c, scale)
                 out[basis.columns[p]] = Fraction(c, scale) if r else q

@@ -136,20 +136,15 @@ def in_matrix_ball_image(sub, alpha, beta) -> bool:
     if not is_subtingency(sub, alpha, beta):
         raise ValueError("matrix is not an alpha,beta-subtingency table")
     _, northern, western = matrix_ball_step(sub)
-    rows = row_sums(sub)
-    cols = col_sums(sub)
-    acc = 0
-    slack = 0
-    for i in range(len(alpha)):
-        acc += northern[i]
-        if acc > slack:
-            return False
-        slack += alpha[i] - rows[i]
-    acc = 0
-    slack = 0
-    for j in range(len(beta)):
-        acc += western[j]
-        if acc > slack:
-            return False
-        slack += beta[j] - cols[j]
+    for balls, margin, sums in (
+        (northern, alpha, row_sums(sub)),
+        (western, beta, col_sums(sub)),
+    ):
+        acc = 0
+        slack = 0
+        for count, cap, used in zip(balls, margin, sums):
+            acc += count
+            if acc > slack:
+                return False
+            slack += cap - used
     return True

@@ -8,7 +8,7 @@ saturation procedure pairing off weak compositions.
 """
 
 from .errors import CheckFailed
-from .linalg import HomogeneousIdeal
+from .linalg import HomogeneousIdeal, linear_form
 from .polys import Poly
 
 
@@ -21,7 +21,7 @@ def one_row_generators(bounds) -> list:
         g = Poly.variable(n, i, power=d + 1)
         if g not in gens:
             gens.append(g)
-    lin = Poly(n, {tuple(1 if j == i else 0 for j in range(n)): 1 for i in range(n)})
+    lin = linear_form(n, range(n))
     if lin not in gens:
         gens.append(lin)
     return gens
@@ -97,15 +97,11 @@ def two_row_tableaux(bounds) -> list:
 
 
 def row_content(row, n) -> tuple:
+    """The weak composition counting each letter's occurrences in the row."""
     counts = [0] * n
     for v in row:
         counts[v - 1] += 1
     return tuple(counts)
-
-
-def first_row_content(tableau, n) -> tuple:
-    """The weak composition counting each letter's occurrences in the top row."""
-    return row_content(tableau[0], n)
 
 
 def column_product(tableau, n) -> Poly:

@@ -28,16 +28,14 @@ def check_partition(seq) -> tuple:
     return parts
 
 
-def partitions(n: int, max_part: int | None = None) -> list:
+def partitions(n: int) -> list:
     """All partitions of n, in reverse-lexicographic (descending) order.
 
-    Optionally restrict to parts <= max_part.  Returns a fresh list; the
-    enumeration itself is cached.
+    Returns a fresh list; the enumeration itself is cached.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    cap = n if max_part is None else min(max_part, n)
-    return list(_partitions(n, max(cap, 0)))
+    return list(_partitions(n, n))
 
 
 @lru_cache(maxsize=None)
@@ -112,18 +110,15 @@ _KOSTKA_CACHE: dict = {}
 def kostka(shape, content) -> int:
     """Number of semistandard tableaux of the given shape and content.
 
-    The hook length formula when the content is all ones; otherwise a lookup
-    in the Pieri column of the content truncated to the depth n - shape_1,
-    so a lookup builds (and memoises) that whole truncated column: cheap for a
-    long first row, the full column for a short one.
+    A lookup in the Pieri column of the content truncated to the depth
+    n - shape_1, so a lookup builds (and memoises) that whole truncated
+    column: cheap for a long first row, the full column for a short one.
     """
     shape = check_partition(shape)
     content = tuple(content)
     n = sum(shape)
     if n != sum(content):
         raise ValueError("shape size and content sum differ")
-    if content and all(c == 1 for c in content):
-        return standard_tableau_count(shape)
     return kostka_column(content, n - shape[0] if shape else 0).get(shape, 0)
 
 

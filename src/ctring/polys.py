@@ -30,18 +30,14 @@ class Poly:
         self.terms = clean
 
     @classmethod
-    def zero(cls, nvars):
-        return cls(nvars)
+    def monomial(cls, exps):
+        return cls(len(exps), {tuple(exps): 1})
 
     @classmethod
-    def monomial(cls, exps, coeff=1):
-        return cls(len(exps), {tuple(exps): coeff})
-
-    @classmethod
-    def variable(cls, nvars, index, power=1, coeff=1):
+    def variable(cls, nvars, index, power=1):
         exps = [0] * nvars
         exps[index] = power
-        return cls(nvars, {tuple(exps): coeff})
+        return cls(nvars, {tuple(exps): 1})
 
     def __bool__(self):
         return bool(self.terms)
@@ -57,6 +53,8 @@ class Poly:
         return hash((self.nvars, frozenset(self.terms.items())))
 
     def __add__(self, other):
+        if self.nvars != other.nvars:
+            raise ValueError("variable count mismatch")
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
             val = out.get(exps, 0) + coeff
@@ -75,6 +73,8 @@ class Poly:
     def __mul__(self, other):
         if not isinstance(other, Poly):
             return Poly(self.nvars, {e: c * other for e, c in self.terms.items()})
+        if self.nvars != other.nvars:
+            raise ValueError("variable count mismatch")
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -140,8 +140,8 @@ class Grid:
         p = self.p
         return tuple(tuple(exps[i * p : (i + 1) * p]) for i in range(self.k))
 
-    def monomial(self, matrix, coeff=1):
-        return Poly(self.nvars, {self.exponents(matrix): coeff})
+    def monomial(self, matrix):
+        return Poly(self.nvars, {self.exponents(matrix): 1})
 
     def ddeg(self, exps):
         """Antidiagonal degree vector: slot q-1 sums cells with i+j-1 = q."""
@@ -238,7 +238,7 @@ def diff_pairing(f: Poly, g: Poly) -> Poly:
 
 def _polarize(f: Poly, nvars: int, pairs) -> Poly:
     """Sum over (src, dst) variable pairs of x_dst d/dx_src."""
-    out = Poly.zero(nvars)
+    out = Poly(nvars)
     for src, dst in pairs:
         terms = {}
         for exps, coeff in f.terms.items():

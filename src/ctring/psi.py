@@ -44,10 +44,11 @@ def stab_group(mu) -> SymmetricProductGroup:
 
 def stab_permutation(mu, class_tuple) -> tuple:
     """A permutation (0-based image tuple) of the positions 1..len(mu)
-    realizing the given class tuple, cycling within equal-part blocks."""
+    realizing the given class tuple, cycling within equal-part blocks.
+    ValueError unless the tuple holds one cycle type per factor."""
     mu = check_partition(mu)
     image = list(range(len(mu)))
-    for (part, m, positions), rho in zip(stab_factor_data(mu), class_tuple):
+    for (part, m, positions), rho in zip(stab_factor_data(mu), class_tuple, strict=True):
         if sum(rho) != m:
             raise ValueError("cycle type does not match factor size")
         idx = 0
@@ -126,14 +127,14 @@ def invariants_frobenius_s(mu, lam) -> TensorSymFunc:
     nonnegative."""
     mu = check_partition(mu)
     lam = check_partition(lam)
-    factors = stab_factor_data(mu)
-    degrees = tuple(m for _, m, _ in factors)
-    total = TensorSymFunc(degrees, "s")
+    coeffs: dict = {}
     for rho, c in s_to_h_expansion(lam).items():
-        total = total + invariants_frobenius_h(mu, rho).to_s().scale(c)
-    if any(value < 0 for value in total.coeffs.values()):
+        for key, value in invariants_frobenius_h(mu, rho).to_s().coeffs.items():
+            coeffs[key] = coeffs.get(key, 0) + c * value
+    if any(value < 0 for value in coeffs.values()):
         raise CheckFailed("invariant multiplicities must be nonnegative ints")
-    return total
+    degrees = tuple(m for _, m, _ in stab_factor_data(mu))
+    return TensorSymFunc._from_terms(degrees, "s", coeffs)
 
 
 def graded_decomposition(mu, nu) -> dict:
@@ -168,13 +169,11 @@ def pair_group(mu, nu) -> SymmetricProductGroup:
     )
 
 
-def kronecker_product(dec_a: TensorSymFunc, dec_b: TensorSymFunc, group=None) -> TensorSymFunc:
+def kronecker_product(dec_a: TensorSymFunc, dec_b: TensorSymFunc, group) -> TensorSymFunc:
     """Irreducible decomposition of the internal tensor product of two modules
-    over the same product of symmetric groups (diagonal action)."""
+    over `group`, the SymmetricProductGroup both live over (diagonal action)."""
     if dec_a.degrees != dec_b.degrees:
         raise ValueError("modules live over different groups")
-    if group is None:
-        group = SymmetricProductGroup(dec_a.degrees)
     mults_a = dec_a.to_s().coeffs
     mults_b = dec_b.to_s().coeffs
     if not mults_a or not mults_b:
@@ -184,18 +183,16 @@ def kronecker_product(dec_a: TensorSymFunc, dec_b: TensorSymFunc, group=None) ->
     )
 
 
-def kronecker_dominance(dec_a: TensorSymFunc, dec_b: TensorSymFunc, group=None):
-    """Whether every irreducible multiplicity in dec_a (x) dec_a is at least
-    its multiplicity in dec_b.  Returns the list of violating irreducibles
-    (empty means dominance holds).
+def kronecker_dominance(dec_a: TensorSymFunc, dec_b: TensorSymFunc, group):
+    """Whether every irreducible multiplicity in dec_a (x) dec_a, over `group`,
+    is at least its multiplicity in dec_b.  Returns the list of violating
+    irreducibles (empty means dominance holds).
 
     Equivalent, in characteristic zero, to the existence of an equivariant
     injection of the dec_b module into the tensor square of the dec_a module.
     """
     if dec_a.degrees != dec_b.degrees:
         raise ValueError("modules live over different groups")
-    if group is None:
-        group = SymmetricProductGroup(dec_a.degrees)
     mults_a = dec_a.to_s().coeffs
     mults_b = dec_b.to_s().coeffs
     if not mults_b:

@@ -33,25 +33,32 @@ def col_support(grid: Grid, j: int) -> tuple:
     return tuple(grid.index(i, j) for i in range(1, grid.k + 1))
 
 
-def _line_monomials(grid, indices, degree):
-    """Monomials of the given degree supported on a fixed list of variables."""
-    out = []
-    for exps in bounded_exponents(len(indices), degree):
-        full = [0] * grid.nvars
-        for idx, e in zip(indices, exps):
-            full[idx] = e
-        out.append(Poly.monomial(tuple(full)))
-    return out
+def _lines(grid: Grid):
+    """The supports of the rows, then of the columns."""
+    rows = [row_support(grid, i) for i in range(1, grid.k + 1)]
+    return rows, [col_support(grid, j) for j in range(1, grid.p + 1)]
+
+
+def _generators(grid: Grid, sums, caps) -> list:
+    """The sum of each line in `sums`, then for each (line, cap) in `caps`
+    every monomial of degree cap + 1 on the line."""
+    gens = [linear_form(grid.nvars, line) for line in sums]
+    for line, cap in caps:
+        for exps in bounded_exponents(len(line), cap + 1):
+            full = [0] * grid.nvars
+            for idx, e in zip(line, exps):
+                full[idx] = e
+            gens.append(Poly.monomial(tuple(full)))
+    return gens
 
 
 def margin_ideal(alpha, beta, grid: Grid, order) -> HomogeneousIdeal:
     """The margin ideal as line sums and line caps: every row and column sum,
     row i capped at alpha_i and column j at beta_j.  Its clean monomials are
     the subtingency tables.  Same ideal as contingency_generators presents."""
-    lines = [row_support(grid, i) for i in range(1, grid.k + 1)]
-    lines += [col_support(grid, j) for j in range(1, grid.p + 1)]
+    rows, cols = _lines(grid)
     return HomogeneousIdeal(
-        grid.nvars, order, lines, zip(lines, tuple(alpha) + tuple(beta))
+        grid.nvars, order, rows + cols, zip(rows + cols, tuple(alpha) + tuple(beta))
     )
 
 
@@ -63,32 +70,24 @@ def contingency_generators(alpha, beta, grid: Grid | None = None):
     if sum(alpha) != sum(beta):
         raise ValueError("row and column sums must agree")
     grid = grid or Grid(len(alpha), len(beta))
-    rows = [row_support(grid, i) for i in range(1, grid.k + 1)]
-    cols = [col_support(grid, j) for j in range(1, grid.p + 1)]
-    gens = [linear_form(grid.nvars, line) for line in rows + cols]
-    for line, cap in [*zip(rows, alpha), *zip(cols, beta)]:
-        gens += _line_monomials(grid, line, cap + 1)
-    return grid, gens
+    rows, cols = _lines(grid)
+    return grid, _generators(grid, rows + cols, [*zip(rows, alpha), *zip(cols, beta)])
 
 
 def rowsum_ideal_generators(beta, k: int, grid: Grid | None = None):
     """Row sums plus column monomials of degree beta_j + 1."""
     beta = tuple(beta)
     grid = grid or Grid(k, len(beta))
-    gens = [linear_form(grid.nvars, row_support(grid, i)) for i in range(1, grid.k + 1)]
-    for j, b in enumerate(beta, start=1):
-        gens += _line_monomials(grid, col_support(grid, j), b + 1)
-    return grid, gens
+    rows, cols = _lines(grid)
+    return grid, _generators(grid, rows, zip(cols, beta, strict=True))
 
 
 def colsum_ideal_generators(alpha, p: int, grid: Grid | None = None):
     """Column sums plus row monomials of degree alpha_i + 1."""
     alpha = tuple(alpha)
     grid = grid or Grid(len(alpha), p)
-    gens = [linear_form(grid.nvars, col_support(grid, j)) for j in range(1, grid.p + 1)]
-    for i, a in enumerate(alpha, start=1):
-        gens += _line_monomials(grid, row_support(grid, i), a + 1)
-    return grid, gens
+    rows, cols = _lines(grid)
+    return grid, _generators(grid, cols, zip(rows, alpha, strict=True))
 
 
 class QuotientModel:
@@ -165,16 +164,13 @@ def derived_matrix_set(alpha, beta) -> frozenset:
     return frozenset(derived_matrix(t) for t in contingency_tables(alpha, beta))
 
 
-def lefschetz_element(alpha, beta, grid: Grid | None = None) -> Poly:
+def lefschetz_element(alpha, beta, grid: Grid) -> Poly:
     """Sum of the variables whose block meets the main diagonal.
 
     Partition the n x n square into row blocks of sizes alpha and column
     blocks of sizes beta; variable (i, j) contributes when the (i, j) block
     contains a diagonal cell.
     """
-    alpha = tuple(alpha)
-    beta = tuple(beta)
-    grid = grid or Grid(len(alpha), len(beta))
     support = []
     rstart = 0
     for i, a in enumerate(alpha, start=1):
@@ -241,7 +237,7 @@ def _falling(value: int, times: int) -> int:
     return out
 
 
-def verify_associated_graded(alpha, beta, model: QuotientModel | None = None) -> dict:
+def verify_associated_graded(alpha, beta, model: QuotientModel) -> dict:
     """Check the witnesses placing each generator in the graded vanishing ideal
     of the contingency-table locus, and the dimension count.
 
@@ -274,8 +270,6 @@ def verify_associated_graded(alpha, beta, model: QuotientModel | None = None) ->
                     break
             if value != 0:
                 lifts_vanish = False
-    if model is None:
-        model = QuotientModel(alpha, beta)
     dim = sum(model.hilbert)
     return {
         "lifts_vanish": lifts_vanish,

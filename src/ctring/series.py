@@ -57,10 +57,6 @@ def log_concavity_violations(coeffs) -> list:
     ]
 
 
-def _scale(gamma, m):
-    return tuple(m * g for g in gamma)
-
-
 def q_ehrhart(alpha, beta, upto: int, interior: bool = False) -> list:
     """Graded lattice-point series of the transportation polytope with margins
     (alpha, beta): entry m is the Hilbert coefficient list of the m-th dilate.
@@ -77,7 +73,7 @@ def q_ehrhart(alpha, beta, upto: int, interior: bool = False) -> list:
     out = []
     for m in range(upto + 1):
         if not interior:
-            out.append(hilbert_kostka(_scale(alpha, m), _scale(beta, m)))
+            out.append(hilbert_kostka([m * a for a in alpha], [m * b for b in beta]))
             continue
         shifted_alpha = tuple(m * a - p for a in alpha)
         shifted_beta = tuple(m * b - k for b in beta)
@@ -88,8 +84,9 @@ def q_ehrhart(alpha, beta, upto: int, interior: bool = False) -> list:
     return out
 
 
-def uniform_family(part: int, n: int = 60) -> tuple:
-    """The composition (part, part, ..., part) summing to n."""
-    if n % part:
-        raise ValueError("part must divide n")
-    return (part,) * (n // part)
+def uniform_family(part: int) -> tuple:
+    """The composition (part, part, ..., part) summing to 60: the margins of
+    the paper's n = 60 families."""
+    if 60 % part:
+        raise ValueError("part must divide 60")
+    return (part,) * (60 // part)

@@ -9,6 +9,7 @@ from collections import namedtuple
 from functools import lru_cache
 from math import factorial
 from operator import mul
+from types import MappingProxyType
 
 from .errors import CheckFailed
 from .partitions import (
@@ -100,11 +101,12 @@ def _s_to_h_table(n) -> dict:
             # nu dominates lam, hence precedes it lexicographically: row known
             for mu, d in table[nu].items():
                 row[mu] = row.get(mu, 0) - c * d
-        table[lam] = {mu: c for mu, c in row.items() if c}
+        table[lam] = MappingProxyType({mu: c for mu, c in row.items() if c})
     return table
 
 
-def s_to_h_expansion(lam) -> dict:
+def s_to_h_expansion(lam):
+    """The h expansion of s_lam, as a read-only {mu: coefficient} mapping."""
     lam = check_partition(lam)
     return _s_to_h_table(sum(lam))[lam]
 
@@ -113,7 +115,8 @@ class TensorSymFunc:
     """A sum of tensor products of symmetric functions across fixed factor degrees.
 
     Keys are tuples of partitions, one per factor; used as Frobenius images of
-    modules over a product of symmetric groups.
+    modules over a product of symmetric groups.  `coeffs` is a read-only
+    mapping, as memoised values are shared by every caller.
     """
 
     __slots__ = ("degrees", "basis", "coeffs")
@@ -132,7 +135,7 @@ class TensorSymFunc:
                 raise ValueError(f"coefficients must be ints, not {c!r}")
             if c:
                 clean[key] = c
-        self.coeffs = clean
+        self.coeffs = MappingProxyType(clean)
 
     @classmethod
     def _from_terms(cls, degrees, basis, coeffs):
@@ -141,7 +144,7 @@ class TensorSymFunc:
         self = object.__new__(cls)
         self.degrees = degrees
         self.basis = basis
-        self.coeffs = {key: c for key, c in coeffs.items() if c}
+        self.coeffs = MappingProxyType({key: c for key, c in coeffs.items() if c})
         return self
 
     def __eq__(self, other):
@@ -161,11 +164,6 @@ class TensorSymFunc:
         for key, c in other.coeffs.items():
             out[key] = out.get(key, 0) + c
         return TensorSymFunc._from_terms(self.degrees, self.basis, out)
-
-    def scale(self, c):
-        return TensorSymFunc(
-            self.degrees, self.basis, {k: v * c for k, v in self.coeffs.items()}
-        )
 
     def tensor(self, other):
         if self.basis != other.basis:
@@ -203,10 +201,14 @@ class TensorSymFunc:
 
     def character(self, class_tuple):
         """Character of the underlying module at a class of the product group,
-        given as one cycle type per factor."""
-        group = SymmetricProductGroup(self.degrees)
+        given as one cycle type per factor; ValueError on any other tuple."""
+        table = _character_table(self.degrees)
+        column = table.columns.get(tuple(map(tuple, class_tuple)))
+        if column is None:
+            raise ValueError(f"not a class of the group: {class_tuple}")
         return sum(
-            c * group.character(key, class_tuple) for key, c in self.to_s().coeffs.items()
+            c * table.matrix[table.index[key]][column]
+            for key, c in self.to_s().coeffs.items()
         )
 
 
@@ -222,15 +224,16 @@ def _expand(expansions):
     return combos
 
 
-CharacterTable = namedtuple("CharacterTable", "classes irreducibles index matrix")
+CharacterTable = namedtuple("CharacterTable", "classes columns irreducibles index matrix")
 
 
 @lru_cache(maxsize=None)
 def _character_table(sizes) -> CharacterTable:
     """The character table of S_{m_1} x ... x S_{m_r}: (class tuple, class
-    size) pairs, irreducible labels, each label's row index, and one row of
-    integer characters per irreducible, aligned with the classes.  The matrix
-    is the Kronecker product of the factors' tables."""
+    size) pairs, each class tuple's column, irreducible labels, each label's
+    row index, and one row of integer characters per irreducible, aligned
+    with the classes.  The matrix is the Kronecker product of the factors'
+    tables."""
     classes = [((), 1)]
     irreducibles = [()]
     matrix = [[1]]
@@ -244,8 +247,9 @@ def _character_table(sizes) -> CharacterTable:
         irreducibles = [key + (lam,) for key in irreducibles for lam in parts]
         factor = [[irreducible_character(lam, rho) for rho in parts] for lam in parts]
         matrix = [[a * b for a in row for b in frow] for row in matrix for frow in factor]
+    columns = {cls: i for i, (cls, _) in enumerate(classes)}
     index = {irrep: i for i, irrep in enumerate(irreducibles)}
-    return CharacterTable(tuple(classes), tuple(irreducibles), index, matrix)
+    return CharacterTable(tuple(classes), columns, tuple(irreducibles), index, matrix)
 
 
 class SymmetricProductGroup:
@@ -267,14 +271,6 @@ class SymmetricProductGroup:
 
     def irreducibles(self):
         return list(_character_table(self.sizes).irreducibles)
-
-    def character(self, irrep, class_tuple) -> int:
-        value = 1
-        for lam, rho in zip(irrep, class_tuple):
-            value *= irreducible_character(lam, rho)
-            if value == 0:
-                return 0
-        return value
 
     def tensor_multiplicities(self, mod_a: dict, mod_b: dict) -> dict:
         """Irreducible multiplicities of the tensor product of two modules

@@ -23,7 +23,6 @@ from ctring.matrixball import matrix_ball_step, rsk
 from ctring.onerow import (
     column_product,
     dimension_counts,
-    first_row_content,
     one_row_generators,
     one_row_hilbert,
     one_row_ideal,
@@ -174,7 +173,7 @@ def test_criterion_06_one_row_suite():
                 for w in weak_compositions(m, n)
                 if all(x <= y for x, y in zip(w, bounds))
             }
-            phi_image = {first_row_content(t, n) for t in tabs if len(t[0]) == m}
+            phi_image = {row_content(t[0], n) for t in tabs if len(t[0]) == m}
             if m == 0:
                 psi_image = set()
             else:

@@ -252,7 +252,8 @@ def test_line_over_its_margin_fails_verify(monkeypatch, capsys):
     monkeypatch.setattr(
         ctring.quotient, "contingency_tables", lambda a, b: tables(a, b) + (bad,)
     )
-    report = ctring.quotient.verify_associated_graded((3, 2), (2, 2, 1))
+    model = ctring.quotient.QuotientModel((3, 2), (2, 2, 1))
+    report = ctring.quotient.verify_associated_graded((3, 2), (2, 2, 1), model)
     assert report["lifts_vanish"] is False
     status, out = run_cli(capsys, ["verify", "--alpha", "3,2", "--beta", "2,2,1"])
     assert status == 1

@@ -61,8 +61,16 @@ def test_bounded_compositions_match_filtered_product():
 
 def test_single_variable_caps():
     ideal = HomogeneousIdeal(2, None, caps=[((0,), 1), ((1,), 2)])
-    assert ideal.clean_monomials(2) == [(1, 1), (0, 2)]
+    assert ideal.clean_monomials(2) == ((1, 1), (0, 2))
     assert ideal.is_clean((1, 2)) and not ideal.is_clean((2, 0))
+
+
+def test_clean_monomials_cannot_be_changed_by_callers():
+    grid = Grid(2, 2)
+    ideal = margin_ideal((2, 1), (2, 1), grid, grid.diagonal_order())
+    with pytest.raises(AttributeError):
+        ideal.clean_monomials(2).clear()
+    assert [len(ideal.standard_monomials(d)) for d in range(4)] == [1, 1, 0, 0]
 
 
 def test_bad_sums_and_caps_rejected():
@@ -111,7 +119,7 @@ def test_caps_match_divisibility_on_margin_ideals():
                 grid, gens, ideal = _margin(alpha, beta)
                 monos = _monomials(gens)
                 for d in range(n + 2):
-                    assert ideal.clean_monomials(d) == divisibility_clean_monomials(
+                    assert list(ideal.clean_monomials(d)) == divisibility_clean_monomials(
                         monos, grid.nvars, d
                     ), (alpha, beta, d)
                 pairs += 1
@@ -126,7 +134,7 @@ def test_caps_match_divisibility_on_one_row_ideals():
         ideal = one_row_ideal(bounds)
         monos = _monomials(one_row_generators(bounds))
         for d in range(sum(bounds) + 2):
-            assert ideal.clean_monomials(d) == divisibility_clean_monomials(
+            assert list(ideal.clean_monomials(d)) == divisibility_clean_monomials(
                 monos, n, d
             ), (bounds, d)
 
@@ -386,7 +394,7 @@ def test_extreme_monomials_span_property():
     fins = extreme_monomials(polys, None, smallest=True)
     # every fin is realized, and every span element's fin belongs to the set
     for _ in range(30):
-        combo = Poly.zero(n)
+        combo = Poly(n)
         for p in polys:
             combo = combo + rng.randint(-2, 2) * p
         if combo:
@@ -425,7 +433,7 @@ def test_normal_form_matches_fraction_rref_oracle():
             for beta in comps:
                 grid, gens, ideal = _margin(alpha, beta)
                 oracle = RrefIdeal(gens, grid.nvars, diagonal_key(grid))
-                mixed = Poly.zero(grid.nvars)
+                mixed = Poly(grid.nvars)
                 for d in range(n + 1):
                     for coeff in (integer, rational):
                         f = _random_poly(rng, ideal, d, coeff)
@@ -449,6 +457,6 @@ def test_integer_inputs_stay_integers():
         for _ in range(10):
             f = _random_poly(rng, ideal, d, lambda: rng.randint(-4, 4))
             assert all(type(c) is int for c in ideal.normal_form(f).terms.values())
-    product = gens[0] * gens[-1] * Poly.variable(grid.nvars, 0, coeff=3)
+    product = gens[0] * gens[-1] * (3 * Poly.variable(grid.nvars, 0))
     assert product and all(type(c) is int for c in product.terms.values())
     assert all(type(c) is int for c in (gens[0] - 2 * gens[1]).terms.values())

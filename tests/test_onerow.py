@@ -9,7 +9,6 @@ from ctring.linalg import HomogeneousIdeal, extreme_monomials
 from ctring.onerow import (
     column_product,
     dimension_counts,
-    first_row_content,
     one_row_generators,
     one_row_hilbert,
     one_row_ideal,
@@ -115,8 +114,8 @@ def test_saturation_precondition():
 
 
 def test_phi_golden():
-    assert first_row_content(((1, 2, 2, 4), (2, 3, 4, 5)), 5) == (1, 2, 0, 1, 0)
-    assert first_row_content(((), ()), 4) == (0, 0, 0, 0)
+    assert row_content((1, 2, 2, 4), 5) == (1, 2, 0, 1, 0)
+    assert row_content((), 4) == (0, 0, 0, 0)
 
 
 def test_disjoint_union_small():
@@ -129,7 +128,7 @@ def test_disjoint_union_small():
                 for w in weak_compositions(m, n)
                 if all(x <= y for x, y in zip(w, bounds))
             }
-            phi_image = {first_row_content(t, n) for t in tabs if len(t[0]) == m}
+            phi_image = {row_content(t[0], n) for t in tabs if len(t[0]) == m}
             if m == 0:
                 psi_image = set()
             else:

@@ -30,9 +30,8 @@ def test_partition_counts_and_order():
 
 
 def test_partitions_max_part():
-    got = partitions(7, max_part=2)
-    assert len(got) == 4
-    assert all(max(p) <= 2 and sum(p) == 7 for p in got)
+    got = [p for p in partitions(7) if p[0] <= 2]
+    assert got == [(2, 2, 2, 1), (2, 2, 1, 1, 1), (2, 1, 1, 1, 1, 1), (1,) * 7]
 
 
 def test_partitions_all_distinct_and_sorted():
@@ -68,10 +67,11 @@ def test_standard_count_hook_golden():
 
 
 def test_standard_count_matches_kostka_dp():
-    # the hook-length fast path inside kostka() against the strip DP
+    # hook lengths against the strip DP and the Pieri column behind kostka()
     for n in range(1, 11):
         for lam in partitions(n):
-            assert standard_tableau_count(lam) == strip_kostka(lam, (1,) * n)
+            count = standard_tableau_count(lam)
+            assert count == strip_kostka(lam, (1,) * n) == kostka(lam, (1,) * n)
 
 
 def test_kostka_golden():
@@ -172,9 +172,9 @@ def test_partitions_list_is_a_fresh_copy():
     first = partitions(5)
     first.append((9,))
     first[0] = (1,)
-    partitions(3, max_part=2).clear()
+    partitions(3).clear()
     assert partitions(5) == [(5,), (4, 1), (3, 2), (3, 1, 1), (2, 2, 1), (2, 1, 1, 1), (1,) * 5]
-    assert partitions(3, max_part=2) == [(2, 1), (1, 1, 1)]
+    assert partitions(3) == [(3,), (2, 1), (1, 1, 1)]
     assert partitions(0) == [()]
     assert partitions(4) is not partitions(4)
 
@@ -194,7 +194,9 @@ def test_new_memos_are_lru_caches():
         psi: ["invariants_frobenius_h"],
     }
     series.hilbert_kostka((3, 1), (2, 2))
-    psi.kronecker_dominance(*[psi.graded_decomposition((2, 1), (2, 1))[1]] * 2)
+    psi.kronecker_dominance(
+        *[psi.graded_decomposition((2, 1), (2, 1))[1]] * 2, psi.pair_group((2, 1), (2, 1))
+    )
     for module, names in memos.items():
         for name in names:
             memo = vars(module)[name]

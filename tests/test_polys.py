@@ -39,6 +39,11 @@ def test_poly_arithmetic():
     # homogeneous: at most one homogeneous part
     assert f.degree() == 2 and len(f.homogeneous_parts()) == 1
     assert len((x + x * y).homogeneous_parts()) == 2
+    # polynomials of different rings neither add nor multiply
+    for a, b in ((Poly(1, {(1,): 1}), y), (y, Poly(1, {(1,): 1}))):
+        for op in (a.__add__, a.__sub__, a.__mul__):
+            with pytest.raises(ValueError, match="variable count mismatch"):
+                op(b)
 
 
 def test_grid_degrees_golden():

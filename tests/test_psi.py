@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from oracles import (
     classwise_tensor_multiplicities,
     count_fixed_tables,
@@ -19,7 +21,7 @@ from ctring.psi import (
     stab_permutation,
 )
 from ctring.series import hilbert_kostka
-from ctring.symfunc import TensorSymFunc
+from ctring.symfunc import TensorSymFunc, s_to_h_expansion
 from ctring.tables import contingency_tables
 
 
@@ -34,6 +36,11 @@ def test_stab_permutation():
     w = stab_permutation((2, 1, 1, 1), ((3,), (1,)))
     assert w == (0, 2, 3, 1)
     assert stab_permutation((3, 2), ((1,), (1,))) == (0, 1)
+    # one cycle type per factor, no fewer and no more
+    assert stab_permutation((2, 2, 1), ((2,), (1,))) == (1, 0, 2)
+    for short_or_long in (((2,),), ((2,), (1,), (1,))):
+        with pytest.raises(ValueError):
+            stab_permutation((2, 2, 1), short_or_long)
 
 
 def test_multiset_partitions_golden():
@@ -144,6 +151,24 @@ def test_ungraded_character_counts_fixed_tables():
                         assert total.character(cls_mu + cls_nu) == count_fixed_tables(
                             tables, w1, w2
                         )
+
+
+def test_s_to_h_expansion_cannot_be_changed_by_callers():
+    expected = graded_decomposition((2, 1), (2, 1))
+    assert sorted(expected) == [0, 1]
+    with pytest.raises(AttributeError):
+        s_to_h_expansion((2, 1)).clear()
+    invariants_frobenius_s.cache_clear()  # recompute from the expansions
+    assert graded_decomposition((2, 1), (2, 1)) == expected
+
+
+def test_invariants_cannot_be_changed_by_callers():
+    expected = graded_decomposition((2, 1), (2, 1))
+    with pytest.raises(AttributeError):
+        invariants_frobenius_s((2, 1), (3,)).coeffs.clear()
+    with pytest.raises(TypeError):
+        invariants_frobenius_h((2, 1), (3,)).coeffs[((1,), (1,))] = 5
+    assert graded_decomposition((2, 1), (2, 1)) == expected
 
 
 def test_kronecker_dominance_trivial_cases():

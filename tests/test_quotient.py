@@ -170,10 +170,10 @@ def test_lefschetz_trivial_quotient():
 
 
 def test_verify_associated_graded():
-    report = verify_associated_graded((3, 2), (2, 2, 1))
+    report = verify_associated_graded((3, 2), (2, 2, 1), QuotientModel((3, 2), (2, 2, 1)))
     assert report["lifts_vanish"] and report["dimension_match"]
     assert report["dimension"] == 5
-    assert verify_associated_graded((1,), (1,))["dimension_match"]
+    assert verify_associated_graded((1,), (1,), QuotientModel((1,), (1,)))["dimension_match"]
 
 
 def test_ideal_sum_observation():

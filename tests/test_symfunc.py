@@ -131,6 +131,13 @@ def test_tensor_character():
     assert t.character(((1, 1, 1),)) == 6
     assert t.character(((2, 1),)) == 0
     assert t.character(((3,),)) == 0
+    # a class tuple holds one cycle type per factor
+    u = TensorSymFunc((2, 1), "s", {((2,), (1,)): 1, ((1, 1), (1,)): 2})
+    assert u.character(((1, 1), (1,))) == 3
+    assert u.character(((2,), (1,))) == -1
+    for bad in (((1, 1),), ((1, 1), (1,), (5,)), ((1, 1), (2,)), ((1, 1), (1, 0))):
+        with pytest.raises(ValueError):
+            u.character(bad)
 
 
 def test_product_group_classes():
