@@ -103,10 +103,6 @@ def _emit(payload, args) -> None:
     print(json.dumps(payload, sort_keys=True))
 
 
-def _tableau_rows(tableau):
-    return [list(row) for row in tableau]
-
-
 HILBERT_ROUTES = {
     "kostka": hilbert_kostka,
     "linalg": hilbert_series_linear,
@@ -127,8 +123,8 @@ def cmd_rsk(args):
     matrix = _read_matrix(args.matrix)
     pair = rsk(matrix)
     return {
-        "P": _tableau_rows(pair.P),
-        "Q": _tableau_rows(pair.Q),
+        "P": [list(row) for row in pair.P],
+        "Q": [list(row) for row in pair.Q],
         "shape": [len(row) for row in pair.P],
         "zigzag": zigzag_number(matrix),
     }, 0

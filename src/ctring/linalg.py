@@ -40,6 +40,7 @@ rows kept, which are eliminated together, as above.
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
+from types import MappingProxyType
 
 from .partitions import bounded_compositions
 from .polys import Poly, order_weights
@@ -129,6 +130,8 @@ def extreme_monomials(polys, order, smallest=False):
     with the largest total degree present, so terms of mixed degrees compare
     exactly.
     """
+    if len({p.nvars for p in polys}) > 1:
+        raise ValueError("variable count mismatch")
     monomials = {m for p in polys for m in p.terms}
     if not monomials:
         return set()
@@ -151,7 +154,8 @@ class DegreeBasis:
     (order_weights), so key(m) is one integer per monomial, and `position`
     maps the key of each column to its position.  `rows` holds the primitive
     integer rows of forward elimination keyed by pivot position, in
-    ascending pivot order.
+    ascending pivot order.  The slice is cached and shared by every caller,
+    so `position` and `rows` are read-only views.
     """
 
     __slots__ = ("columns", "weights", "position", "rows", "standard")
@@ -159,8 +163,8 @@ class DegreeBasis:
     def __init__(self, columns, weights, position, rows):
         self.columns = columns
         self.weights = weights
-        self.position = position
-        self.rows = dict(sorted(rows.items()))
+        self.position = MappingProxyType(position)
+        self.rows = MappingProxyType(dict(sorted(rows.items())))
         self.standard = tuple(m for i, m in enumerate(columns) if i not in rows)
 
     def key(self, exps) -> int:
@@ -324,6 +328,8 @@ class HomogeneousIdeal:
         return self.slice(degree).standard
 
     def in_initial_ideal(self, exps) -> bool:
+        if len(exps) != self.nvars:
+            raise ValueError("variable count mismatch")
         if not self.is_clean(exps):
             return True
         basis = self.slice(sum(exps))
@@ -338,6 +344,8 @@ class HomogeneousIdeal:
         coefficient is divided by the accumulated scale once; it stays an int
         when the division is exact.
         """
+        if poly.nvars != self.nvars:
+            raise ValueError("variable count mismatch")
         den = lcm(*(c.denominator for c in poly.terms.values()))
         out = {}
         for degree, part in poly.homogeneous_parts().items():

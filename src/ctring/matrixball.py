@@ -109,7 +109,7 @@ def zigzag_witness(matrix) -> tuple:
     diagram = BallDiagram(matrix)
     cell = min(diagram.labels[diagram.max_label])
     cells = [cell]
-    label = diagram.base[cell[0] - 1][cell[1] - 1] + 1
+    label = diagram.cell_labels(*cell).start
     while label > 1:
         candidates = [
             c
@@ -118,7 +118,7 @@ def zigzag_witness(matrix) -> tuple:
         ]
         cell = min(candidates)
         cells.append(cell)
-        label = diagram.base[cell[0] - 1][cell[1] - 1] + 1
+        label = diagram.cell_labels(*cell).start
     return tuple(reversed(cells))
 
 

@@ -96,14 +96,6 @@ def two_row_tableaux(bounds) -> list:
     return out
 
 
-def row_content(row, n) -> tuple:
-    """The weak composition counting each letter's occurrences in the row."""
-    counts = [0] * n
-    for v in row:
-        counts[v - 1] += 1
-    return tuple(counts)
-
-
 def column_product(tableau, n) -> Poly:
     """Product over columns (a below b) of (x_a - x_b)."""
     top, bottom = tableau
@@ -187,13 +179,9 @@ def one_row_standard_monomials(bounds):
     """Standard monomial exponents of the quotient under plain lex, by degree."""
     ideal = one_row_ideal(bounds)
     out = {}
-    degree = 0
-    while True:
+    for degree in range(sum(bounds) + 2):
         std = ideal.standard_monomials(degree)
         if not std:
-            break
+            return out
         out[degree] = std
-        degree += 1
-        if degree > sum(bounds) + 1:
-            raise CheckFailed("quotient failed to terminate")
-    return out
+    raise CheckFailed("quotient failed to terminate")

@@ -238,22 +238,16 @@ def diff_pairing(f: Poly, g: Poly) -> Poly:
 
 def _polarize(f: Poly, nvars: int, pairs) -> Poly:
     """Sum over (src, dst) variable pairs of x_dst d/dx_src."""
-    out = Poly(nvars)
+    terms = {}
     for src, dst in pairs:
-        terms = {}
         for exps, coeff in f.terms.items():
             if exps[src]:
                 new = list(exps)
                 new[src] -= 1
                 new[dst] += 1
                 key = tuple(new)
-                val = terms.get(key, 0) + coeff * exps[src]
-                if val:
-                    terms[key] = val
-                else:
-                    terms.pop(key, None)
-        out = out + Poly(nvars, terms)
-    return out
+                terms[key] = terms.get(key, 0) + coeff * exps[src]
+    return Poly(nvars, terms)  # drops the terms that cancelled
 
 
 def polarize_row(f: Poly, grid: Grid, source: int, dest: int) -> Poly:

@@ -11,6 +11,8 @@ compared against the derived matrices of the contingency tables with margins
 (alpha, beta).
 """
 
+from math import perm
+
 from .errors import CheckFailed
 from .linalg import (
     HomogeneousIdeal,
@@ -113,21 +115,17 @@ class QuotientModel:
         self.size = count_contingency_tables(self.alpha, self.beta)
         hilbert = []
         standard = []
-        seen = 0
-        degree = 0
-        while seen < self.size:
-            if degree > self.n:
-                raise CheckFailed(
-                    "standard monomials did not converge by degree n; "
-                    "the quotient dimension cannot exceed the table count"
-                )
+        for degree in range(self.n + 1):
             std = self.ideal.standard_monomials(degree)
             hilbert.append(len(std))
             standard.extend(std)
-            seen += len(std)
-            degree += 1
-        if seen != self.size:
-            raise CheckFailed("standard monomial count overshot the table count")
+            if len(standard) >= self.size:
+                break
+        if len(standard) != self.size:
+            raise CheckFailed(
+                f"{len(standard)} standard monomials by degree {degree} "
+                f"against the table count {self.size}"
+            )
         self.hilbert = tuple(hilbert)
         self.standard = tuple(standard)
 
@@ -230,13 +228,6 @@ def lefschetz_report(model: QuotientModel) -> list:
     return out
 
 
-def _falling(value: int, times: int) -> int:
-    out = 1
-    for t in range(times):
-        out *= value - t
-    return out
-
-
 def verify_associated_graded(alpha, beta, model: QuotientModel) -> dict:
     """Check the witnesses placing each generator in the graded vanishing ideal
     of the contingency-table locus, and the dimension count.
@@ -244,10 +235,13 @@ def verify_associated_graded(alpha, beta, model: QuotientModel) -> dict:
     Each line (row i or column j) has its sum lift to (sum - margin); a
     monomial on the line of degree margin + 1 lifts to the product of falling
     factorials of its exponents, which vanishes on every table because the
-    line cannot supply enough weight.
+    line cannot supply enough weight.  A model of other margins raises
+    ValueError.
     """
     alpha = tuple(alpha)
     beta = tuple(beta)
+    if (alpha, beta) != (model.alpha, model.beta):
+        raise ValueError("the model's margins are not (alpha, beta)")
     tables = contingency_tables(alpha, beta)
     caps = alpha + beta
     # lines repeat heavily across tables: check each distinct (line, cap) once
@@ -262,14 +256,9 @@ def verify_associated_graded(alpha, beta, model: QuotientModel) -> dict:
         key = (len(line), cap)
         if key not in lifts:
             lifts[key] = bounded_exponents(len(line), cap + 1)
-        for exps in lifts[key]:
-            value = 1
-            for x, e in zip(line, exps):
-                value *= _falling(x, e)
-                if value == 0:
-                    break
-            if value != 0:
-                lifts_vanish = False
+        # the falling factorial perm(x, e) is 0 when e > x >= 0
+        if any(all(map(perm, line, exps)) for exps in lifts[key]):
+            lifts_vanish = False
     dim = sum(model.hilbert)
     return {
         "lifts_vanish": lifts_vanish,

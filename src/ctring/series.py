@@ -87,6 +87,6 @@ def q_ehrhart(alpha, beta, upto: int, interior: bool = False) -> list:
 def uniform_family(part: int) -> tuple:
     """The composition (part, part, ..., part) summing to 60: the margins of
     the paper's n = 60 families."""
-    if 60 % part:
-        raise ValueError("part must divide 60")
+    if part < 1 or 60 % part:
+        raise ValueError("part must be a positive divisor of 60")
     return (part,) * (60 // part)

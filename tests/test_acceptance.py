@@ -27,11 +27,15 @@ from ctring.onerow import (
     one_row_hilbert,
     one_row_ideal,
     one_row_standard_monomials,
-    row_content,
     saturation_successor,
     two_row_tableaux,
 )
-from ctring.partitions import partitions, weak_compositions, weak_compositions_upto
+from ctring.partitions import (
+    partitions,
+    tableau_content,
+    weak_compositions,
+    weak_compositions_upto,
+)
 from ctring.polys import (
     Grid,
     diff_pairing,
@@ -162,7 +166,7 @@ def test_criterion_06_one_row_suite():
         ok = ok and c1 == c2 == c3
         tabs = two_row_tableaux(bounds)
         flat_std = {m for v in std.values() for m in v}
-        ok = ok and flat_std == {row_content(b, n) for _, b in tabs}
+        ok = ok and flat_std == {tableau_content((b,), n) for _, b in tabs}
         gens = one_row_generators(bounds)
         for t in tabs:
             f = column_product(t, n)
@@ -173,7 +177,7 @@ def test_criterion_06_one_row_suite():
                 for w in weak_compositions(m, n)
                 if all(x <= y for x, y in zip(w, bounds))
             }
-            phi_image = {row_content(t[0], n) for t in tabs if len(t[0]) == m}
+            phi_image = {tableau_content((t[0],), n) for t in tabs if len(t[0]) == m}
             if m == 0:
                 psi_image = set()
             else:

@@ -379,6 +379,20 @@ def test_extreme_monomials_smallest():
     assert extreme_monomials(g, None, smallest=True) == {(0, 1, 0), (0, 0, 1)}
 
 
+def test_inputs_from_another_ring_are_rejected():
+    # the margin ideal of (2,1)/(2,1) lives in 4 variables; as in Poly
+    # arithmetic, a polynomial or monomial of another ring is a ValueError
+    ideal = margin_ideal((2, 1), (2, 1), Grid(2, 2), Grid(2, 2).diagonal_order())
+    with pytest.raises(ValueError, match="variable count mismatch"):
+        ideal.normal_form(Poly(5, {(0, 0, 0, 1, 1): 1}))
+    for exps in [(0, 0, 0, 1, 0), (1, 0, 0)]:
+        with pytest.raises(ValueError, match="variable count mismatch"):
+            ideal.in_initial_ideal(exps)
+    with pytest.raises(ValueError, match="variable count mismatch"):
+        extreme_monomials([Poly(2, {(1, 0): 1}), Poly(3, {(0, 0, 1): 1})], None)
+    assert ideal.normal_form(Poly(4, {(0, 0, 0, 1): 1})).nvars == 4
+
+
 def test_extreme_monomials_span_property():
     n = 3
     rng = random.Random(71)

@@ -13,13 +13,12 @@ from ctring.onerow import (
     one_row_hilbert,
     one_row_ideal,
     one_row_standard_monomials,
-    row_content,
     run_saturation,
     saturation_successor,
     tableau_from_first_row,
     two_row_tableaux,
 )
-from ctring.partitions import weak_compositions
+from ctring.partitions import tableau_content, weak_compositions
 from ctring.polys import Poly, diff_pairing
 
 
@@ -114,8 +113,8 @@ def test_saturation_precondition():
 
 
 def test_phi_golden():
-    assert row_content((1, 2, 2, 4), 5) == (1, 2, 0, 1, 0)
-    assert row_content((), 4) == (0, 0, 0, 0)
+    assert tableau_content(((1, 2, 2, 4),), 5) == (1, 2, 0, 1, 0)
+    assert tableau_content(((),), 4) == (0, 0, 0, 0)
 
 
 def test_disjoint_union_small():
@@ -128,7 +127,7 @@ def test_disjoint_union_small():
                 for w in weak_compositions(m, n)
                 if all(x <= y for x, y in zip(w, bounds))
             }
-            phi_image = {row_content(t[0], n) for t in tabs if len(t[0]) == m}
+            phi_image = {tableau_content((t[0],), n) for t in tabs if len(t[0]) == m}
             if m == 0:
                 psi_image = set()
             else:
@@ -170,7 +169,7 @@ def test_standard_equals_second_row_monomials():
     for bounds in [(1, 2, 1), (2, 2), (1, 1, 1), (3, 1)]:
         n = len(bounds)
         std = {m for v in one_row_standard_monomials(bounds).values() for m in v}
-        second = {row_content(b, n) for _, b in two_row_tableaux(bounds)}
+        second = {tableau_content((b,), n) for _, b in two_row_tableaux(bounds)}
         assert std == second
 
 
@@ -179,8 +178,8 @@ def test_trailing_term_of_column_product():
     # lex-largest is the top-row monomial
     for t in two_row_tableaux((1, 2, 1)):
         f = column_product(t, 3)
-        assert min(f.terms) == row_content(t[1], 3)
-        assert max(f.terms) == row_content(t[0], 3)
+        assert min(f.terms) == tableau_content((t[1],), 3)
+        assert max(f.terms) == tableau_content((t[0],), 3)
 
 
 def test_inverse_system_trailing_monomials_match_standard():
@@ -236,11 +235,12 @@ def test_fully_saturated_composition_is_a_failed_check(monkeypatch):
 
 
 def test_nonterminating_walk_is_a_failed_check(monkeypatch):
-    # without its caps the quotient has standard monomials in every degree
-    monkeypatch.setattr(
-        ctring.onerow,
-        "one_row_ideal",
+    # without its caps, or as the zero ideal, the quotient has standard
+    # monomials in every degree
+    for ideal in (
         lambda bounds: HomogeneousIdeal(len(bounds), None, [tuple(range(len(bounds)))]),
-    )
-    with pytest.raises(CheckFailed, match="terminate"):
-        one_row_standard_monomials((1, 2, 1))
+        lambda bounds: HomogeneousIdeal(len(bounds), None),
+    ):
+        monkeypatch.setattr(ctring.onerow, "one_row_ideal", ideal)
+        with pytest.raises(CheckFailed, match="terminate"):
+            one_row_standard_monomials((1, 2, 1))

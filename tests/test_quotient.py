@@ -174,6 +174,33 @@ def test_verify_associated_graded():
     assert report["lifts_vanish"] and report["dimension_match"]
     assert report["dimension"] == 5
     assert verify_associated_graded((1,), (1,), QuotientModel((1,), (1,)))["dimension_match"]
+    # margins as lists name the same model; a model of other margins is the
+    # caller's mistake, not a failed check
+    model = QuotientModel((2, 1), (2, 1))
+    assert verify_associated_graded([2, 1], [2, 1], model)["dimension_match"]
+    for alpha, beta in [((3,), (3,)), ((1, 2), (2, 1)), ((2, 1), (1, 2))]:
+        with pytest.raises(ValueError, match="margins"):
+            verify_associated_graded(alpha, beta, model)
+    with pytest.raises(ValueError, match="margins"):
+        verify_associated_graded((2, 1), (2, 1), QuotientModel((3,), (3,)))
+
+
+def test_shared_slices_are_read_only():
+    # slices are cached and shared: a caller cannot change what the next
+    # caller reads, such as the ranks of the Lefschetz report
+    model = QuotientModel((2, 2), (2, 2))
+    ranks = [entry["rank"] for entry in lefschetz_report(model)]
+    assert ranks == [1, 1]
+    basis = model.ideal.slice(2)
+    with pytest.raises((AttributeError, TypeError)):
+        basis.position.clear()
+    with pytest.raises(TypeError):
+        basis.position[0] = 0
+    with pytest.raises((AttributeError, TypeError)):
+        basis.rows.popitem()
+    with pytest.raises(TypeError):
+        del basis.rows[next(iter(basis.rows))]
+    assert [entry["rank"] for entry in lefschetz_report(model)] == ranks
 
 
 def test_ideal_sum_observation():

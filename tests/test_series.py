@@ -63,8 +63,9 @@ def test_hilbert_kostka_matches_per_shape_loop_on_weak_compositions():
 
 def test_uniform_family():
     assert uniform_family(2) == (2,) * 30
-    with pytest.raises(ValueError):
-        uniform_family(7)
+    for part in (7, 0, -1, -60):
+        with pytest.raises(ValueError):
+            uniform_family(part)
 
 
 def test_log_concavity_examples():
