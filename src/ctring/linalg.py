@@ -155,7 +155,7 @@ class DegreeBasis:
     maps the key of each column to its position.  `rows` holds the primitive
     integer rows of forward elimination keyed by pivot position, in
     ascending pivot order.  The slice is cached and shared by every caller,
-    so `position` and `rows` are read-only views.
+    so `position`, `rows` and each row are read-only views.
     """
 
     __slots__ = ("columns", "weights", "position", "rows", "standard")
@@ -164,7 +164,9 @@ class DegreeBasis:
         self.columns = columns
         self.weights = weights
         self.position = MappingProxyType(position)
-        self.rows = MappingProxyType(dict(sorted(rows.items())))
+        self.rows = MappingProxyType(
+            {p: MappingProxyType(row) for p, row in sorted(rows.items())}
+        )
         self.standard = tuple(m for i, m in enumerate(columns) if i not in rows)
 
     def key(self, exps) -> int:
@@ -227,10 +229,6 @@ class HomogeneousIdeal:
         self._slices = {}
         self._clean = {}
         self._kept = None  # (support, lead variable) of each sum kept, set by slice(1)
-
-    def is_clean(self, exps) -> bool:
-        """Monomial within every cap, i.e. not in the ideal's monomial part."""
-        return all(sum(exps[v] for v in support) <= cap for support, cap in self.caps)
 
     def clean_monomials(self, degree):
         """The clean monomials of one degree, lexicographically descending,
@@ -325,15 +323,9 @@ class HomogeneousIdeal:
         return basis
 
     def standard_monomials(self, degree):
+        """The standard monomials of the degree: a monomial of the degree lies
+        in the initial ideal exactly when it is not one of them."""
         return self.slice(degree).standard
-
-    def in_initial_ideal(self, exps) -> bool:
-        if len(exps) != self.nvars:
-            raise ValueError("variable count mismatch")
-        if not self.is_clean(exps):
-            return True
-        basis = self.slice(sum(exps))
-        return basis.position[basis.key(exps)] in basis.rows
 
     def normal_form(self, poly: Poly) -> Poly:
         """Reduce modulo the ideal onto the span of standard monomials.

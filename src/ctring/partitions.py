@@ -10,9 +10,7 @@ All enumeration functions return deterministic orders so that results can be
 frozen in golden tests.
 """
 
-from functools import lru_cache, reduce
-from math import factorial
-from operator import mul
+from functools import lru_cache
 from types import MappingProxyType
 
 
@@ -81,27 +79,6 @@ def weak_compositions_upto(n: int, max_length: int) -> list:
     for length in range(1, max_length + 1):
         out.extend(weak_compositions(n, length))
     return out
-
-
-def conjugate(shape) -> tuple:
-    shape = tuple(shape)
-    if not shape:
-        return ()
-    return tuple(sum(1 for part in shape if part > j) for j in range(shape[0]))
-
-
-def standard_tableau_count(shape) -> int:
-    """Number of standard Young tableaux of the given shape (hook lengths)."""
-    shape = check_partition(shape)
-    if not shape:
-        return 1
-    conj = conjugate(shape)
-    hooks = (
-        shape[i] - j + conj[j] - i - 1
-        for i in range(len(shape))
-        for j in range(shape[i])
-    )
-    return factorial(sum(shape)) // reduce(mul, hooks, 1)
 
 
 _KOSTKA_CACHE: dict = {}

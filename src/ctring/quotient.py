@@ -64,32 +64,32 @@ def margin_ideal(alpha, beta, grid: Grid, order) -> HomogeneousIdeal:
     )
 
 
-def contingency_generators(alpha, beta, grid: Grid | None = None):
+def contingency_generators(alpha, beta):
     """Generators of the margin ideal: row/column sums and the minimal
     violating monomials (degree alpha_i + 1 per row, beta_j + 1 per column)."""
     alpha = tuple(alpha)
     beta = tuple(beta)
     if sum(alpha) != sum(beta):
         raise ValueError("row and column sums must agree")
-    grid = grid or Grid(len(alpha), len(beta))
+    grid = Grid(len(alpha), len(beta))
     rows, cols = _lines(grid)
     return grid, _generators(grid, rows + cols, [*zip(rows, alpha), *zip(cols, beta)])
 
 
-def rowsum_ideal_generators(beta, k: int, grid: Grid | None = None):
+def rowsum_ideal_generators(beta, k: int):
     """Row sums plus column monomials of degree beta_j + 1."""
     beta = tuple(beta)
-    grid = grid or Grid(k, len(beta))
+    grid = Grid(k, len(beta))
     rows, cols = _lines(grid)
-    return grid, _generators(grid, rows, zip(cols, beta, strict=True))
+    return grid, _generators(grid, rows, zip(cols, beta))
 
 
-def colsum_ideal_generators(alpha, p: int, grid: Grid | None = None):
+def colsum_ideal_generators(alpha, p: int):
     """Column sums plus row monomials of degree alpha_i + 1."""
     alpha = tuple(alpha)
-    grid = grid or Grid(len(alpha), p)
+    grid = Grid(len(alpha), p)
     rows, cols = _lines(grid)
-    return grid, _generators(grid, cols, zip(rows, alpha, strict=True))
+    return grid, _generators(grid, cols, zip(rows, alpha))
 
 
 class QuotientModel:

@@ -7,17 +7,12 @@ Irreducible characters are evaluated by border-strip removal on beta sets
 
 from collections import namedtuple
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 from operator import mul
 from types import MappingProxyType
 
 from .errors import CheckFailed
-from .partitions import (
-    check_partition,
-    kostka_column,
-    partitions,
-    standard_tableau_count,
-)
+from .partitions import check_partition, kostka_column, partitions
 
 
 @lru_cache(maxsize=None)
@@ -73,13 +68,6 @@ def cycle_type_size(cycle_type, n: int) -> int:
     for part, m in mult.items():
         centralizer *= part**m * factorial(m)
     return factorial(n) // centralizer
-
-
-def permutation_module_dimension(shape) -> int:
-    out = factorial(sum(shape))
-    for part in shape:
-        out //= factorial(part)
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -187,17 +175,13 @@ class TensorSymFunc:
         return TensorSymFunc._from_terms(self.degrees, "s", out)
 
     def dimension(self):
-        total = 0
-        for key, c in self.coeffs.items():
-            block = 1
-            for lam in key:
-                block *= (
-                    standard_tableau_count(lam)
-                    if self.basis == "s"
-                    else permutation_module_dimension(lam)
-                )
-            total += c * block
-        return total
+        """The dimension of the module: in the Schur basis each factor s_lam
+        of degree m has dimension f^lam = K(lam, 1^m), read off one Kostka
+        column per degree."""
+        return sum(
+            c * prod(kostka_column((1,) * sum(lam))[lam] for lam in key)
+            for key, c in self.to_s().coeffs.items()
+        )
 
     def character(self, class_tuple):
         """Character of the underlying module at a class of the product group,

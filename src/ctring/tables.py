@@ -42,10 +42,6 @@ def total(matrix) -> int:
     return sum(sum(row) for row in matrix)
 
 
-def transpose(matrix) -> tuple:
-    return tuple(zip(*matrix))
-
-
 def zigzag_number(matrix) -> int:
     """Maximum entry weight over zigzags (cell sets weakly increasing in both
     coordinates).  Max-weight monotone lattice path DP."""
@@ -97,6 +93,8 @@ def contingency_tables(alpha, beta) -> tuple:
 
 @lru_cache(maxsize=4)
 def _contingency_tables(alpha, beta) -> tuple:
+    if any(v < 0 for v in alpha + beta):
+        raise ValueError(f"not a weak composition: {alpha}, {beta}")
     if sum(alpha) != sum(beta):
         raise ValueError("row and column sums must agree")
     k, p = len(alpha), len(beta)

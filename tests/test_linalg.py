@@ -62,7 +62,7 @@ def test_bounded_compositions_match_filtered_product():
 def test_single_variable_caps():
     ideal = HomogeneousIdeal(2, None, caps=[((0,), 1), ((1,), 2)])
     assert ideal.clean_monomials(2) == ((1, 1), (0, 2))
-    assert ideal.is_clean((1, 2)) and not ideal.is_clean((2, 0))
+    assert (1, 2) in ideal.clean_monomials(3) and (2, 0) not in ideal.clean_monomials(2)
 
 
 def test_clean_monomials_cannot_be_changed_by_callers():
@@ -304,7 +304,7 @@ def test_degree_basis_counts():
             assert math.gcd(*row.values()) == 1
         assert list(basis.rows) == sorted(basis.rows)
         unclean = set(bounded_exponents(grid.nvars, d)) - set(clean)
-        assert all(ideal.in_initial_ideal(m) for m in unclean)
+        assert not unclean & set(ideal.standard_monomials(d))
 
 
 def test_normal_form_fixes_standard_and_kills_generators():
@@ -333,7 +333,7 @@ def test_normal_form_difference_in_ideal():
                 {
                     basis.position[basis.key(m)]: c
                     for m, c in part.terms.items()
-                    if ideal.is_clean(m)
+                    if m in basis.columns
                 }
             )
             # no rank increase: it is in the span
@@ -381,13 +381,10 @@ def test_extreme_monomials_smallest():
 
 def test_inputs_from_another_ring_are_rejected():
     # the margin ideal of (2,1)/(2,1) lives in 4 variables; as in Poly
-    # arithmetic, a polynomial or monomial of another ring is a ValueError
+    # arithmetic, a polynomial of another ring is a ValueError
     ideal = margin_ideal((2, 1), (2, 1), Grid(2, 2), Grid(2, 2).diagonal_order())
     with pytest.raises(ValueError, match="variable count mismatch"):
         ideal.normal_form(Poly(5, {(0, 0, 0, 1, 1): 1}))
-    for exps in [(0, 0, 0, 1, 0), (1, 0, 0)]:
-        with pytest.raises(ValueError, match="variable count mismatch"):
-            ideal.in_initial_ideal(exps)
     with pytest.raises(ValueError, match="variable count mismatch"):
         extreme_monomials([Poly(2, {(1, 0): 1}), Poly(3, {(0, 0, 1): 1})], None)
     assert ideal.normal_form(Poly(4, {(0, 0, 0, 1): 1})).nvars == 4

@@ -23,6 +23,7 @@ from ctring.quotient import (
     verify_associated_graded,
 )
 from ctring.series import hilbert_kostka
+from ctring.tables import contingency_tables, count_contingency_tables
 
 
 def _binom(n, k):
@@ -200,7 +201,31 @@ def test_shared_slices_are_read_only():
         basis.rows.popitem()
     with pytest.raises(TypeError):
         del basis.rows[next(iter(basis.rows))]
+    # and so is each row: a cleared row would break every later reduction
+    for row in basis.rows.values():
+        with pytest.raises((AttributeError, TypeError)):
+            row.clear()
+        with pytest.raises(TypeError):
+            row[min(row)] = 0
     assert [entry["rank"] for entry in lefschetz_report(model)] == ranks
+
+
+def test_negative_margin_is_rejected_on_every_route():
+    # a margin with a negative part is no weak composition: every route to
+    # the tables, their count or their series raises, none answers empty
+    routes = [
+        contingency_tables,
+        count_contingency_tables,
+        derived_matrix_set,
+        hilbert_kostka,
+        hilbert_series_linear,
+        hilbert_series_zigzag,
+        QuotientModel,
+    ]
+    for alpha, beta in [((-1, 2), (1,)), ((1,), (2, -1))]:
+        for route in routes:
+            with pytest.raises(ValueError):
+                route(alpha, beta)
 
 
 def test_ideal_sum_observation():
@@ -209,8 +234,8 @@ def test_ideal_sum_observation():
     for alpha, beta in [((2, 1), (1, 1, 1)), ((2, 2), (2, 2)), ((3, 1), (2, 1, 1))]:
         grid, gens = contingency_generators(alpha, beta)
         key = diagonal_key(grid)
-        _, row_side = rowsum_ideal_generators(beta, len(alpha), grid)
-        _, col_side = colsum_ideal_generators(alpha, len(beta), grid)
+        _, row_side = rowsum_ideal_generators(beta, len(alpha))
+        _, col_side = colsum_ideal_generators(alpha, len(beta))
         caps = margin_ideal(alpha, beta, grid, grid.diagonal_order())
         for d in range(sum(alpha) + 2):
             combined = oracle_slice(row_side + col_side, grid.nvars, key, d)

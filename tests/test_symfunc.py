@@ -1,8 +1,9 @@
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
+from oracles import strip_kostka
 from ctring.errors import CheckFailed
 from ctring.partitions import kostka_column, partitions
 from ctring.symfunc import (
@@ -10,7 +11,6 @@ from ctring.symfunc import (
     TensorSymFunc,
     cycle_type_size,
     irreducible_character,
-    permutation_module_dimension,
     s_to_h_expansion,
 )
 
@@ -28,11 +28,9 @@ def test_character_size_mismatch():
 
 
 def test_character_degree_is_tableau_count():
-    from ctring.partitions import standard_tableau_count
-
     for n in range(1, 8):
         for lam in partitions(n):
-            assert irreducible_character(lam, (1,) * n) == standard_tableau_count(lam)
+            assert irreducible_character(lam, (1,) * n) == strip_kostka(lam, (1,) * n)
 
 
 def test_character_column_orthogonality():
@@ -98,9 +96,38 @@ def test_kostka_matrices_inverse():
 
 def test_symfunc_dimensions():
     f = TensorSymFunc((3,), "h", {((2, 1),): 1})
-    assert f.dimension() == permutation_module_dimension((2, 1)) == 3
+    assert f.dimension() == 3
     assert f.to_s().dimension() == 3
     assert type(f.to_s().dimension()) is int
+
+
+def test_h_basis_dimension_is_a_multinomial():
+    # h_mu is the permutation module of S_m on the cosets of S_mu
+    for m in range(9):
+        for mu in partitions(m):
+            f = TensorSymFunc((m,), "h", {(mu,): 1})
+            assert f.dimension() == factorial(m) // prod(map(factorial, mu))
+
+
+def test_s_basis_dimension_is_a_tableau_count():
+    # s_lam is the irreducible of dimension f^lam, the standard tableau count
+    for m in range(9):
+        for lam in partitions(m):
+            f = TensorSymFunc((m,), "s", {(lam,): 1})
+            assert f.dimension() == strip_kostka(lam, (1,) * m)
+
+
+def test_tensor_dimension_is_the_product():
+    for a in range(5):
+        for b in range(5):
+            for basis in "hs":
+                f, g = (
+                    TensorSymFunc(
+                        (m,), basis, {(lam,): i + 1 for i, lam in enumerate(partitions(m))}
+                    )
+                    for m in (a, b)
+                )
+                assert f.tensor(g).dimension() == f.dimension() * g.dimension()
 
 
 def test_symfunc_coefficients_are_ints():
