@@ -19,18 +19,22 @@ import traceback
 from pathlib import Path
 
 from .errors import CheckFailed
-from .experiments import conjecture_scan, sweep
+from .experiments import (
+    conjecture_scan,
+    conjecture_violations,
+    failed_checks,
+    sweep,
+    verify_report,
+)
 from .matrixball import rsk, zigzag_witness
 from .psi import graded_decomposition
 from .quotient import (
     QuotientModel,
-    derived_matrix_set,
     hilbert_series_linear,
     hilbert_series_zigzag,
     lefschetz_report,
-    verify_associated_graded,
 )
-from .series import hilbert_kostka, log_concavity_violations, q_ehrhart, uniform_family
+from .series import hilbert_kostka, q_ehrhart, uniform_family
 from .tables import (
     decimal,
     matrix_from_json,
@@ -113,7 +117,7 @@ HILBERT_ROUTES = {
 def cmd_hilbert(args):
     methods = HILBERT_ROUTES if args.method == "all" else [args.method]
     series = [HILBERT_ROUTES[m](args.alpha, args.beta) for m in methods]
-    if any(s != series[0] for s in series):
+    if failed_checks(series=series):
         routes = {m: _big(s) for m, s in zip(methods, series)}
         return {"error": "hilbert methods disagree", "routes": routes}, CHECK_FAILED
     return {"alpha": list(args.alpha), "beta": list(args.beta), "coeffs": _big(series[0])}, 0
@@ -151,18 +155,8 @@ def cmd_standard_basis(args):
 
 
 def cmd_verify(args):
-    model = QuotientModel(args.alpha, args.beta)
-    report = dict(verify_associated_graded(args.alpha, args.beta, model=model))
-    report["standard_equals_matrix_ball"] = (
-        model.standard_exponent_matrices()
-        == derived_matrix_set(args.alpha, args.beta)
-    )
-    ok = (
-        report["lifts_vanish"]
-        and report["dimension_match"]
-        and report["standard_equals_matrix_ball"]
-    )
-    return report, 0 if ok else CHECK_FAILED
+    report = verify_report(QuotientModel(args.alpha, args.beta))
+    return report, CHECK_FAILED if failed_checks(report) else 0
 
 
 def cmd_frobenius(args):
@@ -187,7 +181,7 @@ def cmd_lefschetz(args):
         "beta": list(args.beta),
         "min_zigzag": model.min_zigzag,
         "maps": report,
-        "violations": [r["k"] for r in report if not r["injective"]],
+        "violations": [k for _, k in conjecture_violations(lefschetz=report)],
     }, 0
 
 
@@ -222,34 +216,21 @@ def cmd_figure1(args):
 
 def cmd_sweep(args):
     failures = []
-    conjecture_violations = []
+    violations = []
     pairs = 0
     for r in sweep(args.max_n, args.max_len):
         pairs += 1
         record = {"alpha": list(r["alpha"]), "beta": list(r["beta"])}
-        checks = {
-            "standard-basis": r["standard_ok"],
-            "hilbert-agreement": (
-                r["hilbert_linear"] == r["hilbert_kostka"] == r["hilbert_zigzag"]
-            ),
-            "graded-vanishing-ideal": (
-                r["verify"]["lifts_vanish"] and r["verify"]["dimension_match"]
-            ),
-        }
-        failures += [{**record, "check": c} for c, ok in checks.items() if not ok]
-        conjecture_violations += [
-            {**record, "conjecture": "log-concavity", "k": k}
-            for k in log_concavity_violations(r["hilbert_kostka"])
-        ]
-        conjecture_violations += [
-            {**record, "conjecture": "lefschetz", "k": entry["k"]}
-            for entry in r["lefschetz"]
-            if not entry["injective"]
+        series = (r["hilbert_linear"], r["hilbert_kostka"], r["hilbert_zigzag"])
+        failures += [{**record, "check": c} for c in failed_checks(r["verify"], series)]
+        violations += [
+            {**record, "conjecture": c, "k": k}
+            for c, k in conjecture_violations(r["hilbert_kostka"], r["lefschetz"])
         ]
     payload = {
         "pairs": pairs,
         "failures": failures,
-        "conjecture_violations": conjecture_violations,
+        "conjecture_violations": violations,
     }
     return payload, 0 if not failures else CHECK_FAILED
 

@@ -1,9 +1,13 @@
 """The paper's claims checked over ranges of inputs: the margin sweep, which
 tests the theorems on every pair of weak compositions, and the conjecture
-scans over partition pairs.  The CLI and the test suite both run these.
+scans over partition pairs.  What one margin pair must satisfy, and which
+conjectures it breaks, is judged here alone (verify_report, failed_checks,
+conjecture_violations); the CLI and the test suite format these verdicts.
 
 Conjecture findings are data: the scans report violations and never raise.
 """
+
+from itertools import product
 
 from .partitions import partitions, weak_compositions_upto
 from .psi import graded_decomposition, kronecker_dominance, kronecker_product, pair_group
@@ -18,23 +22,54 @@ from .series import hilbert_kostka, log_concavity_violations
 from .symfunc import TensorSymFunc
 
 
+def verify_report(model: QuotientModel) -> dict:
+    """The vanishing-ideal witnesses and dimension count of the model's
+    margins (verify_associated_graded), and whether its standard monomials
+    are the matrix-ball derived matrices (standard_equals_matrix_ball)."""
+    report = verify_associated_graded(model.alpha, model.beta, model=model)
+    report["standard_equals_matrix_ball"] = (
+        model.standard_exponent_matrices() == derived_matrix_set(model.alpha, model.beta)
+    )
+    return report
+
+
+def failed_checks(verify=None, series=()) -> list:
+    """The theorem checks a margin pair fails, named in the order
+    standard-basis, hilbert-agreement, graded-vanishing-ideal.  `verify` is
+    a verify_report and `series` the pair's Hilbert series, one per route; a
+    check whose data is not passed is not judged."""
+    vanishing = verify is None or (verify["lifts_vanish"] and verify["dimension_match"])
+    checks = [
+        ("standard-basis", verify is None or verify["standard_equals_matrix_ball"]),
+        ("hilbert-agreement", all(s == series[0] for s in series)),
+        ("graded-vanishing-ideal", vanishing),
+    ]
+    return [name for name, ok in checks if not ok]
+
+
+def conjecture_violations(series=(), lefschetz=()) -> list:
+    """The (conjecture, k) pairs a margin pair breaks: log-concavity of its
+    Hilbert series at k, then a Lefschetz map from degree k that is not
+    injective, as lefschetz_report gives them."""
+    return [("log-concavity", k) for k in log_concavity_violations(series)] + [
+        ("lefschetz", entry["k"]) for entry in lefschetz if not entry["injective"]
+    ]
+
+
 def sweep_record(alpha, beta) -> dict:
-    """Build the margin quotient once and check it every way: standard
-    monomials against the matrix-ball derived matrices, the linear-algebra,
-    Kostka and zigzag Hilbert series, the vanishing-ideal witnesses, and the
-    Lefschetz ranks."""
+    """Build the margin quotient once and check it every way: the
+    verify_report, the linear-algebra, Kostka and zigzag Hilbert series, and
+    the Lefschetz ranks."""
     model = QuotientModel(alpha, beta)
     return {
         "alpha": tuple(alpha),
         "beta": tuple(beta),
         "n": model.n,
         "tables": model.size,
-        "standard_ok": model.standard_exponent_matrices()
-        == derived_matrix_set(alpha, beta),
         "hilbert_linear": list(model.hilbert),
         "hilbert_kostka": hilbert_kostka(alpha, beta),
         "hilbert_zigzag": hilbert_series_zigzag(alpha, beta),
-        "verify": verify_associated_graded(alpha, beta, model=model),
+        "verify": verify_report(model),
         "lefschetz": lefschetz_report(model),
     }
 
@@ -43,10 +78,8 @@ def sweep(max_n: int, max_len: int):
     """Yield sweep_record for every pair of weak compositions of equal sum
     n <= max_n with lengths <= max_len, by n, then alpha, then beta."""
     for n in range(max_n + 1):
-        comps = weak_compositions_upto(n, max_len)
-        for alpha in comps:
-            for beta in comps:
-                yield sweep_record(alpha, beta)
+        for alpha, beta in product(weak_compositions_upto(n, max_len), repeat=2):
+            yield sweep_record(alpha, beta)
 
 
 def dominance_violations(mu, nu) -> list:
@@ -69,10 +102,7 @@ def dominance_violations(mu, nu) -> list:
 
 def _partition_pairs(max_n: int):
     for n in range(1, max_n + 1):
-        parts = partitions(n)
-        for mu in parts:
-            for nu in parts:
-                yield mu, nu
+        yield from product(partitions(n), repeat=2)
 
 
 def conjecture_scan(max_n: int, lefschetz_n: int, dominance_n: int) -> dict:
@@ -84,13 +114,14 @@ def conjecture_scan(max_n: int, lefschetz_n: int, dominance_n: int) -> dict:
         "log_concavity": [
             (mu, nu, k)
             for mu, nu in _partition_pairs(max_n)
-            for k in log_concavity_violations(hilbert_kostka(mu, nu))
+            for _, k in conjecture_violations(series=hilbert_kostka(mu, nu))
         ],
         "lefschetz": [
-            (mu, nu, entry["k"])
+            (mu, nu, k)
             for mu, nu in _partition_pairs(lefschetz_n)
-            for entry in lefschetz_report(QuotientModel(mu, nu))
-            if not entry["injective"]
+            for _, k in conjecture_violations(
+                lefschetz=lefschetz_report(QuotientModel(mu, nu))
+            )
         ],
         "dominance": [
             (mu, nu, k)

@@ -18,6 +18,7 @@ from functools import lru_cache
 from .errors import CheckFailed
 from .partitions import bounded_compositions, check_partition, partitions
 from .symfunc import SymmetricProductGroup, TensorSymFunc, s_to_h_expansion
+from .tables import margins
 
 
 def stab_factor_data(mu) -> list:
@@ -144,11 +145,8 @@ def graded_decomposition(mu, nu) -> dict:
     Degree d collects the partitions lam with lam_1 = n - d; each contributes
     the tensor product of its row and column parabolic invariants.
     """
-    mu = check_partition(mu)
-    nu = check_partition(nu)
+    mu, nu = margins(check_partition(mu), check_partition(nu))
     n = sum(mu)
-    if n != sum(nu):
-        raise ValueError("partitions must have equal size")
     out: dict = {}
     for lam in partitions(n):
         d = n - lam[0] if lam else 0

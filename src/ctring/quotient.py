@@ -11,6 +11,7 @@ compared against the derived matrices of the contingency tables with margins
 (alpha, beta).
 """
 
+from collections import Counter
 from math import perm
 
 from .errors import CheckFailed
@@ -22,7 +23,7 @@ from .linalg import (
 )
 from .matrixball import derived_matrix
 from .polys import Grid, Poly
-from .tables import contingency_tables, count_contingency_tables, zigzag_number
+from .tables import contingency_tables, count_contingency_tables, margins, zigzag_number
 
 
 def row_support(grid: Grid, i: int) -> tuple:
@@ -67,10 +68,7 @@ def margin_ideal(alpha, beta, grid: Grid, order) -> HomogeneousIdeal:
 def contingency_generators(alpha, beta):
     """Generators of the margin ideal: row/column sums and the minimal
     violating monomials (degree alpha_i + 1 per row, beta_j + 1 per column)."""
-    alpha = tuple(alpha)
-    beta = tuple(beta)
-    if sum(alpha) != sum(beta):
-        raise ValueError("row and column sums must agree")
+    alpha, beta = margins(alpha, beta)
     grid = Grid(len(alpha), len(beta))
     rows, cols = _lines(grid)
     return grid, _generators(grid, rows + cols, [*zip(rows, alpha), *zip(cols, beta)])
@@ -78,7 +76,8 @@ def contingency_generators(alpha, beta):
 
 def rowsum_ideal_generators(beta, k: int):
     """Row sums plus column monomials of degree beta_j + 1."""
-    beta = tuple(beta)
+    # beta is a margin against every k-part alpha, (n, 0, ..., 0) among them
+    _, beta = margins((sum(beta),) + (0,) * (k - 1) if k > 0 else (), beta)
     grid = Grid(k, len(beta))
     rows, cols = _lines(grid)
     return grid, _generators(grid, rows, zip(cols, beta))
@@ -86,7 +85,7 @@ def rowsum_ideal_generators(beta, k: int):
 
 def colsum_ideal_generators(alpha, p: int):
     """Column sums plus row monomials of degree alpha_i + 1."""
-    alpha = tuple(alpha)
+    alpha, _ = margins(alpha, (sum(alpha),) + (0,) * (p - 1) if p > 0 else ())
     grid = Grid(len(alpha), p)
     rows, cols = _lines(grid)
     return grid, _generators(grid, cols, zip(rows, alpha))
@@ -103,10 +102,7 @@ class QuotientModel:
     """
 
     def __init__(self, alpha, beta):
-        self.alpha = tuple(alpha)
-        self.beta = tuple(beta)
-        if sum(self.alpha) != sum(self.beta):
-            raise ValueError("row and column sums must agree")
+        self.alpha, self.beta = margins(alpha, beta)
         self.n = sum(self.alpha)
         self.grid = Grid(len(self.alpha), len(self.beta))
         self.ideal = margin_ideal(
@@ -147,15 +143,9 @@ def hilbert_series_linear(alpha, beta) -> list:
 
 def hilbert_series_zigzag(alpha, beta) -> list:
     """Hilbert series read off the zigzag statistic over contingency tables."""
-    alpha = tuple(alpha)
-    beta = tuple(beta)
     n = sum(alpha)
-    counts: dict = {}
-    for table in contingency_tables(alpha, beta):
-        d = n - zigzag_number(table)
-        counts[d] = counts.get(d, 0) + 1
-    top = max(counts, default=0)
-    return [counts.get(d, 0) for d in range(top + 1)]
+    counts = Counter(n - zigzag_number(t) for t in contingency_tables(alpha, beta))
+    return [counts[d] for d in range(max(counts) + 1)]
 
 
 def derived_matrix_set(alpha, beta) -> frozenset:

@@ -5,6 +5,7 @@ from functools import lru_cache
 from operator import mul
 
 from .partitions import kostka_column, partitions
+from .tables import margins
 
 
 def hilbert_kostka(alpha, beta, max_degree=None) -> list:
@@ -16,8 +17,8 @@ def hilbert_kostka(alpha, beta, max_degree=None) -> list:
     alpha = tuple(alpha)
     beta = tuple(beta)
     n = sum(alpha)
-    if n != sum(beta):
-        raise ValueError("row and column sums must agree")
+    if n != sum(beta) or not alpha or not beta:
+        margins(alpha, beta)  # raises, naming the broken rule
     if max_degree is not None:
         a, b = kostka_column(alpha, max_degree), kostka_column(beta, max_degree)
         coeffs = [0] * (min(max_degree, n) + 1)
@@ -65,22 +66,13 @@ def q_ehrhart(alpha, beta, upto: int, interior: bool = False) -> list:
     (rows lose the column count and vice versa) and is zero whenever a
     shifted part goes negative; its m = 0 entry is the empty polynomial [0].
     """
-    alpha = tuple(alpha)
-    beta = tuple(beta)
-    if sum(alpha) != sum(beta):
-        raise ValueError("row and column sums must agree")
-    k, p = len(alpha), len(beta)
+    alpha, beta = margins(alpha, beta)
+    row_shift, col_shift = (len(beta), len(alpha)) if interior else (0, 0)
     out = []
     for m in range(upto + 1):
-        if not interior:
-            out.append(hilbert_kostka([m * a for a in alpha], [m * b for b in beta]))
-            continue
-        shifted_alpha = tuple(m * a - p for a in alpha)
-        shifted_beta = tuple(m * b - k for b in beta)
-        if m == 0 or min(shifted_alpha) < 0 or min(shifted_beta) < 0:
-            out.append([0])
-        else:
-            out.append(hilbert_kostka(shifted_alpha, shifted_beta))
+        a, b = [m * x - row_shift for x in alpha], [m * y - col_shift for y in beta]
+        empty = (interior and m == 0) or min(a + b) < 0
+        out.append([0] if empty else hilbert_kostka(a, b))
     return out
 
 

@@ -84,6 +84,20 @@ def is_zigzag_matrix(matrix) -> bool:
     return is_zigzag_cells(support(matrix))
 
 
+def margins(alpha, beta) -> tuple:
+    """The margin rule of every route: alpha and beta are nonempty weak
+    compositions of one n.  Returns them as tuples; anything else is a
+    ValueError."""
+    alpha, beta = tuple(alpha), tuple(beta)
+    if any(v < 0 for v in alpha + beta):
+        raise ValueError(f"not a weak composition: {alpha}, {beta}")
+    if sum(alpha) != sum(beta):
+        raise ValueError("row and column sums must agree")
+    if not alpha or not beta:
+        raise ValueError("compositions must be nonempty")
+    return alpha, beta
+
+
 def contingency_tables(alpha, beta) -> tuple:
     """All matrices with the given row and column sums, by row-major
     backtracking.  The last few results are kept: checking one margin pair
@@ -93,13 +107,8 @@ def contingency_tables(alpha, beta) -> tuple:
 
 @lru_cache(maxsize=4)
 def _contingency_tables(alpha, beta) -> tuple:
-    if any(v < 0 for v in alpha + beta):
-        raise ValueError(f"not a weak composition: {alpha}, {beta}")
-    if sum(alpha) != sum(beta):
-        raise ValueError("row and column sums must agree")
+    margins(alpha, beta)
     k, p = len(alpha), len(beta)
-    if k == 0 or p == 0:
-        raise ValueError("compositions must be nonempty")
     out = []
     rows = []
 
@@ -134,9 +143,7 @@ def _contingency_tables(alpha, beta) -> tuple:
 def count_contingency_tables(alpha, beta) -> int:
     """Table count via the RSK identity: K(lam, alpha) * K(lam, beta) summed
     over the shapes lam of the Kostka column of alpha."""
-    alpha, beta = tuple(alpha), tuple(beta)
-    if sum(alpha) != sum(beta):
-        raise ValueError("row and column sums must agree")
+    alpha, beta = margins(alpha, beta)
     # K(lam, beta) through kostka, where perfbench/tracer.py measures the
     # Kostka layer; see ROADMAP item 1 before making this a column join
     return sum(value * kostka(lam, beta) for lam, value in kostka_column(alpha).items())

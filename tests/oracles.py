@@ -42,23 +42,6 @@ def brute_zigzag(matrix) -> int:
     return best
 
 
-def all_zigzag_cell_sets(k, p):
-    """Every nonempty chain of cells in a k x p grid, as 1-based tuples."""
-    cells = [(i, j) for i in range(1, k + 1) for j in range(1, p + 1)]
-    out = []
-
-    def extend(chain):
-        out.append(tuple(chain))
-        last = chain[-1]
-        for c in cells:
-            if c != last and c[0] >= last[0] and c[1] >= last[1]:
-                extend(chain + [c])
-
-    for c in cells:
-        extend([c])
-    return out
-
-
 def _row_insert(rows, value):
     """Classic row bumping; returns the (row, col) where the shape grew."""
     r = 0

@@ -18,7 +18,7 @@ from oracles import (
     random_zigzag_matrix,
     strict_compositions,
 )
-from ctring.experiments import conjecture_scan
+from ctring.experiments import conjecture_scan, conjecture_violations, failed_checks
 from ctring.matrixball import matrix_ball_step, rsk
 from ctring.onerow import (
     column_product,
@@ -98,7 +98,7 @@ def test_criterion_02_rsk_golden():
 
 def test_criterion_03_standard_basis_theorem(sweep):
     records = sweep["records"]
-    bad = [r for r in records if not r["standard_ok"]]
+    bad = [r for r in records if "standard-basis" in failed_checks(r["verify"])]
     ok = not bad
     ok = ok and len(records) == sum((2 + n + comb(n + 2, 2)) ** 2 for n in range(7))
     ok = ok and all(sum(r["hilbert_linear"]) == r["tables"] for r in records)
@@ -117,7 +117,9 @@ def test_criterion_04_hilbert_three_way(sweep):
     bad = [
         r
         for r in records
-        if not (r["hilbert_linear"] == r["hilbert_kostka"] == r["hilbert_zigzag"])
+        if failed_checks(
+            series=(r["hilbert_linear"], r["hilbert_kostka"], r["hilbert_zigzag"])
+        )
     ]
     golden = next(
         r for r in records if r["alpha"] == (3, 2) and r["beta"] == (2, 2, 1)
@@ -362,10 +364,9 @@ def test_criterion_09_conjecture_reports(sweep):
     log_concave = scan["log_concavity"]
     # full-length partition pairs extend the sweep's lengths <= 3 coverage
     lefschetz_bad = [
-        (r["alpha"], r["beta"], entry["k"])
+        (r["alpha"], r["beta"], k)
         for r in sweep["records"]
-        for entry in r["lefschetz"]
-        if not entry["injective"]
+        for _, k in conjecture_violations(lefschetz=r["lefschetz"])
     ] + scan["lefschetz"]
     dominance_bad = scan["dominance"]
     detail = (

@@ -260,6 +260,76 @@ def test_line_over_its_margin_fails_verify(monkeypatch, capsys):
     assert json.loads(out)["lifts_vanish"] is False
 
 
+SWEEP_N2_LEN2 = ["sweep", "--max-n", "2", "--max-len", "2"]
+
+
+def test_zigzag_route_off_by_one_fails_hilbert_agreement(monkeypatch, capsys):
+    # every nonzero table one short of its zigzag number shifts the zigzag
+    # series of each pair with n > 0 (25 of the 29), and of no other route
+    import ctring.quotient
+
+    zigzag = ctring.quotient.zigzag_number
+    monkeypatch.setattr(
+        ctring.quotient,
+        "zigzag_number",
+        lambda t: zigzag(t) - 1 if any(map(any, t)) else zigzag(t),
+    )
+    status, out = run_cli(capsys, SWEEP_N2_LEN2)
+    payload = json.loads(out)
+    assert status == 1 and payload["pairs"] == 29
+    assert len(payload["failures"]) == 25
+    assert all(
+        set(f) == {"alpha", "beta", "check"} and f["check"] == "hilbert-agreement"
+        for f in payload["failures"]
+    )
+    assert payload["failures"][0] == {"alpha": [1], "beta": [1], "check": "hilbert-agreement"}
+    assert payload["conjecture_violations"] == []
+
+
+def test_identity_derived_matrix_fails_the_standard_basis(monkeypatch, capsys):
+    # derived matrices replaced by the tables themselves: the standard
+    # monomials differ from them whenever n > 0
+    import ctring.quotient
+
+    monkeypatch.setattr(ctring.quotient, "derived_matrix", lambda t: t)
+    status, out = run_cli(capsys, ["verify", "--alpha", "3,2", "--beta", "2,2,1"])
+    assert status == 1
+    assert json.loads(out) == {
+        "dimension": 5,
+        "dimension_match": True,
+        "lifts_vanish": True,
+        "standard_equals_matrix_ball": False,
+        "tables": 5,
+    }
+    status, out = run_cli(capsys, SWEEP_N2_LEN2)
+    failures = json.loads(out)["failures"]
+    assert status == 1 and len(failures) == 25
+    assert {f["check"] for f in failures} == {"standard-basis"}
+
+
+def test_zero_lefschetz_element_is_a_conjecture_violation(monkeypatch, capsys):
+    # a zero linear form kills every map of positive power: the reports name
+    # it as data, and no command fails on it
+    import ctring.quotient
+    from ctring.polys import Poly
+
+    monkeypatch.setattr(
+        ctring.quotient, "lefschetz_element", lambda alpha, beta, grid: Poly(grid.nvars)
+    )
+    status, out = run_cli(capsys, ["lefschetz", "--alpha", "3,2", "--beta", "2,2,1"])
+    assert status == 0 and json.loads(out)["violations"] == [0]
+    status, out = run_cli(capsys, SWEEP_N2_LEN2)
+    payload = json.loads(out)
+    assert status == 0 and payload["failures"] == []
+    assert payload["conjecture_violations"] == [
+        {"alpha": [1, 1], "beta": [1, 1], "conjecture": "lefschetz", "k": 0}
+    ]
+    status, out = run_cli(capsys, ["conjectures", "--lefschetz-n", "3"])
+    payload = json.loads(out)
+    assert status == 0 and payload["total_violations"] == 5
+    assert len(payload["violations"]["lefschetz"]) == 5
+
+
 def test_verify_and_sweep_build_each_model_once(monkeypatch, capsys):
     import ctring.cli
     import ctring.experiments

@@ -1,10 +1,12 @@
-"""Static check of the library source: no module keeps an import it never
-reads, such as the leftovers of a folded function."""
+"""Static checks: no module of the library keeps an import it never reads,
+such as the leftovers of a folded function, and no oracle of the tests
+outlives its last caller."""
 
 import ast
 from pathlib import Path
 
-SOURCE = Path(__file__).resolve().parent.parent / "src" / "ctring"
+ROOT = Path(__file__).resolve().parent.parent
+SOURCE = ROOT / "src" / "ctring"
 
 
 def unread_imports(source: str) -> list:
@@ -42,3 +44,46 @@ def test_no_module_has_an_unread_import():
         if (names := unread_imports(path.read_text(encoding="utf-8")))
     }
     assert dead == {}
+
+
+def _names(tree) -> set:
+    """Every name that `tree` reads, imports or reaches as an attribute."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+    return out
+
+
+def uncalled_functions(module: str, others) -> list:
+    """The top-level functions of `module` that nothing names outside their
+    own definition: neither the rest of `module` nor any source in `others`."""
+    tree = ast.parse(module)
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    named = set().union(*(_names(ast.parse(source)) for source in others))
+    for node in tree.body:
+        own = {node.name} if isinstance(node, ast.FunctionDef) else set()
+        named |= _names(node) - own
+    return [node.name for node in functions if node.name not in named]
+
+
+def test_uncalled_functions_are_found():
+    module = "def a():\n    return a()\ndef b():\n    return c\ndef c():\n    pass\n"
+    assert uncalled_functions(module, []) == ["a", "b"]
+    assert uncalled_functions(module, ["from m import a, b"]) == []
+    assert uncalled_functions(module, ["m.a(b)"]) == []
+
+
+def test_every_oracle_has_a_caller():
+    oracles = ROOT / "tests" / "oracles.py"
+    others = [
+        path.read_text(encoding="utf-8")
+        for path in sorted({*ROOT.glob("tests/*.py"), *ROOT.glob("perfbench/**/*.py")})
+        if path != oracles
+    ]
+    assert others
+    assert uncalled_functions(oracles.read_text(encoding="utf-8"), others) == []

@@ -22,7 +22,8 @@ from ctring.quotient import (
     rowsum_ideal_generators,
     verify_associated_graded,
 )
-from ctring.series import hilbert_kostka
+from ctring.psi import graded_decomposition
+from ctring.series import hilbert_kostka, q_ehrhart
 from ctring.tables import contingency_tables, count_contingency_tables
 
 
@@ -210,9 +211,17 @@ def test_shared_slices_are_read_only():
     assert [entry["rank"] for entry in lefschetz_report(model)] == ranks
 
 
+def _both_sides(one_sided):
+    """A one-sided generator helper takes one margin and the length of the
+    other: ask it for both sides of the pair."""
+    return lambda a, b: (one_sided(a, len(b)), one_sided(b, len(a)))
+
+
 def test_negative_margin_is_rejected_on_every_route():
-    # a margin with a negative part is no weak composition: every route to
-    # the tables, their count or their series raises, none answers empty
+    # a margin with a negative part is no weak composition, and the empty
+    # composition is no margin: every route to the tables, their count, their
+    # series or the ideal's generators raises, none answers empty or 1 (a
+    # negative cap would give the constant monomial, and the unit ideal)
     routes = [
         contingency_tables,
         count_contingency_tables,
@@ -221,11 +230,23 @@ def test_negative_margin_is_rejected_on_every_route():
         hilbert_series_linear,
         hilbert_series_zigzag,
         QuotientModel,
+        contingency_generators,
+        _both_sides(rowsum_ideal_generators),
+        _both_sides(colsum_ideal_generators),
+        lambda a, b: q_ehrhart(a, b, 2),
+        lambda a, b: q_ehrhart(a, b, 2, interior=True),
     ]
     for alpha, beta in [((-1, 2), (1,)), ((1,), (2, -1))]:
         for route in routes:
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="not a weak composition"):
                 route(alpha, beta)
+    for alpha, beta in [((), ()), ((), (0,)), ((0,), ())]:
+        for route in routes:
+            with pytest.raises(ValueError, match="compositions must be nonempty"):
+                route(alpha, beta)
+    # the graded module takes partitions, and () is the only one of 0
+    with pytest.raises(ValueError, match="compositions must be nonempty"):
+        graded_decomposition((), ())
 
 
 def test_ideal_sum_observation():

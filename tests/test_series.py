@@ -28,8 +28,9 @@ def test_hilbert_kostka_families():
 
 
 def test_hilbert_kostka_truncation_consistency():
-    # the truncated series is the zero-padded prefix of the full series
-    for n in range(11):
+    # the truncated series is the zero-padded prefix of the full series; the
+    # empty partition of 0 is no margin
+    for n in range(1, 11):
         parts = partitions(n)
         for alpha in parts:
             for beta in parts:
@@ -45,7 +46,7 @@ def test_negative_max_degree_is_rejected():
 
 
 def test_hilbert_kostka_matches_per_shape_loop_on_partition_pairs():
-    for n in range(11):
+    for n in range(1, 11):
         parts = partitions(n)
         for alpha in parts:
             for beta in parts:
@@ -54,10 +55,10 @@ def test_hilbert_kostka_matches_per_shape_loop_on_partition_pairs():
 
 def test_hilbert_kostka_matches_per_shape_loop_on_weak_compositions():
     # zeros and unsorted parts, n <= 8 and lengths <= 4: each composition
-    # against every partition of n and against its own reversal
+    # against every nonempty partition of n and against its own reversal
     for n in range(9):
         for alpha in (c for length in range(1, 5) for c in weak_compositions(n, length)):
-            for beta in partitions(n) + [alpha[::-1]]:
+            for beta in [lam for lam in partitions(n) if lam] + [alpha[::-1]]:
                 assert hilbert_kostka(alpha, beta) == per_shape_hilbert_kostka(alpha, beta)
 
 
