@@ -9,15 +9,15 @@ n - d, of (invariants of the lam-irreducible under the row parabolic) tensor
 Taking parabolic invariants acts on Frobenius images by a combinatorial rule
 on the h basis: sum over multiset partitions of {1^lam_1, 2^lam_2, ...} whose
 block sizes are the parts of mu, each contributing the tensor product of the
-multiplicity types of its equal-size block groups.  The Schur expansion is
-obtained numerically through the Kostka transforms.
+multiplicity types of its equal-size block groups.  The Schur expansion
+follows by Young's rule, solved along each Kostka column.
 """
 
 from functools import lru_cache
 
 from .errors import CheckFailed
-from .partitions import bounded_compositions, check_partition, partitions
-from .symfunc import SymmetricProductGroup, TensorSymFunc, s_to_h_expansion
+from .partitions import bounded_compositions, check_partition, kostka_column, partitions
+from .symfunc import SymmetricProductGroup, TensorSymFunc
 from .tables import margins
 
 
@@ -125,17 +125,22 @@ def invariants_frobenius_h(mu, lam) -> TensorSymFunc:
 def invariants_frobenius_s(mu, lam) -> TensorSymFunc:
     """Schur expansion of the parabolic invariants of the irreducible labeled
     lam; the coefficients are module multiplicities, hence checked to be
-    nonnegative."""
-    mu = check_partition(mu)
-    lam = check_partition(lam)
-    coeffs: dict = {}
-    for rho, c in s_to_h_expansion(lam).items():
-        for key, value in invariants_frobenius_h(mu, rho).to_s().coeffs.items():
-            coeffs[key] = coeffs.get(key, 0) + c * value
+    nonnegative.
+
+    Young's rule h_lam = sum of K(nu, lam) s_nu, solved for s_lam: the image
+    of h_lam less K(nu, lam) times the image of each other s_nu.  Such a nu
+    strictly dominates lam, so it comes earlier in partitions() order, and
+    the recursion ends at the one-row shape, alone in its Kostka column.
+    """
+    h_image = invariants_frobenius_h(mu, lam).to_s()
+    coeffs = dict(h_image.coeffs)
+    for nu, k in kostka_column(lam).items():
+        if nu != lam:
+            for key, value in invariants_frobenius_s(mu, nu).coeffs.items():
+                coeffs[key] = coeffs.get(key, 0) - k * value
     if any(value < 0 for value in coeffs.values()):
         raise CheckFailed("invariant multiplicities must be nonnegative ints")
-    degrees = tuple(m for _, m, _ in stab_factor_data(mu))
-    return TensorSymFunc._from_terms(degrees, "s", coeffs)
+    return TensorSymFunc._from_terms(h_image.degrees, "s", coeffs)
 
 
 def graded_decomposition(mu, nu) -> dict:
@@ -161,10 +166,7 @@ def graded_decomposition(mu, nu) -> dict:
 
 def pair_group(mu, nu) -> SymmetricProductGroup:
     """The full row-and-column symmetry group of the pair (mu, nu)."""
-    return SymmetricProductGroup(
-        [m for _, m, _ in stab_factor_data(mu)]
-        + [m for _, m, _ in stab_factor_data(nu)]
-    )
+    return SymmetricProductGroup(stab_group(mu).sizes + stab_group(nu).sizes)
 
 
 def kronecker_product(dec_a: TensorSymFunc, dec_b: TensorSymFunc, group) -> TensorSymFunc:

@@ -70,35 +70,6 @@ def cycle_type_size(cycle_type, n: int) -> int:
     return factorial(n) // centralizer
 
 
-@lru_cache(maxsize=None)
-def _s_to_h_table(n) -> dict:
-    """Rows of the inverse Kostka transform for all partitions of n.
-
-    The h-to-s matrix, with the Kostka columns K(-, mu) as the Schur
-    expansions of h_mu, is unitriangular against lexicographic order, so back
-    substitution inverts it exactly over the integers.
-    """
-    order = partitions(n)  # lexicographically descending
-    table: dict = {}
-    for lam in order:
-        row = {lam: 1}
-        expansion = kostka_column(lam)
-        for nu, c in expansion.items():
-            if nu == lam:
-                continue
-            # nu dominates lam, hence precedes it lexicographically: row known
-            for mu, d in table[nu].items():
-                row[mu] = row.get(mu, 0) - c * d
-        table[lam] = MappingProxyType({mu: c for mu, c in row.items() if c})
-    return table
-
-
-def s_to_h_expansion(lam):
-    """The h expansion of s_lam, as a read-only {mu: coefficient} mapping."""
-    lam = check_partition(lam)
-    return _s_to_h_table(sum(lam))[lam]
-
-
 class TensorSymFunc:
     """A sum of tensor products of symmetric functions across fixed factor degrees.
 
@@ -190,10 +161,7 @@ class TensorSymFunc:
         column = table.columns.get(tuple(map(tuple, class_tuple)))
         if column is None:
             raise ValueError(f"not a class of the group: {class_tuple}")
-        return sum(
-            c * table.matrix[table.index[key]][column]
-            for key, c in self.to_s().coeffs.items()
-        )
+        return _module_character(table, self.to_s().coeffs)[column]
 
 
 def _expand(expansions):

@@ -5,12 +5,15 @@ implementations under test.  The old routes kept here for rewritten layers
 (the per-shape Kostka series on the strip DP `strip_kostka`, class-by-class
 tensor multiplicities, normal forms and Lefschetz ranks over Fraction
 Gauss-Jordan in `RrefIdeal` and `nf_lefschetz_report`, the unpruned slice
-rows `full_slice_rows`) reuse only library primitives that are tested on
-their own: `partitions`, `irreducible_character`, the generator list
-`contingency_generators`, the linear form `lefschetz_element`, `Grid.ddeg`
-and the clean monomials of `HomogeneousIdeal`.  The diagonal term order is
-kept here as a tuple sort key, `diagonal_key`, against which the library's
-packed integer keys are checked.
+rows `full_slice_rows`, the inverse Kostka table `s_to_h_expansion` and the
+Schur-basis parabolic invariants through it, `h_route_invariants_s`) reuse
+only library primitives that are tested on their own: `partitions`,
+`kostka_column`, `irreducible_character`, the h-basis invariants
+`invariants_frobenius_h`, the generator list `contingency_generators`, the
+linear form `lefschetz_element`, `Grid.ddeg` and the clean monomials of
+`HomogeneousIdeal`.  The diagonal term order is kept here as a tuple sort
+key, `diagonal_key`, against which the library's packed integer keys are
+checked.
 """
 
 from fractions import Fraction
@@ -18,10 +21,12 @@ from functools import lru_cache
 from itertools import product
 from math import factorial
 from operator import le
+from types import MappingProxyType
 
-from ctring.partitions import partitions
+from ctring.partitions import check_partition, kostka_column, partitions
+from ctring.psi import invariants_frobenius_h
 from ctring.quotient import contingency_generators, lefschetz_element
-from ctring.symfunc import cycle_type_size, irreducible_character
+from ctring.symfunc import TensorSymFunc, cycle_type_size, irreducible_character
 
 
 def brute_zigzag(matrix) -> int:
@@ -466,3 +471,43 @@ def classwise_tensor_multiplicities(sizes, mod_a, mod_b) -> dict:
         if mult:
             out[irrep] = int(mult)
     return out
+
+
+@lru_cache(maxsize=None)
+def _s_to_h_table(n) -> dict:
+    """Rows of the inverse Kostka transform for all partitions of n.
+
+    The h-to-s matrix, with the Kostka columns K(-, mu) as the Schur
+    expansions of h_mu, is unitriangular against lexicographic order, so back
+    substitution inverts it exactly over the integers.
+    """
+    order = partitions(n)  # lexicographically descending
+    table: dict = {}
+    for lam in order:
+        row = {lam: 1}
+        expansion = kostka_column(lam)
+        for nu, c in expansion.items():
+            if nu == lam:
+                continue
+            # nu dominates lam, hence precedes it lexicographically: row known
+            for mu, d in table[nu].items():
+                row[mu] = row.get(mu, 0) - c * d
+        table[lam] = MappingProxyType({mu: c for mu, c in row.items() if c})
+    return table
+
+
+def s_to_h_expansion(lam):
+    """The h expansion of s_lam, as a read-only {mu: coefficient} mapping."""
+    lam = check_partition(lam)
+    return _s_to_h_table(sum(lam))[lam]
+
+
+def h_route_invariants_s(mu, lam) -> TensorSymFunc:
+    """The Schur expansion of the parabolic invariants of the irreducible
+    labeled lam, by the inverse Kostka table: s_lam on the h basis, each h_rho
+    replaced by the Schur expansion of its h-basis invariants."""
+    coeffs: dict = {}
+    for rho, c in s_to_h_expansion(lam).items():
+        for key, value in invariants_frobenius_h(mu, rho).to_s().coeffs.items():
+            coeffs[key] = coeffs.get(key, 0) + c * value
+    return TensorSymFunc(invariants_frobenius_h(mu, lam).degrees, "s", coeffs)

@@ -590,13 +590,15 @@ def test_non_character_is_a_failed_check(monkeypatch, capsys):
     import ctring.psi
     import ctring.symfunc
 
-    # psi: a negated Schur-to-h transform gives negative invariant multiplicities
-    expansion = ctring.psi.s_to_h_expansion
-    monkeypatch.setattr(
-        ctring.psi,
-        "s_to_h_expansion",
-        lambda lam: {rho: -c for rho, c in expansion(lam).items()},
-    )
+    # psi: negated h-basis invariants give negative invariant multiplicities
+    invariants_h = ctring.psi.invariants_frobenius_h
+
+    def negated(mu, lam):
+        image = invariants_h(mu, lam)
+        coeffs = {key: -c for key, c in image.coeffs.items()}
+        return ctring.symfunc.TensorSymFunc(image.degrees, "h", coeffs)
+
+    monkeypatch.setattr(ctring.psi, "invariants_frobenius_h", negated)
     ctring.psi.invariants_frobenius_s.cache_clear()
     try:
         status, out, err = run_failing(capsys, ["frobenius", "--mu", "2,1", "--nu", "2,1"])

@@ -184,7 +184,7 @@ def test_new_memos_are_lru_caches():
         part_module: ["_partitions"],
         series: ["_degree_blocks"],
         symfunc: ["_character_table"],
-        psi: ["invariants_frobenius_h"],
+        psi: ["invariants_frobenius_h", "invariants_frobenius_s"],
     }
     series.hilbert_kostka((3, 1), (2, 2))
     psi.kronecker_dominance(

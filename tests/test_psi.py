@@ -5,7 +5,9 @@ import pytest
 from oracles import (
     classwise_tensor_multiplicities,
     count_fixed_tables,
+    h_route_invariants_s,
     ordered_block_partition_count,
+    s_to_h_expansion,
 )
 from ctring.partitions import partitions
 from ctring.psi import (
@@ -21,7 +23,7 @@ from ctring.psi import (
     stab_permutation,
 )
 from ctring.series import hilbert_kostka
-from ctring.symfunc import TensorSymFunc, s_to_h_expansion
+from ctring.symfunc import TensorSymFunc
 from ctring.tables import contingency_tables
 
 
@@ -110,6 +112,15 @@ def test_invariants_s_goldens():
     assert dict(t.coeffs) == {((2, 1), (1,)): 1, ((3,), (1,)): 1}
 
 
+def test_invariants_s_match_the_inverse_kostka_route():
+    # back-substitution along the Kostka column against s_lam expanded on
+    # the h basis by the inverse Kostka table
+    for n in range(9):
+        for mu in partitions(n):
+            for lam in partitions(n):
+                assert invariants_frobenius_s(mu, lam) == h_route_invariants_s(mu, lam)
+
+
 def test_invariants_s_nonnegative_small():
     for n in range(1, 7):
         for mu in partitions(n):
@@ -154,12 +165,15 @@ def test_ungraded_character_counts_fixed_tables():
 
 
 def test_s_to_h_expansion_cannot_be_changed_by_callers():
+    # the oracle's inverse Kostka rows are a memo shared by every test that
+    # compares against the h-basis route
     expected = graded_decomposition((2, 1), (2, 1))
     assert sorted(expected) == [0, 1]
     with pytest.raises(AttributeError):
         s_to_h_expansion((2, 1)).clear()
-    invariants_frobenius_s.cache_clear()  # recompute from the expansions
+    invariants_frobenius_s.cache_clear()  # recompute from the h-basis images
     assert graded_decomposition((2, 1), (2, 1)) == expected
+    assert invariants_frobenius_s((2, 1), (2, 1)) == h_route_invariants_s((2, 1), (2, 1))
 
 
 def test_invariants_cannot_be_changed_by_callers():

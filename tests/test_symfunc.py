@@ -3,7 +3,7 @@ from math import factorial, prod
 
 import pytest
 
-from oracles import strip_kostka
+from oracles import s_to_h_expansion, strip_kostka
 from ctring.errors import CheckFailed
 from ctring.partitions import kostka_column, partitions
 from ctring.symfunc import (
@@ -11,7 +11,6 @@ from ctring.symfunc import (
     TensorSymFunc,
     cycle_type_size,
     irreducible_character,
-    s_to_h_expansion,
 )
 
 
@@ -87,7 +86,9 @@ def test_kostka_matrices_inverse():
                     for rho in parts
                 )
                 assert total == (1 if lam == mu else 0)
-        # both unitriangular against lexicographic order
+        # both unitriangular against lexicographic order: every other shape
+        # of a Kostka column precedes its content in partitions() order,
+        # which is what ends the recursion of invariants_frobenius_s
         for mu in parts:
             for expansion in (kostka_column(mu), s_to_h_expansion(mu)):
                 assert all(lam >= mu for lam in expansion)
