@@ -5,16 +5,20 @@ the variables of its support into the ideal; a cap (support, c) puts every
 monomial of degree > c on the variables of support into the ideal.  A
 monomial that meets every cap is "clean"; every multiple of an unclean
 monomial is unclean, so the elimination only ever sees clean monomials, which
-keeps the systems small.
+keeps the systems small.  The clean monomials of degree d extend those of
+degree d - 1: each is made once, from its parent, by a variable at or after
+the parent's last whose caps all have room, so they come out
+lexicographically descending, with no search and no sort.
 
 The degree-d slice of the ideal, modulo unclean monomials, is spanned by the
 sums times the clean monomials of degree d - 1.  The term order is packed for
 the degree into one integer weight per variable (order_weights), so each
 monomial has one integer key, and the key is linear: key(f * x_v) = key(f) +
 w[v].  The columns are the clean monomials of degree d sorted on their keys,
-descending in the term order; a row's entries are found by adding w[v] to the
-key of its factor and looking the sum up in one key -> position map.  Rows
-are sparse dicts keyed by column position, so finding a pivot is a plain min().
+descending in the term order, each key its parent's plus w[v].  A row's
+entries are its factor's key plus w[v] for the variables v of the sum
+addable to the factor, looked up in one key -> position map.  Rows are
+sparse dicts keyed by column position, so finding a pivot is a plain min().
 Forward elimination runs over the integers on primitive rows (fraction-free,
 as in Bareiss): its pivots are the degree-d part of the initial ideal, and
 the remaining columns are the standard monomials.  These forward rows are the
@@ -38,8 +42,9 @@ rows kept, which are eliminated together, as above.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
-from operator import mul
+from operator import itemgetter, mul
 from types import MappingProxyType
 
 from .partitions import bounded_compositions
@@ -176,6 +181,12 @@ class DegreeBasis:
         return sum(map(mul, self.weights, exps))
 
 
+@lru_cache(maxsize=4096)
+def _variables(mask) -> tuple:
+    """The variables of a bitmask, ascending."""
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
 class HomogeneousIdeal:
     """An ideal presented by variable sums and line caps, sliced degree by
     degree.
@@ -221,104 +232,108 @@ class HomogeneousIdeal:
                 raise ValueError(f"bad cap {cap} on support {support}")
             bounds[support] = min(cap, bounds.get(support, cap))
         self.caps = tuple(bounds.items())
-        # caps touching each variable, as indices into self.caps
-        self._var_caps = [
-            [c for c, (support, _) in enumerate(self.caps) if v in support]
-            for v in range(nvars)
-        ]
+        # per variable, each cap on it: its support's exponents, cap and ~bitmask
+        self._touch = [[] for _ in range(nvars)]
+        addable = (1 << nvars) - 1  # the variables whose caps all have room
+        for support, cap in self.caps:
+            support = sorted(set(support))
+            bits = sum(1 << v for v in support)
+            if not cap:
+                addable &= ~bits
+            load = itemgetter(*support) if support[1:] else None
+            for v in support:  # a single variable's getter slices out its 1-tuple
+                self._touch[v].append((load or itemgetter(slice(v, v + 1)), cap, ~bits))
+        # per degree from 0: the clean monomials, and for each its addable
+        # variables as a bitmask and its last variable
+        self._clean = [((0,) * nvars,)]
+        self._addable = [[addable]]
+        self._last = [[0]]
         self._slices = {}
-        self._clean = {}
-        self._kept = None  # (support, lead variable) of each sum kept, set by slice(1)
+        self._kept = None  # (bitmask, lead variable) of each sum kept, set by slice(1)
 
     def clean_monomials(self, degree):
         """The clean monomials of one degree, lexicographically descending,
-        as a tuple, which the slices and every caller share.
+        as a tuple, which the slices and every caller share; none below
+        degree 0.  For the margin ideal these are the subtingency tables.
 
-        One backtracking pass over the variables that tracks each cap's room
-        left; for the margin ideal these are the subtingency tables of the
-        degree."""
-        cached = self._clean.get(degree)
-        if cached is not None:
-            return cached
-        nvars = self.nvars
-        var_caps = self._var_caps
-        room = [cap for _, cap in self.caps]
-        exps = [0] * nvars
-        out = []
-
-        def rec(v, left):
-            touching = var_caps[v]
-            top = left
-            for c in touching:
-                if room[c] < top:
-                    top = room[c]
-            if v == nvars - 1:
-                if left <= top:
-                    exps[v] = left
-                    out.append(tuple(exps))
-                return
-            for e in range(top, -1, -1):
-                exps[v] = e
-                for c in touching:
-                    room[c] -= e
-                rec(v + 1, left - e)
-                for c in touching:
-                    room[c] += e
-
-        if nvars:
-            rec(0, degree)
-        elif degree == 0:
-            out.append(())
-        self._clean[degree] = out = tuple(out)
-        return out
+        Degree d extends degree d - 1.  A clean monomial is made once, from
+        its parent, which has one less on its last variable: the parent
+        times a variable v at or after the parent's last, taken from the
+        parent's addable variables, those whose caps all have room.  A cap
+        on v that fills takes its support out of the child's addable
+        variables.  Parents in order, each extended by ascending v, come out
+        lexicographically descending.  Past an empty degree all are empty."""
+        clean, touch = self._clean, self._touch
+        while len(clean) <= degree and clean[-1]:
+            monomials, addables, lasts = [], [], []
+            parents = zip(clean[-1], self._addable[-1], self._last[-1])
+            for parent, addable, last in parents:
+                for v in _variables(addable >> last << last):
+                    child = parent[:v] + (parent[v] + 1,) + parent[v + 1 :]
+                    room = addable
+                    for load, cap, off in touch[v]:
+                        if sum(load(child)) == cap:
+                            room &= off
+                    monomials.append(child)
+                    addables.append(room)
+                    lasts.append(v)
+            clean.append(tuple(monomials))
+            self._addable.append(addables)
+            self._last.append(lasts)
+        return clean[degree] if 0 <= degree < len(clean) else ()
 
     def slice(self, degree) -> DegreeBasis:
+        """The echelon basis of the degree, cached.  Each column's key is
+        its parent's key plus w[v] (clean_monomials); the parents are the
+        clean factors of degree - 1, and only their keys are dot products.
+        The row of a sum times a factor q holds q * x_v for the variables v
+        of the sum addable to q, which are exactly its clean monomials."""
         cached = self._slices.get(degree)
         if cached is not None:
             return cached
         weights = order_weights(self.order, self.nvars, degree)
-        by_key = {sum(map(mul, weights, m)): m for m in self.clean_monomials(degree)}
+        monomials = self.clean_monomials(degree)
+        keys = [0] * len(monomials)  # the monomial 1, or none below degree 0
+        factors = []
+        if degree > 0 and monomials:
+            # each clean factor with its key and addable variables
+            below = zip(self._clean[degree - 1], self._addable[degree - 1])
+            factors = [(q, sum(map(mul, weights, q)), addable) for q, addable in below]
+            keys = [
+                key + weights[v]
+                for (_, key, addable), last in zip(factors, self._last[degree - 1])
+                for v in _variables(addable >> last << last)
+            ]
+        by_key = dict(zip(keys, monomials))
         keys = sorted(by_key, reverse=True)
         columns = tuple(map(by_key.__getitem__, keys))
         position = dict(zip(keys, range(len(keys))))
+        rows = {}
         if degree == 1:
             # one sum at a time: a sum that raises the rank is kept, with its
-            # own lead, the pivot it adds (the last key of done); the key of
+            # own lead, the pivot it adds (the last key of rows); the key of
             # x_v is w[v]
-            done = {}
             self._kept = []
             for support in self.sums:
-                rank = len(done)
-                row = {
-                    position[weights[v]]: 1 for v in support if weights[v] in position
-                }
-                position_echelon([row], done)
-                if len(done) > rank:
-                    lead = columns[next(reversed(done))].index(1)
-                    self._kept.append((support, lead))
-            basis = DegreeBasis(columns, weights, position, done)
-        else:
+                rank = len(rows)
+                bits = sum(1 << v for v in support)
+                addable = _variables(self._addable[0][0] & bits)
+                position_echelon([{position[weights[v]]: 1 for v in addable}], rows)
+                if len(rows) > rank:
+                    lead = columns[next(reversed(rows))].index(1)
+                    self._kept.append((bits, lead))
+        elif degree > 1:
+            self.slice(1)  # records self._kept
             rows = []
-            if degree:
-                self.slice(1)  # records self._kept
-                # each clean factor with its key: key(factor * x_v) = key + w[v]
-                factors = [
-                    (factor, sum(map(mul, weights, factor)))
-                    for factor in self.clean_monomials(degree - 1)
-                ]
-                for support, lead in self._kept:
-                    steps = [weights[v] for v in support]
-                    for _, key in factors:
-                        # the sum times a clean factor, restricted to clean monomials
-                        row = {}
-                        for step in steps:
-                            pos = position.get(key + step)
-                            if pos is not None:
-                                row[pos] = 1
-                        rows.append(row)
-                    # Koszul: every later sum skips the factors this lead divides
-                    factors = [pair for pair in factors if not pair[0][lead]]
-            basis = DegreeBasis(columns, weights, position, position_echelon(rows))
+            for bits, lead in self._kept:
+                for _, key, addable in factors:
+                    # the sum times a clean factor, on its clean monomials
+                    addable = _variables(addable & bits)
+                    rows.append({position[key + weights[v]]: 1 for v in addable})
+                # Koszul: every later sum skips the factors this lead divides
+                factors = [f for f in factors if not f[0][lead]]
+            rows = position_echelon(rows)
+        basis = DegreeBasis(columns, weights, position, rows)
         self._slices[degree] = basis
         return basis
 

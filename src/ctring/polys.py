@@ -164,15 +164,20 @@ class Grid:
         total degree.  On the variables of one row or one column it is plain
         lex, whichever tiebreak is chosen.
         """
-        if tiebreak not in ("row", "column"):
-            raise ValueError("tiebreak must be 'row' or 'column'")
-        p = self.p
-        antidiagonals = [[] for _ in range(self.k + p - 1)]
-        for v in range(self.nvars):
-            antidiagonals[v // p + v % p].append(v)
-        second = (lambda v: v // p) if tiebreak == "row" else (lambda v: v % p)
-        ranked = sorted(range(self.nvars), key=lambda v: (v // p + v % p, second(v)))
-        return tuple(map(tuple, antidiagonals)) + tuple((v,) for v in ranked)
+        return _diagonal_order(self.k, self.p, tiebreak)
+
+
+@lru_cache(maxsize=256)
+def _diagonal_order(k, p, tiebreak):
+    """Grid.diagonal_order of the k x p grid, built once per shape."""
+    if tiebreak not in ("row", "column"):
+        raise ValueError("tiebreak must be 'row' or 'column'")
+    antidiagonals = [[] for _ in range(k + p - 1)]
+    for v in range(k * p):
+        antidiagonals[v // p + v % p].append(v)
+    second = (lambda v: v // p) if tiebreak == "row" else (lambda v: v % p)
+    ranked = sorted(range(k * p), key=lambda v: (v // p + v % p, second(v)))
+    return tuple(map(tuple, antidiagonals)) + tuple((v,) for v in ranked)
 
 
 @lru_cache(maxsize=256)

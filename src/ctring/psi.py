@@ -14,6 +14,7 @@ follows by Young's rule, solved along each Kostka column.
 """
 
 from functools import lru_cache
+from itertools import accumulate
 
 from .errors import CheckFailed
 from .partitions import bounded_compositions, check_partition, kostka_column, partitions
@@ -67,12 +68,14 @@ def multiset_partitions(content, shape) -> list:
 
     Blocks of equal size are produced in weakly decreasing content order,
     which rules out duplicates.  Each partition is a tuple of blocks (content
-    vectors) aligned with the parts of `shape`.
+    vectors) aligned with the parts of `shape`.  A branch ends once the smaller
+    blocks cannot hold the letters before the first letter of the last block.
     """
     content = tuple(content)
     shape = check_partition(shape)
     if sum(content) != sum(shape):
         raise ValueError("content and shape sizes differ")
+    smaller = [sum(part for part in shape if part < size) for size in shape]
     out = []
 
     def rec(i, remaining, blocks):
@@ -80,7 +83,12 @@ def multiset_partitions(content, shape) -> list:
             out.append(tuple(blocks))
             return
         bound = blocks[-1] if i and shape[i] == shape[i - 1] else None
+        # the block's first letter is at most `reach`; blocks come descending,
+        # so once one starts later, every later one does
+        reach = sum(1 for held in accumulate(remaining) if held <= smaller[i])
         for block in bounded_compositions(shape[i], remaining):
+            if not any(block[: reach + 1]):
+                break
             if bound is not None and block > bound:
                 continue
             rec(

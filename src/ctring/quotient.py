@@ -38,8 +38,9 @@ def col_support(grid: Grid, j: int) -> tuple:
 
 def _lines(grid: Grid):
     """The supports of the rows, then of the columns."""
-    rows = [row_support(grid, i) for i in range(1, grid.k + 1)]
-    return rows, [col_support(grid, j) for j in range(1, grid.p + 1)]
+    p, n = grid.p, grid.nvars  # row-major: row i starts at i * p
+    rows = [tuple(range(i, i + p)) for i in range(0, n, p)]
+    return rows, [tuple(range(j, n, p)) for j in range(p)]
 
 
 def _generators(grid: Grid, sums, caps) -> list:

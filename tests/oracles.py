@@ -5,9 +5,10 @@ implementations under test.  The old routes kept here for rewritten layers
 (the per-shape Kostka series on the strip DP `strip_kostka`, class-by-class
 tensor multiplicities, normal forms and Lefschetz ranks over Fraction
 Gauss-Jordan in `RrefIdeal` and `nf_lefschetz_report`, the unpruned slice
-rows `full_slice_rows`, the inverse Kostka table `s_to_h_expansion` and the
-Schur-basis parabolic invariants through it, `h_route_invariants_s`) reuse
-only library primitives that are tested on their own: `partitions`,
+rows `full_slice_rows` and multiset partitions `unpruned_multiset_partitions`,
+the inverse Kostka table `s_to_h_expansion` and the Schur-basis parabolic
+invariants through it, `h_route_invariants_s`) reuse only library primitives
+that are tested on their own: `partitions`, `check_partition`,
 `kostka_column`, `irreducible_character`, the h-basis invariants
 `invariants_frobenius_h`, the generator list `contingency_generators`, the
 linear form `lefschetz_element`, `Grid.ddeg` and the clean monomials of
@@ -187,6 +188,31 @@ def monomials_of_degree(nvars, degree):
     for first in range(degree + 1):
         for rest in monomials_of_degree(nvars - 1, degree - first):
             out.append((first,) + rest)
+    return out
+
+
+def unpruned_multiset_partitions(content, shape):
+    """psi.multiset_partitions by its old enumeration, which drops a branch
+    only when no block fits: every block of each size in turn, descending,
+    blocks of equal size weakly decreasing."""
+    shape = check_partition(shape)
+    out = []
+
+    def extend(i, remaining, blocks):
+        if i == len(shape):
+            out.append(tuple(blocks))
+            return
+        fits = [
+            block
+            for block in product(*(range(r + 1) for r in remaining))
+            if sum(block) == shape[i]
+        ]
+        for block in reversed(fits):
+            if i and shape[i] == shape[i - 1] and block > blocks[-1]:
+                continue
+            extend(i + 1, tuple(r - b for r, b in zip(remaining, block)), blocks + [block])
+
+    extend(0, tuple(content), [])
     return out
 
 

@@ -19,6 +19,7 @@ from ctring.linalg import (
     bounded_exponents,
     extreme_monomials,
     integer_row,
+    linear_form,
     position_echelon,
 )
 from ctring.onerow import one_row_generators, one_row_ideal
@@ -137,6 +138,72 @@ def test_caps_match_divisibility_on_one_row_ideals():
             assert list(ideal.clean_monomials(d)) == divisibility_clean_monomials(
                 monos, n, d
             ), (bounds, d)
+
+
+# cap systems that are neither margin nor one-row ideals: (nvars, sums, caps)
+CAP_SYSTEMS = {
+    "uncapped variable": (4, [(0, 1, 2, 3)], [((0, 1), 2), ((1, 2), 1)]),
+    "cap of 0": (4, [(0, 3), (1, 2)], [((0, 1, 2), 3), ((2, 3), 0)]),
+    "overlapping supports": (
+        5,
+        [(0, 1, 2), (2, 3, 4), (0, 4)],
+        [((0, 2, 4), 2), ((1, 2, 3), 3), ((0, 3), 1), ((1, 4), 2)],
+    ),
+    # (0, 1) and (1, 0) are two caps on one support; (2, 2, 3) repeats 2
+    "repeated support": (4, [(1, 2)], [((0, 1), 3), ((1, 0), 2), ((0, 1), 4), ((2, 2, 3), 1)]),
+    "no caps": (3, [(0, 1)], []),
+}
+
+
+@pytest.mark.parametrize("name", CAP_SYSTEMS)
+def test_caps_match_divisibility_beyond_margins(name):
+    # every clean monomial is made once, in the divisibility filter's order,
+    # and every slice has the oracle's pivots and standard monomials
+    nvars, sums, caps = CAP_SYSTEMS[name]
+    ideal = HomogeneousIdeal(nvars, None, sums, caps)
+    monos = []
+    for support, cap in caps:
+        support = sorted(set(support))
+        for exps in bounded_exponents(len(support), cap + 1):
+            full = [0] * nvars
+            for v, e in zip(support, exps):
+                full[v] = e
+            monos.append(tuple(full))
+    gens = [linear_form(nvars, support) for support in sums]
+    gens += [Poly.monomial(m) for m in monos]
+    for d in range(7):
+        clean = ideal.clean_monomials(d)
+        assert len(set(clean)) == len(clean), d
+        assert list(clean) == divisibility_clean_monomials(monos, nvars, d), d
+        pivots, standard = oracle_slice(gens, nvars, None, d)
+        basis = ideal.slice(d)
+        assert [basis.columns[p] for p in basis.rows] == pivots, d
+        assert list(ideal.standard_monomials(d)) == standard, d
+
+
+@pytest.mark.parametrize("nvars", [0, 1, 2])
+def test_negative_degrees_are_empty(nvars):
+    for ideal in (
+        HomogeneousIdeal(nvars, None),
+        HomogeneousIdeal(nvars, None, [tuple(range(nvars))], [(tuple(range(nvars)), 2)]),
+    ):
+        for d in (-1, -2):
+            assert ideal.clean_monomials(d) == ()
+            basis = ideal.slice(d)
+            assert (basis.columns, dict(basis.rows), basis.standard) == ((), {}, ())
+            assert ideal.standard_monomials(d) == ()
+        assert ideal.clean_monomials(0) == ((0,) * nvars,)
+
+
+def test_degrees_past_the_last_clean_one_are_empty():
+    # once a degree has no clean monomial, no higher degree is enumerated
+    ideal = HomogeneousIdeal(3, None, [(0, 1, 2)], [((0, 1, 2), 2)])
+    assert ideal.clean_monomials(40) == ()
+    assert len(ideal._clean) == 4  # degrees 0..3, the last one empty
+    for d in (3, 4, 10**9):
+        assert ideal.clean_monomials(d) == ()
+        assert ideal.slice(d).columns == ideal.standard_monomials(d) == ()
+    assert ideal.normal_form(Poly.monomial((0, 10**9, 0))) == Poly(3)
 
 
 def _random_rows(rng):

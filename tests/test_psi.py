@@ -8,6 +8,7 @@ from oracles import (
     h_route_invariants_s,
     ordered_block_partition_count,
     s_to_h_expansion,
+    unpruned_multiset_partitions,
 )
 from ctring.partitions import partitions
 from ctring.psi import (
@@ -69,6 +70,20 @@ def test_multiset_partitions_no_duplicates():
             assert tuple(sum(b) for b in blocks) == mu
             totals = [sum(b[i] for b in blocks) for i in range(len(lam))]
             assert tuple(totals) == lam
+
+
+def test_pruned_multiset_partitions_match_the_unpruned_enumeration():
+    # every content and shape of size n <= 8, order included
+    for n in range(1, 9):
+        for lam in partitions(n):
+            for mu in partitions(n):
+                assert multiset_partitions(lam, mu) == unpruned_multiset_partitions(
+                    lam, mu
+                ), (lam, mu)
+    # one partition, found without the 2^13 dead branches
+    assert multiset_partitions((1,) * 13, (1,) * 13) == [
+        tuple((0,) * i + (1,) + (0,) * (12 - i) for i in range(13))
+    ]
 
 
 def test_invariants_h_golden():
