@@ -8,7 +8,11 @@ monomial is unclean, so the elimination only ever sees clean monomials, which
 keeps the systems small.  The clean monomials of degree d extend those of
 degree d - 1: each is made once, from its parent, by a variable at or after
 the parent's last whose caps all have room, so they come out
-lexicographically descending, with no search and no sort.
+lexicographically descending, with no search and no sort.  What the shape of
+a presentation fixes (the variable count, the order, the sums and the cap
+supports) is validated and laid out once, in a module-level memo: the sums
+kept, the lines, their bitmasks and, per variable, the exponent getters of
+the lines on it.  An ideal binds only its cap values, read by line index.
 
 The degree-d slice of the ideal, modulo unclean monomials, is spanned by the
 sums times the clean monomials of degree d - 1.  The term order is packed for
@@ -187,6 +191,43 @@ def _variables(mask) -> tuple:
     return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
+@lru_cache(maxsize=1024)
+def _layout(nvars, order, sums, supports) -> tuple:
+    """The part of a HomogeneousIdeal that its shape fixes, whatever its cap
+    values: (sums kept, lines, line of each cap, bitmask of each line, per
+    variable the (exponent getter, line, ~bitmask) of each line on it).
+
+    The lines are the distinct cap supports, in order of first appearance;
+    a one-variable sum adds a cap past those given, on its variable.  Raises
+    ValueError on an order that is not total, a bad sum or a bad support."""
+    order_weights(order, nvars, 0)  # raises on an order that is not total
+    kept = []
+    for support in sums:
+        support = tuple(sorted(set(support)))
+        if not all(0 <= v < nvars for v in support):
+            raise ValueError(f"bad sum on support {support}")
+        if len(support) == 1:
+            supports += (support,)
+        elif support not in kept:
+            kept.append(support)
+    index = {}
+    line_of = []
+    for support in supports:
+        if not all(0 <= v < nvars for v in support):
+            raise ValueError(f"bad cap support {support}")
+        line_of.append(index.setdefault(support, len(index)))
+    lines = tuple(index)
+    masks = []
+    touch = [[] for _ in range(nvars)]
+    for line, support in enumerate(lines):
+        support = sorted(set(support))
+        masks.append(sum(1 << v for v in support))
+        load = itemgetter(*support) if support[1:] else None
+        for v in support:  # a single variable's getter slices out its 1-tuple
+            touch[v].append((load or itemgetter(slice(v, v + 1)), line, ~masks[-1]))
+    return tuple(kept), lines, tuple(line_of), tuple(masks), tuple(map(tuple, touch))
+
+
 class HomogeneousIdeal:
     """An ideal presented by variable sums and line caps, sliced degree by
     degree.
@@ -214,35 +255,26 @@ class HomogeneousIdeal:
     def __init__(self, nvars, order, sums=(), caps=()):
         self.nvars = nvars
         self.order = None if order is None else tuple(map(tuple, order))
-        order_weights(self.order, nvars, 0)  # raises on an order that is not total
-        caps = list(caps)
-        self.sums = []
-        for support in sums:
-            support = tuple(sorted(set(support)))
-            if not all(0 <= v < nvars for v in support):
-                raise ValueError(f"bad sum on support {support}")
-            if len(support) == 1:
-                caps.append((support, 0))
-            elif support not in self.sums:
-                self.sums.append(support)
-        bounds = {}
-        for support, cap in caps:
-            support = tuple(support)
-            if cap < 0 or not all(0 <= v < nvars for v in support):
-                raise ValueError(f"bad cap {cap} on support {support}")
-            bounds[support] = min(cap, bounds.get(support, cap))
-        self.caps = tuple(bounds.items())
-        # per variable, each cap on it: its support's exponents, cap and ~bitmask
-        self._touch = [[] for _ in range(nvars)]
+        caps = tuple(caps)
+        sums, lines, line_of, masks, self._touch = _layout(
+            nvars, self.order, tuple(map(tuple, sums)), tuple(tuple(s) for s, _ in caps)
+        )
+        self.sums = list(sums)
+        # the cap of each line: the least cap on its support, a one-variable
+        # sum being the cap 0 (the caps past those given)
+        bounds = [None] * len(lines)
+        values = [cap for _, cap in caps] + [0] * (len(line_of) - len(caps))
+        for line, cap in zip(line_of, values):
+            if cap < 0:
+                raise ValueError(f"bad cap {cap} on support {lines[line]}")
+            if bounds[line] is None or cap < bounds[line]:
+                bounds[line] = cap
+        self._bounds = bounds
+        self.caps = tuple(zip(lines, bounds))
         addable = (1 << nvars) - 1  # the variables whose caps all have room
-        for support, cap in self.caps:
-            support = sorted(set(support))
-            bits = sum(1 << v for v in support)
+        for bits, cap in zip(masks, bounds):
             if not cap:
                 addable &= ~bits
-            load = itemgetter(*support) if support[1:] else None
-            for v in support:  # a single variable's getter slices out its 1-tuple
-                self._touch[v].append((load or itemgetter(slice(v, v + 1)), cap, ~bits))
         # per degree from 0: the clean monomials, and for each its addable
         # variables as a bitmask and its last variable
         self._clean = [((0,) * nvars,)]
@@ -263,7 +295,7 @@ class HomogeneousIdeal:
         on v that fills takes its support out of the child's addable
         variables.  Parents in order, each extended by ascending v, come out
         lexicographically descending.  Past an empty degree all are empty."""
-        clean, touch = self._clean, self._touch
+        clean, touch, bounds = self._clean, self._touch, self._bounds
         while len(clean) <= degree and clean[-1]:
             monomials, addables, lasts = [], [], []
             parents = zip(clean[-1], self._addable[-1], self._last[-1])
@@ -271,8 +303,8 @@ class HomogeneousIdeal:
                 for v in _variables(addable >> last << last):
                     child = parent[:v] + (parent[v] + 1,) + parent[v + 1 :]
                     room = addable
-                    for load, cap, off in touch[v]:
-                        if sum(load(child)) == cap:
+                    for load, line, off in touch[v]:
+                        if sum(load(child)) == bounds[line]:
                             room &= off
                     monomials.append(child)
                     addables.append(room)

@@ -55,19 +55,35 @@ def matrix_ball_step(matrix):
 
     The positions of a label, sorted by increasing row, have strictly
     decreasing columns; the derived matrix gains a ball at each inner corner
-    (row of the next position, column of the previous one).
+    (row of the next position, column of the previous one).  One row-major
+    pass meets each label's positions in that order: it carries the latest
+    column of each label, and the largest label in each column's quadrant,
+    in place of a BallDiagram.
     """
     k, p = dimensions(matrix)
-    diagram = BallDiagram(matrix)
     nxt = [[0] * p for _ in range(k)]
     northern = [0] * k
+    last = []  # last[label - 1]: the column of the label's latest cell
+    quad = [0] * p  # quad[j]: the largest label in the cells (<= i, <= j)
+    for i in range(k):
+        row, derived = matrix[i], nxt[i]
+        left = 0
+        for j in range(p):
+            base = quad[j] if quad[j] > left else left
+            top = base + row[j]
+            if top > base:
+                # labels up to len(last) are old: their balls join this cell
+                for label in range(base, min(top, len(last))):
+                    derived[last[label]] += 1
+                    last[label] = j
+                if top > len(last):
+                    northern[i] += top - len(last)
+                    last += [j] * (top - len(last))
+            quad[j] = left = top
     western = [0] * p
-    for cells in diagram.labels.values():
-        northern[cells[0][0] - 1] += 1
-        western[cells[-1][1] - 1] += 1
-        for (_, j_prev), (i_next, _) in zip(cells, cells[1:]):
-            nxt[i_next - 1][j_prev - 1] += 1
-    return tuple(tuple(row) for row in nxt), tuple(northern), tuple(western)
+    for j in last:
+        western[j] += 1
+    return tuple(map(tuple, nxt)), tuple(northern), tuple(western)
 
 
 def derived_matrix(matrix) -> tuple:

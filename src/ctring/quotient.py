@@ -12,6 +12,7 @@ compared against the derived matrices of the contingency tables with margins
 """
 
 from collections import Counter
+from functools import lru_cache
 from math import perm
 
 from .errors import CheckFailed
@@ -24,16 +25,6 @@ from .linalg import (
 from .matrixball import derived_matrix
 from .polys import Grid, Poly
 from .tables import contingency_tables, count_contingency_tables, margins, zigzag_number
-
-
-def row_support(grid: Grid, i: int) -> tuple:
-    """Variable indices of row i (1-based)."""
-    return tuple(grid.index(i, j) for j in range(1, grid.p + 1))
-
-
-def col_support(grid: Grid, j: int) -> tuple:
-    """Variable indices of column j (1-based)."""
-    return tuple(grid.index(i, j) for i in range(1, grid.k + 1))
 
 
 def _lines(grid: Grid):
@@ -186,21 +177,27 @@ def lefschetz_report(model: QuotientModel) -> list:
     """
     lef = lefschetz_element(model.alpha, model.beta, model.grid)
     top = model.top_degree
-    powers = {0: Poly(model.grid.nvars, {(0,) * model.grid.nvars: 1})}
-    for e in range(1, top + 1):
-        powers[e] = powers[e - 1] * lef
     out = []
     for k in range(0, top // 2 + 1):
         e = top - 2 * k
         source = model.ideal.standard_monomials(k)
         target = model.ideal.slice(top - k)
-        # the packed key is linear: key(mono * term) = key(mono) + key(term)
-        terms = [(target.key(exps), c) for exps, c in powers[e].terms.items()]
+        # the packed key is linear, key(mono * term) = key(mono) + key(term),
+        # and injective up to the target degree, so L^e is built on keys
+        terms = [(target.key(exps), c) for exps, c in lef.terms.items()]
+        power = {0: 1}
+        for _ in range(e):
+            step = {}
+            for key, c in power.items():
+                for t, tc in terms:
+                    step[key + t] = step.get(key + t, 0) + c * tc
+            power = step
+        power = {key: c for key, c in power.items() if c}
         images = []
         for mono in source:
             base = target.key(mono)
             image = {}
-            for key, c in terms:
+            for key, c in power.items():
                 pos = target.position.get(base + key)
                 if pos is not None:
                     image[pos] = c
@@ -217,6 +214,13 @@ def lefschetz_report(model: QuotientModel) -> list:
             }
         )
     return out
+
+
+@lru_cache(maxsize=None)
+def _lifts(length, cap) -> tuple:
+    """The exponents of the monomial lifts on a line of the length with the
+    cap: every monomial of degree cap + 1 on it."""
+    return tuple(bounded_exponents(length, cap + 1))
 
 
 def verify_associated_graded(alpha, beta, model: QuotientModel) -> dict:
@@ -240,15 +244,11 @@ def verify_associated_graded(alpha, beta, model: QuotientModel) -> dict:
         pair for table in tables for pair in zip(table + tuple(zip(*table)), caps)
     }
     lifts_vanish = True
-    lifts = {}  # (line length, cap) -> exponents of the monomial lifts
     for line, cap in lines:
         if sum(line) != cap:
             lifts_vanish = False
-        key = (len(line), cap)
-        if key not in lifts:
-            lifts[key] = bounded_exponents(len(line), cap + 1)
         # the falling factorial perm(x, e) is 0 when e > x >= 0
-        if any(all(map(perm, line, exps)) for exps in lifts[key]):
+        if any(all(map(perm, line, exps)) for exps in _lifts(len(line), cap)):
             lifts_vanish = False
     dim = sum(model.hilbert)
     return {

@@ -7,12 +7,15 @@ tensor multiplicities, normal forms and Lefschetz ranks over Fraction
 Gauss-Jordan in `RrefIdeal` and `nf_lefschetz_report`, the unpruned slice
 rows `full_slice_rows` and multiset partitions `unpruned_multiset_partitions`,
 the inverse Kostka table `s_to_h_expansion` and the Schur-basis parabolic
-invariants through it, `h_route_invariants_s`) reuse only library primitives
+invariants through it, `h_route_invariants_s`, and the matrix-ball step read
+off a whole ball diagram, `diagram_ball_step`) reuse only library primitives
 that are tested on their own: `partitions`, `check_partition`,
 `kostka_column`, `irreducible_character`, the h-basis invariants
 `invariants_frobenius_h`, the generator list `contingency_generators`, the
-linear form `lefschetz_element`, `Grid.ddeg` and the clean monomials of
-`HomogeneousIdeal`.  The diagonal term order is kept here as a tuple sort
+linear form `lefschetz_element`, `Grid.ddeg`, `BallDiagram` and the clean
+monomials of `HomogeneousIdeal`.  The line supports of a grid,
+`row_support` and `col_support`, are kept here for the tests that build
+ideals line by line.  The diagonal term order is kept here as a tuple sort
 key, `diagonal_key`, against which the library's packed integer keys are
 checked.
 """
@@ -24,6 +27,7 @@ from math import factorial
 from operator import le
 from types import MappingProxyType
 
+from ctring.matrixball import BallDiagram
 from ctring.partitions import check_partition, kostka_column, partitions
 from ctring.psi import invariants_frobenius_h
 from ctring.quotient import contingency_generators, lefschetz_element
@@ -86,6 +90,33 @@ def insertion_rsk(matrix):
         tuple(tuple(r) for r in insert_rows),
         tuple(tuple(r) for r in record_rows),
     )
+
+
+def diagram_ball_step(matrix):
+    """matrix_ball_step read off the BallDiagram of the matrix: per label,
+    its first cell's row gains a northern ball, its last cell's column a
+    western ball, and each pair of consecutive cells a derived ball at
+    (row of the next, column of the previous)."""
+    k, p = len(matrix), len(matrix[0]) if matrix else 0
+    nxt = [[0] * p for _ in range(k)]
+    northern = [0] * k
+    western = [0] * p
+    for cells in BallDiagram(matrix).labels.values():
+        northern[cells[0][0] - 1] += 1
+        western[cells[-1][1] - 1] += 1
+        for (_, j_prev), (i_next, _) in zip(cells, cells[1:]):
+            nxt[i_next - 1][j_prev - 1] += 1
+    return tuple(tuple(row) for row in nxt), tuple(northern), tuple(western)
+
+
+def row_support(grid, i: int) -> tuple:
+    """Variable indices of row i (1-based)."""
+    return tuple(grid.index(i, j) for j in range(1, grid.p + 1))
+
+
+def col_support(grid, j: int) -> tuple:
+    """Variable indices of column j (1-based)."""
+    return tuple(grid.index(i, j) for i in range(1, grid.k + 1))
 
 
 def random_matrix(rng, k, p, max_entry=3):

@@ -7,11 +7,13 @@ import pytest
 
 from oracles import (
     RrefIdeal,
+    col_support,
     diagonal_key,
     divisibility_clean_monomials,
     fraction_rref,
     full_slice_rows,
     oracle_slice,
+    row_support,
     strict_compositions,
 )
 from ctring.linalg import (
@@ -25,12 +27,7 @@ from ctring.linalg import (
 from ctring.onerow import one_row_generators, one_row_ideal
 from ctring.partitions import bounded_compositions, weak_compositions_upto
 from ctring.polys import Grid, Poly
-from ctring.quotient import (
-    col_support,
-    contingency_generators,
-    margin_ideal,
-    row_support,
-)
+from ctring.quotient import contingency_generators, margin_ideal
 
 
 def _margin(alpha, beta):
@@ -179,6 +176,35 @@ def test_caps_match_divisibility_beyond_margins(name):
         basis = ideal.slice(d)
         assert [basis.columns[p] for p in basis.rows] == pivots, d
         assert list(ideal.standard_monomials(d)) == standard, d
+
+
+def test_ideals_of_one_shape_keep_their_own_caps():
+    # the set-up an ideal's shape fixes is shared between ideals, the cap
+    # values are not: two margin ideals on one grid with different margins,
+    # and a one-variable sum beside a cap on that variable, in either order,
+    # each slice as the generator lists give it
+    grid = Grid(2, 3)
+    key = diagonal_key(grid)
+    for alpha, beta in [((2, 1), (1, 1, 1)), ((1, 3), (2, 0, 2)), ((2, 1), (1, 1, 1))]:
+        ideal = margin_ideal(alpha, beta, grid, grid.diagonal_order())
+        _, gens = contingency_generators(alpha, beta)
+        for d in range(sum(alpha) + 2):
+            basis = ideal.slice(d)
+            assert ([basis.columns[p] for p in basis.rows], list(basis.standard)) == (
+                oracle_slice(gens, grid.nvars, key, d)
+            ), (alpha, beta, d)
+    for cap in (2, 0, 1):
+        for sums in ([(0, 1), (2,)], [(2,), (0, 1)]):
+            ideal = HomogeneousIdeal(3, None, sums, [((2,), cap), ((0, 2), 2)])
+            gens = [linear_form(3, support) for support in sums]
+            gens += [Poly.monomial((0, 0, cap + 1))]
+            gens += [Poly.monomial((a, 0, 3 - a)) for a in range(4)]
+            assert dict(ideal.caps)[(2,)] == 0
+            for d in range(5):
+                basis = ideal.slice(d)
+                assert ([basis.columns[p] for p in basis.rows], list(basis.standard)) == (
+                    oracle_slice(gens, 3, None, d)
+                ), (cap, sums, d)
 
 
 @pytest.mark.parametrize("nvars", [0, 1, 2])

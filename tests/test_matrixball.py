@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from oracles import insertion_rsk, random_matrix
+from oracles import diagram_ball_step, insertion_rsk, random_matrix
 from ctring.matrixball import (
     BallDiagram,
     derived_matrix,
@@ -18,6 +18,7 @@ from ctring.partitions import (
     partitions,
     tableau_content,
     tableau_shape,
+    weak_compositions_upto,
 )
 from ctring.tables import (
     col_sums,
@@ -79,6 +80,35 @@ def test_step_zero():
     assert nxt == zero
     assert northern == (0, 0)
     assert western == (0, 0)
+
+
+def test_step_matches_ball_diagram_oracle():
+    # the one-pass step against the step read off a whole BallDiagram, all
+    # three outputs, on every table of the weak pairs with n <= 5 and
+    # lengths <= 3, and on random matrices with zero rows and zero columns
+    matrices = [
+        table
+        for n in range(6)
+        for alpha, beta in itertools.product(weak_compositions_upto(n, 3), repeat=2)
+        for table in contingency_tables(alpha, beta)
+    ]
+    assert len(matrices) > 3000
+    rng = random.Random(47)
+    hollow = 0
+    for _ in range(400):
+        k, p = rng.randint(1, 5), rng.randint(1, 5)
+        m = [list(row) for row in random_matrix(rng, k, p, 3)]
+        for i in rng.sample(range(k), rng.randint(0, k - 1)):
+            m[i] = [0] * p
+        for j in rng.sample(range(p), rng.randint(0, p - 1)):
+            for row in m:
+                row[j] = 0
+        m = tuple(map(tuple, m))
+        hollow += not all(map(any, m)) and not all(map(any, zip(*m)))
+        matrices.append(m)
+    assert hollow > 50
+    for m in matrices:
+        assert matrix_ball_step(m) == diagram_ball_step(m), m
 
 
 def test_step_margins_strictly_decrease():

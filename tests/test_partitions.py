@@ -1,4 +1,7 @@
+import ast
+import importlib
 import random
+from pathlib import Path
 
 import pytest
 
@@ -172,34 +175,54 @@ def test_partitions_list_is_a_fresh_copy():
     assert partitions(4) is not partitions(4)
 
 
+def _decorated_memos() -> list:
+    """(module, function name) of every function in src/ctring decorated
+    with lru_cache or cache, however the decorator is imported or called."""
+    source = Path(__file__).resolve().parent.parent / "src" / "ctring"
+    memos = []
+    for path in sorted(source.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for decorator in node.decorator_list:
+                if isinstance(decorator, ast.Call):
+                    decorator = decorator.func
+                name = getattr(decorator, "attr", getattr(decorator, "id", None))
+                if name in ("lru_cache", "cache"):
+                    memos.append((f"ctring.{path.stem}", node.name))
+    return memos
+
+
 def test_new_memos_are_lru_caches():
     # a fresh CLI process and a per-pass cache clear both start cold only if
     # every memo is a module-level lru_cache that cache_clear empties, or a
     # module-level dict named as a cache (the Kostka columns, which
-    # kostka_cache_snapshot reads)
+    # kostka_cache_snapshot reads); the memos are found by scanning the
+    # source, and each must be filled by the calls below and emptied by
+    # cache_clear
+    from ctring import cli, experiments, psi, series
     from ctring import partitions as part_module
-    from ctring import psi, series, symfunc
 
     memos = {
-        part_module: ["_partitions"],
-        series: ["_degree_blocks"],
-        symfunc: ["_character_table"],
-        psi: ["invariants_frobenius_h", "invariants_frobenius_s"],
+        (module, name): vars(importlib.import_module(module))[name]  # module-level
+        for module, name in _decorated_memos()
     }
+    assert ("ctring.linalg", "_layout") in memos and ("ctring.quotient", "_lifts") in memos
+    for memo in memos.values():  # what other tests filled does not count
+        memo.cache_clear()
+    cli.build_parser()
+    experiments.sweep_record((2, 1), (1, 2))
     series.hilbert_kostka((3, 1), (2, 2))
     psi.kronecker_dominance(
         *[psi.graded_decomposition((2, 1), (2, 1))[1]] * 2, psi.pair_group((2, 1), (2, 1))
     )
-    for module, names in memos.items():
-        for name in names:
-            memo = vars(module)[name]
-            assert memo.cache_info().currsize > 0, name
-            memo.cache_clear()
-            assert memo.cache_info().currsize == 0, name
+    for name, memo in memos.items():
+        assert memo.cache_info().currsize > 0, name
+        memo.cache_clear()
+        assert memo.cache_info().currsize == 0, name
     assert part_module.kostka_cache_snapshot()
     part_module._KOSTKA_CACHE.clear()
     assert part_module.kostka_cache_snapshot() == []
-
 
 
 def test_snapshot_lists_each_kostka_number_once():

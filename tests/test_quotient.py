@@ -3,13 +3,19 @@ import random
 
 import pytest
 
-from oracles import diagonal_key, nf_lefschetz_report, oracle_slice
+from oracles import (
+    col_support,
+    diagonal_key,
+    nf_lefschetz_report,
+    oracle_slice,
+    row_support,
+)
+from ctring.experiments import sweep_record
 from ctring.linalg import HomogeneousIdeal, linear_form
 from ctring.partitions import weak_compositions_upto
 from ctring.polys import Grid, Poly, polarize_row
 from ctring.quotient import (
     QuotientModel,
-    col_support,
     colsum_ideal_generators,
     contingency_generators,
     derived_matrix_set,
@@ -18,7 +24,6 @@ from ctring.quotient import (
     lefschetz_element,
     lefschetz_report,
     margin_ideal,
-    row_support,
     rowsum_ideal_generators,
     verify_associated_graded,
 )
@@ -169,6 +174,24 @@ def test_lefschetz_trivial_quotient():
     model = QuotientModel((3,), (3,))
     report = lefschetz_report(model)
     assert all(entry["injective"] for entry in report)
+
+
+def test_sweep_record_multiplies_no_polys(monkeypatch):
+    # the Lefschetz powers are built on the target slice's packed keys, and
+    # nothing else in a sweep record multiplies polynomials
+    calls = []
+    product = Poly.__mul__
+
+    def counted(self, other):
+        calls.append((self, other))
+        return product(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    for alpha, beta in [((3, 2), (2, 2, 1)), ((2, 2, 1), (2, 2, 1)), ((2, 0, 2), (1, 3))]:
+        assert sweep_record(alpha, beta)["lefschetz"]
+    assert calls == []
+    assert Poly.variable(2, 0) * Poly.variable(2, 1) == Poly.monomial((1, 1))
+    assert len(calls) == 1  # the wrapper counts
 
 
 def test_verify_associated_graded():
