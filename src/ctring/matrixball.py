@@ -5,7 +5,9 @@ labeled so that a ball's label exceeds the largest label weakly northwest of
 it; balls inside one cell are ordered NW to SE.  Consequently cell (i, j)
 holds the consecutive labels base(i,j)+1 .. base(i,j)+a_{i,j}, where
 base(i,j) is the largest label in the quadrant {(i',j') : i' <= i, j' <= j}
-minus the cell itself.
+minus the cell itself.  These bases are the zigzag DP of
+`tables.zigzag_number`, so the ball step and the zigzag witness read labels
+off that DP and never list the balls one by one.
 
 For a fixed label, the occupied cells form a strict antichain: rows increase
 while columns decrease.  Joining consecutive cells of an antichain at their
@@ -20,36 +22,6 @@ from .tables import col_sums, dimensions, is_subtingency, row_sums, total
 RskPair = namedtuple("RskPair", ["P", "Q"])
 
 
-class BallDiagram:
-    """Ball labels of one matrix: per-cell label ranges and per-label positions."""
-
-    def __init__(self, source):
-        k, p = dimensions(source)
-        base = [[0] * p for _ in range(k)]
-        # quad[i][j] = largest label among cells (<= i, <= j), 1-based prefix
-        quad = [[0] * (p + 1) for _ in range(k + 1)]
-        for i in range(k):
-            for j in range(p):
-                b = max(quad[i][j + 1], quad[i + 1][j])
-                base[i][j] = b
-                top = b + source[i][j] if source[i][j] else 0
-                quad[i + 1][j + 1] = max(quad[i][j + 1], quad[i + 1][j], top)
-        labels: dict = {}
-        for i in range(k):
-            for j in range(p):
-                for label in range(base[i][j] + 1, base[i][j] + source[i][j] + 1):
-                    labels.setdefault(label, []).append((i + 1, j + 1))
-        self.source = source
-        self.base = tuple(tuple(row) for row in base)
-        self.labels = {label: tuple(cells) for label, cells in labels.items()}
-        self.max_label = quad[k][p]
-
-    def cell_labels(self, i: int, j: int) -> range:
-        """Labels held by cell (i, j), 1-based coordinates."""
-        b = self.base[i - 1][j - 1]
-        return range(b + 1, b + self.source[i - 1][j - 1] + 1)
-
-
 def matrix_ball_step(matrix):
     """One iteration: (derived matrix, northern counts by row, western counts by column).
 
@@ -58,7 +30,7 @@ def matrix_ball_step(matrix):
     (row of the next position, column of the previous one).  One row-major
     pass meets each label's positions in that order: it carries the latest
     column of each label, and the largest label in each column's quadrant,
-    in place of a BallDiagram.
+    so no label is listed with all of its cells.
     """
     k, p = dimensions(matrix)
     nxt = [[0] * p for _ in range(k)]
@@ -113,28 +85,34 @@ def rsk(matrix) -> RskPair:
 
 
 def zigzag_witness(matrix) -> tuple:
-    """A maximum-weight zigzag, by backward chaining through ball labels.
+    """A maximum-weight zigzag, by backward chaining through the zigzag DP.
 
-    Starting from a ball with the maximum label, repeatedly jump to a ball
-    labeled one less than the smallest label of the current cell, weakly
-    northwest of it.  Ties are broken by smallest row, then smallest column,
-    so the witness is deterministic.
+    quad[i][j] is the largest label in the quadrant of cell (i, j), so the
+    cell holds the labels quad[i][j] - a_ij + 1 .. quad[i][j].  Starting from
+    the cell holding the top label quad[k][p], repeatedly step to a cell
+    weakly northwest that holds the current cell's smallest label minus one,
+    until that is 0.  Ties are broken by smallest row, then smallest column,
+    so the witness is deterministic.  The cost depends on the shape of the
+    matrix only, not on its entries.
     """
     if total(matrix) == 0:
         raise ValueError("zero matrix has no zigzag witness")
-    diagram = BallDiagram(matrix)
-    cell = min(diagram.labels[diagram.max_label])
-    cells = [cell]
-    label = diagram.cell_labels(*cell).start
-    while label > 1:
-        candidates = [
-            c
-            for c in diagram.labels[label - 1]
-            if c[0] <= cell[0] and c[1] <= cell[1]
-        ]
-        cell = min(candidates)
-        cells.append(cell)
-        label = diagram.cell_labels(*cell).start
+    k, p = dimensions(matrix)
+    quad = [[0] * (p + 1) for _ in range(k + 1)]
+    for i in range(k):
+        for j in range(p):
+            quad[i + 1][j + 1] = matrix[i][j] + max(quad[i][j + 1], quad[i + 1][j])
+    cells = []
+    i, j, label = k, p, quad[k][p]
+    while label:
+        i, j = min(
+            (r, c)
+            for r in range(1, i + 1)
+            for c in range(1, j + 1)
+            if quad[r][c] - matrix[r - 1][c - 1] < label <= quad[r][c]
+        )
+        cells.append((i, j))
+        label = quad[i][j] - matrix[i - 1][j - 1]
     return tuple(reversed(cells))
 
 

@@ -7,13 +7,14 @@ tensor multiplicities, normal forms and Lefschetz ranks over Fraction
 Gauss-Jordan in `RrefIdeal` and `nf_lefschetz_report`, the unpruned slice
 rows `full_slice_rows` and multiset partitions `unpruned_multiset_partitions`,
 the inverse Kostka table `s_to_h_expansion` and the Schur-basis parabolic
-invariants through it, `h_route_invariants_s`, and the matrix-ball step read
-off a whole ball diagram, `diagram_ball_step`) reuse only library primitives
-that are tested on their own: `partitions`, `check_partition`,
-`kostka_column`, `irreducible_character`, the h-basis invariants
-`invariants_frobenius_h`, the generator list `contingency_generators`, the
-linear form `lefschetz_element`, `Grid.ddeg`, `BallDiagram` and the clean
-monomials of `HomogeneousIdeal`.  The line supports of a grid,
+invariants through it, `h_route_invariants_s`, and the matrix-ball step and
+the zigzag witness read off a ball labeling built from its definition,
+`reference_labels`, in `diagram_ball_step` and `chain_witness`) reuse only
+library primitives that are tested on their own: `partitions`,
+`check_partition`, `kostka_column`, `irreducible_character`, the h-basis
+invariants `invariants_frobenius_h`, the generator list
+`contingency_generators`, the linear form `lefschetz_element`, `Grid.ddeg`
+and the clean monomials of `HomogeneousIdeal`.  The line supports of a grid,
 `row_support` and `col_support`, are kept here for the tests that build
 ideals line by line.  The diagonal term order is kept here as a tuple sort
 key, `diagonal_key`, against which the library's packed integer keys are
@@ -27,7 +28,6 @@ from math import factorial
 from operator import le
 from types import MappingProxyType
 
-from ctring.matrixball import BallDiagram
 from ctring.partitions import check_partition, kostka_column, partitions
 from ctring.psi import invariants_frobenius_h
 from ctring.quotient import contingency_generators, lefschetz_element
@@ -92,21 +92,60 @@ def insertion_rsk(matrix):
     )
 
 
+def reference_labels(matrix) -> dict:
+    """Ball labels from their definition: {label: cells holding it, by row}.
+
+    A ball's label is one more than the largest label among the balls weakly
+    northwest of it, the balls of one cell taken NW to SE.  Cells are visited
+    row by row, so every ball weakly northwest of a ball is labeled first."""
+    balls = []  # (row, col, label), 1-based
+    labels: dict = {}
+    for i, row in enumerate(matrix, start=1):
+        for j, mult in enumerate(row, start=1):
+            for _ in range(mult):
+                label = 1 + max(
+                    (b for r, c, b in balls if r <= i and c <= j), default=0
+                )
+                balls.append((i, j, label))
+                labels.setdefault(label, []).append((i, j))
+    return {label: tuple(cells) for label, cells in labels.items()}
+
+
 def diagram_ball_step(matrix):
-    """matrix_ball_step read off the BallDiagram of the matrix: per label,
-    its first cell's row gains a northern ball, its last cell's column a
-    western ball, and each pair of consecutive cells a derived ball at
-    (row of the next, column of the previous)."""
+    """matrix_ball_step read off the reference labeling: per label, its first
+    cell's row gains a northern ball, its last cell's column a western ball,
+    and each pair of consecutive cells a derived ball at (row of the next,
+    column of the previous)."""
     k, p = len(matrix), len(matrix[0]) if matrix else 0
     nxt = [[0] * p for _ in range(k)]
     northern = [0] * k
     western = [0] * p
-    for cells in BallDiagram(matrix).labels.values():
+    for cells in reference_labels(matrix).values():
         northern[cells[0][0] - 1] += 1
         western[cells[-1][1] - 1] += 1
         for (_, j_prev), (i_next, _) in zip(cells, cells[1:]):
             nxt[i_next - 1][j_prev - 1] += 1
     return tuple(tuple(row) for row in nxt), tuple(northern), tuple(western)
+
+
+def chain_witness(matrix) -> tuple:
+    """zigzag_witness by walking ball chains of the reference labeling: from
+    the first cell holding the top label, step to the first cell weakly
+    northwest holding one less than the current cell's smallest label."""
+    labels = reference_labels(matrix)
+
+    def smallest(cell):
+        return min(b for b, held in labels.items() if cell in held)
+
+    cell = min(labels[max(labels)])
+    cells = [cell]
+    while smallest(cell) > 1:
+        cell = min(
+            c for c in labels[smallest(cell) - 1]
+            if c[0] <= cell[0] and c[1] <= cell[1]
+        )
+        cells.append(cell)
+    return tuple(reversed(cells))
 
 
 def row_support(grid, i: int) -> tuple:

@@ -2,6 +2,8 @@ import hashlib
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import ctring
-from ctring.cli import composition, main
+from ctring.cli import build_parser, composition, main
 
 
 def run_cli(capsys, argv, stdin=None):
@@ -657,3 +659,39 @@ def test_closed_stdout_is_a_crash():
     error = json.loads(proc.stderr)
     assert error["error"].startswith("BrokenPipeError")
     assert "Exception ignored" not in proc.stderr
+
+
+def _readme_commands():
+    """Each ctring command of the README's usage block as an argv, `#`
+    comments dropped, an optional `[--flag]` once with it and once without."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
+        for line in block.splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] != ["ctring"]:
+                continue
+            optional = [a for a in argv if a.startswith("[")]
+            plain = [a for a in argv[1:] if a not in optional]
+            commands.append(plain)
+            if optional:
+                commands.append(plain + [a.strip("[]") for a in optional])
+    return commands
+
+
+README_COMMANDS = _readme_commands()
+
+
+def test_readme_lists_every_subcommand():
+    usage = build_parser().format_usage()
+    subcommands = set(re.search(r"\{(.*?)\}", usage).group(1).split(","))
+    assert len(subcommands) == 11
+    assert {argv[0] for argv in README_COMMANDS} == subcommands
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=" ".join)
+def test_readme_command_runs(capsys, argv):
+    stdin = "1 2 0 1\n0 0 2 1\n3 0 1 1\n" if "-" in argv else None
+    status, out = run_cli(capsys, argv, stdin=stdin)
+    assert status == 0, out
+    assert isinstance(json.loads(out), dict)

@@ -1,11 +1,17 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
-from oracles import diagram_ball_step, insertion_rsk, random_matrix
+from oracles import (
+    chain_witness,
+    diagram_ball_step,
+    insertion_rsk,
+    random_matrix,
+    reference_labels,
+)
 from ctring.matrixball import (
-    BallDiagram,
     derived_matrix,
     in_matrix_ball_image,
     matrix_ball_step,
@@ -35,33 +41,36 @@ GOLDEN_SECOND = ((0, 0, 0, 0), (0, 0, 0, 1), (0, 2, 1, 1))
 GOLDEN_THIRD = ((0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 1))
 
 
+def _cell_labels(labels, cell):
+    return sorted(label for label, cells in labels.items() if cell in cells)
+
+
 def test_label_golden_cells():
-    diagram = BallDiagram(GOLDEN_MATRIX)
-    assert list(diagram.cell_labels(3, 1)) == [2, 3, 4]
-    assert list(diagram.cell_labels(3, 4)) == [7]
-    assert list(diagram.cell_labels(1, 2)) == [2, 3]
-    assert list(diagram.cell_labels(2, 3)) == [4, 5]
-    assert list(diagram.cell_labels(2, 4)) == [6]
-    assert diagram.max_label == 7
+    labels = reference_labels(GOLDEN_MATRIX)
+    assert _cell_labels(labels, (3, 1)) == [2, 3, 4]
+    assert _cell_labels(labels, (3, 4)) == [7]
+    assert _cell_labels(labels, (1, 2)) == [2, 3]
+    assert _cell_labels(labels, (2, 3)) == [4, 5]
+    assert _cell_labels(labels, (2, 4)) == [6]
+    assert max(labels) == 7
 
 
 def test_label_single_cell():
-    diagram = BallDiagram(((4,),))
-    assert list(diagram.cell_labels(1, 1)) == [1, 2, 3, 4]
+    assert _cell_labels(reference_labels(((4,),)), (1, 1)) == [1, 2, 3, 4]
 
 
 def test_label_antichain_invariant():
     rng = random.Random(3)
     for _ in range(50):
         m = random_matrix(rng, 4, 4, 3)
-        diagram = BallDiagram(m)
-        for cells in diagram.labels.values():
+        labels = reference_labels(m)
+        for cells in labels.values():
             rows = [c[0] for c in cells]
             cols = [c[1] for c in cells]
             assert rows == sorted(rows) and len(set(rows)) == len(rows)
             assert cols == sorted(cols, reverse=True) and len(set(cols)) == len(cols)
         # ball count equals entries
-        counted = sum(len(cells) for cells in diagram.labels.values())
+        counted = sum(len(cells) for cells in labels.values())
         assert counted == total(m)
 
 
@@ -83,9 +92,10 @@ def test_step_zero():
 
 
 def test_step_matches_ball_diagram_oracle():
-    # the one-pass step against the step read off a whole BallDiagram, all
-    # three outputs, on every table of the weak pairs with n <= 5 and
-    # lengths <= 3, and on random matrices with zero rows and zero columns
+    # the one-pass step against the step read off the reference labeling,
+    # all three outputs, and the DP witness against the ball-chain walk, on
+    # every table of the weak pairs with n <= 5 and lengths <= 3, and on
+    # random matrices with zero rows and zero columns
     matrices = [
         table
         for n in range(6)
@@ -109,6 +119,8 @@ def test_step_matches_ball_diagram_oracle():
     assert hollow > 50
     for m in matrices:
         assert matrix_ball_step(m) == diagram_ball_step(m), m
+        if total(m):
+            assert zigzag_witness(m) == chain_witness(m), m
 
 
 def test_step_margins_strictly_decrease():
@@ -208,6 +220,17 @@ def test_witness_single_cell():
 def test_witness_zero_matrix_raises():
     with pytest.raises(ValueError):
         zigzag_witness(((0, 0), (0, 0)))
+
+
+def test_witness_memory_does_not_grow_with_entries():
+    tracemalloc.start()
+    try:
+        cells = zigzag_witness(((10**5, 1), (1, 10**5)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cells == ((1, 1), (1, 2), (2, 2))
+    assert peak < 64 * 1024
 
 
 def test_witness_random():

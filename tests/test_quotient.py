@@ -32,10 +32,6 @@ from ctring.series import hilbert_kostka, q_ehrhart
 from ctring.tables import contingency_tables, count_contingency_tables
 
 
-def _binom(n, k):
-    return math.comb(n, k)
-
-
 def test_generators_trivial_case():
     grid, gens = contingency_generators((1,), (1,))
     assert set(gens) == {
@@ -54,7 +50,7 @@ def test_generators_contents():
         for g in row2
         if all(e == 0 for e in next(iter(g.terms))[:3])
     }
-    assert len(mono_row2) == _binom(3 + 2, 2)  # degree 3 in 3 variables
+    assert len(mono_row2) == math.comb(3 + 2, 2)  # degree 3 in 3 variables
     # all degree-3 monomials in column 1 appear (column margin 2)
     col1 = {
         next(iter(g.terms))
@@ -63,7 +59,7 @@ def test_generators_contents():
         and g.degree() == 3
         and all(next(iter(g.terms))[i] == 0 for i in (1, 2, 4, 5))
     }
-    assert len(col1) == _binom(3 + 1, 1)  # degree 3 in 2 variables
+    assert len(col1) == math.comb(3 + 1, 1)  # degree 3 in 2 variables
 
 
 def test_generator_count_formula():
@@ -73,8 +69,8 @@ def test_generator_count_formula():
         expected = (
             k
             + p
-            + sum(_binom(a + p, p - 1) for a in alpha)
-            + sum(_binom(b + k, k - 1) for b in beta)
+            + sum(math.comb(a + p, p - 1) for a in alpha)
+            + sum(math.comb(b + k, k - 1) for b in beta)
         )
         assert len(gens) == expected
 
