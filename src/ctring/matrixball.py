@@ -3,21 +3,21 @@
 Each cell (i, j) of a nonnegative matrix holds a_{i,j} balls.  Balls are
 labeled so that a ball's label exceeds the largest label weakly northwest of
 it; balls inside one cell are ordered NW to SE.  Consequently cell (i, j)
-holds the consecutive labels base(i,j)+1 .. base(i,j)+a_{i,j}, where
-base(i,j) is the largest label in the quadrant {(i',j') : i' <= i, j' <= j}
-minus the cell itself.  These bases are the zigzag DP of
-`tables.zigzag_number`, so the ball step and the zigzag witness read labels
-off that DP and never list the balls one by one.
+holds the consecutive labels q(i,j)-a_{i,j}+1 .. q(i,j), where q(i,j) is
+the largest label in the quadrant {(i',j') : i' <= i, j' <= j}: the zigzag
+DP `tables.quadrant_maxima`.
 
 For a fixed label, the occupied cells form a strict antichain: rows increase
 while columns decrease.  Joining consecutive cells of an antichain at their
 inner corners produces the derived matrix of the next iteration; iterating
-until zero yields the RSK tableau pair.
+until zero yields the RSK tableau pair.  The ball step and the zigzag
+witness are local rules on q, so neither lists the balls one by one: their
+cost is the matrix's shape, not its entries.
 """
 
 from collections import namedtuple
 
-from .tables import col_sums, dimensions, is_subtingency, row_sums, total
+from .tables import col_sums, dimensions, is_subtingency, quadrant_maxima, row_sums, total
 
 RskPair = namedtuple("RskPair", ["P", "Q"])
 
@@ -27,35 +27,47 @@ def matrix_ball_step(matrix):
 
     The positions of a label, sorted by increasing row, have strictly
     decreasing columns; the derived matrix gains a ball at each inner corner
-    (row of the next position, column of the previous one).  One row-major
-    pass meets each label's positions in that order: it carries the latest
-    column of each label, and the largest label in each column's quadrant,
-    so no label is listed with all of its cells.
+    (row of the next position, column of the previous one).  With q the
+    zigzag DP (1-based, zero row 0 and column 0):
+
+        D[i][j] = min(q[i-1][j], q[i][j-1]) - q[i-1][j-1],
+        northern[i] = q[i][p] - q[i-1][p],  western[j] = q[k][j] - q[k][j-1].
+
+    The labels in the quadrant of (i, j) are exactly 1..q[i][j], and a
+    label's balls there are one contiguous run of its chain (rows go up
+    while columns go down).  A derived ball joins two consecutive cells of
+    a label and lies in the quadrant exactly when both do, so each label
+    there gives one derived ball fewer than it has balls, and the quadrant
+    holds its total minus q[i][j] derived balls.  The second difference of
+    that count, with
+    q[i][j] = a_ij + max(north, west), is the min rule; the counts of new
+    labels by row and by column are first differences of the last column
+    and the last row.
+
+    The rows of q are built in the same pass as D, not read from
+    `tables.quadrant_maxima`: building the table first made the step a
+    third slower, and the sweep runs it on every table.
     """
-    k, p = dimensions(matrix)
-    nxt = [[0] * p for _ in range(k)]
-    northern = [0] * k
-    last = []  # last[label - 1]: the column of the label's latest cell
-    quad = [0] * p  # quad[j]: the largest label in the cells (<= i, <= j)
-    for i in range(k):
-        row, derived = matrix[i], nxt[i]
-        left = 0
-        for j in range(p):
-            base = quad[j] if quad[j] > left else left
-            top = base + row[j]
-            if top > base:
-                # labels up to len(last) are old: their balls join this cell
-                for label in range(base, min(top, len(last))):
-                    derived[last[label]] += 1
-                    last[label] = j
-                if top > len(last):
-                    northern[i] += top - len(last)
-                    last += [j] * (top - len(last))
-            quad[j] = left = top
-    western = [0] * p
-    for j in last:
-        western[j] += 1
-    return tuple(map(tuple, nxt)), tuple(northern), tuple(western)
+    p = dimensions(matrix)[1]
+    above = [0] * (p + 1)
+    derived = []
+    northern = []
+    for row in matrix:
+        cur = [0]
+        out = []
+        for j, a in enumerate(row):
+            north, west = above[j + 1], cur[j]
+            if north < west:
+                out.append(north - above[j])
+                cur.append(west + a)
+            else:
+                out.append(west - above[j])
+                cur.append(north + a)
+        derived.append(tuple(out))
+        northern.append(cur[p] - above[p])
+        above = cur
+    western = tuple(above[j + 1] - above[j] for j in range(p))
+    return tuple(derived), tuple(northern), western
 
 
 def derived_matrix(matrix) -> tuple:
@@ -87,21 +99,18 @@ def rsk(matrix) -> RskPair:
 def zigzag_witness(matrix) -> tuple:
     """A maximum-weight zigzag, by backward chaining through the zigzag DP.
 
-    quad[i][j] is the largest label in the quadrant of cell (i, j), so the
-    cell holds the labels quad[i][j] - a_ij + 1 .. quad[i][j].  Starting from
-    the cell holding the top label quad[k][p], repeatedly step to a cell
-    weakly northwest that holds the current cell's smallest label minus one,
-    until that is 0.  Ties are broken by smallest row, then smallest column,
-    so the witness is deterministic.  The cost depends on the shape of the
-    matrix only, not on its entries.
+    q = `tables.quadrant_maxima(matrix)`, so cell (i, j) holds the labels
+    q[i][j] - a_ij + 1 .. q[i][j].  Starting from the cell holding the top
+    label q[k][p], repeatedly step to a cell weakly northwest that holds the
+    current cell's smallest label minus one, until that is 0.  Ties are
+    broken by smallest row, then smallest column, so the witness is
+    deterministic.  The cost depends on the shape of the matrix only, not on
+    its entries.
     """
     if total(matrix) == 0:
         raise ValueError("zero matrix has no zigzag witness")
+    quad = quadrant_maxima(matrix)
     k, p = dimensions(matrix)
-    quad = [[0] * (p + 1) for _ in range(k + 1)]
-    for i in range(k):
-        for j in range(p):
-            quad[i + 1][j + 1] = matrix[i][j] + max(quad[i][j + 1], quad[i + 1][j])
     cells = []
     i, j, label = k, p, quad[k][p]
     while label:

@@ -8,7 +8,7 @@ positions) are 1-based, matching the usual display convention.
 import json
 from functools import lru_cache
 
-from .partitions import kostka, kostka_column
+from .partitions import bounded_compositions, kostka, kostka_column
 
 
 def dimensions(matrix) -> tuple:
@@ -42,18 +42,25 @@ def total(matrix) -> int:
     return sum(sum(row) for row in matrix)
 
 
+def quadrant_maxima(matrix) -> tuple:
+    """The zigzag DP: entry (i, j) is the zigzag number of the cells weakly
+    northwest of the 1-based cell (i, j); row 0 and column 0 are zero.
+
+    q(i, j) = a_ij + max(q(i-1, j), q(i, j-1)): a zigzag ending in the
+    quadrant either uses cell (i, j) last or stays in a smaller quadrant."""
+    table = [(0,) * (dimensions(matrix)[1] + 1)]
+    for row in matrix:
+        above, cur = table[-1], [0]
+        for j, a in enumerate(row):
+            cur.append(a + max(above[j + 1], cur[j]))
+        table.append(tuple(cur))
+    return tuple(table)
+
+
 def zigzag_number(matrix) -> int:
     """Maximum entry weight over zigzags (cell sets weakly increasing in both
-    coordinates).  Max-weight monotone lattice path DP."""
-    k, p = dimensions(matrix)
-    best = [0] * (p + 1)
-    for i in range(k):
-        row = matrix[i]
-        nxt = [0] * (p + 1)
-        for j in range(p):
-            nxt[j + 1] = row[j] + max(nxt[j], best[j + 1])
-        best = nxt
-    return best[p]
+    coordinates): the corner of the zigzag DP."""
+    return quadrant_maxima(matrix)[-1][-1]
 
 
 def is_zigzag_cells(cells) -> bool:
@@ -99,45 +106,28 @@ def margins(alpha, beta) -> tuple:
 
 
 def contingency_tables(alpha, beta) -> tuple:
-    """All matrices with the given row and column sums, by row-major
-    backtracking.  The last few results are kept: checking one margin pair
-    every way (a sweep record, verify) asks for its tables more than once."""
+    """All matrices with the given row and column sums, lexicographically
+    descending as flat tuples.  The last few results are kept: checking one
+    margin pair every way (a sweep record, verify) asks for its tables more
+    than once."""
     return _contingency_tables(tuple(alpha), tuple(beta))
 
 
 @lru_cache(maxsize=4)
 def _contingency_tables(alpha, beta) -> tuple:
+    """Row i is any composition of alpha[i] under the column sums still open.
+    No row is a dead end: the open column sums total the parts below, and
+    any such vector is the margin of some table (northwest-corner rule).
+    Rows come lexicographically descending, so the tables do too."""
     margins(alpha, beta)
-    k, p = len(alpha), len(beta)
-    out = []
-    rows = []
-
-    def fill_row(i, cols_left):
-        if i == k:
-            out.append(tuple(rows))
-            return
-        rest = sum(alpha[i + 1:])
-        row = [0] * p
-
-        def fill_cell(j, need):
-            if j == p:
-                if need == 0:
-                    rows.append(tuple(row))
-                    fill_row(i + 1, tuple(c - r for c, r in zip(cols_left, row)))
-                    rows.pop()
-                return
-            # later rows contribute at most `rest` to any column
-            lo = max(0, cols_left[j] - rest)
-            hi = min(need, cols_left[j])
-            for v in range(hi, lo - 1, -1):
-                row[j] = v
-                fill_cell(j + 1, need - v)
-            row[j] = 0
-
-        fill_cell(0, alpha[i])
-
-    fill_row(0, beta)
-    return tuple(out)
+    tables = [((), beta)]
+    for part in alpha:
+        tables = [
+            (rows + (row,), tuple(c - r for c, r in zip(left, row)))
+            for rows, left in tables
+            for row in bounded_compositions(part, left)
+        ]
+    return tuple(rows for rows, _ in tables)
 
 
 def count_contingency_tables(alpha, beta) -> int:

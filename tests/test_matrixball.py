@@ -12,6 +12,7 @@ from oracles import (
     reference_labels,
 )
 from ctring.matrixball import (
+    RskPair,
     derived_matrix,
     in_matrix_ball_image,
     matrix_ball_step,
@@ -92,10 +93,12 @@ def test_step_zero():
 
 
 def test_step_matches_ball_diagram_oracle():
-    # the one-pass step against the step read off the reference labeling,
-    # all three outputs, and the DP witness against the ball-chain walk, on
-    # every table of the weak pairs with n <= 5 and lengths <= 3, and on
-    # random matrices with zero rows and zero columns
+    # the min rule on the zigzag DP (derived entries, and northern and
+    # western counts as differences of its last column and last row)
+    # against the step read off the reference labeling, all three outputs,
+    # and the DP witness against the ball-chain walk, on every table of the
+    # weak pairs with n <= 5 and lengths <= 3, and on random matrices with
+    # zero rows and zero columns
     matrices = [
         table
         for n in range(6)
@@ -121,6 +124,24 @@ def test_step_matches_ball_diagram_oracle():
         assert matrix_ball_step(m) == diagram_ball_step(m), m
         if total(m):
             assert zigzag_witness(m) == chain_witness(m), m
+
+
+def test_empty_matrices_keep_their_results():
+    assert zigzag_number(()) == 0
+    assert matrix_ball_step(()) == ((), (), ())
+    assert rsk(()) == RskPair((), ())
+    assert matrix_ball_step(((), ())) == (((), ()), (0, 0), ())
+
+
+def test_step_memory_does_not_grow_with_entries():
+    tracemalloc.start()
+    try:
+        result = matrix_ball_step(((10**5, 1), (1, 10**5)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result == (((0, 0), (0, 1)), (100001, 100000), (100001, 100000))
+    assert peak < 64 * 1024
 
 
 def test_step_margins_strictly_decrease():

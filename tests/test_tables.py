@@ -15,6 +15,7 @@ from ctring.tables import (
     matrix_from_json,
     matrix_from_text,
     matrix_to_json,
+    quadrant_maxima,
     row_sums,
     zigzag_number,
     zigzag_weight,
@@ -44,6 +45,24 @@ def test_zigzag_against_brute_force():
     for _ in range(60):
         m = random_matrix(rng, rng.randint(1, 3), rng.randint(1, 3), 3)
         assert zigzag_number(m) == brute_zigzag(m)
+
+
+def test_quadrant_maxima_entries_are_zigzag_numbers():
+    # entry (i, j) is the zigzag number of the northwest i x j submatrix;
+    # row 0 and column 0 are the empty quadrants
+    rng = random.Random(19)
+    matrices = [GOLDEN_MATRIX] + [
+        random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), 3) for _ in range(200)
+    ]
+    for m in matrices:
+        table = quadrant_maxima(m)
+        k, p = len(m), len(m[0])
+        assert len(table) == k + 1 and all(len(row) == p + 1 for row in table)
+        assert set(table[0]) == {0} and {row[0] for row in table} == {0}
+        for i in range(1, k + 1):
+            for j in range(1, p + 1):
+                assert table[i][j] == brute_zigzag(tuple(row[:j] for row in m[:i])), m
+        assert table[k][p] == zigzag_number(m)
 
 
 def test_zigzag_transpose_invariant():
@@ -96,6 +115,15 @@ def test_contingency_margins_and_uniqueness():
             for t in tables:
                 assert row_sums(t) == alpha
                 assert col_sums(t) == beta
+
+
+def test_contingency_tables_are_lexicographically_descending():
+    # the order is part of the result: callers sample tables by position
+    for n in range(6):
+        for alpha in weak_compositions_upto(n, 3):
+            for beta in weak_compositions_upto(n, 3):
+                tables = contingency_tables(alpha, beta)
+                assert tables == tuple(sorted(tables, reverse=True))
 
 
 def test_contingency_mismatched_sums():
