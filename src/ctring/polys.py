@@ -152,32 +152,30 @@ class Grid:
                 out[i + j] += exps[i * p + j]
         return tuple(out)
 
-    def diagonal_order(self, tiebreak="row"):
+    def diagonal_order(self):
         """The diagonal term order as supports, most significant first (see
         order_weights): the k + p - 1 antidiagonals by i + j ascending, so
         that ddeg vectors are compared first, lexicographically, then every
-        variable as a singleton, ranked by (i+j, i) ascending
-        (tiebreak="row"; tiebreak="column" ranks by (i+j, j) instead).
+        variable as a singleton, ranked by (i+j, i) ascending.
 
         Comparing ddeg first, rather than ranking variables alone, is what
         makes the order respect every strict ddeg comparison regardless of
         total degree.  On the variables of one row or one column it is plain
-        lex, whichever tiebreak is chosen.
+        lex.  The standard monomials of a margin ideal are the same under
+        every diagonal order, so this one order is the only one built.
         """
-        return _diagonal_order(self.k, self.p, tiebreak)
+        return _diagonal_order(self.k, self.p)
 
 
 @lru_cache(maxsize=256)
-def _diagonal_order(k, p, tiebreak):
+def _diagonal_order(k, p):
     """Grid.diagonal_order of the k x p grid, built once per shape."""
-    if tiebreak not in ("row", "column"):
-        raise ValueError("tiebreak must be 'row' or 'column'")
     antidiagonals = [[] for _ in range(k + p - 1)]
     for v in range(k * p):
         antidiagonals[v // p + v % p].append(v)
-    second = (lambda v: v // p) if tiebreak == "row" else (lambda v: v % p)
-    ranked = sorted(range(k * p), key=lambda v: (v // p + v % p, second(v)))
-    return tuple(map(tuple, antidiagonals)) + tuple((v,) for v in ranked)
+    # an antidiagonal lists its variables by row: singletons by (i+j, i)
+    singletons = tuple((v,) for d in antidiagonals for v in d)
+    return tuple(map(tuple, antidiagonals)) + singletons
 
 
 @lru_cache(maxsize=256)
@@ -317,7 +315,4 @@ def merge_row(matrix) -> tuple:
     if len(nonzero) < 2:
         raise ValueError("need at least two nonzero rows")
     first, second = nonzero[0], nonzero[1]
-    rows = [list(row) for row in matrix]
-    rows[second] = [a + b for a, b in zip(rows[first], rows[second])]
-    rows[first] = [0] * len(rows[first])
-    return tuple(tuple(row) for row in rows)
+    return shift_row(matrix, first + 1, second + 1, sum(matrix[first]))

@@ -47,13 +47,17 @@ def _generators(grid: Grid, sums, caps) -> list:
     return gens
 
 
-def margin_ideal(alpha, beta, grid: Grid, order) -> HomogeneousIdeal:
-    """The margin ideal as line sums and line caps: every row and column sum,
-    row i capped at alpha_i and column j at beta_j.  Its clean monomials are
-    the subtingency tables.  Same ideal as contingency_generators presents."""
+def margin_ideal(alpha, beta) -> HomogeneousIdeal:
+    """The margin ideal on the len(alpha) x len(beta) grid under its diagonal
+    order, as line sums and line caps: every row and column sum, row i capped
+    at alpha_i and column j at beta_j, so its clean monomials are the
+    subtingency tables (contingency_generators presents the same ideal).
+    Margins that break the rule of tables.margins are a ValueError."""
+    alpha, beta = margins(alpha, beta)
+    grid = Grid(len(alpha), len(beta))
     rows, cols = _lines(grid)
     return HomogeneousIdeal(
-        grid.nvars, order, rows + cols, zip(rows + cols, tuple(alpha) + tuple(beta))
+        grid.nvars, grid.diagonal_order(), rows + cols, zip(rows + cols, alpha + beta)
     )
 
 
@@ -94,12 +98,10 @@ class QuotientModel:
     """
 
     def __init__(self, alpha, beta):
-        self.alpha, self.beta = margins(alpha, beta)
+        self.alpha, self.beta = tuple(alpha), tuple(beta)
+        self.ideal = margin_ideal(self.alpha, self.beta)  # checks the margins
         self.n = sum(self.alpha)
         self.grid = Grid(len(self.alpha), len(self.beta))
-        self.ideal = margin_ideal(
-            self.alpha, self.beta, self.grid, self.grid.diagonal_order()
-        )
         self.size = count_contingency_tables(self.alpha, self.beta)
         hilbert = []
         standard = []
@@ -144,23 +146,26 @@ def derived_matrix_set(alpha, beta) -> frozenset:
     return frozenset(derived_matrix(t) for t in contingency_tables(alpha, beta))
 
 
-def lefschetz_element(alpha, beta, grid: Grid) -> Poly:
+def lefschetz_element(alpha, beta) -> Poly:
     """Sum of the variables whose block meets the main diagonal.
 
     Partition the n x n square into row blocks of sizes alpha and column
-    blocks of sizes beta; variable (i, j) contributes when the (i, j) block
-    contains a diagonal cell.
+    blocks of sizes beta; variable (i, j) of the len(alpha) x len(beta) grid
+    contributes when the (i, j) block contains a diagonal cell.  Margins that
+    break the rule of tables.margins are a ValueError.
     """
+    alpha, beta = margins(alpha, beta)
+    p = len(beta)
     support = []
     rstart = 0
-    for i, a in enumerate(alpha, start=1):
+    for i, a in enumerate(alpha):
         cstart = 0
-        for j, b in enumerate(beta, start=1):
+        for j, b in enumerate(beta):
             if max(rstart, cstart) < min(rstart + a, cstart + b):
-                support.append(grid.index(i, j))
+                support.append(i * p + j)  # row-major, as Grid.index
             cstart += b
         rstart += a
-    return linear_form(grid.nvars, support)
+    return linear_form(len(alpha) * p, support)
 
 
 def lefschetz_report(model: QuotientModel) -> list:
@@ -175,7 +180,7 @@ def lefschetz_report(model: QuotientModel) -> list:
     the target degree, raise the rank of the slice rows by exactly the rank
     of the map on the quotient.
     """
-    lef = lefschetz_element(model.alpha, model.beta, model.grid)
+    lef = lefschetz_element(model.alpha, model.beta)
     top = model.top_degree
     out = []
     for k in range(0, top // 2 + 1):

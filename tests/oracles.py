@@ -18,7 +18,11 @@ and the clean monomials of `HomogeneousIdeal`.  The line supports of a grid,
 `row_support` and `col_support`, are kept here for the tests that build
 ideals line by line.  The diagonal term order is kept here as a tuple sort
 key, `diagonal_key`, against which the library's packed integer keys are
-checked.
+checked.  The library builds one diagonal order; a second one,
+`column_diagonal_order`, and the margin ideal under it,
+`column_margin_ideal`, are kept here for the tests that run the packed keys
+and the standard monomials under both.  `all_shifts` lists every shift that
+`split_left` chooses among, for the split-lex lemma.
 """
 
 from fractions import Fraction
@@ -28,7 +32,9 @@ from math import factorial
 from operator import le
 from types import MappingProxyType
 
+from ctring.linalg import HomogeneousIdeal
 from ctring.partitions import check_partition, kostka_column, partitions
+from ctring.polys import Grid
 from ctring.psi import invariants_frobenius_h
 from ctring.quotient import contingency_generators, lefschetz_element
 from ctring.symfunc import TensorSymFunc, cycle_type_size, irreducible_character
@@ -239,15 +245,69 @@ def strict_compositions(total) -> list:
     return out
 
 
+def _ranked_variables(grid, tiebreak):
+    """The variables ranked by (i+j, i) ascending (tiebreak="row") or by
+    (i+j, j) (tiebreak="column")."""
+    p = grid.p
+    second = (lambda v: v // p) if tiebreak == "row" else (lambda v: v % p)
+    return sorted(range(grid.nvars), key=lambda v: (v // p + v % p, second(v)))
+
+
 def diagonal_key(grid, tiebreak="row"):
     """The diagonal term order as a tuple sort key (a larger key is a larger
     term): the ddeg vectors compared lexicographically, then the exponents of
     the variables ranked by (i+j, i) ascending (tiebreak="row"; "column"
     ranks by (i+j, j)).  Valid for every total degree at once."""
-    p = grid.p
-    second = (lambda v: v // p) if tiebreak == "row" else (lambda v: v % p)
-    priority = sorted(range(grid.nvars), key=lambda v: (v // p + v % p, second(v)))
+    priority = _ranked_variables(grid, tiebreak)
     return lambda exps: grid.ddeg(exps) + tuple(exps[v] for v in priority)
+
+
+def column_diagonal_order(grid):
+    """A second diagonal order in the support form of Grid.diagonal_order:
+    the antidiagonals, then the singletons ranked by (i+j, j), so that it
+    sorts as diagonal_key(grid, "column").  A margin ideal has the same
+    standard monomials under it as under the library's order."""
+    p = grid.p
+    antidiagonals = tuple(
+        tuple(v for v in range(grid.nvars) if v // p + v % p == s)
+        for s in range(grid.k + p - 1)
+    )
+    return antidiagonals + tuple((v,) for v in _ranked_variables(grid, "column"))
+
+
+def column_margin_ideal(alpha, beta):
+    """The margin ideal (row and column sums, row i capped at alpha_i and
+    column j at beta_j) under column_diagonal_order."""
+    grid = Grid(len(alpha), len(beta))
+    lines = [row_support(grid, i) for i in range(1, grid.k + 1)]
+    lines += [col_support(grid, j) for j in range(1, grid.p + 1)]
+    caps = zip(lines, tuple(alpha) + tuple(beta))
+    return HomogeneousIdeal(grid.nvars, column_diagonal_order(grid), lines, caps)
+
+
+def all_shifts(vec, step, amount):
+    """Every way to move `amount` units of a vector `step` slots leftward,
+    any number from each slot (split_left takes the greedy one); none when
+    step exceeds the run of leading zeros."""
+    n = len(vec)
+    lead = 0
+    while lead < n and vec[lead] == 0:
+        lead += 1
+    if step > lead:
+        return
+
+    def rec(j, left, current):
+        if j == n:
+            if left == 0:
+                yield tuple(current)
+            return
+        for c in range(min(left, vec[j]) + 1):
+            nxt = list(current)
+            nxt[j] -= c
+            nxt[j - step] += c
+            yield from rec(j + 1, left - c, nxt)
+
+    yield from rec(0, amount, list(vec))
 
 
 def monomials_of_degree(nvars, degree):
@@ -449,7 +509,7 @@ def nf_lefschetz_report(alpha, beta, support=None) -> list:
     grid, gens = contingency_generators(alpha, beta)
     ideal = RrefIdeal(gens, grid.nvars, diagonal_key(grid))
     if support is None:
-        support = [m.index(1) for m in lefschetz_element(alpha, beta, grid).terms]
+        support = [m.index(1) for m in lefschetz_element(alpha, beta).terms]
     dims = []
     while not dims or dims[-1]:
         dims.append(len(ideal.standard(len(dims))))

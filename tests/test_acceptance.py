@@ -13,6 +13,7 @@ from math import comb
 from operator import mul
 
 from oracles import (
+    all_shifts,
     count_fixed_tables,
     random_matrix,
     random_zigzag_matrix,
@@ -195,13 +196,12 @@ def test_criterion_06_one_row_suite():
         ideal = one_row_ideal(bounds)
         half = sum(bounds) // 2
         for degree in range(half + 2):
-            for exps in itertools.product(range(degree + 1), repeat=n):
-                if sum(exps) != degree:
-                    continue
+            standard = set(ideal.standard_monomials(degree))
+            for exps in weak_compositions(degree, n):
                 if any(
                     2 * sum(exps[:i]) + exps[i] > sum(bounds[:i]) for i in range(n)
                 ):
-                    ok = ok and exps not in ideal.standard_monomials(degree)
+                    ok = ok and exps not in standard
         if not ok:
             report(6, False, f"one-row suite failed at bounds {bounds}")
     golden = {m for v in one_row_standard_monomials((1, 2, 1)).values() for m in v}
@@ -286,20 +286,6 @@ def test_criterion_07_operator_lemmas():
                 )
 
     # split-lex collapse on exhaustive short vectors
-    def all_shifts(vec, step, amount):
-        def rec(j, left, current):
-            if j == len(vec):
-                if left == 0:
-                    yield tuple(current)
-                return
-            for c in range(min(left, vec[j]) + 1):
-                nxt = list(current)
-                nxt[j] -= c
-                nxt[j - step] += c
-                yield from rec(j + 1, left - c, nxt)
-
-        yield from rec(0, amount, list(vec))
-
     for d_vec in [(0, 2, 1), (0, 0, 2, 1), (0, 1, 0, 2), (0, 0, 1, 2, 1)]:
         total = sum(d_vec)
         lead = next(i for i, v in enumerate(d_vec) if v)

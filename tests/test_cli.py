@@ -316,7 +316,9 @@ def test_zero_lefschetz_element_is_a_conjecture_violation(monkeypatch, capsys):
     from ctring.polys import Poly
 
     monkeypatch.setattr(
-        ctring.quotient, "lefschetz_element", lambda alpha, beta, grid: Poly(grid.nvars)
+        ctring.quotient,
+        "lefschetz_element",
+        lambda alpha, beta: Poly(len(alpha) * len(beta)),
     )
     status, out = run_cli(capsys, ["lefschetz", "--alpha", "3,2", "--beta", "2,2,1"])
     assert status == 0 and json.loads(out)["violations"] == [0]

@@ -8,6 +8,8 @@ import pytest
 from oracles import (
     RrefIdeal,
     col_support,
+    column_diagonal_order,
+    column_margin_ideal,
     diagonal_key,
     divisibility_clean_monomials,
     fraction_rref,
@@ -33,7 +35,7 @@ from ctring.quotient import contingency_generators, margin_ideal
 def _margin(alpha, beta):
     """The generator list of the margin ideal and the ideal built from caps."""
     grid, gens = contingency_generators(alpha, beta)
-    return grid, gens, margin_ideal(alpha, beta, grid, grid.diagonal_order())
+    return grid, gens, margin_ideal(alpha, beta)
 
 
 def _monomials(gens):
@@ -64,8 +66,7 @@ def test_single_variable_caps():
 
 
 def test_clean_monomials_cannot_be_changed_by_callers():
-    grid = Grid(2, 2)
-    ideal = margin_ideal((2, 1), (2, 1), grid, grid.diagonal_order())
+    ideal = margin_ideal((2, 1), (2, 1))
     with pytest.raises(AttributeError):
         ideal.clean_monomials(2).clear()
     assert [len(ideal.standard_monomials(d)) for d in range(4)] == [1, 1, 0, 0]
@@ -186,7 +187,7 @@ def test_ideals_of_one_shape_keep_their_own_caps():
     grid = Grid(2, 3)
     key = diagonal_key(grid)
     for alpha, beta in [((2, 1), (1, 1, 1)), ((1, 3), (2, 0, 2)), ((2, 1), (1, 1, 1))]:
-        ideal = margin_ideal(alpha, beta, grid, grid.diagonal_order())
+        ideal = margin_ideal(alpha, beta)
         _, gens = contingency_generators(alpha, beta)
         for d in range(sum(alpha) + 2):
             basis = ideal.slice(d)
@@ -339,16 +340,18 @@ def _assert_columns_sorted(ideal, key, top):
 def test_packed_order_sorts_every_slice():
     # the columns, sorted on packed integer keys, against the sort by the
     # oracle's tuple key: every slice of every margin pair with n <= 5 and
-    # lengths <= 3 on both tiebreaks, and of the one-row ideals under lex
+    # lengths <= 3 under the library's diagonal order and the column-ranked
+    # one, and of the one-row ideals under lex
     pairs = 0
     for n in range(6):
         comps = weak_compositions_upto(n, 3)
         for alpha in comps:
             for beta in comps:
                 grid = Grid(len(alpha), len(beta))
-                for tiebreak in ("row", "column"):
-                    order = grid.diagonal_order(tiebreak)
-                    ideal = margin_ideal(alpha, beta, grid, order)
+                for tiebreak, ideal in (
+                    ("row", margin_ideal(alpha, beta)),
+                    ("column", column_margin_ideal(alpha, beta)),
+                ):
                     _assert_columns_sorted(ideal, diagonal_key(grid, tiebreak), n + 1)
                 pairs += 1
     assert pairs > 1000
@@ -357,8 +360,11 @@ def test_packed_order_sorts_every_slice():
     # the carry edge: with no caps, the degree-d slice holds x_v^d, whose
     # singleton digit is d, the largest that base d + 1 allows
     for grid in (Grid(2, 3), Grid(3, 2)):
-        for tiebreak in ("row", "column"):
-            ideal = HomogeneousIdeal(grid.nvars, grid.diagonal_order(tiebreak))
+        for tiebreak, order in (
+            ("row", grid.diagonal_order()),
+            ("column", column_diagonal_order(grid)),
+        ):
+            ideal = HomogeneousIdeal(grid.nvars, order)
             _assert_columns_sorted(ideal, diagonal_key(grid, tiebreak), 4)
             assert (4,) + (0,) * (grid.nvars - 1) in ideal.slice(4).columns
 
@@ -475,7 +481,7 @@ def test_extreme_monomials_smallest():
 def test_inputs_from_another_ring_are_rejected():
     # the margin ideal of (2,1)/(2,1) lives in 4 variables; as in Poly
     # arithmetic, a polynomial of another ring is a ValueError
-    ideal = margin_ideal((2, 1), (2, 1), Grid(2, 2), Grid(2, 2).diagonal_order())
+    ideal = margin_ideal((2, 1), (2, 1))
     with pytest.raises(ValueError, match="variable count mismatch"):
         ideal.normal_form(Poly(5, {(0, 0, 0, 1, 1): 1}))
     with pytest.raises(ValueError, match="variable count mismatch"):

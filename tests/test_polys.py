@@ -5,7 +5,13 @@ from operator import mul
 
 import pytest
 
-from oracles import diagonal_key, monomials_of_degree, random_zigzag_matrix
+from oracles import (
+    all_shifts,
+    column_diagonal_order,
+    diagonal_key,
+    monomials_of_degree,
+    random_zigzag_matrix,
+)
 from ctring.linalg import extreme_monomials
 from ctring.polys import (
     Grid,
@@ -62,7 +68,9 @@ def test_ddeg_constant():
     assert g.ddeg((0,) * 6) == (0, 0, 0, 0)
 
 
-TIEBREAKS = ("row", "column")
+# the library's diagonal order and the oracle's column-ranked one, each with
+# the tiebreak its diagonal_key oracle takes
+ORDERS = (("row", Grid.diagonal_order), ("column", column_diagonal_order))
 
 
 def packed_key(order, nvars, degree):
@@ -78,15 +86,13 @@ def test_diagonal_order_basic():
     g13, g31 = Grid(1, 3), Grid(3, 1)
     row = [g13.exponents((unit,)) for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
     col = [g31.exponents(tuple(zip(unit))) for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-    for tiebreak in TIEBREAKS:
-        key = packed_key(g.diagonal_order(tiebreak), g.nvars, 1)
+    for _, order_of in ORDERS:
+        key = packed_key(order_of(g), g.nvars, 1)
         assert key(x11) > key(x22)
         # within one row, or one column, the order is plain lex
         for grid, v in ((g13, row), (g31, col)):
-            key = packed_key(grid.diagonal_order(tiebreak), grid.nvars, 1)
+            key = packed_key(order_of(grid), grid.nvars, 1)
             assert key(v[0]) > key(v[1]) > key(v[2])
-    with pytest.raises(ValueError):
-        g.diagonal_order("diagonal")
     # on a 2 x 3 grid (variables row-major): the antidiagonals, then the
     # singletons ranked by (i+j, i), or by (i+j, j)
     antidiagonals = ((0,), (1, 3), (2, 4), (5,))
@@ -94,7 +100,7 @@ def test_diagonal_order_basic():
     assert g23.diagonal_order() == antidiagonals + tuple(
         (v,) for v in (0, 1, 3, 2, 4, 5)
     )
-    assert g23.diagonal_order("column") == antidiagonals + tuple(
+    assert column_diagonal_order(g23) == antidiagonals + tuple(
         (v,) for v in (0, 3, 1, 4, 2, 5)
     )
 
@@ -114,8 +120,8 @@ def test_diagonal_order_follows_ddeg():
     # the packed key ranks as the oracle's tuple key, and so respects every
     # strict ddeg comparison, whatever the total degrees
     g = Grid(2, 3)
-    for tiebreak in TIEBREAKS:
-        key = packed_key(g.diagonal_order(tiebreak), g.nvars, 18)
+    for tiebreak, order_of in ORDERS:
+        key = packed_key(order_of(g), g.nvars, 18)
         oracle = diagonal_key(g, tiebreak)
         rng = random.Random(41)
         for _ in range(300):
@@ -134,8 +140,8 @@ def test_term_order_axioms():
         one = (0,) * grid.nvars
         rng = random.Random(43)
         monos = [tuple(rng.randint(0, 2) for _ in range(grid.nvars)) for _ in range(40)]
-        for tiebreak in TIEBREAKS:
-            key = packed_key(grid.diagonal_order(tiebreak), grid.nvars, 4 * grid.nvars)
+        for _, order_of in ORDERS:
+            key = packed_key(order_of(grid), grid.nvars, 4 * grid.nvars)
             assert len({key(m) for m in monos}) == len(set(monos))
             for m in monos:
                 if m != one:
@@ -304,28 +310,6 @@ def test_split_errors():
 def test_split_lex_lemma_exhaustive():
     # whenever e <= d lexicographically and some s-step shift e' of e reaches
     # at least split(d), everything collapses: e = d and e' = split(d)
-    def all_shifts(vec, step, amount):
-        n = len(vec)
-        lead = 0
-        while lead < n and vec[lead] == 0:
-            lead += 1
-        if step > lead:
-            return
-        slots = list(range(n))
-
-        def rec(j, left, current):
-            if j == n:
-                if left == 0:
-                    yield tuple(current)
-                return
-            for c in range(min(left, vec[j]) + 1):
-                nxt = list(current)
-                nxt[j] -= c
-                nxt[j - step] += c
-                yield from rec(j + 1, left - c, nxt)
-
-        yield from rec(0, amount, list(vec))
-
     vectors = [
         (0, 2, 1),
         (0, 0, 2, 1),
