@@ -8,6 +8,10 @@ Exit status: 0 on success, 1 when a theorem check fails (reported by the
 command or raised as CheckFailed), 2 on a usage error, and 3 on any other
 exception, so that a crash never reads as a failed check.  An exception
 writes one JSON object with an "error" key to stderr and nothing to stdout.
+
+A subcommand imports the library modules it runs inside its cmd_* function,
+so one call loads only those: importing this module loads errors, tables and
+partitions, which every subcommand and the argument parser read.
 """
 
 import argparse
@@ -15,33 +19,10 @@ import functools
 import json
 import os
 import sys
-import traceback
-from pathlib import Path
+import traceback  # here, so the crash handler imports nothing under MemoryError or RecursionError
 
 from .errors import CheckFailed
-from .experiments import (
-    conjecture_scan,
-    conjecture_violations,
-    failed_checks,
-    sweep,
-    verify_report,
-)
-from .matrixball import rsk, zigzag_witness
-from .psi import graded_decomposition
-from .quotient import (
-    QuotientModel,
-    hilbert_series_linear,
-    hilbert_series_zigzag,
-    lefschetz_report,
-)
-from .series import hilbert_kostka, q_ehrhart, uniform_family
-from .tables import (
-    decimal,
-    matrix_from_json,
-    matrix_from_text,
-    matrix_to_json,
-    zigzag_number,
-)
+from .tables import decimal, matrix_from_json, matrix_from_text, matrix_to_json, zigzag_number
 
 CHECK_FAILED = 1
 USAGE_ERROR = 2
@@ -75,7 +56,8 @@ def _read_matrix(spec_text: str):
         if spec_text == "-":
             raw = sys.stdin.read()
         elif os.path.exists(spec_text):
-            raw = Path(spec_text).read_text()
+            with open(spec_text) as fh:
+                raw = fh.read()
         else:
             raw = spec_text.replace(";", "\n")
     except OSError as err:
@@ -107,16 +89,26 @@ def _emit(payload, args) -> None:
     print(json.dumps(payload, sort_keys=True))
 
 
+# method -> (module, function) of its route, imported when the method runs
 HILBERT_ROUTES = {
-    "kostka": hilbert_kostka,
-    "linalg": hilbert_series_linear,
-    "zigzag": hilbert_series_zigzag,
+    "kostka": ("series", "hilbert_kostka"),
+    "linalg": ("quotient", "hilbert_series_linear"),
+    "zigzag": ("quotient", "hilbert_series_zigzag"),
 }
 
 
+def _hilbert_route(method):
+    import importlib
+
+    module, name = HILBERT_ROUTES[method]
+    return getattr(importlib.import_module(f".{module}", __package__), name)
+
+
 def cmd_hilbert(args):
+    from .experiments import failed_checks
+
     methods = HILBERT_ROUTES if args.method == "all" else [args.method]
-    series = [HILBERT_ROUTES[m](args.alpha, args.beta) for m in methods]
+    series = [_hilbert_route(m)(args.alpha, args.beta) for m in methods]
     if failed_checks(series=series):
         routes = {m: _big(s) for m, s in zip(methods, series)}
         return {"error": "hilbert methods disagree", "routes": routes}, CHECK_FAILED
@@ -124,6 +116,8 @@ def cmd_hilbert(args):
 
 
 def cmd_rsk(args):
+    from .matrixball import rsk
+
     matrix = _read_matrix(args.matrix)
     pair = rsk(matrix)
     return {
@@ -135,6 +129,8 @@ def cmd_rsk(args):
 
 
 def cmd_zigzag(args):
+    from .matrixball import zigzag_witness
+
     matrix = _read_matrix(args.matrix)
     payload = {"zigzag": zigzag_number(matrix)}
     if any(v for row in matrix for v in row):
@@ -143,6 +139,8 @@ def cmd_zigzag(args):
 
 
 def cmd_standard_basis(args):
+    from .quotient import QuotientModel
+
     model = QuotientModel(args.alpha, args.beta)
     matrices = sorted(model.standard_exponent_matrices())
     return {
@@ -155,11 +153,16 @@ def cmd_standard_basis(args):
 
 
 def cmd_verify(args):
+    from .experiments import failed_checks, verify_report
+    from .quotient import QuotientModel
+
     report = verify_report(QuotientModel(args.alpha, args.beta))
     return report, CHECK_FAILED if failed_checks(report) else 0
 
 
 def cmd_frobenius(args):
+    from .psi import graded_decomposition
+
     decomposition = graded_decomposition(args.mu, args.nu)
     out = []
     for d, tensor in decomposition.items():
@@ -174,6 +177,9 @@ def cmd_frobenius(args):
 
 
 def cmd_lefschetz(args):
+    from .experiments import conjecture_violations
+    from .quotient import QuotientModel, lefschetz_report
+
     model = QuotientModel(args.alpha, args.beta)
     report = lefschetz_report(model)
     return {
@@ -186,6 +192,8 @@ def cmd_lefschetz(args):
 
 
 def cmd_conjectures(args):
+    from .experiments import conjecture_scan
+
     found = conjecture_scan(args.max_n, args.lefschetz_n, args.dominance_n)
     violations = {
         name: [{"mu": list(mu), "nu": list(nu), "k": k} for mu, nu, k in triples]
@@ -196,6 +204,8 @@ def cmd_conjectures(args):
 
 
 def cmd_ehrhart(args):
+    from .series import q_ehrhart
+
     series = q_ehrhart(args.alpha, args.beta, args.upto, interior=args.interior)
     return {
         "alpha": list(args.alpha),
@@ -206,6 +216,8 @@ def cmd_ehrhart(args):
 
 
 def cmd_figure1(args):
+    from .series import hilbert_kostka, uniform_family
+
     alpha = uniform_family(args.family)
     coeffs = hilbert_kostka(alpha, alpha, max_degree=args.upto)
     return {
@@ -215,6 +227,8 @@ def cmd_figure1(args):
 
 
 def cmd_sweep(args):
+    from .experiments import conjecture_violations, failed_checks, sweep
+
     failures = []
     violations = []
     pairs = 0

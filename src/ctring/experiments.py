@@ -3,6 +3,10 @@ tests the theorems on every pair of weak compositions, and the conjecture
 scans over partition pairs.  What one margin pair must satisfy, and which
 conjectures it breaks, is judged here alone (verify_report, failed_checks,
 conjecture_violations); the CLI and the test suite format these verdicts.
+The module itself imports only partitions and series: each function that
+builds a quotient or a graded character imports quotient, psi or symfunc
+where it runs, so a caller of failed_checks or conjecture_violations alone
+never loads the linear algebra.
 
 Conjecture findings are data: the scans report violations and never raise.
 """
@@ -10,22 +14,15 @@ Conjecture findings are data: the scans report violations and never raise.
 from itertools import product
 
 from .partitions import partitions, weak_compositions_upto
-from .psi import graded_decomposition, kronecker_dominance, kronecker_product, pair_group
-from .quotient import (
-    QuotientModel,
-    derived_matrix_set,
-    hilbert_series_zigzag,
-    lefschetz_report,
-    verify_associated_graded,
-)
 from .series import hilbert_kostka, log_concavity_violations
-from .symfunc import TensorSymFunc
 
 
-def verify_report(model: QuotientModel) -> dict:
-    """The vanishing-ideal witnesses and dimension count of the model's
+def verify_report(model) -> dict:
+    """The vanishing-ideal witnesses and dimension count of a QuotientModel's
     margins (verify_associated_graded), and whether its standard monomials
     are the matrix-ball derived matrices (standard_equals_matrix_ball)."""
+    from .quotient import derived_matrix_set, verify_associated_graded
+
     report = verify_associated_graded(model.alpha, model.beta, model=model)
     report["standard_equals_matrix_ball"] = (
         model.standard_exponent_matrices() == derived_matrix_set(model.alpha, model.beta)
@@ -60,6 +57,8 @@ def sweep_record(alpha, beta) -> dict:
     """Build the margin quotient once and check it every way: the
     verify_report, the linear-algebra, Kostka and zigzag Hilbert series, and
     the Lefschetz ranks."""
+    from .quotient import QuotientModel, hilbert_series_zigzag, lefschetz_report
+
     model = QuotientModel(alpha, beta)
     return {
         "alpha": tuple(alpha),
@@ -87,6 +86,9 @@ def dominance_violations(mu, nu) -> list:
     over the product of its degree k - 1 and k + 1 neighbours (equivariant
     log-concavity).  k runs over 1 .. top - 1: at the top degree the upper
     neighbour is zero, so dominance holds trivially."""
+    from .psi import graded_decomposition, kronecker_dominance, kronecker_product, pair_group
+    from .symfunc import TensorSymFunc
+
     decomposition = graded_decomposition(mu, nu)
     group = pair_group(mu, nu)
     empty = TensorSymFunc(group.sizes, "s")
@@ -110,6 +112,8 @@ def conjecture_scan(max_n: int, lefschetz_n: int, dominance_n: int) -> dict:
     log-concavity of the Hilbert series for n <= max_n, injectivity of the
     Lefschetz maps for n <= lefschetz_n, and Kronecker dominance for
     n <= dominance_n.  Each key maps to a list of (mu, nu, k) triples."""
+    from .quotient import QuotientModel, lefschetz_report
+
     return {
         "log_concavity": [
             (mu, nu, k)

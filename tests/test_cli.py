@@ -335,8 +335,8 @@ def test_zero_lefschetz_element_is_a_conjecture_violation(monkeypatch, capsys):
 
 
 def test_verify_and_sweep_build_each_model_once(monkeypatch, capsys):
-    import ctring.cli
-    import ctring.experiments
+    # the CLI and experiments import QuotientModel from ctring.quotient when
+    # they run, so the one patch there reaches every build
     import ctring.quotient
 
     built = []
@@ -346,8 +346,6 @@ def test_verify_and_sweep_build_each_model_once(monkeypatch, capsys):
             built.append((alpha, beta))
             super().__init__(alpha, beta)
 
-    monkeypatch.setattr(ctring.cli, "QuotientModel", Counting)
-    monkeypatch.setattr(ctring.experiments, "QuotientModel", Counting)
     monkeypatch.setattr(ctring.quotient, "QuotientModel", Counting)
     status, _ = run_cli(capsys, ["verify", "--alpha", "3,2", "--beta", "2,2,1"])
     assert status == 0 and built == [((3, 2), (2, 2, 1))]
@@ -570,13 +568,14 @@ def test_quotient_dimension_mismatch_is_a_failed_check(monkeypatch, capsys, shif
 def test_hilbert_routes_disagreeing_is_a_failed_check(monkeypatch, capsys):
     # a route one off in degree 0: --method all exits 1 and reports every
     # route's series under its name
-    import ctring.cli
+    import ctring.quotient
+    import ctring.series
 
     def wrong(alpha, beta):
-        series = ctring.cli.hilbert_kostka(alpha, beta)
+        series = ctring.series.hilbert_kostka(alpha, beta)
         return [series[0] + 1] + series[1:]
 
-    monkeypatch.setitem(ctring.cli.HILBERT_ROUTES, "zigzag", wrong)
+    monkeypatch.setattr(ctring.quotient, "hilbert_series_zigzag", wrong)
     argv = ["hilbert", "--alpha", "3,3", "--beta", "2,2,2", "--method", "all"]
     status, out = run_cli(capsys, argv)
     assert status == 1
@@ -629,12 +628,12 @@ def test_non_character_is_a_failed_check(monkeypatch, capsys):
 def test_crash_is_not_a_failed_check(monkeypatch, capsys, exc):
     # ZeroDivisionError is an ArithmeticError and RecursionError a
     # RuntimeError: neither may read as a failed check or a usage error
-    import ctring.cli
+    import ctring.matrixball
 
     def crash(matrix):
         raise exc("boom")
 
-    monkeypatch.setattr(ctring.cli, "rsk", crash)
+    monkeypatch.setattr(ctring.matrixball, "rsk", crash)
     status, out, err = run_failing(capsys, ["rsk", "--matrix", "1 0;0 1"])
     assert status == 3 and out == ""
     assert err["error"].startswith(exc.__name__) and "boom" in err["error"]
@@ -697,3 +696,59 @@ def test_readme_command_runs(capsys, argv):
     status, out = run_cli(capsys, argv, stdin=stdin)
     assert status == 0, out
     assert isinstance(json.loads(out), dict)
+
+
+# the ctring modules a call loads: import ctring.cli alone, then what each
+# subcommand adds by importing where it runs (PROBE prints them after main())
+CLI_MODULES = {"ctring", "ctring.cli", "ctring.errors", "ctring.partitions", "ctring.tables"}
+MODEL_MODULES = {"ctring.linalg", "ctring.matrixball", "ctring.polys", "ctring.quotient"}
+VERDICT_MODULES = {"ctring.experiments", "ctring.series"}
+CHARACTER_MODULES = {"ctring.psi", "ctring.symfunc"}
+SUBCOMMAND_MODULES = {
+    "hilbert": VERDICT_MODULES,
+    "rsk": {"ctring.matrixball"},
+    "zigzag": {"ctring.matrixball"},
+    "standard-basis": MODEL_MODULES,
+    "verify": MODEL_MODULES | VERDICT_MODULES,
+    "frobenius": CHARACTER_MODULES,
+    "lefschetz": MODEL_MODULES | VERDICT_MODULES,
+    "conjectures": MODEL_MODULES | VERDICT_MODULES | CHARACTER_MODULES,
+    "ehrhart": {"ctring.series"},
+    "figure1": {"ctring.series"},
+    "sweep": MODEL_MODULES | VERDICT_MODULES,
+}
+PROBE = (
+    "import contextlib, io, sys\n"
+    "import ctring.cli\n"
+    "if sys.argv[1:]:\n"
+    "    with contextlib.redirect_stdout(io.StringIO()):\n"
+    "        ctring.cli.main(sys.argv[1:])\n"
+    "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'ctring')))\n"
+)
+
+
+def loaded_modules(argv, stdin=None) -> set:
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, *argv],
+        env={**os.environ, "PYTHONPATH": str(Path(ctring.__file__).resolve().parents[1])},
+        input=stdin,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return set(proc.stdout.split())
+
+
+def test_importing_the_cli_loads_only_what_every_subcommand_reads():
+    assert loaded_modules([]) == CLI_MODULES
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=" ".join)
+def test_subcommand_loads_only_the_modules_it_runs(argv):
+    stdin = "1 2 0 1\n0 0 2 1\n3 0 1 1\n" if "-" in argv else None
+    expected = CLI_MODULES | SUBCOMMAND_MODULES[argv[0]]
+    if argv[0] == "hilbert" and "--method" in argv:  # every route, the linear algebra too
+        expected |= MODEL_MODULES
+    loaded = loaded_modules(argv, stdin)
+    assert "ctring.onerow" not in loaded
+    assert loaded == expected

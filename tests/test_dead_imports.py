@@ -9,22 +9,39 @@ ROOT = Path(__file__).resolve().parent.parent
 SOURCE = ROOT / "src" / "ctring"
 
 
+SCOPES = (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _own_imports(scope):
+    """The import statements that bind names in `scope`: those in its body,
+    not in the body of a function nested in it."""
+    for node in ast.iter_child_nodes(scope):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, SCOPES):
+            yield from _own_imports(node)
+
+
 def unread_imports(source: str) -> list:
-    """The names bound by the module-level imports of `source` that no
-    expression of the module reads."""
-    tree = ast.parse(source)
-    imported = [
-        alias.asname or alias.name.split(".")[0]
-        for node in tree.body
-        if isinstance(node, (ast.Import, ast.ImportFrom))
-        for alias in node.names
-    ]
-    read = {
-        node.id
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
-    }
-    return [name for name in imported if name not in read]
+    """The names bound by the imports of `source`, at module level or inside
+    a function, that no expression of their scope reads (a module-level
+    name may be read anywhere in the module, a function-local one only in
+    its function)."""
+    dead = []
+    for scope in ast.walk(ast.parse(source)):
+        if not isinstance(scope, SCOPES):
+            continue
+        read = {
+            node.id
+            for node in ast.walk(scope)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in _own_imports(scope):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    dead.append(name)
+    return dead
 
 
 def test_unread_imports_are_found():
@@ -33,6 +50,20 @@ def test_unread_imports_are_found():
         "os",
     ]
     assert unread_imports("import os.path\nos.path.join('a')\n") == []
+
+
+def test_unread_function_local_imports_are_found():
+    source = (
+        "def f():\n"
+        "    from math import factorial, prod\n"
+        "    if True:\n"
+        "        import os\n"
+        "    return prod([])\n"
+        "def g():\n"
+        "    return factorial(3)\n"
+    )
+    assert unread_imports(source) == ["factorial", "os"]
+    assert unread_imports("def f():\n    import os.path\n    return os.path.sep\n") == []
 
 
 def test_no_module_has_an_unread_import():
