@@ -1,48 +1,58 @@
 """Degree-by-degree exact linear algebra for homogeneous ideals.
 
-An ideal is presented by variable sums and line caps.  A sum puts the sum of
-the variables of its support into the ideal; a cap (support, c) puts every
-monomial of degree > c on the variables of support into the ideal.  A
-monomial that meets every cap is "clean"; every multiple of an unclean
-monomial is unclean, so the elimination only ever sees clean monomials, which
-keeps the systems small.  The clean monomials of degree d extend those of
-degree d - 1: each is made once, from its parent, by a variable at or after
-the parent's last whose caps all have room, so they come out
-lexicographically descending, with no search and no sort.  What the shape of
-a presentation fixes (the variable count, the order, the sums and the cap
-supports) is validated and laid out once, in a module-level memo: the sums
-kept, the lines, their bitmasks and, per variable, the exponent getters of
-the lines on it.  An ideal binds only its cap values, read by line index.
+An ideal is presented by powers of line sums and by line caps.  A line sum is
+the sum of the variables of a support.  A power (lines, e) puts every product
+of e of its line sums into the ideal, so a plain sum is the power
+((line,), 1); a cap (support, c) puts every monomial of degree > c on the
+variables of support into the ideal.  A monomial that meets every cap is
+"clean"; every multiple of an unclean monomial is unclean, so the elimination
+only ever sees clean monomials, which keeps the systems small.  The clean
+monomials of degree d extend those of degree d - 1: each is made once, from
+its parent, by a variable at or after the parent's last whose caps all have
+room, so they come out lexicographically descending, with no search and no
+sort.  What the shape of a presentation fixes (the variable count, the order,
+the powers and the cap supports) is validated and laid out once, in a
+module-level memo: the lines of each power and their leads, the cap lines,
+their bitmasks and, per variable, the exponent getters of the lines on it.
+An ideal binds only its cap values, read by line index.  The products of a
+power (lines, e) are multiplied out into their clean terms with their
+multinomial coefficients, a line at a time, each term extended only by the
+variables with room, as the clean monomials are.  They are memoized apart,
+per lines, e and caps (each clipped at e), and built by the first slice of
+degree at least e that has a column: a power above the last clean degree
+costs nothing, and the unclean terms of one below it are never made.
 
 The degree-d slice of the ideal, modulo unclean monomials, is spanned by the
-sums times the clean monomials of degree d - 1.  The term order is packed for
-the degree into one integer weight per variable (order_weights), so each
-monomial has one integer key, and the key is linear: key(f * x_v) = key(f) +
-w[v].  The columns are the clean monomials of degree d sorted on their keys,
-descending in the term order, each key its parent's plus w[v].  A row's
-entries are its factor's key plus w[v] for the variables v of the sum
-addable to the factor, looked up in one key -> position map.  Rows are
-sparse dicts keyed by column position, so finding a pivot is a plain min().
-Forward elimination runs over the integers on primitive rows (fraction-free,
-as in Bareiss): its pivots are the degree-d part of the initial ideal, and
-the remaining columns are the standard monomials.  These forward rows are the
-only echelon form.  Normal forms need no back-substitution: a row holds no
-entries left of its pivot, so reducing against the pivots in ascending
-position order never brings back a pivot already cleared.  A normal form is
-computed on integers times one common scale, divided out once at the end.
+products of each power (lines, e) times the clean monomials of degree d - e.
+The term order is packed for the degree into one integer weight per variable
+(order_weights), so each monomial has one integer key, and the key is linear:
+key(f * g) = key(f) + key(g).  The columns are the clean monomials of degree
+d sorted on their keys, descending in the term order, each key its parent's
+plus w[v].  A row is one product times one clean factor: its entries sit at
+the factor's key plus the packed offset of each term of the product, the
+key of that term, looked up in one key -> position map, and a term that
+lands on no column is unclean and dropped.  Rows are sparse dicts keyed by
+column position, so finding a pivot is a plain min().  Forward elimination
+runs over the integers on primitive rows (fraction-free, as in Bareiss): its
+pivots are the degree-d part of the initial ideal, and the remaining columns
+are the standard monomials.  These forward rows are the only echelon form.
+Normal forms need no back-substitution: a row holds no entries left of its
+pivot, so reducing against the pivots in ascending position order never
+brings back a pivot already cleared.  A normal form is computed on integers
+times one common scale, divided out once at the end.
 
-Most rows of a slice are Koszul consequences of the others, s * (s' * q) =
-s' * (s * q), and are skipped before any arithmetic.  The degree-1 slice is
-eliminated one sum at a time: a sum in the span of the earlier sums is
-dropped from every degree, and each kept sum records its lead, the pivot it
-adds.  The leads of the sums before s are the lead variables of their span,
-and in degree d >= 2 the row s * factor is skipped when factor = x * q for
-such a lead x.  With h in that span, led by x, s * x * q = s * q * h -
-s * q * (h - x): the first term lies in the rows of the earlier sums, and
-h - x holds only variables smaller than x, so in a monomial order the second
-term is made of rows of s with smaller factors.  By induction over the sums
-and then the factors in the order, every skipped row lies in the span of the
-rows kept, which are eliminated together, as above.
+Rows are skipped before any arithmetic.  With the lines of a power in their
+given order, each led by its largest variable, the row of a product P whose
+last line is l_a times a factor x_b * q, where x_b leads a line l_b before
+l_a, is skipped.  With P' = P * l_b / l_a, so that P * l_b = P' * l_a,
+
+    P * x_b * q = P' * x_a * q + P' * (l_a - x_a) * q - P * (l_b - x_b) * q.
+
+P' comes before P when products are compared by their line indices, largest
+first, and l_b - x_b holds only variables smaller than x_b, so in a monomial
+order the last term is made of rows of P with smaller factors.  By induction
+over the products and then the factors, every skipped row lies in the span
+of the rows kept, modulo the unclean monomials.
 """
 
 from fractions import Fraction
@@ -184,6 +194,17 @@ class DegreeBasis:
         not clean."""
         return sum(map(mul, self.weights, exps))
 
+    def reduce(self, vec) -> int:
+        """Reduce a sparse integer row keyed by column position against the
+        rows, in place, onto the standard columns, and return the factor it
+        was scaled by.  A row holds no entries left of its pivot, so taking
+        the pivots in ascending order never brings back one already cleared."""
+        scale = 1
+        for p, prow in self.rows.items():
+            if p in vec:
+                scale *= _eliminate(vec, p, prow)
+        return scale
+
 
 @lru_cache(maxsize=4096)
 def _variables(mask) -> tuple:
@@ -191,25 +212,111 @@ def _variables(mask) -> tuple:
     return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
-@lru_cache(maxsize=1024)
-def _layout(nvars, order, sums, supports) -> tuple:
-    """The part of a HomogeneousIdeal that its shape fixes, whatever its cap
-    values: (sums kept, lines, line of each cap, bitmask of each line, per
-    variable the (exponent getter, line, ~bitmask) of each line on it).
+def _times(terms, line, touch) -> dict:
+    """Clean terms, as {exponents: (coefficient, room)}, times the sum of the
+    variables of the bitmask line, keeping the clean terms only.  The room
+    of a term is the bitmask of the variables whose caps all have room on
+    it, and touch[v] holds the (exponent getter, cap, ~bitmask) of each cap
+    on v, as in clean_monomials."""
+    step = {}
+    for exps, (c, room) in terms.items():
+        for v in _variables(room & line):
+            up = exps[:v] + (exps[v] + 1,) + exps[v + 1 :]
+            known = step.get(up)
+            if known is None:
+                left = room
+                for load, cap, off in touch[v]:
+                    if sum(load(up)) == cap:
+                        left &= off
+                step[up] = (c, left)
+            else:
+                step[up] = (known[0] + c, known[1])
+    return step
 
-    The lines are the distinct cap supports, in order of first appearance;
-    a one-variable sum adds a cap past those given, on its variable.  Raises
-    ValueError on an order that is not total, a bad sum or a bad support."""
+
+@lru_cache(maxsize=1024)
+def _products(lines, e, leads, caps) -> tuple:
+    """Every product of e of the sums of the lines with a clean term, as
+    (its clean terms as (variables ascending, with multiplicity, multinomial
+    coefficient) pairs, the bitmask of the leads of the lines before its
+    last): the lines and leads of one power of a layout, and the ideal's
+    (support, cap) pairs.  Every multiple of an unclean term is unclean, so
+    the products are multiplied out a line at a time, each term extended
+    only by the variables with room, and a product with no clean term left
+    is dropped with all its extensions: a product is built only by a slice
+    of degree at least e with a column, and only as far as it can reach
+    one."""
+    width = max(map(max, lines)) + 1  # no other variable is multiplied in
+    touch = [[] for _ in range(width)]
+    room = (1 << width) - 1
+    for support, cap in caps:
+        inside = [v for v in support if v < width]
+        if not inside:
+            continue
+        mask = sum(1 << v for v in inside)
+        if not cap:
+            room &= ~mask
+        first = inside[0]  # a single variable's getter slices out its 1-tuple
+        load = itemgetter(*inside) if inside[1:] else itemgetter(slice(first, first + 1))
+        for v in inside:
+            touch[v].append((load, cap, ~mask))
+    masks = [sum(1 << v for v in line) for line in lines]
+    level = [((), {(0,) * width: (1, room)})]  # the products of t lines
+    for _ in range(e):
+        level = [
+            (picked + (i,), terms)
+            for picked, partial in level
+            for i in range(picked[-1] if picked else 0, len(lines))
+            for terms in (_times(partial, masks[i], touch),)
+            if terms
+        ]
+    return tuple(
+        (
+            tuple(
+                (tuple(v for v, a in enumerate(exps) for _ in range(a)), c)
+                for exps, (c, _) in terms.items()
+            ),
+            sum(set(leads[: picked[-1]])),
+        )
+        for picked, terms in level
+    )
+
+
+@lru_cache(maxsize=1024)
+def _layout(nvars, order, powers, supports) -> tuple:
+    """The part of a HomogeneousIdeal that its shape fixes, whatever its cap
+    values: ((e, lines, lead bitmasks) per power, lines, line of each cap,
+    bitmask of each line, per variable the (exponent getter, line, ~bitmask)
+    of each line on it, the values of the caps past those given).  The
+    products of a power are left to _products.
+
+    A power keeps its distinct nonempty lines, in order: an empty line sums
+    to 0, so a power with no line left puts nothing into the ideal and is
+    dropped.  A power whose lines are single variables is the cap e - 1 on
+    their union, added past the caps given.  The lines are the distinct cap
+    supports, in order of first appearance.  Raises ValueError on an order
+    that is not total, an exponent below 1, or a bad line or support."""
     order_weights(order, nvars, 0)  # raises on an order that is not total
-    kept = []
-    for support in sums:
-        support = tuple(sorted(set(support)))
-        if not all(0 <= v < nvars for v in support):
-            raise ValueError(f"bad sum on support {support}")
-        if len(support) == 1:
-            supports += (support,)
-        elif support not in kept:
-            kept.append(support)
+    key = order_weights(order, nvars, 1).__getitem__  # ranks the variables
+    powered = []
+    extra = []
+    for lines, e in powers:
+        if e < 1:
+            raise ValueError(f"bad power exponent {e}")
+        kept = []
+        for line in lines:
+            line = tuple(sorted(set(line)))
+            if not all(0 <= v < nvars for v in line):
+                raise ValueError(f"bad line {line} in a power")
+            if line and line not in kept:
+                kept.append(line)
+        if all(len(line) == 1 for line in kept):
+            if kept:
+                supports += (tuple(v for (v,) in kept),)
+                extra.append(e - 1)
+            continue
+        leads = tuple(1 << max(line, key=key) for line in kept)
+        powered.append((e, tuple(kept), leads))
     index = {}
     line_of = []
     for support in supports:
@@ -225,45 +332,53 @@ def _layout(nvars, order, sums, supports) -> tuple:
         load = itemgetter(*support) if support[1:] else None
         for v in support:  # a single variable's getter slices out its 1-tuple
             touch[v].append((load or itemgetter(slice(v, v + 1)), line, ~masks[-1]))
-    return tuple(kept), lines, tuple(line_of), tuple(masks), tuple(map(tuple, touch))
+    return (
+        tuple(powered),
+        lines,
+        tuple(line_of),
+        tuple(masks),
+        tuple(map(tuple, touch)),
+        tuple(extra),
+    )
 
 
 class HomogeneousIdeal:
-    """An ideal presented by variable sums and line caps, sliced degree by
-    degree.
+    """An ideal presented by powers of line sums and by line caps, sliced
+    degree by degree.
 
-    `sums` holds supports, sequences of variable indices; each puts the sum
-    of its variables into the ideal.  Supports holding the same variables
-    are one sum, and a sum over a single variable is that variable itself,
-    which is the cap 0 on it.  `caps` holds (support, cap) pairs: every
-    monomial on the variables of support of degree greater than cap lies in
-    the ideal.  For the margin ideal the sums are the row and column sums and
-    the caps the row and column margins.  A negative cap or a variable index
-    outside range(nvars) raises ValueError.
+    `powers` holds (lines, e) pairs, lines a sequence of supports (sequences
+    of variable indices) and e >= 1: every product of e of the sums of the
+    lines lies in the ideal.  A plain sum is the power ((support,), 1).
+    Supports holding the same variables are one line, an empty support sums
+    to 0, and a power on single variables is a cap: every monomial of degree
+    e on them.  `caps` holds (support, cap) pairs: every monomial on the
+    variables of support of degree greater than cap lies in the ideal.  A
+    negative cap, an exponent below 1 or a variable index outside
+    range(nvars) raises ValueError.
 
     `order` is the term order as supports, most significant first
     (order_weights; None: plain lex).  Monomials compare by their degree on
     each support in turn, and each degree is linear, so y < x implies
     y * q < x * q: every such order is a monomial order by construction.  The
-    slices need that, as they skip every row s * x * q whose factor is
-    divisible by a lead variable x of the sums before s, and the skipped row
-    lies in the span of the rows kept only under a monomial order.  An order
-    with no singleton support on some variable is not total and raises
-    ValueError.
+    slices need that, as they skip every row of a product times a factor
+    divisible by the lead of one of its power's lines before its last, and
+    the skipped row lies in the span of the rows kept only under a monomial
+    order.  An order with no singleton support on some variable is not
+    total and raises ValueError.
     """
 
-    def __init__(self, nvars, order, sums=(), caps=()):
+    def __init__(self, nvars, order, powers=(), caps=()):
         self.nvars = nvars
         self.order = None if order is None else tuple(map(tuple, order))
         caps = tuple(caps)
-        sums, lines, line_of, masks, self._touch = _layout(
-            nvars, self.order, tuple(map(tuple, sums)), tuple(tuple(s) for s, _ in caps)
+        powers = tuple((tuple(map(tuple, lines)), e) for lines, e in powers)
+        self._powers, lines, line_of, masks, self._touch, extra = _layout(
+            nvars, self.order, powers, tuple(tuple(s) for s, _ in caps)
         )
-        self.sums = list(sums)
-        # the cap of each line: the least cap on its support, a one-variable
-        # sum being the cap 0 (the caps past those given)
+        # the cap of each line: the least cap on its support, a power on
+        # single variables giving a cap past those given
         bounds = [None] * len(lines)
-        values = [cap for _, cap in caps] + [0] * (len(line_of) - len(caps))
+        values = [cap for _, cap in caps] + list(extra)
         for line, cap in zip(line_of, values):
             if cap < 0:
                 raise ValueError(f"bad cap {cap} on support {lines[line]}")
@@ -276,12 +391,12 @@ class HomogeneousIdeal:
             if not cap:
                 addable &= ~bits
         # per degree from 0: the clean monomials, and for each its addable
-        # variables as a bitmask and its last variable
+        # variables and its variables as bitmasks, and its last variable
         self._clean = [((0,) * nvars,)]
         self._addable = [[addable]]
+        self._support = [[0]]
         self._last = [[0]]
         self._slices = {}
-        self._kept = None  # (bitmask, lead variable) of each sum kept, set by slice(1)
 
     def clean_monomials(self, degree):
         """The clean monomials of one degree, lexicographically descending,
@@ -297,9 +412,9 @@ class HomogeneousIdeal:
         lexicographically descending.  Past an empty degree all are empty."""
         clean, touch, bounds = self._clean, self._touch, self._bounds
         while len(clean) <= degree and clean[-1]:
-            monomials, addables, lasts = [], [], []
-            parents = zip(clean[-1], self._addable[-1], self._last[-1])
-            for parent, addable, last in parents:
+            monomials, addables, supports, lasts = [], [], [], []
+            parents = zip(clean[-1], self._addable[-1], self._support[-1], self._last[-1])
+            for parent, addable, support, last in parents:
                 for v in _variables(addable >> last << last):
                     child = parent[:v] + (parent[v] + 1,) + parent[v + 1 :]
                     room = addable
@@ -308,64 +423,66 @@ class HomogeneousIdeal:
                             room &= off
                     monomials.append(child)
                     addables.append(room)
+                    supports.append(support | 1 << v)
                     lasts.append(v)
             clean.append(tuple(monomials))
             self._addable.append(addables)
+            self._support.append(supports)
             self._last.append(lasts)
         return clean[degree] if 0 <= degree < len(clean) else ()
 
     def slice(self, degree) -> DegreeBasis:
         """The echelon basis of the degree, cached.  Each column's key is
         its parent's key plus w[v] (clean_monomials); the parents are the
-        clean factors of degree - 1, and only their keys are dot products.
-        The row of a sum times a factor q holds q * x_v for the variables v
-        of the sum addable to q, which are exactly its clean monomials."""
+        clean monomials of degree - 1, and only their keys, and those of the
+        factors of the powers, are dot products.  A product of a power of
+        exponent e times a clean factor of degree - e is one row, unless it
+        is skipped (see the module docstring)."""
         cached = self._slices.get(degree)
         if cached is not None:
             return cached
         weights = order_weights(self.order, self.nvars, degree)
         monomials = self.clean_monomials(degree)
+        factor_keys = {}  # degree -> the key of each clean monomial
+
+        def keys_of(d):
+            if d not in factor_keys:
+                factor_keys[d] = [sum(map(mul, weights, q)) for q in self._clean[d]]
+            return factor_keys[d]
+
         keys = [0] * len(monomials)  # the monomial 1, or none below degree 0
-        factors = []
         if degree > 0 and monomials:
-            # each clean factor with its key and addable variables
-            below = zip(self._clean[degree - 1], self._addable[degree - 1])
-            factors = [(q, sum(map(mul, weights, q)), addable) for q, addable in below]
+            below = zip(keys_of(degree - 1), self._addable[degree - 1], self._last[degree - 1])
             keys = [
                 key + weights[v]
-                for (_, key, addable), last in zip(factors, self._last[degree - 1])
+                for key, addable, last in below
                 for v in _variables(addable >> last << last)
             ]
         by_key = dict(zip(keys, monomials))
         keys = sorted(by_key, reverse=True)
         columns = tuple(map(by_key.__getitem__, keys))
         position = dict(zip(keys, range(len(keys))))
-        rows = {}
-        if degree == 1:
-            # one sum at a time: a sum that raises the rank is kept, with its
-            # own lead, the pivot it adds (the last key of rows); the key of
-            # x_v is w[v]
-            self._kept = []
-            for support in self.sums:
-                rank = len(rows)
-                bits = sum(1 << v for v in support)
-                addable = _variables(self._addable[0][0] & bits)
-                position_echelon([{position[weights[v]]: 1 for v in addable}], rows)
-                if len(rows) > rank:
-                    lead = columns[next(reversed(rows))].index(1)
-                    self._kept.append((bits, lead))
-        elif degree > 1:
-            self.slice(1)  # records self._kept
-            rows = []
-            for bits, lead in self._kept:
-                for _, key, addable in factors:
-                    # the sum times a clean factor, on its clean monomials
-                    addable = _variables(addable & bits)
-                    rows.append({position[key + weights[v]]: 1 for v in addable})
-                # Koszul: every later sum skips the factors this lead divides
-                factors = [f for f in factors if not f[0][lead]]
-            rows = position_echelon(rows)
-        basis = DegreeBasis(columns, weights, position, rows)
+        get = position.get
+        rows = []
+        for e, lines, leads in self._powers if monomials else ():
+            if e > degree:
+                continue
+            below = list(zip(keys_of(degree - e), self._support[degree - e]))
+            # a cap of e or more binds no term of a product of e lines, so
+            # it is passed as e, and ideals that differ only there share one
+            caps = tuple((support, min(cap, e)) for support, cap in self.caps)
+            for terms, skip in _products(lines, e, leads, caps):
+                offsets = [(sum(map(weights.__getitem__, vs)), c) for vs, c in terms]
+                for key, support in below:
+                    if support & skip:
+                        continue
+                    row = {}
+                    for offset, c in offsets:
+                        pos = get(key + offset)
+                        if pos is not None:
+                            row[pos] = c
+                    rows.append(row)
+        basis = DegreeBasis(columns, weights, position, position_echelon(rows))
         self._slices[degree] = basis
         return basis
 
@@ -395,10 +512,7 @@ class HomogeneousIdeal:
                 pos = basis.position.get(basis.key(m))
                 if pos is not None:
                     vec[pos] = int(c * den)
-            scale = den  # times the factor of each elimination, smallest pivot first
-            for p, prow in basis.rows.items():
-                if p in vec:
-                    scale *= _eliminate(vec, p, prow)
+            scale = den * basis.reduce(vec)
             for p, c in vec.items():
                 q, r = divmod(c, scale)
                 out[basis.columns[p]] = Fraction(c, scale) if r else q

@@ -28,11 +28,22 @@ def one_row_generators(bounds) -> list:
 
 
 def one_row_ideal(bounds) -> HomogeneousIdeal:
-    """The variable sum, with the exponent of x_i capped at d_i; plain lex."""
+    """The quotient's ideal on x_2..x_n (as variables 0..n-2), plain lex.
+
+    Under lex the lead of the variable sum is x_1, so the sum eliminates it:
+    x_1 = -(x_2 + ... + x_n) carries the quotient isomorphically onto the one
+    by this ideal, of x_i capped at d_i for i >= 2 and the power
+    (x_2 + ... + x_n)^(d_1 + 1), the image of x_1^(d_1 + 1).  Its standard
+    monomials are the quotient's, less the exponent 0 of x_1."""
     bounds = tuple(bounds)
-    n = len(bounds)
+    if not bounds:
+        return HomogeneousIdeal(0, None)
+    rest = tuple(range(len(bounds) - 1))
     return HomogeneousIdeal(
-        n, None, [tuple(range(n))], [((i,), d) for i, d in enumerate(bounds)]
+        len(rest),
+        None,
+        [((rest,), bounds[0] + 1)],
+        [((i,), d) for i, d in zip(rest, bounds[1:])],
     )
 
 
@@ -176,12 +187,14 @@ def dimension_counts(bounds):
 
 
 def one_row_standard_monomials(bounds):
-    """Standard monomial exponents of the quotient under plain lex, by degree."""
+    """Standard monomial exponents of the quotient under plain lex, by degree:
+    those of one_row_ideal with x_1 = 0 put in front."""
     ideal = one_row_ideal(bounds)
+    x1 = (0,) if bounds else ()
     out = {}
     for degree in range(sum(bounds) + 2):
         std = ideal.standard_monomials(degree)
         if not std:
             return out
-        out[degree] = std
+        out[degree] = tuple(x1 + m for m in std)
     raise CheckFailed("quotient failed to terminate")

@@ -1,14 +1,31 @@
 """Quotients of a grid polynomial ring cut out by margin constraints.
 
 For weak compositions alpha (rows) and beta (columns) of n, the defining
-ideal is generated by all row sums, all column sums, the monomials supported
-on row i of degree alpha_i + 1, and the monomials supported on column j of
-degree beta_j + 1.  The slices state those monomials as line caps (row i of
-degree at most alpha_i, column j at most beta_j; see margin_ideal), so their
-columns are the subtingency tables.  The standard monomial basis under the
-diagonal order is computed by degree slices; the exponent matrices are
-compared against the derived matrices of the contingency tables with margins
-(alpha, beta).
+ideal I is generated by all row sums, all column sums, the monomials
+supported on row i of degree alpha_i + 1, and the monomials supported on
+column j of degree beta_j + 1 (contingency_generators lists them).
+
+The quotient is built on the block of rows 2..k and columns 2..p.  Under the
+diagonal order the lead of the column sum c_j is x_1j and the lead of the row
+sum r_i is x_i1, so the line sums eliminate the first row and column: modulo
+them x_1j = -C_j, x_i1 = -R_i and x_11 = T, where C_j and R_i are the block's
+column and row sums and T is its total.  This substitution is the normal
+form modulo the sums, a ring isomorphism from F[x]/(sums) onto F[block], and
+it carries I onto the block ideal J generated by
+  - the block's line caps: row i of degree at most alpha_i and column j at
+    most beta_j, for i, j >= 2, whose clean monomials are the block's
+    subtingency tables;
+  - (C_2, ..., C_p)^(alpha_1 + 1), the image of the row-1 cap;
+  - (R_2, ..., R_k)^(beta_1 + 1), the image of the column-1 cap.
+Then in(I) = (first row, first column) + in(J).  Every substituted term is
+smaller than the variable it replaces, so reducing f in I modulo the sums
+leaves its leading term alone unless a lead of the sums divides it, and then
+in(f) is the leading term of its image in J.  This holds over any field, as
+each lead has coefficient 1.  So the standard monomials of I are those of J
+with a zero first row and column; QuotientModel checks the leads this rests
+on.  The standard monomial basis under the diagonal order is computed by
+degree slices of J, and its exponent matrices are compared against the
+derived matrices of the contingency tables with margins (alpha, beta).
 """
 
 from collections import Counter
@@ -19,6 +36,7 @@ from .errors import CheckFailed
 from .linalg import (
     HomogeneousIdeal,
     bounded_exponents,
+    extreme_monomials,
     linear_form,
     position_echelon,
 )
@@ -47,20 +65,6 @@ def _generators(grid: Grid, sums, caps) -> list:
     return gens
 
 
-def margin_ideal(alpha, beta) -> HomogeneousIdeal:
-    """The margin ideal on the len(alpha) x len(beta) grid under its diagonal
-    order, as line sums and line caps: every row and column sum, row i capped
-    at alpha_i and column j at beta_j, so its clean monomials are the
-    subtingency tables (contingency_generators presents the same ideal).
-    Margins that break the rule of tables.margins are a ValueError."""
-    alpha, beta = margins(alpha, beta)
-    grid = Grid(len(alpha), len(beta))
-    rows, cols = _lines(grid)
-    return HomogeneousIdeal(
-        grid.nvars, grid.diagonal_order(), rows + cols, zip(rows + cols, alpha + beta)
-    )
-
-
 def contingency_generators(alpha, beta):
     """Generators of the margin ideal: row/column sums and the minimal
     violating monomials (degree alpha_i + 1 per row, beta_j + 1 per column)."""
@@ -87,28 +91,76 @@ def colsum_ideal_generators(alpha, p: int):
     return grid, _generators(grid, cols, zip(rows, alpha))
 
 
+@lru_cache(maxsize=256)
+def _block(order, k, p) -> tuple:
+    """(order, row supports, column supports, slots) of the block of rows
+    2..k and columns 2..p of the k x p grid: slots[v] is the block variable
+    of the grid variable v, row-major, or -1 on the first row and column;
+    the order is the grid's restricted to the block, and the supports those
+    of the block's rows and columns, each empty when the block is.  Raises
+    CheckFailed unless the leads of the k + p line sums in degree 1 under
+    the order are exactly the first row and column, as the substitution onto
+    the block needs."""
+    grid = Grid(k, p)
+    rows, cols = _lines(grid)
+    line_sums = [linear_form(grid.nvars, line) for line in rows + cols]
+    leads = {exps.index(1) for exps in extreme_monomials(line_sums, order)}
+    if leads != set(rows[0] + cols[0]):
+        cells = ", ".join(str((v // p + 1, v % p + 1)) for v in sorted(leads))
+        raise CheckFailed(
+            f"the line sums lead at the cells {cells}, not the first row and column"
+        )
+    slots = tuple(
+        (v // p - 1) * (p - 1) + v % p - 1 if v >= p and v % p else -1
+        for v in range(grid.nvars)
+    )
+    restricted = (tuple(slots[v] for v in s if slots[v] >= 0) for s in order)
+    return (
+        tuple(filter(None, restricted)),
+        tuple(tuple(slots[v] for v in row[1:]) for row in rows[1:]),
+        tuple(tuple(slots[v] for v in col[1:]) for col in cols[1:]),
+        slots,
+    )
+
+
 class QuotientModel:
     """Standard monomial data of one margin quotient.
+
+    The slices are those of the block ideal J (see the module docstring),
+    `ideal`, on the variables of rows 2..k and columns 2..p, row-major, under
+    the diagonal order restricted to them.  A standard monomial of J lifts
+    with a zero first row and column into `standard`.  The model checks that
+    the degree-1 leads of the line sums are exactly the first row and column
+    under the grid's diagonal order, and raises CheckFailed if not.
 
     Slices are computed until the accumulated standard monomial count reaches
     the contingency table count (the quotient dimension), with a hard degree
     cap of n.  Failing to converge would mean the quotient dimension differs
     from the table count, which never happens; it raises CheckFailed rather
-    than guessing.
+    than guessing.  Margins that break the rule of tables.margins are a
+    ValueError.
     """
 
     def __init__(self, alpha, beta):
-        self.alpha, self.beta = tuple(alpha), tuple(beta)
-        self.ideal = margin_ideal(self.alpha, self.beta)  # checks the margins
+        self.alpha, self.beta = margins(alpha, beta)
+        k, p = len(self.alpha), len(self.beta)
         self.n = sum(self.alpha)
-        self.grid = Grid(len(self.alpha), len(self.beta))
+        self.grid = Grid(k, p)
+        order, rows, cols, slots = _block(self.grid.diagonal_order(), k, p)
+        self.ideal = HomogeneousIdeal(
+            (k - 1) * (p - 1),
+            order,
+            [(cols, self.alpha[0] + 1), (rows, self.beta[0] + 1)],
+            zip(rows + cols, self.alpha[1:] + self.beta[1:]),
+        )
         self.size = count_contingency_tables(self.alpha, self.beta)
         hilbert = []
         standard = []
         for degree in range(self.n + 1):
             std = self.ideal.standard_monomials(degree)
             hilbert.append(len(std))
-            standard.extend(std)
+            for m in std:  # the slot -1 reads the 0 put last
+                standard.append(tuple((m + (0,))[s] for s in slots))
             if len(standard) >= self.size:
                 break
         if len(standard) != self.size:
@@ -168,6 +220,28 @@ def lefschetz_element(alpha, beta) -> Poly:
     return linear_form(len(alpha) * p, support)
 
 
+def _block_form(lin: Poly, grid: Grid) -> dict:
+    """A linear form on the grid through the substitution onto the block, as
+    {block variable: coefficient}: x_11 -> T, x_1j -> -C_j, x_i1 -> -R_i,
+    and each block variable to itself."""
+    _, rows, cols, slots = _block(grid.diagonal_order(), grid.k, grid.p)
+    out = {}
+    for exps, c in lin.terms.items():
+        v = exps.index(1)
+        i, j = divmod(v, grid.p)
+        if slots[v] >= 0:
+            image = [(slots[v], c)]
+        elif i:
+            image = [(b, -c) for b in rows[i - 1]]
+        elif j:
+            image = [(b, -c) for b in cols[j - 1]]
+        else:
+            image = [(b, c) for b in slots if b >= 0]
+        for b, value in image:
+            out[b] = out.get(b, 0) + value
+    return {b: c for b, c in out.items() if c}
+
+
 def lefschetz_report(model: QuotientModel) -> list:
     """Rank data of multiplication by powers of the diagonal-block linear form.
 
@@ -175,12 +249,16 @@ def lefschetz_report(model: QuotientModel) -> list:
     degree k into degree top - k by the (top - 2k)-th power; k runs while the
     exponent stays nonnegative.  Rank deficiencies are reported, not raised.
 
-    The rank is read off the target slice without normal forms: the images
-    L^e m of the standard monomials m, restricted to the clean monomials of
-    the target degree, raise the rank of the slice rows by exactly the rank
-    of the map on the quotient.
+    The form L is first mapped through the substitution onto the block
+    (x_11 -> T, x_1j -> -C_j, x_i1 -> -R_i), which carries the quotient by
+    the margin ideal isomorphically onto the quotient by the block ideal, so
+    the ranks are those of the block form on the block slices.  Each image
+    L^e m of a standard monomial m, restricted to the clean monomials of the
+    target degree, is reduced against the target slice's rows onto its
+    standard monomials (DegreeBasis.reduce: the normal form up to a scale),
+    and the rank of the map is the rank of those reduced images.
     """
-    lef = lefschetz_element(model.alpha, model.beta)
+    form = _block_form(lefschetz_element(model.alpha, model.beta), model.grid)
     top = model.top_degree
     out = []
     for k in range(0, top // 2 + 1):
@@ -188,16 +266,19 @@ def lefschetz_report(model: QuotientModel) -> list:
         source = model.ideal.standard_monomials(k)
         target = model.ideal.slice(top - k)
         # the packed key is linear, key(mono * term) = key(mono) + key(term),
-        # and injective up to the target degree, so L^e is built on keys
-        terms = [(target.key(exps), c) for exps, c in lef.terms.items()]
+        # and injective up to the target degree, so L^e is built on keys; a
+        # term off the clean monomials lies in the ideal with its multiples
+        # and is dropped as each factor L is taken
+        terms = [(target.weights[v], c) for v, c in form.items()]
         power = {0: 1}
-        for _ in range(e):
+        for degree in range(1, e + 1):
+            clean = set(map(target.key, model.ideal.clean_monomials(degree)))
             step = {}
             for key, c in power.items():
                 for t, tc in terms:
-                    step[key + t] = step.get(key + t, 0) + c * tc
-            power = step
-        power = {key: c for key, c in power.items() if c}
+                    if key + t in clean:
+                        step[key + t] = step.get(key + t, 0) + c * tc
+            power = {key: c for key, c in step.items() if c}
         images = []
         for mono in source:
             base = target.key(mono)
@@ -206,8 +287,9 @@ def lefschetz_report(model: QuotientModel) -> list:
                 pos = target.position.get(base + key)
                 if pos is not None:
                     image[pos] = c
+            target.reduce(image)
             images.append(image)
-        rank = len(position_echelon(images, dict(target.rows))) - len(target.rows)
+        rank = len(position_echelon(images))
         out.append(
             {
                 "k": k,

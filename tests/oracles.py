@@ -4,22 +4,29 @@ Everything here is deliberately naive and shares no code path with the
 implementations under test.  The old routes kept here for rewritten layers
 (the per-shape Kostka series on the strip DP `strip_kostka`, class-by-class
 tensor multiplicities, normal forms and Lefschetz ranks over Fraction
-Gauss-Jordan in `RrefIdeal` and `nf_lefschetz_report`, the unpruned slice
-rows `full_slice_rows` and multiset partitions `unpruned_multiset_partitions`,
-the inverse Kostka table `s_to_h_expansion` and the Schur-basis parabolic
-invariants through it, `h_route_invariants_s`, and the matrix-ball step and
-the zigzag witness read off a ball labeling built from its definition,
-`reference_labels`, in `diagram_ball_step` and `chain_witness`) reuse only
-library primitives that are tested on their own: `partitions`,
-`check_partition`, `kostka_column`, `irreducible_character`, the h-basis
-invariants `invariants_frobenius_h`, the generator list
-`contingency_generators`, the linear form `lefschetz_element`, `Grid.ddeg`
-and the clean monomials of `HomogeneousIdeal`.  The line supports of a grid,
-`row_support` and `col_support`, are kept here for the tests that build
-ideals line by line.  The diagonal term order is kept here as a tuple sort
-key, `diagonal_key`, against which the library's packed integer keys are
-checked.  The library builds one diagonal order; a second one,
-`column_diagonal_order`, and the margin ideal under it,
+Gauss-Jordan in `RrefIdeal` and `nf_lefschetz_report`, the unskipped slice
+rows `unskipped_slice_rows` and multiset partitions
+`unpruned_multiset_partitions`, the inverse Kostka table `s_to_h_expansion`
+and the Schur-basis parabolic invariants through it, `h_route_invariants_s`,
+and the matrix-ball step and the zigzag witness read off a ball labeling
+built from its definition, `reference_labels`, in `diagram_ball_step` and
+`chain_witness`) reuse only library primitives that are tested on their own:
+`partitions`, `check_partition`, `kostka_column`, `irreducible_character`,
+the h-basis invariants `invariants_frobenius_h`, the generator list
+`contingency_generators`, the linear form `lefschetz_element`, `Grid.ddeg`,
+`Poly` products and the clean monomials of `HomogeneousIdeal`.  The line
+supports of a grid, `row_support` and `col_support`, are kept here for the
+tests that build ideals line by line.  The diagonal term order is kept here
+as a tuple sort key, `diagonal_key`, against which the library's packed
+integer keys are checked.
+
+The library builds the margin quotient on the block of rows 2..k and columns
+2..p, with the line sums eliminated by substitution.  The margin ideal on the
+whole grid, `margin_ideal`, each line sum a power ((line,), 1) and no
+substitution, is kept here as its oracle, with `full_lefschetz_ranks`, the
+Lefschetz ranks by normal forms in it.  `block_presentation` states the
+block ideal from its definition.  The library builds one diagonal order; a
+second one, `column_diagonal_order`, and the margin ideal under it,
 `column_margin_ideal`, are kept here for the tests that run the packed keys
 and the standard monomials under both.  `all_shifts` lists every shift that
 `split_left` chooses among, for the split-lex lemma.
@@ -27,17 +34,18 @@ and the standard monomials under both.  `all_shifts` lists every shift that
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import factorial
 from operator import le
 from types import MappingProxyType
 
-from ctring.linalg import HomogeneousIdeal
+from ctring.linalg import HomogeneousIdeal, linear_form
 from ctring.partitions import check_partition, kostka_column, partitions
-from ctring.polys import Grid
+from ctring.polys import Grid, Poly
 from ctring.psi import invariants_frobenius_h
 from ctring.quotient import contingency_generators, lefschetz_element
 from ctring.symfunc import TensorSymFunc, cycle_type_size, irreducible_character
+from ctring.tables import margins
 
 
 def brute_zigzag(matrix) -> int:
@@ -275,14 +283,107 @@ def column_diagonal_order(grid):
     return antidiagonals + tuple((v,) for v in _ranked_variables(grid, "column"))
 
 
+def _grid_lines(grid):
+    """The supports of the rows, then of the columns."""
+    lines = [row_support(grid, i) for i in range(1, grid.k + 1)]
+    return lines + [col_support(grid, j) for j in range(1, grid.p + 1)]
+
+
+def margin_ideal(alpha, beta):
+    """The margin ideal on the whole len(alpha) x len(beta) grid under its
+    diagonal order, with no substitution: every row and column sum as a
+    power ((line,), 1), row i capped at alpha_i and column j at beta_j.
+    Margins that break the rule of tables.margins are a ValueError."""
+    alpha, beta = margins(alpha, beta)
+    grid = Grid(len(alpha), len(beta))
+    lines = _grid_lines(grid)
+    return HomogeneousIdeal(
+        grid.nvars,
+        grid.diagonal_order(),
+        [((line,), 1) for line in lines],
+        zip(lines, alpha + beta),
+    )
+
+
 def column_margin_ideal(alpha, beta):
     """The margin ideal (row and column sums, row i capped at alpha_i and
     column j at beta_j) under column_diagonal_order."""
     grid = Grid(len(alpha), len(beta))
-    lines = [row_support(grid, i) for i in range(1, grid.k + 1)]
-    lines += [col_support(grid, j) for j in range(1, grid.p + 1)]
+    lines = _grid_lines(grid)
     caps = zip(lines, tuple(alpha) + tuple(beta))
-    return HomogeneousIdeal(grid.nvars, column_diagonal_order(grid), lines, caps)
+    return HomogeneousIdeal(
+        grid.nvars, column_diagonal_order(grid), [((line,), 1) for line in lines], caps
+    )
+
+
+def block_presentation(alpha, beta):
+    """(nvars, order, powers, caps) of the block ideal of the margins, from
+    its definition: the block of rows 2..k and columns 2..p as a grid of its
+    own under its diagonal order, its row i capped at alpha_i and column j at
+    beta_j, and the powers (C_2, ..., C_p)^(alpha_1 + 1) and
+    (R_2, ..., R_k)^(beta_1 + 1) of its column and row sums.  An empty block
+    has no variables and no lines."""
+    k, p = len(alpha), len(beta)
+    if k == 1 or p == 1:
+        return 0, (), [], []
+    block = Grid(k - 1, p - 1)
+    rows = [row_support(block, i) for i in range(1, k)]
+    cols = [col_support(block, j) for j in range(1, p)]
+    powers = [(cols, alpha[0] + 1), (rows, beta[0] + 1)]
+    caps = list(zip(rows + cols, tuple(alpha[1:]) + tuple(beta[1:])))
+    return block.nvars, block.diagonal_order(), powers, caps
+
+
+def unskipped_slice_rows(ideal, powers, key, degree):
+    """(columns, rows) of one degree slice of a HomogeneousIdeal presented
+    by `powers`, with no row skipped: every product of e of the line sums of
+    each power, multiplied out as Polys, times every clean factor of degree
+    - e, restricted to the clean monomials of the degree, which are the
+    columns, descending by the sort key `key`.  Rows are keyed by column
+    position."""
+    columns = sorted(ideal.clean_monomials(degree), key=key, reverse=True)
+    index = {m: i for i, m in enumerate(columns)}
+    rows = []
+    for lines, e in powers:
+        for picked in combinations_with_replacement(lines, e):
+            product = Poly.monomial((0,) * ideal.nvars)
+            for line in picked:
+                product = product * linear_form(ideal.nvars, line)
+            for factor in ideal.clean_monomials(degree - e):
+                row = {}
+                for exps, c in product.terms.items():
+                    pos = index.get(tuple(a + b for a, b in zip(factor, exps)))
+                    if pos is not None:
+                        row[pos] = c
+                rows.append(row)
+    return columns, rows
+
+
+def full_lefschetz_ranks(alpha, beta) -> list:
+    """The ranks of the Lefschetz report on the whole grid: the normal forms
+    in margin_ideal of L^e m, L^e multiplied out as Polys, for the standard
+    monomials m of degree k, ranked by Fraction Gauss-Jordan.  The top degree
+    is the last before the first degree with no standard monomial."""
+    ideal = margin_ideal(alpha, beta)
+    lef = lefschetz_element(alpha, beta)
+    dims = []
+    while not dims or dims[-1]:
+        dims.append(len(ideal.standard_monomials(len(dims))))
+    top = len(dims) - 2
+    ranks = []
+    for k in range(top // 2 + 1):
+        power = Poly.monomial((0,) * ideal.nvars)
+        for _ in range(top - 2 * k):
+            power = power * lef
+        target = ideal.slice(top - k)
+        images = []
+        for mono in ideal.standard_monomials(k):
+            image = ideal.normal_form(power * Poly.monomial(mono))
+            images.append(
+                {target.position[target.key(m)]: c for m, c in image.terms.items()}
+            )
+        ranks.append(len(fraction_rref(images)))
+    return ranks
 
 
 def all_shifts(vec, step, amount):
@@ -468,27 +569,6 @@ class RrefIdeal:
                 if columns[p] != m:
                     out[columns[p]] = out.get(columns[p], 0) - c * v
         return {m: c for m, c in out.items() if c}
-
-
-def full_slice_rows(ideal, key, degree):
-    """(columns, rows) of one degree slice of a HomogeneousIdeal with no row
-    skipped: every sum times every clean factor of degree - 1, restricted to
-    the clean monomials of the degree, which are the columns, descending by
-    the sort key `key`.  Rows are keyed by column position."""
-    columns = sorted(ideal.clean_monomials(degree), key=key, reverse=True)
-    index = {m: i for i, m in enumerate(columns)}
-    rows = []
-    for support in ideal.sums:
-        for factor in ideal.clean_monomials(degree - 1) if degree else ():
-            row = {}
-            for v in support:
-                up = list(factor)
-                up[v] += 1
-                pos = index.get(tuple(up))
-                if pos is not None:
-                    row[pos] = 1
-            rows.append(row)
-    return columns, rows
 
 
 def oracle_slice(generators, nvars, key, degree):

@@ -565,6 +565,58 @@ def test_quotient_dimension_mismatch_is_a_failed_check(monkeypatch, capsys, shif
         assert "table count" in err["error"]
 
 
+def test_line_sums_leading_off_the_first_row_and_column_is_a_failed_check(
+    monkeypatch, capsys
+):
+    # the quotient is built on the block of rows 2..k and columns 2..p, which
+    # needs the line sums to lead at the first row and column; an order with
+    # the last cell first leads them at the last row and column, and the
+    # model's own check fails instead of a wrong basis or a crash
+    from ctring.polys import Grid
+
+    def last_cell_first(grid):
+        return tuple((v,) for v in reversed(range(grid.nvars)))
+
+    monkeypatch.setattr(Grid, "diagonal_order", last_cell_first)
+    for command in ("verify", "standard-basis", "lefschetz"):
+        status, out, err = run_failing(
+            capsys, [command, "--alpha", "3,2", "--beta", "2,2,1"]
+        )
+        assert status == 1 and out == ""
+        assert "(1, 3), (2, 1), (2, 2), (2, 3)" in err["error"]
+        assert "not the first row and column" in err["error"]
+    # one row is all first row, under any order
+    status, out = run_cli(capsys, ["verify", "--alpha", "5", "--beta", "2,3"])
+    assert status == 0 and json.loads(out)["dimension_match"]
+
+
+# stdout of margins whose block is empty (one row or one column), whose first
+# part is 0, or whose n is 0, as the quotient on the whole grid gave it
+EDGE_OUTPUTS = {
+    "standard-basis --alpha 5 --beta 2,3": '{"alpha": [5], "beta": [2, 3], "dimension": "1", "hilbert": ["1"], "standard_monomials": [{"cols": 2, "entries": [[0, 0]], "rows": 1}]}',
+    "verify --alpha 5 --beta 2,3": '{"dimension": 1, "dimension_match": true, "lifts_vanish": true, "standard_equals_matrix_ball": true, "tables": 1}',
+    "lefschetz --alpha 5 --beta 2,3": '{"alpha": [5], "beta": [2, 3], "maps": [{"dim_source": 1, "dim_target": 1, "injective": true, "k": 0, "power": 0, "rank": 1}], "min_zigzag": 5, "violations": []}',
+    "standard-basis --alpha 2,3 --beta 5": '{"alpha": [2, 3], "beta": [5], "dimension": "1", "hilbert": ["1"], "standard_monomials": [{"cols": 1, "entries": [[0], [0]], "rows": 2}]}',
+    "verify --alpha 2,3 --beta 5": '{"dimension": 1, "dimension_match": true, "lifts_vanish": true, "standard_equals_matrix_ball": true, "tables": 1}',
+    "lefschetz --alpha 2,3 --beta 5": '{"alpha": [2, 3], "beta": [5], "maps": [{"dim_source": 1, "dim_target": 1, "injective": true, "k": 0, "power": 0, "rank": 1}], "min_zigzag": 5, "violations": []}',
+    "standard-basis --alpha 0,2,1 --beta 1,2": '{"alpha": [0, 2, 1], "beta": [1, 2], "dimension": "2", "hilbert": ["1", "1"], "standard_monomials": [{"cols": 2, "entries": [[0, 0], [0, 0], [0, 0]], "rows": 3}, {"cols": 2, "entries": [[0, 0], [0, 0], [0, 1]], "rows": 3}]}',
+    "verify --alpha 0,2,1 --beta 1,2": '{"dimension": 2, "dimension_match": true, "lifts_vanish": true, "standard_equals_matrix_ball": true, "tables": 2}',
+    "lefschetz --alpha 0,2,1 --beta 1,2": '{"alpha": [0, 2, 1], "beta": [1, 2], "maps": [{"dim_source": 1, "dim_target": 1, "injective": true, "k": 0, "power": 1, "rank": 1}], "min_zigzag": 2, "violations": []}',
+    "standard-basis --alpha 2,1 --beta 0,3": '{"alpha": [2, 1], "beta": [0, 3], "dimension": "1", "hilbert": ["1"], "standard_monomials": [{"cols": 2, "entries": [[0, 0], [0, 0]], "rows": 2}]}',
+    "verify --alpha 2,1 --beta 0,3": '{"dimension": 1, "dimension_match": true, "lifts_vanish": true, "standard_equals_matrix_ball": true, "tables": 1}',
+    "lefschetz --alpha 2,1 --beta 0,3": '{"alpha": [2, 1], "beta": [0, 3], "maps": [{"dim_source": 1, "dim_target": 1, "injective": true, "k": 0, "power": 0, "rank": 1}], "min_zigzag": 3, "violations": []}',
+    "standard-basis --alpha 0,0 --beta 0,0": '{"alpha": [0, 0], "beta": [0, 0], "dimension": "1", "hilbert": ["1"], "standard_monomials": [{"cols": 2, "entries": [[0, 0], [0, 0]], "rows": 2}]}',
+    "verify --alpha 0,0 --beta 0,0": '{"dimension": 1, "dimension_match": true, "lifts_vanish": true, "standard_equals_matrix_ball": true, "tables": 1}',
+    "lefschetz --alpha 0,0 --beta 0,0": '{"alpha": [0, 0], "beta": [0, 0], "maps": [{"dim_source": 1, "dim_target": 1, "injective": true, "k": 0, "power": 0, "rank": 1}], "min_zigzag": 0, "violations": []}',
+}
+
+
+@pytest.mark.parametrize("command", EDGE_OUTPUTS)
+def test_edge_margins_print_what_the_whole_grid_gave(capsys, command):
+    status, out = run_cli(capsys, command.split())
+    assert status == 0 and out == EDGE_OUTPUTS[command] + "\n"
+
+
 def test_hilbert_routes_disagreeing_is_a_failed_check(monkeypatch, capsys):
     # a route one off in degree 0: --method all exits 1 and reports every
     # route's series under its name

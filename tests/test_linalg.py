@@ -5,18 +5,19 @@ from fractions import Fraction
 
 import pytest
 
+import ctring.linalg
 from oracles import (
     RrefIdeal,
-    col_support,
+    block_presentation,
     column_diagonal_order,
     column_margin_ideal,
     diagonal_key,
     divisibility_clean_monomials,
     fraction_rref,
-    full_slice_rows,
+    margin_ideal,
     oracle_slice,
-    row_support,
     strict_compositions,
+    unskipped_slice_rows,
 )
 from ctring.linalg import (
     HomogeneousIdeal,
@@ -26,14 +27,15 @@ from ctring.linalg import (
     linear_form,
     position_echelon,
 )
-from ctring.onerow import one_row_generators, one_row_ideal
+from ctring.onerow import one_row_generators, one_row_ideal, one_row_standard_monomials
 from ctring.partitions import bounded_compositions, weak_compositions_upto
 from ctring.polys import Grid, Poly
-from ctring.quotient import contingency_generators, margin_ideal
+from ctring.quotient import QuotientModel, contingency_generators
 
 
 def _margin(alpha, beta):
-    """The generator list of the margin ideal and the ideal built from caps."""
+    """The generator list of the margin ideal and the oracle's ideal on the
+    whole grid, its line sums as powers and its margins as caps."""
     grid, gens = contingency_generators(alpha, beta)
     return grid, gens, margin_ideal(alpha, beta)
 
@@ -72,15 +74,19 @@ def test_clean_monomials_cannot_be_changed_by_callers():
     assert [len(ideal.standard_monomials(d)) for d in range(4)] == [1, 1, 0, 0]
 
 
-def test_bad_sums_and_caps_rejected():
+def test_bad_powers_and_caps_rejected():
     with pytest.raises(ValueError):
         HomogeneousIdeal(2, None, caps=[((0,), -1)])
     with pytest.raises(ValueError):
         HomogeneousIdeal(2, None, caps=[((2,), 1)])
     with pytest.raises(ValueError):
-        HomogeneousIdeal(2, None, sums=[(0, 2)])
+        HomogeneousIdeal(2, None, powers=[([(0, 2)], 1)])
     with pytest.raises(ValueError):
-        HomogeneousIdeal(2, None, sums=[(-1,)])
+        HomogeneousIdeal(2, None, powers=[([(-1,)], 1)])
+    # the exponent of a power is at least 1, on any lines
+    for lines in ([(0, 1)], [(0,), (1,)], []):
+        with pytest.raises(ValueError, match="exponent"):
+            HomogeneousIdeal(2, None, powers=[(lines, 0)])
     # an order needs a singleton support on every variable to be total
     with pytest.raises(ValueError):
         HomogeneousIdeal(3, [(0, 1, 2), (0,), (1,)])
@@ -91,20 +97,29 @@ def test_bad_sums_and_caps_rejected():
     )
 
 
-def test_sums_contract():
-    # a one-variable sum is the cap 0 on that variable, and supports holding
-    # the same variables, in any order or repeated, are one sum
-    plain = HomogeneousIdeal(3, None, [(0, 1)], [((2,), 0)])
-    single = HomogeneousIdeal(3, None, [(0, 1), (2,)])
-    listed = HomogeneousIdeal(3, None, [(0, 1), (1, 0), (0, 0, 1), (2,), (2,)])
-    assert single.caps == listed.caps == plain.caps
-    assert single.sums == listed.sums == plain.sums == [(0, 1)]
+def test_powers_contract():
+    # a power on one variable is the cap 0 on it, and on single variables
+    # the cap e - 1 on their union; lines holding the same variables, in any
+    # order or repeated, are one line, and an empty line, the sum 0, is none
+    plain = HomogeneousIdeal(3, None, [([(0, 1)], 1)], [((2,), 0)])
+    single = HomogeneousIdeal(3, None, [([(0, 1)], 1), ([(2,)], 1)])
+    listed = HomogeneousIdeal(
+        3, None, [([(0, 1), (1, 0), (0, 0, 1), ()], 1), ([(2,), (2,)], 1), ([()], 4)]
+    )
+    assert single.caps == listed.caps == plain.caps == (((2,), 0),)
     for d in range(4):
         expected = plain.slice(d)
         for ideal in (single, listed):
             basis = ideal.slice(d)
             assert (basis.columns, basis.rows) == (expected.columns, expected.rows)
     assert plain.standard_monomials(2) == ((0, 2, 0),)
+    # (x0, x1)^2 is every monomial of degree 2 on x0 and x1: the cap 1
+    square = HomogeneousIdeal(3, None, [([(0,), (1,)], 2)])
+    assert square.caps == (((0, 1), 1),)
+    assert square.clean_monomials(2) == ((1, 0, 1), (0, 1, 1), (0, 0, 2))
+    # no power and no cap: nothing lies in the ideal
+    free = HomogeneousIdeal(2, None, [([(), ()], 3)])
+    assert free.caps == () and free.standard_monomials(3) == tuple(bounded_exponents(2, 3))
 
 
 def test_caps_match_divisibility_on_margin_ideals():
@@ -126,39 +141,80 @@ def test_caps_match_divisibility_on_margin_ideals():
 
 
 def test_caps_match_divisibility_on_one_row_ideals():
+    # one_row_ideal lives on x_2..x_n: its pure powers x_i^(d_i + 1), and on
+    # a single variable x_2 the power x_2^(d_1 + 1) of the sum as well
     specs = [b for total in range(1, 9) for b in strict_compositions(total)]
     specs += [(0,), (0, 0), (1, 0, 2), (0, 3)]
     for bounds in specs:
-        n = len(bounds)
+        n = len(bounds) - 1
         ideal = one_row_ideal(bounds)
-        monos = _monomials(one_row_generators(bounds))
+        monos = [next(iter(Poly.variable(n, i, d + 1).terms)) for i, d in enumerate(bounds[1:])]
+        if n == 1:
+            monos.append((bounds[0] + 1,))
         for d in range(sum(bounds) + 2):
-            assert list(ideal.clean_monomials(d)) == divisibility_clean_monomials(
-                monos, n, d
-            ), (bounds, d)
+            if n:
+                expected = divisibility_clean_monomials(monos, n, d)
+            else:
+                expected = [()] if d == 0 else []
+            assert list(ideal.clean_monomials(d)) == expected, (bounds, d)
 
 
-# cap systems that are neither margin nor one-row ideals: (nvars, sums, caps)
+def _sum(support):
+    return [([support], 1)]
+
+
+# cap systems that are neither margin nor one-row ideals: (nvars, powers, caps)
 CAP_SYSTEMS = {
-    "uncapped variable": (4, [(0, 1, 2, 3)], [((0, 1), 2), ((1, 2), 1)]),
-    "cap of 0": (4, [(0, 3), (1, 2)], [((0, 1, 2), 3), ((2, 3), 0)]),
+    "uncapped variable": (4, _sum((0, 1, 2, 3)), [((0, 1), 2), ((1, 2), 1)]),
+    "cap of 0": (4, _sum((0, 3)) + _sum((1, 2)), [((0, 1, 2), 3), ((2, 3), 0)]),
     "overlapping supports": (
         5,
-        [(0, 1, 2), (2, 3, 4), (0, 4)],
+        _sum((0, 1, 2)) + _sum((2, 3, 4)) + _sum((0, 4)),
         [((0, 2, 4), 2), ((1, 2, 3), 3), ((0, 3), 1), ((1, 4), 2)],
     ),
     # (0, 1) and (1, 0) are two caps on one support; (2, 2, 3) repeats 2
-    "repeated support": (4, [(1, 2)], [((0, 1), 3), ((1, 0), 2), ((0, 1), 4), ((2, 2, 3), 1)]),
-    "no caps": (3, [(0, 1)], []),
+    "repeated support": (4, _sum((1, 2)), [((0, 1), 3), ((1, 0), 2), ((0, 1), 4), ((2, 2, 3), 1)]),
+    "no caps": (3, _sum((0, 1)), []),
+    # powers: multinomial coefficients, products of overlapping lines, two
+    # powers of one degree and of two, and the skip of the rows whose factor
+    # a lead of an earlier line divides
+    "cube of one line": (3, [([(0, 1, 2)], 3)], [((0,), 2), ((1, 2), 3)]),
+    "square of overlapping lines": (
+        5,
+        [([(0, 1, 2), (2, 3, 4), (0, 4)], 2)],
+        [((0, 2, 4), 3), ((1, 2, 3), 3)],
+    ),
+    "two powers": (
+        4,
+        [([(0, 1), (2, 3)], 2), ([(0, 2), (1, 3)], 1)],
+        [((0, 1, 2, 3), 4)],
+    ),
+    "block of a 3 x 3 grid": (
+        4,
+        [([(0, 2), (1, 3)], 2), ([(0, 1), (2, 3)], 3)],
+        [((0, 1), 2), ((2, 3), 1), ((0, 2), 2), ((1, 3), 2)],
+    ),
 }
+
+
+def _power_generators(nvars, powers):
+    """Every product of e of the line sums of each power, multiplied out."""
+    gens = []
+    for lines, e in powers:
+        for picked in itertools.combinations_with_replacement(lines, e):
+            product = Poly.monomial((0,) * nvars)
+            for line in picked:
+                product = product * linear_form(nvars, line)
+            gens.append(product)
+    return gens
 
 
 @pytest.mark.parametrize("name", CAP_SYSTEMS)
 def test_caps_match_divisibility_beyond_margins(name):
     # every clean monomial is made once, in the divisibility filter's order,
     # and every slice has the oracle's pivots and standard monomials
-    nvars, sums, caps = CAP_SYSTEMS[name]
-    ideal = HomogeneousIdeal(nvars, None, sums, caps)
+    nvars, powers, caps = CAP_SYSTEMS[name]
+    ideal = HomogeneousIdeal(nvars, None, powers, caps)
     monos = []
     for support, cap in caps:
         support = sorted(set(support))
@@ -167,8 +223,7 @@ def test_caps_match_divisibility_beyond_margins(name):
             for v, e in zip(support, exps):
                 full[v] = e
             monos.append(tuple(full))
-    gens = [linear_form(nvars, support) for support in sums]
-    gens += [Poly.monomial(m) for m in monos]
+    gens = _power_generators(nvars, powers) + [Poly.monomial(m) for m in monos]
     for d in range(7):
         clean = ideal.clean_monomials(d)
         assert len(set(clean)) == len(clean), d
@@ -177,12 +232,13 @@ def test_caps_match_divisibility_beyond_margins(name):
         basis = ideal.slice(d)
         assert [basis.columns[p] for p in basis.rows] == pivots, d
         assert list(ideal.standard_monomials(d)) == standard, d
+    _assert_slices_unskipped(ideal, powers, None, 6)
 
 
 def test_ideals_of_one_shape_keep_their_own_caps():
     # the set-up an ideal's shape fixes is shared between ideals, the cap
     # values are not: two margin ideals on one grid with different margins,
-    # and a one-variable sum beside a cap on that variable, in either order,
+    # and a sum on one variable beside a cap on that variable, in either order,
     # each slice as the generator lists give it
     grid = Grid(2, 3)
     key = diagonal_key(grid)
@@ -196,7 +252,8 @@ def test_ideals_of_one_shape_keep_their_own_caps():
             ), (alpha, beta, d)
     for cap in (2, 0, 1):
         for sums in ([(0, 1), (2,)], [(2,), (0, 1)]):
-            ideal = HomogeneousIdeal(3, None, sums, [((2,), cap), ((0, 2), 2)])
+            powers = [([support], 1) for support in sums]
+            ideal = HomogeneousIdeal(3, None, powers, [((2,), cap), ((0, 2), 2)])
             gens = [linear_form(3, support) for support in sums]
             gens += [Poly.monomial((0, 0, cap + 1))]
             gens += [Poly.monomial((a, 0, 3 - a)) for a in range(4)]
@@ -212,7 +269,7 @@ def test_ideals_of_one_shape_keep_their_own_caps():
 def test_negative_degrees_are_empty(nvars):
     for ideal in (
         HomogeneousIdeal(nvars, None),
-        HomogeneousIdeal(nvars, None, [tuple(range(nvars))], [(tuple(range(nvars)), 2)]),
+        HomogeneousIdeal(nvars, None, [([tuple(range(nvars))], 2)], [(tuple(range(nvars)), 2)]),
     ):
         for d in (-1, -2):
             assert ideal.clean_monomials(d) == ()
@@ -224,13 +281,44 @@ def test_negative_degrees_are_empty(nvars):
 
 def test_degrees_past_the_last_clean_one_are_empty():
     # once a degree has no clean monomial, no higher degree is enumerated
-    ideal = HomogeneousIdeal(3, None, [(0, 1, 2)], [((0, 1, 2), 2)])
+    ideal = HomogeneousIdeal(3, None, [([(0, 1, 2)], 1)], [((0, 1, 2), 2)])
     assert ideal.clean_monomials(40) == ()
     assert len(ideal._clean) == 4  # degrees 0..3, the last one empty
     for d in (3, 4, 10**9):
         assert ideal.clean_monomials(d) == ()
         assert ideal.slice(d).columns == ideal.standard_monomials(d) == ()
     assert ideal.normal_form(Poly.monomial((0, 10**9, 0))) == Poly(3)
+
+
+def test_powers_are_expanded_only_up_to_the_last_clean_degree(monkeypatch):
+    # a power of exponent e is multiplied out only by a slice of degree at
+    # least e that has a column, and then into its clean terms only, so a
+    # power above the last clean degree costs nothing: on (10,1,1)/(1^12) the
+    # column power (C_2, ..., C_12)^11 has C(21, 11) products of two-cell
+    # lines, and on the one-row bounds (20, 1^10) the power
+    # (x_2 + ... + x_11)^21 has C(30, 9) terms, while no clean degree is
+    # above 2 and 10
+    built = []
+    products = ctring.linalg._products
+
+    def record(lines, e, leads, caps):
+        out = products(lines, e, leads, caps)
+        built.append((len(lines), e, sum(len(terms) for terms, _ in out)))
+        return out
+
+    monkeypatch.setattr(ctring.linalg, "_products", record)
+    model = QuotientModel((10, 1, 1), (1,) * 12)
+    assert model.hilbert == (1, 22, 109) and model.size == 132
+    assert [e for _, e, _ in built] == [2]  # the row power (R_2, R_3)^2
+    built.clear()
+    std = one_row_standard_monomials((20,) + (1,) * 10)
+    assert [len(std[d]) for d in sorted(std)] == [math.comb(10, d) for d in range(11)]
+    assert built == []
+    # (x_2 + ... + x_11)^10 meets the last clean degree, 10, in one clean
+    # term, x_2 * ... * x_11, the only one multiplied out
+    ideal = one_row_ideal((9,) + (1,) * 10)
+    assert ideal.standard_monomials(10) == ()
+    assert built == [(1, 10, 1)]
 
 
 def _random_rows(rng):
@@ -279,56 +367,86 @@ def test_slices_match_oracle():
             basis = ideal.slice(d)
             assert [basis.columns[p] for p in basis.rows] == pivots
             assert list(ideal.standard_monomials(d)) == standard
-    for bounds in [(1, 2, 1), (2, 2), (3,), (1, 1, 1, 1)]:
+    # the one-row ideal on x_2..x_n against its generators there, and its
+    # standard monomials with x_1 = 0 against those of the whole row
+    for bounds in [(1, 2, 1), (2, 2), (3,), (1, 1, 1, 1), (2, 1, 2, 1)]:
         ideal = one_row_ideal(bounds)
-        gens = one_row_generators(bounds)
+        n = len(bounds) - 1
+        gens = [Poly.variable(n, i, d + 1) for i, d in enumerate(bounds[1:])]
+        gens += _power_generators(n, [([tuple(range(n))], bounds[0] + 1)])
         for d in range(sum(bounds) + 2):
-            pivots, standard = oracle_slice(gens, len(bounds), None, d)
             basis = ideal.slice(d)
-            assert [basis.columns[p] for p in basis.rows] == pivots
-            assert list(ideal.standard_monomials(d)) == standard
+            standard = list(ideal.standard_monomials(d))
+            if n:
+                pivots, expected = oracle_slice(gens, n, None, d)
+                assert [basis.columns[p] for p in basis.rows] == pivots
+                assert standard == expected
+            whole = oracle_slice(one_row_generators(bounds), n + 1, None, d)[1]
+            assert [(0,) + m for m in standard] == whole
 
 
-def _assert_slices_unpruned(ideal, key, top):
+def _assert_slices_unskipped(ideal, powers, key, top):
+    """Every slice up to top has the columns, the pivots and the row space of
+    the unskipped rows of the presentation; returns how many nonempty rows
+    those are, summed over the slices."""
+    full_rows = 0
     for d in range(top + 1):
         basis = ideal.slice(d)
-        columns, rows = full_slice_rows(ideal, key, d)
+        columns, rows = unskipped_slice_rows(ideal, powers, key, d)
         full = position_echelon(rows)
-        assert list(basis.columns) == columns
+        assert list(basis.columns) == columns, d
         assert list(basis.rows) == sorted(full), d
         assert fraction_rref(list(basis.rows.values())) == fraction_rref(
             list(full.values())
         ), d
+        full_rows += sum(map(bool, rows))
+    return full_rows
 
 
-def _columns_first(alpha, beta):
-    """The margin ideal with its line sums listed columns first, which makes
-    the degree-1 slice drop a different dependent sum and record different
-    leads than margin_ideal."""
-    grid = Grid(len(alpha), len(beta))
-    lines = [col_support(grid, j) for j in range(1, grid.p + 1)]
-    lines += [row_support(grid, i) for i in range(1, grid.k + 1)]
-    caps = zip(lines, tuple(beta) + tuple(alpha))
-    return HomogeneousIdeal(grid.nvars, grid.diagonal_order(), lines, caps)
+def test_skipped_rows_keep_every_slice(monkeypatch):
+    # the slices skip a product's row when a lead of a line before its last
+    # divides the factor; the rows left have the pivots and the row space of
+    # every product times every clean factor, on the block ideal of every
+    # margin pair with n <= 5 and lengths <= 3 and of four pairs with longer
+    # margins, which the model builds as block_presentation states it, and on
+    # the one-row ideals, where one line leaves nothing to skip
+    kept = []
+    echelon = ctring.linalg.position_echelon
 
+    def counted(rows, done=None):
+        rows = list(rows)
+        kept.append(sum(map(bool, rows)))
+        return echelon(rows, done)
 
-def test_koszul_skipping_keeps_every_slice():
-    # the slices that skip Koszul rows have the pivots and the row space of
-    # every sum times every clean factor, whichever order the sums come in
-    pairs = 0
-    for n in range(6):
-        comps = weak_compositions_upto(n, 3)
-        for alpha in comps:
-            for beta in comps:
-                grid, _, ideal = _margin(alpha, beta)
-                key = diagonal_key(grid)
-                _assert_slices_unpruned(ideal, key, n + 1)
-                if n <= 4:
-                    _assert_slices_unpruned(_columns_first(alpha, beta), key, n + 1)
-                pairs += 1
-    assert pairs > 1000
-    grid, _, ideal = _margin((1,) * 5, (1,) * 5)
-    _assert_slices_unpruned(ideal, diagonal_key(grid), 6)
+    monkeypatch.setattr(ctring.linalg, "position_echelon", counted)
+    pairs = [
+        (alpha, beta)
+        for n in range(6)
+        for alpha in weak_compositions_upto(n, 3)
+        for beta in weak_compositions_upto(n, 3)
+        if sum(alpha) == sum(beta)
+    ]
+    pairs += [((1,) * 5, (1,) * 5), ((2, 1, 1, 1), (1,) * 5), ((1,) * 5, (2, 1, 1, 1))]
+    pairs += [((3, 1, 1, 1), (2, 1, 1, 1, 1))]
+    full = 0
+    for alpha, beta in pairs:
+        nvars, order, powers, caps = block_presentation(alpha, beta)
+        ideal = QuotientModel(alpha, beta).ideal
+        block = Grid(len(alpha) - 1, len(beta) - 1) if nvars else None
+        key = diagonal_key(block) if block else None
+        kept.clear()
+        for d in range(sum(alpha) + 2):
+            ideal.slice(d)
+        library = sum(kept)
+        reference = HomogeneousIdeal(nvars, order, powers, caps)
+        for d in range(sum(alpha) + 2):
+            assert reference.slice(d).columns == ideal.slice(d).columns, (alpha, beta)
+        full += _assert_slices_unskipped(ideal, powers, key, sum(alpha) + 1) - library
+    assert len(pairs) > 1500 and full > 1000  # rows were skipped
+    for bounds in [b for total in range(1, 8) for b in strict_compositions(total)]:
+        n = len(bounds) - 1
+        powers = [([tuple(range(n))], bounds[0] + 1)] if n else []
+        _assert_slices_unskipped(one_row_ideal(bounds), powers, None, sum(bounds) + 1)
 
 
 def _assert_columns_sorted(ideal, key, top):
@@ -341,7 +459,8 @@ def test_packed_order_sorts_every_slice():
     # the columns, sorted on packed integer keys, against the sort by the
     # oracle's tuple key: every slice of every margin pair with n <= 5 and
     # lengths <= 3 under the library's diagonal order and the column-ranked
-    # one, and of the one-row ideals under lex
+    # one, of its block ideal under the diagonal order of the block, and of
+    # the one-row ideals under lex
     pairs = 0
     for n in range(6):
         comps = weak_compositions_upto(n, 3)
@@ -353,6 +472,9 @@ def test_packed_order_sorts_every_slice():
                     ("column", column_margin_ideal(alpha, beta)),
                 ):
                     _assert_columns_sorted(ideal, diagonal_key(grid, tiebreak), n + 1)
+                if min(grid.k, grid.p) > 1:
+                    block = diagonal_key(Grid(grid.k - 1, grid.p - 1))
+                    _assert_columns_sorted(QuotientModel(alpha, beta).ideal, block, n + 1)
                 pairs += 1
     assert pairs > 1000
     for bounds in [b for total in range(1, 9) for b in strict_compositions(total)]:
@@ -371,7 +493,7 @@ def test_packed_order_sorts_every_slice():
 
 def test_simple_ideal_slice():
     # (x1 + x2) in two variables: degree-1 leading {x1}, standard {x2}
-    ideal = HomogeneousIdeal(2, None, [(0, 1)])
+    ideal = HomogeneousIdeal(2, None, [([(0, 1)], 1)])
     basis = ideal.slice(1)
     assert [basis.columns[p] for p in basis.rows] == [(1, 0)]
     assert basis.standard == ((0, 1),)

@@ -10,7 +10,6 @@ from ctring.onerow import (
     dimension_counts,
     one_row_generators,
     one_row_hilbert,
-    one_row_ideal,
     one_row_standard_monomials,
     run_saturation,
     saturation_successor,
@@ -195,10 +194,11 @@ def test_violating_monomials_lie_in_initial_ideal():
     # the ideal leading at it
     for bounds in [(1, 2, 1), (2, 2), (2, 1, 2)]:
         n = len(bounds)
-        ideal = one_row_ideal(bounds)
+        std = one_row_standard_monomials(bounds)
         half = sum(bounds) // 2
         for degree in range(half + 2):
-            standard = set(ideal.standard_monomials(degree))
+            standard = set(std.get(degree, ()))
+            assert all(len(m) == n for m in standard)
             for exps in weak_compositions(degree, n):
                 violating = any(
                     2 * sum(exps[:i]) + exps[i] > sum(bounds[:i]) for i in range(n)
@@ -236,8 +236,8 @@ def test_nonterminating_walk_is_a_failed_check(monkeypatch):
     # without its caps, or as the zero ideal, the quotient has standard
     # monomials in every degree
     for ideal in (
-        lambda bounds: HomogeneousIdeal(len(bounds), None, [tuple(range(len(bounds)))]),
-        lambda bounds: HomogeneousIdeal(len(bounds), None),
+        lambda bounds: HomogeneousIdeal(2, None, [([(0, 1)], bounds[0] + 1)]),
+        lambda bounds: HomogeneousIdeal(2, None),
     ):
         monkeypatch.setattr(ctring.onerow, "one_row_ideal", ideal)
         with pytest.raises(CheckFailed, match="terminate"):

@@ -208,10 +208,12 @@ def test_new_memos_are_lru_caches():
         for module, name in _decorated_memos()
     }
     assert ("ctring.linalg", "_layout") in memos and ("ctring.quotient", "_lifts") in memos
+    assert ("ctring.linalg", "_products") in memos
     for memo in memos.values():  # what other tests filled does not count
         memo.cache_clear()
     cli.build_parser()
     experiments.sweep_record((2, 1), (1, 2))
+    experiments.sweep_record((1, 1, 1), (1, 1, 1))  # a power of two-cell lines
     series.hilbert_kostka((3, 1), (2, 2))
     psi.kronecker_dominance(
         *[psi.graded_decomposition((2, 1), (2, 1))[1]] * 2, psi.pair_group((2, 1), (2, 1))

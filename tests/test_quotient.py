@@ -7,6 +7,8 @@ from oracles import (
     col_support,
     column_margin_ideal,
     diagonal_key,
+    full_lefschetz_ranks,
+    margin_ideal,
     nf_lefschetz_report,
     oracle_slice,
     row_support,
@@ -24,7 +26,6 @@ from ctring.quotient import (
     hilbert_series_zigzag,
     lefschetz_element,
     lefschetz_report,
-    margin_ideal,
     rowsum_ideal_generators,
     verify_associated_graded,
 )
@@ -208,11 +209,13 @@ def test_verify_associated_graded():
 
 def test_shared_slices_are_read_only():
     # slices are cached and shared: a caller cannot change what the next
-    # caller reads, such as the ranks of the Lefschetz report
-    model = QuotientModel((2, 2), (2, 2))
+    # caller reads, such as the ranks of the Lefschetz report, which reduces
+    # against the one row of the block slice of degree 2
+    model = QuotientModel((1, 1, 1), (1, 1, 1))
     ranks = [entry["rank"] for entry in lefschetz_report(model)]
-    assert ranks == [1, 1]
+    assert ranks == [1, 4]
     basis = model.ideal.slice(2)
+    assert len(basis.rows) == 1
     with pytest.raises((AttributeError, TypeError)):
         basis.position.clear()
     with pytest.raises(TypeError):
@@ -304,7 +307,7 @@ def test_row_polarization_preserves_rowsum_ideal():
     ideal = HomogeneousIdeal(
         grid.nvars,
         grid.diagonal_order(),
-        [row_support(grid, i) for i in range(1, k + 1)],
+        [([row_support(grid, i)], 1) for i in range(1, k + 1)],
         [(col_support(grid, j), b) for j, b in enumerate(beta, start=1)],
     )
     for d in range(1, 4):
@@ -319,6 +322,31 @@ def test_row_polarization_preserves_rowsum_ideal():
                         continue
                     image = polarize_row(poly, grid, source, dest)
                     assert not ideal.normal_form(image)
+
+
+def test_block_model_matches_full_ring_oracle():
+    # the model on the block against the margin ideal on the whole grid, its
+    # line sums as powers and nothing substituted: the Hilbert series, the
+    # standard monomials (lifted with a zero first row and column) and the
+    # Lefschetz ranks by normal forms there, on every pair with n <= 5 and
+    # lengths <= 3
+    pairs = 0
+    for n in range(6):
+        comps = weak_compositions_upto(n, 3)
+        for alpha in comps:
+            for beta in comps:
+                model = QuotientModel(alpha, beta)
+                ideal = margin_ideal(alpha, beta)
+                standard = [ideal.standard_monomials(d) for d in range(n + 2)]
+                while not standard[-1]:
+                    standard.pop()
+                assert list(model.hilbert) == list(map(len, standard)), (alpha, beta)
+                assert set(model.standard) == {m for std in standard for m in std}
+                assert len(model.standard) == model.size
+                ranks = [entry["rank"] for entry in lefschetz_report(model)]
+                assert ranks == full_lefschetz_ranks(alpha, beta), (alpha, beta)
+                pairs += 1
+    assert pairs > 1500
 
 
 def test_nonconvergence_guard():
