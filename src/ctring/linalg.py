@@ -14,13 +14,16 @@ sort.  What the shape of a presentation fixes (the variable count, the order,
 the powers and the cap supports) is validated and laid out once, in a
 module-level memo: the lines of each power and their leads, the cap lines,
 their bitmasks and, per variable, the exponent getters of the lines on it.
-An ideal binds only its cap values, read by line index.  The products of a
-power (lines, e) are multiplied out into their clean terms with their
-multinomial coefficients, a line at a time, each term extended only by the
-variables with room, as the clean monomials are.  They are memoized apart,
-per lines, e and caps (each clipped at e), and built by the first slice of
-degree at least e that has a column: a power above the last clean degree
-costs nothing, and the unclean terms of one below it are never made.
+An ideal binds only its cap values, read by line index.  Products are
+multiplied out one linear factor at a time by one step (times), which keeps
+only the terms that are clean monomials of the next degree, read from the
+clean monomials themselves: x_v * m is clean exactly when m is clean and v
+is one of its addable variables.  Every multiple of an unclean monomial is
+unclean, so the terms kept are the clean terms of the whole product.  The
+products of a power (lines, e), with their multinomial coefficients, are
+memoized on the ideal and built by the first slice of degree at least e
+that has a column: a power above the last clean degree costs nothing, and
+a product is multiplied out only as far as it keeps a clean term.
 
 The degree-d slice of the ideal, modulo unclean monomials, is spanned by the
 products of each power (lines, e) times the clean monomials of degree d - e.
@@ -113,18 +116,14 @@ def _eliminate(vec, p, prow):
     return a
 
 
-def position_echelon(rows, done=None):
+def position_echelon(rows):
     """Row echelon form over the integers of sparse integer rows keyed by
     column position, position 0 being the leading column.
 
     Returns {pivot position: row}, each row primitive (entries with gcd 1)
     with a positive pivot entry and no entries left of its pivot.  Forward
-    elimination only: a pivot row may still hold later pivot columns.  Given
-    `done`, an echelon of this form, the rows are reduced into it: new pivot
-    rows are added to `done`, which is returned, and its own rows are left
-    as they are."""
-    if done is None:
-        done = {}
+    elimination only: a pivot row may still hold later pivot columns."""
+    done = {}
     # trailing leads first: a row whose lead is not yet a pivot column becomes
     # a pivot row without reduction.  On margin ideals this order eliminates
     # about three times faster than the order the rows are generated in.
@@ -212,83 +211,13 @@ def _variables(mask) -> tuple:
     return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
-def _times(terms, line, touch) -> dict:
-    """Clean terms, as {exponents: (coefficient, room)}, times the sum of the
-    variables of the bitmask line, keeping the clean terms only.  The room
-    of a term is the bitmask of the variables whose caps all have room on
-    it, and touch[v] holds the (exponent getter, cap, ~bitmask) of each cap
-    on v, as in clean_monomials."""
-    step = {}
-    for exps, (c, room) in terms.items():
-        for v in _variables(room & line):
-            up = exps[:v] + (exps[v] + 1,) + exps[v + 1 :]
-            known = step.get(up)
-            if known is None:
-                left = room
-                for load, cap, off in touch[v]:
-                    if sum(load(up)) == cap:
-                        left &= off
-                step[up] = (c, left)
-            else:
-                step[up] = (known[0] + c, known[1])
-    return step
-
-
-@lru_cache(maxsize=1024)
-def _products(lines, e, leads, caps) -> tuple:
-    """Every product of e of the sums of the lines with a clean term, as
-    (its clean terms as (variables ascending, with multiplicity, multinomial
-    coefficient) pairs, the bitmask of the leads of the lines before its
-    last): the lines and leads of one power of a layout, and the ideal's
-    (support, cap) pairs.  Every multiple of an unclean term is unclean, so
-    the products are multiplied out a line at a time, each term extended
-    only by the variables with room, and a product with no clean term left
-    is dropped with all its extensions: a product is built only by a slice
-    of degree at least e with a column, and only as far as it can reach
-    one."""
-    width = max(map(max, lines)) + 1  # no other variable is multiplied in
-    touch = [[] for _ in range(width)]
-    room = (1 << width) - 1
-    for support, cap in caps:
-        inside = [v for v in support if v < width]
-        if not inside:
-            continue
-        mask = sum(1 << v for v in inside)
-        if not cap:
-            room &= ~mask
-        first = inside[0]  # a single variable's getter slices out its 1-tuple
-        load = itemgetter(*inside) if inside[1:] else itemgetter(slice(first, first + 1))
-        for v in inside:
-            touch[v].append((load, cap, ~mask))
-    masks = [sum(1 << v for v in line) for line in lines]
-    level = [((), {(0,) * width: (1, room)})]  # the products of t lines
-    for _ in range(e):
-        level = [
-            (picked + (i,), terms)
-            for picked, partial in level
-            for i in range(picked[-1] if picked else 0, len(lines))
-            for terms in (_times(partial, masks[i], touch),)
-            if terms
-        ]
-    return tuple(
-        (
-            tuple(
-                (tuple(v for v, a in enumerate(exps) for _ in range(a)), c)
-                for exps, (c, _) in terms.items()
-            ),
-            sum(set(leads[: picked[-1]])),
-        )
-        for picked, terms in level
-    )
-
-
 @lru_cache(maxsize=1024)
 def _layout(nvars, order, powers, supports) -> tuple:
     """The part of a HomogeneousIdeal that its shape fixes, whatever its cap
     values: ((e, lines, lead bitmasks) per power, lines, line of each cap,
     bitmask of each line, per variable the (exponent getter, line, ~bitmask)
     of each line on it, the values of the caps past those given).  The
-    products of a power are left to _products.
+    products of a power are left to HomogeneousIdeal._products.
 
     A power keeps its distinct nonempty lines, in order: an empty line sums
     to 0, so a power with no line left puts nothing into the ideal and is
@@ -396,6 +325,8 @@ class HomogeneousIdeal:
         self._addable = [[addable]]
         self._support = [[0]]
         self._last = [[0]]
+        self._addable_of = {}  # degree -> {clean monomial: addable variables}
+        self._products_of = {}  # (lines, e) -> the products of a power
         self._slices = {}
 
     def clean_monomials(self, degree):
@@ -430,6 +361,57 @@ class HomogeneousIdeal:
             self._support.append(supports)
             self._last.append(lasts)
         return clean[degree] if 0 <= degree < len(clean) else ()
+
+    def times(self, terms, form) -> dict:
+        """Homogeneous terms {exponents: coefficient} times the linear form
+        given as (variable, coefficient) pairs, keeping the terms that are
+        clean monomials of the next degree and whose coefficients do not
+        cancel.  A multiple x_v * m is clean exactly when m is clean and v
+        is one of m's addable variables (clean_monomials), so each term is
+        looked up once among the clean monomials of its degree, memoized
+        per degree with their addable variables, and only its clean
+        multiples are made.  Every multiple of an unclean monomial is
+        unclean, so a product of linear forms taken a factor at a time keeps
+        exactly the clean terms of the whole product."""
+        if not terms:
+            return {}
+        degree = sum(next(iter(terms)))
+        addable = self._addable_of.get(degree)
+        if addable is None:
+            clean = self.clean_monomials(degree)
+            addable = dict(zip(clean, self._addable[degree])) if clean else {}
+            self._addable_of[degree] = addable
+        step = {}
+        for exps, c in terms.items():
+            room = addable.get(exps, 0)
+            for v, a in form:
+                if room >> v & 1:
+                    up = exps[:v] + (exps[v] + 1,) + exps[v + 1 :]
+                    step[up] = step.get(up, 0) + c * a
+        return {m: c for m, c in step.items() if c}
+
+    def _products(self, e, lines, leads) -> list:
+        """Every product of e of the sums of the lines of a power with a
+        clean term, as (its clean terms, the bitmask of the leads of the
+        lines before its last), memoized.  The products are multiplied out
+        a line at a time (times), and one with no clean term left is dropped
+        with all its extensions, so a product goes only as far as it can
+        reach a clean monomial."""
+        products = self._products_of.get((lines, e))
+        if products is None:
+            forms = [[(v, 1) for v in line] for line in lines]
+            level = [((), {(0,) * self.nvars: 1})]  # the products of t lines
+            for _ in range(e):
+                level = [
+                    (picked + (i,), terms)
+                    for picked, partial in level
+                    for i in range(picked[-1] if picked else 0, len(lines))
+                    for terms in (self.times(partial, forms[i]),)
+                    if terms
+                ]
+            products = [(terms, sum(set(leads[: picked[-1]]))) for picked, terms in level]
+            self._products_of[lines, e] = products
+        return products
 
     def slice(self, degree) -> DegreeBasis:
         """The echelon basis of the degree, cached.  Each column's key is
@@ -468,11 +450,8 @@ class HomogeneousIdeal:
             if e > degree:
                 continue
             below = list(zip(keys_of(degree - e), self._support[degree - e]))
-            # a cap of e or more binds no term of a product of e lines, so
-            # it is passed as e, and ideals that differ only there share one
-            caps = tuple((support, min(cap, e)) for support, cap in self.caps)
-            for terms, skip in _products(lines, e, leads, caps):
-                offsets = [(sum(map(weights.__getitem__, vs)), c) for vs, c in terms]
+            for terms, skip in self._products(e, lines, leads):
+                offsets = [(sum(map(mul, weights, exps)), c) for exps, c in terms.items()]
                 for key, support in below:
                     if support & skip:
                         continue

@@ -33,17 +33,20 @@ def partitions(n: int) -> list:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return list(_partitions(n, n))
+    return list(bounded_partitions(n, n, n))
 
 
 @lru_cache(maxsize=None)
-def _partitions(n, cap):
+def bounded_partitions(n, largest, parts) -> tuple:
+    """The partitions of n with no part above `largest` and at most `parts`
+    parts, in reverse-lexicographic order, as a shared tuple.  The first
+    part is at least n / parts, so every branch of the recursion yields."""
     if n == 0:
         return ((),)
     return tuple(
         (first,) + rest
-        for first in range(cap, 0, -1)
-        for rest in _partitions(n - first, min(first, n - first))
+        for first in range(largest, (n - 1) // parts if parts else largest, -1)
+        for rest in bounded_partitions(n - first, min(first, n - first), min(parts - 1, n - first))
     )
 
 

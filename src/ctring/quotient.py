@@ -252,38 +252,34 @@ def lefschetz_report(model: QuotientModel) -> list:
     The form L is first mapped through the substitution onto the block
     (x_11 -> T, x_1j -> -C_j, x_i1 -> -R_i), which carries the quotient by
     the margin ideal isomorphically onto the quotient by the block ideal, so
-    the ranks are those of the block form on the block slices.  Each image
-    L^e m of a standard monomial m, restricted to the clean monomials of the
-    target degree, is reduced against the target slice's rows onto its
-    standard monomials (DegreeBasis.reduce: the normal form up to a scale),
-    and the rank of the map is the rank of those reduced images.
+    the ranks are those of the block form on the block slices.  Its powers
+    L^1..L^top are multiplied out once, a factor at a time, onto their clean
+    terms (HomogeneousIdeal.times): a term off the clean monomials lies in
+    the ideal with all its multiples.  Each image L^e m of a standard
+    monomial m, restricted to the clean monomials of the target degree, is
+    reduced against the target slice's rows onto its standard monomials
+    (DegreeBasis.reduce: the normal form up to a scale), and the rank of the
+    map is the rank of those reduced images.
     """
-    form = _block_form(lefschetz_element(model.alpha, model.beta), model.grid)
+    form = tuple(_block_form(lefschetz_element(model.alpha, model.beta), model.grid).items())
+    ideal = model.ideal
     top = model.top_degree
+    powers = [{(0,) * ideal.nvars: 1}]
+    for _ in range(top):
+        powers.append(ideal.times(powers[-1], form))
     out = []
     for k in range(0, top // 2 + 1):
         e = top - 2 * k
-        source = model.ideal.standard_monomials(k)
-        target = model.ideal.slice(top - k)
+        source = ideal.standard_monomials(k)
+        target = ideal.slice(top - k)
         # the packed key is linear, key(mono * term) = key(mono) + key(term),
-        # and injective up to the target degree, so L^e is built on keys; a
-        # term off the clean monomials lies in the ideal with its multiples
-        # and is dropped as each factor L is taken
-        terms = [(target.weights[v], c) for v, c in form.items()]
-        power = {0: 1}
-        for degree in range(1, e + 1):
-            clean = set(map(target.key, model.ideal.clean_monomials(degree)))
-            step = {}
-            for key, c in power.items():
-                for t, tc in terms:
-                    if key + t in clean:
-                        step[key + t] = step.get(key + t, 0) + c * tc
-            power = {key: c for key, c in step.items() if c}
+        # and injective up to the target degree
+        power = [(target.key(exps), c) for exps, c in powers[e].items()]
         images = []
         for mono in source:
             base = target.key(mono)
             image = {}
-            for key, c in power.items():
+            for key, c in power:
                 pos = target.position.get(base + key)
                 if pos is not None:
                     image[pos] = c

@@ -4,7 +4,7 @@ lattice-point series of transportation polytopes."""
 from functools import lru_cache
 from operator import mul
 
-from .partitions import kostka_column, partitions
+from .partitions import bounded_partitions, kostka_column
 from .tables import margins
 
 
@@ -12,8 +12,8 @@ def hilbert_kostka(alpha, beta, max_degree=None) -> list:
     """Coefficients of the quotient Hilbert series: the degree-d coefficient
     sums K(lam, alpha) * K(lam, beta) over partitions lam of n with
     lam_1 = n - d.  The full series is one dot product per degree of the two
-    Kostka columns; truncated to max_degree it is one join of the two columns
-    cut at that depth, which keeps n = 60 cheap."""
+    dense Kostka blocks (_degree_blocks); truncated to max_degree it is one
+    join of the two columns cut at that depth, which keeps n = 60 cheap."""
     alpha = tuple(alpha)
     beta = tuple(beta)
     n = sum(alpha)
@@ -36,17 +36,29 @@ def hilbert_kostka(alpha, beta, max_degree=None) -> list:
 @lru_cache(maxsize=None)
 def _degree_blocks(content) -> tuple:
     """The Kostka column of `content`, dense and split by degree: block d
-    holds K(lam, content) for the partitions lam with lam_1 = n - d, in
-    partitions() order, zeros included, so that a Hilbert coefficient is one
-    dot product of two blocks.  Trailing all-zero blocks are dropped."""
+    holds K(lam, content), zeros included, for the partitions lam of n with
+    lam_1 = n - d and at most l parts, l the number of nonzero parts of
+    content, ordered by their number of parts and then as in partitions().
+    K(lam, content) = 0 when lam has more parts than l or lam_1 is below the
+    largest part, so no block past degree n - max(content) is made.
+
+    The block of a content with fewer nonzero parts is a prefix of the
+    other's, so map(mul, a, b), which stops at the shorter block, is the
+    Hilbert coefficient of the pair, summed over the partitions with at most
+    min(l(alpha), l(beta)) parts.  A margin costs the partitions that can
+    carry a nonzero K, not p(n)."""
     n = sum(content)
+    if not n:
+        return ((1,),)
     column = kostka_column(content)
-    blocks = [[] for _ in range(n + 1)]
-    for lam in partitions(n):
-        blocks[n - lam[0] if lam else 0].append(column.get(lam, 0))
-    while len(blocks) > 1 and not any(blocks[-1]):
-        blocks.pop()
-    return tuple(map(tuple, blocks))
+    length = sum(map(bool, content))
+    return tuple(
+        tuple(
+            column.get((n - d,) + rest, 0)
+            for rest in sorted(bounded_partitions(d, min(d, n - d), length - 1), key=len)
+        )
+        for d in range(n - max(content) + 1)
+    )
 
 
 def log_concavity_violations(coeffs) -> list:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import ctring.linalg
+import ctring.quotient
 from oracles import (
     RrefIdeal,
     block_presentation,
@@ -30,7 +31,7 @@ from ctring.linalg import (
 from ctring.onerow import one_row_generators, one_row_ideal, one_row_standard_monomials
 from ctring.partitions import bounded_compositions, weak_compositions_upto
 from ctring.polys import Grid, Poly
-from ctring.quotient import QuotientModel, contingency_generators
+from ctring.quotient import QuotientModel, contingency_generators, lefschetz_report
 
 
 def _margin(alpha, beta):
@@ -299,14 +300,14 @@ def test_powers_are_expanded_only_up_to_the_last_clean_degree(monkeypatch):
     # (x_2 + ... + x_11)^21 has C(30, 9) terms, while no clean degree is
     # above 2 and 10
     built = []
-    products = ctring.linalg._products
+    products = HomogeneousIdeal._products
 
-    def record(lines, e, leads, caps):
-        out = products(lines, e, leads, caps)
+    def record(self, e, lines, leads):
+        out = products(self, e, lines, leads)
         built.append((len(lines), e, sum(len(terms) for terms, _ in out)))
         return out
 
-    monkeypatch.setattr(ctring.linalg, "_products", record)
+    monkeypatch.setattr(HomogeneousIdeal, "_products", record)
     model = QuotientModel((10, 1, 1), (1,) * 12)
     assert model.hilbert == (1, 22, 109) and model.size == 132
     assert [e for _, e, _ in built] == [2]  # the row power (R_2, R_3)^2
@@ -319,6 +320,80 @@ def test_powers_are_expanded_only_up_to_the_last_clean_degree(monkeypatch):
     ideal = one_row_ideal((9,) + (1,) * 10)
     assert ideal.standard_monomials(10) == ()
     assert built == [(1, 10, 1)]
+
+
+def test_times_is_poly_multiplication_restricted_to_clean_monomials():
+    # the one step that multiplies out a power's products and the Lefschetz
+    # powers: terms times a linear form, kept on the clean monomials of the
+    # next degree, with the coefficients that cancel dropped.  Random ideals
+    # with caps of 0, random terms, clean or not, and forms with mixed signs
+    # and repeated variables, against Poly multiplication
+    rng = random.Random(27)
+    cancelled = 0
+    for _ in range(300):
+        nvars = rng.randint(1, 4)
+        caps = [
+            (rng.sample(range(nvars), rng.randint(1, nvars)), rng.randint(0, 3))
+            for _ in range(rng.randint(0, 3))
+        ]
+        ideal = HomogeneousIdeal(nvars, None, caps=caps)
+        for d in range(4):
+            clean = set(ideal.clean_monomials(d + 1))
+            every = bounded_exponents(nvars, d)
+            terms = {m: rng.choice((-2, -1, 1, 3)) for m in rng.sample(every, min(4, len(every)))}
+            form = [(rng.randrange(nvars), rng.randint(-2, 2)) for _ in range(rng.randint(1, 3))]
+            linear = Poly(nvars)
+            for v, a in form:
+                linear = linear + a * Poly.variable(nvars, v)
+            product = (Poly(nvars, terms) * linear).terms
+            expected = {m: c for m, c in product.items() if m in clean}
+            got = ideal.times(terms, form)
+            assert got == expected, (caps, terms, form)
+            assert all(got.values())
+            reached = {e[:v] + (e[v] + 1,) + e[v + 1 :] for e in terms for v, a in form if a}
+            cancelled += len(got) < len(reached & clean)
+    assert cancelled  # some products lost a clean term to cancellation
+
+
+def test_times_drops_the_terms_that_cancel():
+    # (x0 - x1)(x0 + x1) = x0^2 - x1^2 loses x0 * x1; a cap of 1 on x0 then
+    # leaves -x1^2 only, and x0^2 * x1^2 loses every term
+    free = HomogeneousIdeal(2, None)
+    assert free.times({(1, 0): 1, (0, 1): -1}, [(0, 1), (1, 1)]) == {(2, 0): 1, (0, 2): -1}
+    capped = HomogeneousIdeal(2, None, caps=[((0,), 1)])
+    assert capped.times({(1, 0): 1, (0, 1): -1}, [(0, 1), (1, 1)]) == {(0, 2): -1}
+    assert capped.times({(1, 1): 2}, [(0, 1)]) == {}
+    assert capped.times({}, [(0, 1)]) == {}
+    # a form whose coefficients sum to zero on one variable adds nothing
+    assert free.times({(1, 0): 1}, [(1, 2), (1, -2)]) == {}
+
+
+def test_no_zero_coefficient_reaches_a_row(monkeypatch):
+    # the slice rows and the reduced Lefschetz images handed to elimination
+    # hold no zero entry.  The step drops the terms that cancel, though its
+    # two callers make none: a product of line sums has positive
+    # coefficients, and a power of one linear form one multinomial term per
+    # monomial.  The reduction drops the entries it clears
+    echelon = ctring.linalg.position_echelon
+    rows_seen = []
+
+    def checked(rows):
+        rows = list(rows)
+        for row in rows:
+            assert all(row.values()), row
+        rows_seen.append(len(rows))
+        return echelon(rows)
+
+    monkeypatch.setattr(ctring.linalg, "position_echelon", checked)
+    monkeypatch.setattr(ctring.quotient, "position_echelon", checked)
+    pairs = [((1,) * 5, (1,) * 5), ((2, 1, 1), (2, 2)), ((3, 2), (2, 2, 1))]
+    pairs += [((2, 2, 2), (2, 2, 2))]
+    for alpha, beta in pairs:
+        assert lefschetz_report(QuotientModel(alpha, beta))
+    ideal = one_row_ideal((3, 2, 2, 1))
+    for d in range(9):
+        ideal.slice(d)
+    assert sum(rows_seen) > 500
 
 
 def _random_rows(rng):
@@ -413,10 +488,10 @@ def test_skipped_rows_keep_every_slice(monkeypatch):
     kept = []
     echelon = ctring.linalg.position_echelon
 
-    def counted(rows, done=None):
+    def counted(rows):
         rows = list(rows)
         kept.append(sum(map(bool, rows)))
-        return echelon(rows, done)
+        return echelon(rows)
 
     monkeypatch.setattr(ctring.linalg, "position_echelon", counted)
     pairs = [

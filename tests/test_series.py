@@ -1,5 +1,9 @@
+import tracemalloc
+
 import pytest
 
+import ctring.partitions
+import ctring.series
 from oracles import per_shape_hilbert_kostka
 from ctring.partitions import partitions, weak_compositions
 from ctring.series import (
@@ -38,6 +42,30 @@ def test_hilbert_kostka_truncation_consistency():
                 for cap in range(5):
                     padded = (full + [0] * cap)[: min(cap, n) + 1]
                     assert hilbert_kostka(alpha, beta, max_degree=cap) == padded
+
+
+def test_full_series_costs_the_shorter_margin_not_p_n():
+    # K(lam, alpha) = 0 when lam has more parts than alpha has nonzero parts
+    # or lam_1 is below alpha's largest part, so a margin's dense blocks run
+    # over those partitions only, and a pair's dot products over the
+    # partitions with at most min(l(alpha), l(beta)) parts: p(200) is about
+    # 4 * 10**12, and 59,823 partitions of 200 have at most 4 parts
+    pairs = {
+        ((200,), (100, 100)): [1],
+        ((100, 100), (200,)): [1],
+        ((200,), (197, 1, 1, 1)): [1],
+        ((30, 30), (30, 30)): [1] * 31,
+    }
+    ctring.series._degree_blocks.cache_clear()
+    ctring.partitions.bounded_partitions.cache_clear()
+    tracemalloc.start()
+    try:
+        got = {pair: ctring.series.hilbert_kostka(*pair) for pair in pairs}
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == pairs
+    assert peak < 1024 * 1024
 
 
 def test_negative_max_degree_is_rejected():
