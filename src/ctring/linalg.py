@@ -498,10 +498,14 @@ class HomogeneousIdeal:
         return Poly(poly.nvars, out)
 
 
+@lru_cache(maxsize=64)
+def _unit_exponents(nvars) -> tuple:
+    """The exponent tuple of each of the nvars variables, x_0 first."""
+    return tuple(tuple(1 if v == u else 0 for v in range(nvars)) for u in range(nvars))
+
+
 def linear_form(nvars, support) -> Poly:
     """The sum of the variables whose indices are in support."""
-    return Poly(
-        nvars,
-        {tuple(1 if v == u else 0 for v in range(nvars)): 1 for u in support},
-    )
+    units = _unit_exponents(nvars)
+    return Poly(nvars, {units[u]: 1 for u in support})
 

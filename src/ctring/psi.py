@@ -9,12 +9,18 @@ n - d, of (invariants of the lam-irreducible under the row parabolic) tensor
 Taking parabolic invariants acts on Frobenius images by a combinatorial rule
 on the h basis: sum over multiset partitions of {1^lam_1, 2^lam_2, ...} whose
 block sizes are the parts of mu, each contributing the tensor product of the
-multiplicity types of its equal-size block groups.  The Schur expansion
-follows by Young's rule, solved along each Kostka column.
+multiplicity types of its equal-size block groups.  The partitions are
+counted, not listed: the groups of equal blocks are placed largest size
+first, and after each group only the remaining letter counts, sorted, are
+kept, since the count depends on the content only up to permuting letters
+(the h-image is an orbit count of a permutation module, as in Macdonald,
+Symmetric Functions and Hall Polynomials, I.7).  The Schur expansion follows
+by Young's rule, solved along each Kostka column.
 """
 
 from functools import lru_cache
 from itertools import accumulate
+from types import MappingProxyType
 
 from .errors import CheckFailed
 from .partitions import bounded_compositions, check_partition, kostka_column, partitions
@@ -62,45 +68,6 @@ def stab_permutation(mu, class_tuple) -> tuple:
     return tuple(image)
 
 
-def multiset_partitions(content, shape) -> list:
-    """Unordered multiset partitions of the multiset with the given letter
-    counts into blocks whose sizes are the parts of `shape`, each exactly once.
-
-    Blocks of equal size are produced in weakly decreasing content order,
-    which rules out duplicates.  Each partition is a tuple of blocks (content
-    vectors) aligned with the parts of `shape`.  A branch ends once the smaller
-    blocks cannot hold the letters before the first letter of the last block.
-    """
-    content = tuple(content)
-    shape = check_partition(shape)
-    if sum(content) != sum(shape):
-        raise ValueError("content and shape sizes differ")
-    smaller = [sum(part for part in shape if part < size) for size in shape]
-    out = []
-
-    def rec(i, remaining, blocks):
-        if i == len(shape):
-            out.append(tuple(blocks))
-            return
-        bound = blocks[-1] if i and shape[i] == shape[i - 1] else None
-        # the block's first letter is at most `reach`; blocks come descending,
-        # so once one starts later, every later one does
-        reach = sum(1 for held in accumulate(remaining) if held <= smaller[i])
-        for block in bounded_compositions(shape[i], remaining):
-            if not any(block[: reach + 1]):
-                break
-            if bound is not None and block > bound:
-                continue
-            rec(
-                i + 1,
-                tuple(r - b for r, b in zip(remaining, block)),
-                blocks + [block],
-            )
-
-    rec(0, content, [])
-    return out
-
-
 def _multiplicity_type(blocks) -> tuple:
     counts: dict = {}
     for b in blocks:
@@ -108,25 +75,78 @@ def _multiplicity_type(blocks) -> tuple:
     return tuple(sorted(counts.values(), reverse=True))
 
 
+def _group_blocks(content, size, count, room) -> dict:
+    """The multisets of `count` blocks of `size` letters each, drawn from the
+    letter counts `content`, as {(remaining counts sorted descending, zeros
+    dropped; multiplicity type): number of multisets}.
+
+    Blocks come in weakly decreasing content order, which lists each multiset
+    once.  A block starts no later than `reach`, the last letter such that the
+    letters before it fit in `room`, the size of the later (smaller) groups:
+    the later blocks of this group start no earlier, so only those groups can
+    hold the letters it skips.  Once one block starts too late, every later
+    one does.
+    """
+    out: dict = {}
+
+    def rec(remaining, blocks):
+        if len(blocks) == count:
+            left = tuple(sorted((r for r in remaining if r), reverse=True))
+            key = (left, _multiplicity_type(blocks))
+            out[key] = out.get(key, 0) + 1
+            return
+        reach = sum(1 for held in accumulate(remaining) if held <= room)
+        for block in bounded_compositions(size, remaining):
+            if not any(block[: reach + 1]):
+                break
+            if blocks and block > blocks[-1]:
+                continue
+            rec(tuple(r - b for r, b in zip(remaining, block)), blocks + [block])
+
+    rec(content, [])
+    return out
+
+
+@lru_cache(maxsize=None)
+def _h_counts(content, groups):
+    """{multiplicity types, one per group: number of multiset partitions} for
+    the letter counts `content`, sorted descending, split into blocks whose
+    sizes are given by `groups`, (size, count) pairs, largest size first.
+
+    The count depends on the content only up to permuting letters, so every
+    choice of blocks that leaves the same sorted counts shares one state.
+    """
+    if not groups:
+        return MappingProxyType({(): 1})
+    (size, count), rest = groups[0], groups[1:]
+    room = sum(content) - size * count
+    out: dict = {}
+    for (left, mtype), ways in _group_blocks(content, size, count, room).items():
+        for types, c in _h_counts(left, rest).items():
+            key = (mtype,) + types
+            out[key] = out.get(key, 0) + ways * c
+    return MappingProxyType(out)
+
+
 @lru_cache(maxsize=None)
 def invariants_frobenius_h(mu, lam) -> TensorSymFunc:
     """Frobenius image, on the h basis, of the parabolic invariants of the
     permutation module with content lam, as a module over the group permuting
-    equal parts of mu."""
+    equal parts of mu: the multiset partitions of lam counted by the
+    multiplicity types of their equal-size blocks, keys in factor order."""
     mu = check_partition(mu)
     lam = check_partition(lam)
     if sum(mu) != sum(lam):
         raise ValueError("partitions must have equal size")
     factors = stab_factor_data(mu)
-    degrees = tuple(m for _, m, _ in factors)
-    coeffs: dict = {}
-    for blocks in multiset_partitions(lam, mu):
-        by_size: dict = {}
-        for size, block in zip(mu, blocks):
-            by_size.setdefault(size, []).append(block)
-        key = tuple(_multiplicity_type(by_size[size]) for size, _, _ in factors)
-        coeffs[key] = coeffs.get(key, 0) + 1
-    return TensorSymFunc(degrees, "h", coeffs)
+    walk = sorted(factors, reverse=True)  # largest size first
+    order = [walk.index(factor) for factor in factors]
+    counts = _h_counts(lam, tuple((size, m) for size, m, _ in walk))
+    return TensorSymFunc._from_terms(
+        tuple(m for _, m, _ in factors),
+        "h",
+        {tuple(types[i] for i in order): c for types, c in counts.items()},
+    )
 
 
 @lru_cache(maxsize=None)
@@ -185,8 +205,8 @@ def kronecker_product(dec_a: TensorSymFunc, dec_b: TensorSymFunc, group) -> Tens
     mults_a = dec_a.to_s().coeffs
     mults_b = dec_b.to_s().coeffs
     if not mults_a or not mults_b:
-        return TensorSymFunc(dec_a.degrees, "s")
-    return TensorSymFunc(
+        return TensorSymFunc._from_terms(dec_a.degrees, "s", {})
+    return TensorSymFunc._from_terms(
         dec_a.degrees, "s", group.tensor_multiplicities(mults_a, mults_b)
     )
 

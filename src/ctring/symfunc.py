@@ -191,10 +191,11 @@ def _character_table(sizes) -> CharacterTable:
     matrix = [[1]]
     for m in sizes:
         parts = partitions(m)
+        class_sizes = [cycle_type_size(rho, m) for rho in parts]
         classes = [
-            (key + (rho,), size * cycle_type_size(rho, m))
+            (key + (rho,), size * rho_size)
             for key, size in classes
-            for rho in parts
+            for rho, rho_size in zip(parts, class_sizes)
         ]
         irreducibles = [key + (lam,) for key in irreducibles for lam in parts]
         factor = [[irreducible_character(lam, rho) for rho in parts] for lam in parts]
@@ -229,11 +230,12 @@ class SymmetricProductGroup:
         given by their own irreducible multiplicities.
 
         The multiplicity of chi is <chi, f> = sum over classes of size * f *
-        chi, over the group order, with f the product of the two characters;
-        raises CheckFailed unless every multiplicity is a nonnegative int."""
+        chi, over the group order, with f the product of the two characters
+        (a square evaluates its one character once); raises CheckFailed
+        unless every multiplicity is a nonnegative int."""
         table = _character_table(self.sizes)
         va = _module_character(table, mod_a)
-        vb = _module_character(table, mod_b)
+        vb = va if mod_b is mod_a else _module_character(table, mod_b)
         weighted = [size * a * b for (_, size), a, b in zip(table.classes, va, vb)]
         out = {}
         for irrep, row in zip(table.irreducibles, table.matrix):

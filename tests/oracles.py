@@ -5,9 +5,10 @@ implementations under test.  The old routes kept here for rewritten layers
 (the per-shape Kostka series on the strip DP `strip_kostka`, class-by-class
 tensor multiplicities, normal forms and Lefschetz ranks over Fraction
 Gauss-Jordan in `RrefIdeal` and `nf_lefschetz_report`, the unskipped slice
-rows `unskipped_slice_rows` and multiset partitions
-`unpruned_multiset_partitions`, the inverse Kostka table `s_to_h_expansion`
-and the Schur-basis parabolic invariants through it, `h_route_invariants_s`,
+rows `unskipped_slice_rows`, the multiset partitions that the h-basis
+parabolic invariants count, listed one by one, `unpruned_multiset_partitions`,
+the inverse Kostka table `s_to_h_expansion` and the Schur-basis parabolic
+invariants through it, `h_route_invariants_s`,
 and the matrix-ball step and the zigzag witness read off a ball labeling
 built from its definition, `reference_labels`, in `diagram_ball_step` and
 `chain_witness`) reuse only library primitives that are tested on their own:
@@ -423,9 +424,12 @@ def monomials_of_degree(nvars, degree):
 
 
 def unpruned_multiset_partitions(content, shape):
-    """psi.multiset_partitions by its old enumeration, which drops a branch
-    only when no block fits: every block of each size in turn, descending,
-    blocks of equal size weakly decreasing."""
+    """Unordered multiset partitions of the multiset with the given letter
+    counts into blocks whose sizes are the parts of `shape`, each a tuple of
+    blocks (content vectors) aligned with `shape`.  A branch is dropped only
+    when no block fits: every block of each size in turn, descending, blocks
+    of equal size weakly decreasing.  The library counts these partitions by
+    multiplicity type (psi.invariants_frobenius_h) without listing them."""
     shape = check_partition(shape)
     out = []
 

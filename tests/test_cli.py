@@ -386,6 +386,18 @@ def test_frobenius(capsys):
     assert dims == ["1", "2", "2"]
 
 
+def test_frobenius_output_is_pinned(capsys):
+    # n = 10: the h-images of 2^3 1^4 count the multiset partitions of every
+    # content of 10, up to 3150 of them for 1^10
+    mu = "2,2,2,1,1,1,1"
+    status, out = run_cli(capsys, ["frobenius", "--mu", mu, "--nu", mu])
+    assert status == 0
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "a39c12e46d4ca756fca820d6492c0fa14ee385c68dbbf03c6698e70d43a26398"
+    )
+
+
 def test_ehrhart(capsys):
     status, out = run_cli(
         capsys, ["ehrhart", "--alpha", "3,2", "--beta", "2,2,1", "--upto", "1"]

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -10,6 +11,7 @@ from oracles import (
     s_to_h_expansion,
     unpruned_multiset_partitions,
 )
+import ctring.psi
 from ctring.partitions import partitions
 from ctring.psi import (
     graded_decomposition,
@@ -17,7 +19,6 @@ from ctring.psi import (
     invariants_frobenius_s,
     kronecker_dominance,
     kronecker_product,
-    multiset_partitions,
     pair_group,
     stab_factor_data,
     stab_group,
@@ -48,7 +49,7 @@ def test_stab_permutation():
 
 def test_multiset_partitions_golden():
     # letters 1^3 2^2 split into block sizes (2,1,1,1)
-    got = multiset_partitions((3, 2), (2, 1, 1, 1))
+    got = unpruned_multiset_partitions((3, 2), (2, 1, 1, 1))
     expected = {
         ((2, 0), (1, 0), (0, 1), (0, 1)),
         ((1, 1), (1, 0), (1, 0), (0, 1)),
@@ -64,7 +65,7 @@ def test_multiset_partitions_no_duplicates():
         n = rng.randint(1, 6)
         lam = rng.choice(partitions(n))
         mu = rng.choice(partitions(n))
-        parts = multiset_partitions(lam, mu)
+        parts = unpruned_multiset_partitions(lam, mu)
         assert len(parts) == len(set(parts))
         for blocks in parts:
             assert tuple(sum(b) for b in blocks) == mu
@@ -72,18 +73,51 @@ def test_multiset_partitions_no_duplicates():
             assert tuple(totals) == lam
 
 
-def test_pruned_multiset_partitions_match_the_unpruned_enumeration():
-    # every content and shape of size n <= 8, order included
+def _listed_h_image(mu, lam) -> dict:
+    """The h-image by listing: each multiset partition of lam into blocks of
+    the sizes of mu adds 1 to the multiplicity types of its equal-size block
+    groups, in factor order."""
+    coeffs: dict = {}
+    for blocks in unpruned_multiset_partitions(lam, mu):
+        by_size: dict = {}
+        for size, block in zip(mu, blocks):
+            by_size.setdefault(size, []).append(block)
+        key = tuple(
+            tuple(sorted(Counter(by_size[size]).values(), reverse=True))
+            for size, _, _ in stab_factor_data(mu)
+        )
+        coeffs[key] = coeffs.get(key, 0) + 1
+    return coeffs
+
+
+def test_counted_h_image_matches_the_unpruned_enumeration():
+    # every content and shape of size n <= 8
     for n in range(1, 9):
         for lam in partitions(n):
             for mu in partitions(n):
-                assert multiset_partitions(lam, mu) == unpruned_multiset_partitions(
-                    lam, mu
-                ), (lam, mu)
-    # one partition, found without the 2^13 dead branches
-    assert multiset_partitions((1,) * 13, (1,) * 13) == [
-        tuple((0,) * i + (1,) + (0,) * (12 - i) for i in range(13))
-    ]
+                image = invariants_frobenius_h(mu, lam)
+                assert image.degrees == tuple(m for _, m, _ in stab_factor_data(mu))
+                assert dict(image.coeffs) == _listed_h_image(mu, lam), (mu, lam)
+
+
+def test_counting_drops_dead_branches(monkeypatch):
+    # one partition of 1^n into n singletons: with the reach bound each block
+    # is found by one enumeration, without it the 2^n dead branches come back
+    calls = []
+    enumerate_blocks = ctring.psi.bounded_compositions
+
+    def counted(total, bounds):
+        calls.append(total)
+        return enumerate_blocks(total, bounds)
+
+    monkeypatch.setattr(ctring.psi, "bounded_compositions", counted)
+    for n in (13, 16):
+        ctring.psi.invariants_frobenius_h.cache_clear()
+        ctring.psi._h_counts.cache_clear()
+        calls.clear()
+        image = invariants_frobenius_h((1,) * n, (1,) * n)
+        assert dict(image.coeffs) == {((1,) * n,): 1}
+        assert len(calls) <= 2 * n, (n, len(calls))
 
 
 def test_invariants_h_golden():
