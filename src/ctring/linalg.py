@@ -38,7 +38,11 @@ lands on no column is unclean and dropped.  Rows are sparse dicts keyed by
 column position, so finding a pivot is a plain min().  Forward elimination
 runs over the integers on primitive rows (fraction-free, as in Bareiss): its
 pivots are the degree-d part of the initial ideal, and the remaining columns
-are the standard monomials.  These forward rows are the only echelon form.
+are the standard monomials.  Elimination stops once every column is a pivot:
+the rows taken then span the whole slice, every later row would reduce to
+zero, and the echelon is the same.  A slice past the last standard monomial
+has full rank, so its dependent rows cost nothing.  These forward rows are
+the only echelon form.
 Normal forms need no back-substitution: a row holds no entries left of its
 pivot, so reducing against the pivots in ascending position order never
 brings back a pivot already cleared.  A normal form is computed on integers
@@ -116,18 +120,24 @@ def _eliminate(vec, p, prow):
     return a
 
 
-def position_echelon(rows):
+def position_echelon(rows, ncols=None):
     """Row echelon form over the integers of sparse integer rows keyed by
     column position, position 0 being the leading column.
 
     Returns {pivot position: row}, each row primitive (entries with gcd 1)
     with a positive pivot entry and no entries left of its pivot.  Forward
-    elimination only: a pivot row may still hold later pivot columns."""
+    elimination only: a pivot row may still hold later pivot columns.
+
+    Given the column count ncols, it stops taking rows once it holds ncols
+    pivots: the pivot rows then span every row, so each later row would
+    reduce to zero, and the echelon returned is the same."""
     done = {}
     # trailing leads first: a row whose lead is not yet a pivot column becomes
     # a pivot row without reduction.  On margin ideals this order eliminates
     # about three times faster than the order the rows are generated in.
     for vec in sorted(filter(None, rows), key=min, reverse=True):
+        if len(done) == ncols:
+            break
         vec = dict(vec)
         while vec:
             lead = min(vec)
@@ -161,7 +171,7 @@ def extreme_monomials(polys, order, smallest=False):
     columns = [by_key[k] for k in sorted(by_key, reverse=not smallest)]
     index = {m: i for i, m in enumerate(columns)}
     rows = [integer_row({index[m]: c for m, c in p.terms.items()}) for p in polys]
-    return {columns[lead] for lead in position_echelon(rows)}
+    return {columns[lead] for lead in position_echelon(rows, len(columns))}
 
 
 class DegreeBasis:
@@ -461,7 +471,7 @@ class HomogeneousIdeal:
                         if pos is not None:
                             row[pos] = c
                     rows.append(row)
-        basis = DegreeBasis(columns, weights, position, position_echelon(rows))
+        basis = DegreeBasis(columns, weights, position, position_echelon(rows, len(columns)))
         self._slices[degree] = basis
         return basis
 

@@ -1,20 +1,36 @@
 """Quotients of a polynomial ring in one row of variables x_1..x_n by pure
 powers x_i^{bound_i + 1} together with the variable sum.
 
-The vector `bounds` = (d_1, ..., d_n) caps the exponent of each variable.
-The associated combinatorics: two-row rectangular semistandard tableaux using
-at most d_i copies of i, a truncated-product Hilbert series, and a
-saturation procedure pairing off weak compositions.
+The vector `bounds` = (d_1, ..., d_n) caps the exponent of each variable;
+a negative bound raises ValueError.  The associated combinatorics: two-row
+rectangular semistandard tableaux using at most d_i copies of i, a
+truncated-product Hilbert series, and a saturation procedure pairing off
+weak compositions.  Each bound's tableaux and Hilbert formula are listed
+once, in module-level memos that dimension_counts reads too; the memos hold
+read-only tuples, and the public functions hand out fresh lists.  A caller
+asks for one bounds vector's counts, tableaux and formula back to back, so
+the memos keep only the last few vectors.
 """
+
+from functools import lru_cache
 
 from .errors import CheckFailed
 from .linalg import HomogeneousIdeal, linear_form
 from .polys import Poly
 
 
+def _checked(bounds) -> tuple:
+    """The bounds as a tuple; a negative bound raises ValueError."""
+    bounds = tuple(bounds)
+    for d in bounds:
+        if d < 0:
+            raise ValueError(f"bad bound {d}: a bound must be nonnegative")
+    return bounds
+
+
 def one_row_generators(bounds) -> list:
     """Pure powers x_i^{d_i+1} plus the variable sum, duplicates collapsed."""
-    bounds = tuple(bounds)
+    bounds = _checked(bounds)
     n = len(bounds)
     gens = []
     for i, d in enumerate(bounds):
@@ -35,7 +51,7 @@ def one_row_ideal(bounds) -> HomogeneousIdeal:
     by this ideal, of x_i capped at d_i for i >= 2 and the power
     (x_2 + ... + x_n)^(d_1 + 1), the image of x_1^(d_1 + 1).  Its standard
     monomials are the quotient's, less the exponent 0 of x_1."""
-    bounds = tuple(bounds)
+    bounds = _checked(bounds)
     if not bounds:
         return HomogeneousIdeal(0, None)
     rest = tuple(range(len(bounds) - 1))
@@ -59,7 +75,12 @@ def _qpoly_mul(a, b):
 def one_row_hilbert(bounds) -> list:
     """Hilbert series of the quotient: (1-q) * prod(1 + q + ... + q^{d_i}),
     truncated to degrees <= (sum of bounds)/2.  Trailing zeros stripped."""
-    bounds = tuple(bounds)
+    return list(_hilbert(_checked(bounds)))
+
+
+@lru_cache(maxsize=4)
+def _hilbert(bounds) -> tuple:
+    """The series of one_row_hilbert, as a tuple, of checked bounds."""
     prod = [1]
     for d in bounds:
         prod = _qpoly_mul(prod, [1] * (d + 1))
@@ -70,41 +91,43 @@ def one_row_hilbert(bounds) -> list:
         coeffs.pop()
     if any(c < 0 for c in coeffs):
         raise CheckFailed("truncated Hilbert series must be nonnegative")
-    return coeffs
+    return tuple(coeffs)
 
 
 def two_row_tableaux(bounds) -> list:
     """All two-row rectangular SSYT with at most d_i copies of each letter i,
     as (top_row, bottom_row) pairs, including the empty tableau."""
-    bounds = tuple(bounds)
+    return list(_tableaux(_checked(bounds)))
+
+
+@lru_cache(maxsize=4)
+def _tableaux(bounds) -> tuple:
+    """Depth first: each tableau is followed by its extensions by one column
+    (a over b), a ascending and then b ascending, a weakly after the last
+    top letter, b after a and weakly after the last bottom letter, each
+    letter taken only while its room (its bound less its uses) lasts."""
     n = len(bounds)
-    out = [((), ())]
+    room = [0, *bounds]  # by letter, 1..n
     half = sum(bounds) // 2
+    out = [((), ())]
 
-    def extend(top, bottom, used):
-        if len(top) > 0:
-            out.append((tuple(top), tuple(bottom)))
-        if len(top) == half:
-            return
-        for a in range(top[-1] if top else 1, n + 1):
-            if used[a - 1] >= bounds[a - 1]:
+    def extend(top, bottom, a_lo, b_lo, depth):
+        for a in range(a_lo, n + 1):
+            if not room[a]:
                 continue
-            used[a - 1] += 1
-            b_lo = max(a + 1, bottom[-1] if bottom else 1)
-            for b in range(b_lo, n + 1):
-                if used[b - 1] >= bounds[b - 1]:
-                    continue
-                used[b - 1] += 1
-                top.append(a)
-                bottom.append(b)
-                extend(top, bottom, used)
-                top.pop()
-                bottom.pop()
-                used[b - 1] -= 1
-            used[a - 1] -= 1
+            room[a] -= 1
+            for b in range(max(a + 1, b_lo), n + 1):
+                if room[b]:
+                    room[b] -= 1
+                    up, down = top + (a,), bottom + (b,)
+                    out.append((up, down))
+                    if depth < half:  # at half, no two letters have room
+                        extend(up, down, a, b, depth + 1)
+                    room[b] += 1
+            room[a] += 1
 
-    extend([], [], [0] * n)
-    return out
+    extend((), (), 1, 1, 1)
+    return tuple(out)
 
 
 def column_product(tableau, n) -> Poly:
@@ -179,11 +202,11 @@ def tableau_from_first_row(bounds, beta):
 
 def dimension_counts(bounds):
     """(quotient dimension, #distinct top rows, #distinct bottom rows)."""
-    tableaux = two_row_tableaux(bounds)
-    dim = sum(one_row_hilbert(bounds))
+    bounds = _checked(bounds)
+    tableaux = _tableaux(bounds)
     tops = {t for t, _ in tableaux}
     bottoms = {b for _, b in tableaux}
-    return dim, len(tops), len(bottoms)
+    return sum(_hilbert(bounds)), len(tops), len(bottoms)
 
 
 def one_row_standard_monomials(bounds):

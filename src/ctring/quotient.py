@@ -259,7 +259,9 @@ def lefschetz_report(model: QuotientModel) -> list:
     monomial m, restricted to the clean monomials of the target degree, is
     reduced against the target slice's rows onto its standard monomials
     (DegreeBasis.reduce: the normal form up to a scale), and the rank of the
-    map is the rank of those reduced images.
+    map is the rank of those reduced images.  They live on the target's
+    standard columns, so their elimination stops once it holds that many
+    pivots.
     """
     form = tuple(_block_form(lefschetz_element(model.alpha, model.beta), model.grid).items())
     ideal = model.ideal
@@ -285,7 +287,7 @@ def lefschetz_report(model: QuotientModel) -> list:
                     image[pos] = c
             target.reduce(image)
             images.append(image)
-        rank = len(position_echelon(images))
+        rank = len(position_echelon(images, len(target.standard)))
         out.append(
             {
                 "k": k,

@@ -30,7 +30,9 @@ block ideal from its definition.  The library builds one diagonal order; a
 second one, `column_diagonal_order`, and the margin ideal under it,
 `column_margin_ideal`, are kept here for the tests that run the packed keys
 and the standard monomials under both.  `all_shifts` lists every shift that
-`split_left` chooses among, for the split-lex lemma.
+`split_left` chooses among, for the split-lex lemma.  The two-row tableaux
+of a one-row quotient, listed by the backtracking on use counts that the
+library replaced with room counters, are `backtracking_two_row_tableaux`.
 """
 
 from fractions import Fraction
@@ -251,6 +253,41 @@ def strict_compositions(total) -> list:
                 run += 1
         parts.append(run)
         out.append(tuple(parts))
+    return out
+
+
+def backtracking_two_row_tableaux(bounds) -> list:
+    """All two-row rectangular SSYT with at most d_i copies of each letter i,
+    as (top_row, bottom_row) pairs, including the empty tableau, in the
+    order onerow.two_row_tableaux lists them."""
+    bounds = tuple(bounds)
+    n = len(bounds)
+    out = [((), ())]
+    half = sum(bounds) // 2
+
+    def extend(top, bottom, used):
+        if len(top) > 0:
+            out.append((tuple(top), tuple(bottom)))
+        if len(top) == half:
+            return
+        for a in range(top[-1] if top else 1, n + 1):
+            if used[a - 1] >= bounds[a - 1]:
+                continue
+            used[a - 1] += 1
+            b_lo = max(a + 1, bottom[-1] if bottom else 1)
+            for b in range(b_lo, n + 1):
+                if used[b - 1] >= bounds[b - 1]:
+                    continue
+                used[b - 1] += 1
+                top.append(a)
+                bottom.append(b)
+                extend(top, bottom, used)
+                top.pop()
+                bottom.pop()
+                used[b - 1] -= 1
+            used[a - 1] -= 1
+
+    extend([], [], [0] * n)
     return out
 
 

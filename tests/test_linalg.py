@@ -377,12 +377,12 @@ def test_no_zero_coefficient_reaches_a_row(monkeypatch):
     echelon = ctring.linalg.position_echelon
     rows_seen = []
 
-    def checked(rows):
+    def checked(rows, ncols=None):
         rows = list(rows)
         for row in rows:
             assert all(row.values()), row
         rows_seen.append(len(rows))
-        return echelon(rows)
+        return echelon(rows, ncols)
 
     monkeypatch.setattr(ctring.linalg, "position_echelon", checked)
     monkeypatch.setattr(ctring.quotient, "position_echelon", checked)
@@ -429,6 +429,72 @@ def test_integer_echelon_matches_fraction_rref():
             assert math.gcd(*row.values()) == 1
         # the same row space: equal reduced forms
         assert fraction_rref(list(forward.values())) == fraction_rref(rows)
+
+
+def _full_rank_rows(rng):
+    """A sparse integer matrix of full column rank: an upper triangular
+    square with nonzero diagonal, plus random combinations of its rows."""
+    ncols = rng.randint(1, 10)
+    rows = []
+    for p in range(ncols):
+        row = {p: rng.choice([-2, -1, 1, 3])}
+        for q in rng.sample(range(p + 1, ncols), min(3, ncols - p - 1)):
+            row[q] = rng.choice([-3, -1, 1, 2])
+        rows.append(row)
+    for _ in range(rng.randint(0, 6)):
+        combo = {}
+        for row in rng.sample(rows, min(2, len(rows))):
+            scale = rng.choice([-2, -1, 1, 3])
+            for p, c in row.items():
+                combo[p] = combo.get(p, 0) + scale * c
+        rows.append({p: c for p, c in combo.items() if c})
+    rng.shuffle(rows)
+    return rows, ncols
+
+
+def test_stop_at_full_rank_keeps_the_echelon():
+    # with the column count given, elimination stops once every column is
+    # a pivot; the echelon is the one that takes every row
+    rng = random.Random(3030)
+    full = 0
+    for _ in range(300):
+        rows = [integer_row(r) for r in _random_rows(rng)]
+        ncols = 1 + max(p for row in rows for p in row)
+        assert position_echelon(rows, ncols) == position_echelon(rows)
+        square, ncols = _full_rank_rows(rng)
+        stopped = position_echelon(square, ncols)
+        assert stopped == position_echelon(square) and len(stopped) == ncols
+        full += len(square) > ncols
+    assert full > 100
+
+
+def test_full_rank_slice_stops_eliminating(monkeypatch):
+    # the slice of (1^8) one past its top degree has full rank; once every
+    # column is a pivot, the rows left are not reduced at all
+    echelon = ctring.linalg.position_echelon
+    eliminate = ctring.linalg._eliminate
+    seen = []
+    calls = [0]
+
+    def recorded(rows, ncols=None):
+        rows = list(rows)
+        seen.append((rows, ncols))
+        return echelon(rows, ncols)
+
+    def counted(vec, p, prow):
+        calls[0] += 1
+        return eliminate(vec, p, prow)
+
+    monkeypatch.setattr(ctring.linalg, "position_echelon", recorded)
+    monkeypatch.setattr(ctring.linalg, "_eliminate", counted)
+    basis = one_row_ideal((1,) * 8).slice(5)
+    assert not basis.standard and len(seen) == 1
+    stopped = calls[0]
+    rows, ncols = seen[0]
+    assert ncols == len(basis.columns)
+    calls[0] = 0
+    assert echelon(rows) == basis.rows
+    assert stopped < calls[0]
 
 
 def test_slices_match_oracle():
@@ -488,10 +554,10 @@ def test_skipped_rows_keep_every_slice(monkeypatch):
     kept = []
     echelon = ctring.linalg.position_echelon
 
-    def counted(rows):
+    def counted(rows, ncols=None):
         rows = list(rows)
         kept.append(sum(map(bool, rows)))
-        return echelon(rows)
+        return echelon(rows, ncols)
 
     monkeypatch.setattr(ctring.linalg, "position_echelon", counted)
     pairs = [

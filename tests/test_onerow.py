@@ -1,8 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 import ctring.onerow
+from oracles import backtracking_two_row_tableaux, strict_compositions
 from ctring.errors import CheckFailed
 from ctring.linalg import HomogeneousIdeal, extreme_monomials
 from ctring.onerow import (
@@ -10,6 +12,7 @@ from ctring.onerow import (
     dimension_counts,
     one_row_generators,
     one_row_hilbert,
+    one_row_ideal,
     one_row_standard_monomials,
     run_saturation,
     saturation_successor,
@@ -67,6 +70,59 @@ def test_two_row_tableaux_golden():
 
 def test_two_row_tableaux_trivial():
     assert two_row_tableaux((0, 0)) == [((), ())]
+
+
+def test_two_row_tableaux_match_backtracking_oracle():
+    # the same list, order included, on every strict composition with total
+    # <= 10 and every bounds vector in {0..3}^n with n <= 4
+    cases = [b for total in range(11) for b in strict_compositions(total)]
+    cases += [b for n in range(5) for b in itertools.product(range(4), repeat=n)]
+    for bounds in cases:
+        assert two_row_tableaux(bounds) == backtracking_two_row_tableaux(bounds), bounds
+
+
+def test_memoized_results_are_fresh_lists():
+    # mutating a returned list leaves the next call's answer as it was
+    for entry in (two_row_tableaux, one_row_hilbert):
+        for bounds in [(1, 2, 1), (2, 2)]:
+            first = entry(bounds)
+            expected = list(first)
+            first.pop()
+            first.append(None)
+            again = entry(bounds)
+            assert again == expected and again is not first, (entry, bounds)
+
+
+def test_dimension_counts_shares_the_listings():
+    # one op asks for the counts, the tableaux and the series of one bounds
+    # vector: the tableaux and the series are each computed once, by
+    # dimension_counts, and read back from the memo by the next call
+    ctring.onerow._tableaux.cache_clear()
+    ctring.onerow._hilbert.cache_clear()
+    bounds = (1, 2, 1, 2)
+    dimension_counts(bounds)
+    two_row_tableaux(bounds)
+    one_row_hilbert(bounds)
+    for memo in (ctring.onerow._tableaux, ctring.onerow._hilbert):
+        info = memo.cache_info()
+        assert (info.misses, info.hits) == (1, 1), memo
+
+
+def test_negative_bound_is_rejected():
+    # every entry point checks the bounds before any work, and the error
+    # names the bad bound
+    entry_points = [
+        two_row_tableaux,
+        one_row_hilbert,
+        dimension_counts,
+        one_row_ideal,
+        one_row_standard_monomials,
+        one_row_generators,
+    ]
+    for entry in entry_points:
+        for bounds in [(-1, 3), (2, 0, -2)]:
+            with pytest.raises(ValueError, match=f"bad bound {min(bounds)}"):
+                entry(bounds)
 
 
 def test_dimension_counts():
@@ -217,8 +273,14 @@ def test_negative_hilbert_coefficient_is_a_failed_check(monkeypatch):
     monkeypatch.setattr(
         ctring.onerow, "_qpoly_mul", lambda a, b: [-c for c in mul(a, b)]
     )
-    with pytest.raises(CheckFailed, match="nonnegative"):
-        one_row_hilbert((1, 1))
+    # the series is memoized: empty the memo so that the formula itself runs
+    # under the patch, and leave it empty
+    ctring.onerow._hilbert.cache_clear()
+    try:
+        with pytest.raises(CheckFailed, match="nonnegative"):
+            one_row_hilbert((1, 1))
+    finally:
+        ctring.onerow._hilbert.cache_clear()
 
 
 def test_fully_saturated_composition_is_a_failed_check(monkeypatch):

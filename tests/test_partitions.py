@@ -210,7 +210,7 @@ def test_new_memos_are_lru_caches():
     # kostka_cache_snapshot reads); the memos are found by scanning the
     # source, and each must be filled by the calls below and emptied by
     # cache_clear
-    from ctring import cli, experiments, psi, series
+    from ctring import cli, experiments, onerow, psi, series
     from ctring import partitions as part_module
 
     memos = {
@@ -224,6 +224,7 @@ def test_new_memos_are_lru_caches():
     experiments.sweep_record((2, 1), (1, 2))
     experiments.sweep_record((1, 1, 1), (1, 1, 1))  # a power of two-cell lines
     series.hilbert_kostka((3, 1), (2, 2))
+    onerow.dimension_counts((1, 2, 1))
     psi.kronecker_dominance(
         *[psi.graded_decomposition((2, 1), (2, 1))[1]] * 2, psi.pair_group((2, 1), (2, 1))
     )
