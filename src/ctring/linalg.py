@@ -14,27 +14,38 @@ sort.  What the shape of a presentation fixes (the variable count, the order,
 the powers and the cap supports) is validated and laid out once, in a
 module-level memo: the lines of each power and their leads, the cap lines,
 their bitmasks and, per variable, the exponent getters of the lines on it.
-An ideal binds only its cap values, read by line index.  Products are
-multiplied out one linear factor at a time by one step (times), which keeps
-only the terms that are clean monomials of the next degree, read from the
-clean monomials themselves: x_v * m is clean exactly when m is clean and v
-is one of its addable variables.  Every multiple of an unclean monomial is
-unclean, so the terms kept are the clean terms of the whole product.  The
-products of a power (lines, e), with their multinomial coefficients, are
-memoized on the ideal and built by the first slice of degree at least e
-that has a column: a power above the last clean degree costs nothing, and
-a product is multiplied out only as far as it keeps a clean term.
+An ideal binds only its cap values, read by line index.
+
+The term order is packed once per ideal into one integer weight per variable
+(order_weights), exact on the monomials of degree at most a bound, so each
+monomial has one integer key, and the key is linear: key(f * g) = key(f) +
+key(g).  The bound is the sum of the caps of lines that cover every
+variable, which no clean monomial exceeds: the row caps of the margin block,
+the bounds of a one-row ideal.  With a variable on no line, every power of
+it is clean, and the ideal packs its order again for a slice past its
+bound, dropping every memo that holds keys.  The clean-monomial walk
+carries the keys: a child's key is its parent's plus w[v].
+
+Products are multiplied out one linear factor at a time by one step
+(times), on terms keyed in the packing, which keeps only the terms that are
+clean monomials of the next degree, read from the clean monomials
+themselves: x_v * m is clean exactly when m is clean and v is one of its
+addable variables, looked up by m's key, and the multiple's key is
+key(m) + w[v].  Every multiple of an unclean monomial is unclean, so the
+terms kept are the clean terms of the whole product.  The products of a
+power (lines, e), with their multinomial coefficients, are memoized on the
+ideal and built by the first slice of degree at least e that has a column:
+a power above the last clean degree costs nothing, and a product is
+multiplied out only as far as it keeps a clean term.  No exponent tuple is
+built or hashed from the walk to the rows.
 
 The degree-d slice of the ideal, modulo unclean monomials, is spanned by the
 products of each power (lines, e) times the clean monomials of degree d - e.
-The term order is packed for the degree into one integer weight per variable
-(order_weights), so each monomial has one integer key, and the key is linear:
-key(f * g) = key(f) + key(g).  The columns are the clean monomials of degree
-d sorted on their keys, descending in the term order, each key its parent's
-plus w[v].  A row is one product times one clean factor: its entries sit at
-the factor's key plus the packed offset of each term of the product, the
-key of that term, looked up in one key -> position map, and a term that
-lands on no column is unclean and dropped.  Rows are sparse dicts keyed by
+The columns are the clean monomials of degree d sorted on their keys,
+descending in the term order.  A row is one product times one clean factor:
+its entries sit at the factor's key plus the key of each term of the
+product, looked up in one key -> position map, and a term that lands on no
+column is unclean and dropped.  Rows are sparse dicts keyed by
 column position, so finding a pivot is a plain min().  Forward elimination
 runs over the integers on primitive rows (fraction-free, as in Bareiss): its
 pivots are the degree-d part of the initial ideal, and the remaining columns
@@ -178,9 +189,11 @@ class DegreeBasis:
     """Echelon basis of one degree slice of a homogeneous ideal.
 
     `columns` lists the clean monomials of the degree in order-descending
-    sequence.  `weights` is the term order packed for the degree
-    (order_weights), so key(m) is one integer per monomial, and `position`
-    maps the key of each column to its position.  `rows` holds the primitive
+    sequence.  `weights` is the ideal's packing of the term order
+    (order_weights), so key(m) is one integer per monomial, injective up to
+    the ideal's packing degree, which is at least the slice degree when the
+    slice has a column, and `position` maps the key of each column to its
+    position.  `rows` holds the primitive
     integer rows of forward elimination keyed by pivot position, in
     ascending pivot order.  The slice is cached and shared by every caller,
     so `position`, `rows` and each row are read-only views.
@@ -199,8 +212,8 @@ class DegreeBasis:
 
     def key(self, exps) -> int:
         """The packed order key, injective on monomials of degree at most the
-        slice degree: position.get(key(m)) is m's column, or None when m is
-        not clean."""
+        ideal's packing degree: position.get(key(m)) is m's column, or None
+        when m is not clean."""
         return sum(map(mul, self.weights, exps))
 
     def reduce(self, vec) -> int:
@@ -326,16 +339,37 @@ class HomogeneousIdeal:
         self._bounds = bounds
         self.caps = tuple(zip(lines, bounds))
         addable = (1 << nvars) - 1  # the variables whose caps all have room
+        # a clean monomial's degree is at most the caps of lines that cover
+        # every variable, taken in order; a variable on no line has every
+        # power clean, and the order is packed again past the degree asked
+        bound, left = 0, addable
         for bits, cap in zip(masks, bounds):
             if not cap:
                 addable &= ~bits
+            if left & bits:
+                bound += cap
+                left &= ~bits
         # per degree from 0: the clean monomials, and for each its addable
-        # variables and its variables as bitmasks, and its last variable
+        # variables and its variables as bitmasks, its last variable and its
+        # key in the packed order
         self._clean = [((0,) * nvars,)]
         self._addable = [[addable]]
         self._support = [[0]]
         self._last = [[0]]
-        self._addable_of = {}  # degree -> {clean monomial: addable variables}
+        self._keys = [[0]]
+        self._capped = not left
+        self._pack(bound if self._capped else 0)
+
+    def _pack(self, degree):
+        """Pack the term order exactly up to the degree (order_weights) and
+        walk the clean monomials, which carry the keys, afresh from degree
+        0, dropping every memo that holds keys: the addable variables by
+        key, the products, the slices."""
+        self._bound = degree
+        self._weights = order_weights(self.order, self.nvars, degree)
+        for walked in (self._clean, self._addable, self._support, self._last, self._keys):
+            del walked[1:]
+        self._addable_of = {}  # degree -> {key of a clean monomial: addable variables}
         self._products_of = {}  # (lines, e) -> the products of a power
         self._slices = {}
 
@@ -350,12 +384,15 @@ class HomogeneousIdeal:
         parent's addable variables, those whose caps all have room.  A cap
         on v that fills takes its support out of the child's addable
         variables.  Parents in order, each extended by ascending v, come out
-        lexicographically descending.  Past an empty degree all are empty."""
-        clean, touch, bounds = self._clean, self._touch, self._bounds
+        lexicographically descending.  Past an empty degree all are empty.
+        A child's key is its parent's plus w[v], in the ideal's packing."""
+        clean, touch, bounds, weights = self._clean, self._touch, self._bounds, self._weights
         while len(clean) <= degree and clean[-1]:
-            monomials, addables, supports, lasts = [], [], [], []
-            parents = zip(clean[-1], self._addable[-1], self._support[-1], self._last[-1])
-            for parent, addable, support, last in parents:
+            monomials, addables, supports, lasts, keys = [], [], [], [], []
+            parents = zip(
+                clean[-1], self._addable[-1], self._support[-1], self._last[-1], self._keys[-1]
+            )
+            for parent, addable, support, last, key in parents:
                 for v in _variables(addable >> last << last):
                     child = parent[:v] + (parent[v] + 1,) + parent[v + 1 :]
                     room = addable
@@ -366,90 +403,85 @@ class HomogeneousIdeal:
                     addables.append(room)
                     supports.append(support | 1 << v)
                     lasts.append(v)
+                    keys.append(key + weights[v])
             clean.append(tuple(monomials))
             self._addable.append(addables)
             self._support.append(supports)
             self._last.append(lasts)
+            self._keys.append(keys)
         return clean[degree] if 0 <= degree < len(clean) else ()
 
-    def times(self, terms, form) -> dict:
-        """Homogeneous terms {exponents: coefficient} times the linear form
-        given as (variable, coefficient) pairs, keeping the terms that are
-        clean monomials of the next degree and whose coefficients do not
-        cancel.  A multiple x_v * m is clean exactly when m is clean and v
-        is one of m's addable variables (clean_monomials), so each term is
-        looked up once among the clean monomials of its degree, memoized
-        per degree with their addable variables, and only its clean
-        multiples are made.  Every multiple of an unclean monomial is
-        unclean, so a product of linear forms taken a factor at a time keeps
-        exactly the clean terms of the whole product."""
+    def times(self, terms, degree, form) -> dict:
+        """Homogeneous terms {key: coefficient} of the degree, keyed in the
+        ideal's packed order, times the linear form given as (variable,
+        coefficient) pairs, keeping the terms that are clean monomials of
+        the next degree and whose coefficients do not cancel.  A multiple
+        x_v * m is clean exactly when m is clean and v is one of m's
+        addable variables (clean_monomials), so each term's addable
+        variables are looked up once by its key, memoized per degree, and
+        only its clean multiples are made, each keyed key(m) + w[v].  Every
+        multiple of an unclean monomial is unclean, so a product of linear
+        forms taken a factor at a time keeps exactly the clean terms of the
+        whole product.  The keys are exact up to the degree the order is
+        packed for, which every slice of a degree with a column reaches."""
         if not terms:
             return {}
-        degree = sum(next(iter(terms)))
         addable = self._addable_of.get(degree)
         if addable is None:
             clean = self.clean_monomials(degree)
-            addable = dict(zip(clean, self._addable[degree])) if clean else {}
+            addable = dict(zip(self._keys[degree], self._addable[degree])) if clean else {}
             self._addable_of[degree] = addable
+        weights = self._weights
+        form = [(1 << v, weights[v], a) for v, a in form]
         step = {}
-        for exps, c in terms.items():
-            room = addable.get(exps, 0)
-            for v, a in form:
-                if room >> v & 1:
-                    up = exps[:v] + (exps[v] + 1,) + exps[v + 1 :]
+        for key, c in terms.items():
+            room = addable.get(key, 0)
+            for bit, w, a in form:
+                if room & bit:
+                    up = key + w
                     step[up] = step.get(up, 0) + c * a
         return {m: c for m, c in step.items() if c}
 
     def _products(self, e, lines, leads) -> list:
         """Every product of e of the sums of the lines of a power with a
-        clean term, as (its clean terms, the bitmask of the leads of the
-        lines before its last), memoized.  The products are multiplied out
-        a line at a time (times), and one with no clean term left is dropped
-        with all its extensions, so a product goes only as far as it can
-        reach a clean monomial."""
+        clean term, as (its clean terms as (key, coefficient) pairs, the
+        bitmask of the leads of the lines before its last), memoized.  The
+        products are multiplied out a line at a time (times), and one with
+        no clean term left is dropped with all its extensions, so a product
+        goes only as far as it can reach a clean monomial."""
         products = self._products_of.get((lines, e))
         if products is None:
             forms = [[(v, 1) for v in line] for line in lines]
-            level = [((), {(0,) * self.nvars: 1})]  # the products of t lines
-            for _ in range(e):
+            level = [((), {0: 1})]  # the products of t lines; key(1) = 0
+            for t in range(e):
                 level = [
                     (picked + (i,), terms)
                     for picked, partial in level
                     for i in range(picked[-1] if picked else 0, len(lines))
-                    for terms in (self.times(partial, forms[i]),)
+                    for terms in (self.times(partial, t, forms[i]),)
                     if terms
                 ]
-            products = [(terms, sum(set(leads[: picked[-1]]))) for picked, terms in level]
+            products = [
+                (tuple(terms.items()), sum(set(leads[: picked[-1]]))) for picked, terms in level
+            ]
             self._products_of[lines, e] = products
         return products
 
     def slice(self, degree) -> DegreeBasis:
-        """The echelon basis of the degree, cached.  Each column's key is
-        its parent's key plus w[v] (clean_monomials); the parents are the
-        clean monomials of degree - 1, and only their keys, and those of the
-        factors of the powers, are dot products.  A product of a power of
-        exponent e times a clean factor of degree - e is one row, unless it
-        is skipped (see the module docstring)."""
+        """The echelon basis of the degree, cached.  The columns' keys and
+        the factors' keys are those of the clean-monomial walk, and a
+        product's terms are its offsets (key(f * q) = key(f) + key(q)), so
+        no key is a dot product.  A product of a power of exponent e times
+        a clean factor of degree - e is one row, unless it is skipped (see
+        the module docstring).  An ideal with a variable on no line packs
+        its order again for a degree past its packing."""
         cached = self._slices.get(degree)
         if cached is not None:
             return cached
-        weights = order_weights(self.order, self.nvars, degree)
+        if degree > self._bound and not self._capped:
+            self._pack(max(degree, 2 * self._bound))
         monomials = self.clean_monomials(degree)
-        factor_keys = {}  # degree -> the key of each clean monomial
-
-        def keys_of(d):
-            if d not in factor_keys:
-                factor_keys[d] = [sum(map(mul, weights, q)) for q in self._clean[d]]
-            return factor_keys[d]
-
-        keys = [0] * len(monomials)  # the monomial 1, or none below degree 0
-        if degree > 0 and monomials:
-            below = zip(keys_of(degree - 1), self._addable[degree - 1], self._last[degree - 1])
-            keys = [
-                key + weights[v]
-                for key, addable, last in below
-                for v in _variables(addable >> last << last)
-            ]
+        keys = self._keys[degree] if monomials else []
         by_key = dict(zip(keys, monomials))
         keys = sorted(by_key, reverse=True)
         columns = tuple(map(by_key.__getitem__, keys))
@@ -459,9 +491,8 @@ class HomogeneousIdeal:
         for e, lines, leads in self._powers if monomials else ():
             if e > degree:
                 continue
-            below = list(zip(keys_of(degree - e), self._support[degree - e]))
-            for terms, skip in self._products(e, lines, leads):
-                offsets = [(sum(map(mul, weights, exps)), c) for exps, c in terms.items()]
+            below = list(zip(self._keys[degree - e], self._support[degree - e]))
+            for offsets, skip in self._products(e, lines, leads):
                 for key, support in below:
                     if support & skip:
                         continue
@@ -471,7 +502,9 @@ class HomogeneousIdeal:
                         if pos is not None:
                             row[pos] = c
                     rows.append(row)
-        basis = DegreeBasis(columns, weights, position, position_echelon(rows, len(columns)))
+        basis = DegreeBasis(
+            columns, self._weights, position, position_echelon(rows, len(columns))
+        )
         self._slices[degree] = basis
         return basis
 

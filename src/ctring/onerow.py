@@ -105,25 +105,27 @@ def _tableaux(bounds) -> tuple:
     """Depth first: each tableau is followed by its extensions by one column
     (a over b), a ascending and then b ascending, a weakly after the last
     top letter, b after a and weakly after the last bottom letter, each
-    letter taken only while its room (its bound less its uses) lasts."""
+    letter taken only while its room (its bound less its uses) lasts.  The
+    last letter has no b after it, so a stops before it."""
     n = len(bounds)
     room = [0, *bounds]  # by letter, 1..n
     half = sum(bounds) // 2
     out = [((), ())]
 
     def extend(top, bottom, a_lo, b_lo, depth):
-        for a in range(a_lo, n + 1):
+        for a in range(a_lo, n):
             if not room[a]:
                 continue
             room[a] -= 1
+            up = top + (a,)
             for b in range(max(a + 1, b_lo), n + 1):
                 if room[b]:
-                    room[b] -= 1
-                    up, down = top + (a,), bottom + (b,)
+                    down = bottom + (b,)
                     out.append((up, down))
                     if depth < half:  # at half, no two letters have room
+                        room[b] -= 1
                         extend(up, down, a, b, depth + 1)
-                    room[b] += 1
+                        room[b] += 1
             room[a] += 1
 
     extend((), (), 1, 1, 1)

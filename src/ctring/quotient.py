@@ -31,6 +31,7 @@ derived matrices of the contingency tables with margins (alpha, beta).
 from collections import Counter
 from functools import lru_cache
 from math import perm
+from operator import itemgetter
 
 from .errors import CheckFailed
 from .linalg import (
@@ -93,14 +94,16 @@ def colsum_ideal_generators(alpha, p: int):
 
 @lru_cache(maxsize=256)
 def _block(order, k, p) -> tuple:
-    """(order, row supports, column supports, slots) of the block of rows
-    2..k and columns 2..p of the k x p grid: slots[v] is the block variable
-    of the grid variable v, row-major, or -1 on the first row and column;
-    the order is the grid's restricted to the block, and the supports those
-    of the block's rows and columns, each empty when the block is.  Raises
-    CheckFailed unless the leads of the k + p line sums in degree 1 under
-    the order are exactly the first row and column, as the substitution onto
-    the block needs."""
+    """(order, row supports, column supports, slots, lift) of the block of
+    rows 2..k and columns 2..p of the k x p grid: slots[v] is the block
+    variable of the grid variable v, row-major, or -1 on the first row and
+    column; the order is the grid's restricted to the block, and the
+    supports those of the block's rows and columns, each empty when the
+    block is.  lift(m + (0,)) is the grid monomial of the block monomial m,
+    the slot -1 reading the 0 put last; on the 1 x 1 grid it slices, so
+    that it still returns a tuple.  Raises CheckFailed unless the leads of
+    the k + p line sums in degree 1 under the order are exactly the first
+    row and column, as the substitution onto the block needs."""
     grid = Grid(k, p)
     rows, cols = _lines(grid)
     line_sums = [linear_form(grid.nvars, line) for line in rows + cols]
@@ -120,6 +123,7 @@ def _block(order, k, p) -> tuple:
         tuple(tuple(slots[v] for v in row[1:]) for row in rows[1:]),
         tuple(tuple(slots[v] for v in col[1:]) for col in cols[1:]),
         slots,
+        itemgetter(*slots) if slots[1:] else itemgetter(slice(-1, None)),
     )
 
 
@@ -146,7 +150,7 @@ class QuotientModel:
         k, p = len(self.alpha), len(self.beta)
         self.n = sum(self.alpha)
         self.grid = Grid(k, p)
-        order, rows, cols, slots = _block(self.grid.diagonal_order(), k, p)
+        order, rows, cols, _, lift = _block(self.grid.diagonal_order(), k, p)
         self.ideal = HomogeneousIdeal(
             (k - 1) * (p - 1),
             order,
@@ -159,8 +163,7 @@ class QuotientModel:
         for degree in range(self.n + 1):
             std = self.ideal.standard_monomials(degree)
             hilbert.append(len(std))
-            for m in std:  # the slot -1 reads the 0 put last
-                standard.append(tuple((m + (0,))[s] for s in slots))
+            standard.extend(lift(m + (0,)) for m in std)
             if len(standard) >= self.size:
                 break
         if len(standard) != self.size:
@@ -224,7 +227,7 @@ def _block_form(lin: Poly, grid: Grid) -> dict:
     """A linear form on the grid through the substitution onto the block, as
     {block variable: coefficient}: x_11 -> T, x_1j -> -C_j, x_i1 -> -R_i,
     and each block variable to itself."""
-    _, rows, cols, slots = _block(grid.diagonal_order(), grid.k, grid.p)
+    _, rows, cols, slots, _ = _block(grid.diagonal_order(), grid.k, grid.p)
     out = {}
     for exps, c in lin.terms.items():
         v = exps.index(1)
@@ -254,8 +257,10 @@ def lefschetz_report(model: QuotientModel) -> list:
     the margin ideal isomorphically onto the quotient by the block ideal, so
     the ranks are those of the block form on the block slices.  Its powers
     L^1..L^top are multiplied out once, a factor at a time, onto their clean
-    terms (HomogeneousIdeal.times): a term off the clean monomials lies in
-    the ideal with all its multiples.  Each image L^e m of a standard
+    terms (HomogeneousIdeal.times), keyed in the ideal's packed order: a
+    term off the clean monomials lies in the ideal with all its multiples.
+    The block ideal is capped on every variable, so its order is packed
+    once, and the slices share its keys.  Each image L^e m of a standard
     monomial m, restricted to the clean monomials of the target degree, is
     reduced against the target slice's rows onto its standard monomials
     (DegreeBasis.reduce: the normal form up to a scale), and the rank of the
@@ -266,17 +271,17 @@ def lefschetz_report(model: QuotientModel) -> list:
     form = tuple(_block_form(lefschetz_element(model.alpha, model.beta), model.grid).items())
     ideal = model.ideal
     top = model.top_degree
-    powers = [{(0,) * ideal.nvars: 1}]
-    for _ in range(top):
-        powers.append(ideal.times(powers[-1], form))
+    powers = [{0: 1}]  # key(1) = 0
+    for degree in range(top):
+        powers.append(ideal.times(powers[-1], degree, form))
     out = []
     for k in range(0, top // 2 + 1):
         e = top - 2 * k
         source = ideal.standard_monomials(k)
         target = ideal.slice(top - k)
         # the packed key is linear, key(mono * term) = key(mono) + key(term),
-        # and injective up to the target degree
-        power = [(target.key(exps), c) for exps, c in powers[e].items()]
+        # and injective up to the ideal's packing degree
+        power = powers[e].items()
         images = []
         for mono in source:
             base = target.key(mono)

@@ -118,16 +118,17 @@ def _contingency_tables(alpha, beta) -> tuple:
     """Row i is any composition of alpha[i] under the column sums still open.
     No row is a dead end: the open column sums total the parts below, and
     any such vector is the margin of some table (northwest-corner rule).
-    Rows come lexicographically descending, so the tables do too."""
+    So the last row is the column sums left, its one composition.  Rows
+    come lexicographically descending, so the tables do too."""
     margins(alpha, beta)
     tables = [((), beta)]
-    for part in alpha:
+    for part in alpha[:-1]:
         tables = [
             (rows + (row,), tuple(c - r for c, r in zip(left, row)))
             for rows, left in tables
             for row in bounded_compositions(part, left)
         ]
-    return tuple(rows for rows, _ in tables)
+    return tuple(rows + (left,) for rows, left in tables)
 
 
 def count_contingency_tables(alpha, beta) -> int:

@@ -33,20 +33,26 @@ and the standard monomials under both.  `all_shifts` lists every shift that
 `split_left` chooses among, for the split-lex lemma.  The two-row tableaux
 of a one-row quotient, listed by the backtracking on use counts that the
 library replaced with room counters, are `backtracking_two_row_tableaux`.
+The contingency tables listed row by row, the last row included, are
+`row_by_row_contingency_tables`.  The library packs the term order once per
+ideal and carries integer keys from the clean-monomial walk to the rows; the
+slices packed per degree, with every key a dot product and the products
+multiplied out on exponent tuples, are `per_degree_slice`, and the Lefschetz
+report on them `per_degree_lefschetz_report`.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import factorial
-from operator import le
+from operator import le, mul
 from types import MappingProxyType
 
-from ctring.linalg import HomogeneousIdeal, linear_form
-from ctring.partitions import check_partition, kostka_column, partitions
-from ctring.polys import Grid, Poly
+from ctring.linalg import DegreeBasis, HomogeneousIdeal, linear_form, position_echelon
+from ctring.partitions import bounded_compositions, check_partition, kostka_column, partitions
+from ctring.polys import Grid, Poly, order_weights
 from ctring.psi import invariants_frobenius_h
-from ctring.quotient import contingency_generators, lefschetz_element
+from ctring.quotient import _block_form, contingency_generators, lefschetz_element
 from ctring.symfunc import TensorSymFunc, cycle_type_size, irreducible_character
 from ctring.tables import margins
 
@@ -788,3 +794,118 @@ def h_route_invariants_s(mu, lam) -> TensorSymFunc:
         for key, value in invariants_frobenius_h(mu, rho).to_s().coeffs.items():
             coeffs[key] = coeffs.get(key, 0) + c * value
     return TensorSymFunc(invariants_frobenius_h(mu, lam).degrees, "s", coeffs)
+
+
+def row_by_row_contingency_tables(alpha, beta) -> tuple:
+    """All matrices with the given row and column sums, lexicographically
+    descending as flat tuples, listing every row, the last one included, as
+    a composition of its part under the column sums still open."""
+    alpha, beta = margins(alpha, beta)
+    tables = [((), beta)]
+    for part in alpha:
+        tables = [
+            (rows + (row,), tuple(c - r for c, r in zip(left, row)))
+            for rows, left in tables
+            for row in bounded_compositions(part, left)
+        ]
+    return tuple(rows for rows, _ in tables)
+
+
+def _clean_times(ideal, terms, form) -> dict:
+    """Homogeneous terms {exponents: coefficient} times the linear form given
+    as (variable, coefficient) pairs, kept on the clean monomials of the next
+    degree, the terms that cancel dropped."""
+    if not terms:
+        return {}
+    clean = set(ideal.clean_monomials(sum(next(iter(terms))) + 1))
+    step = {}
+    for exps, c in terms.items():
+        for v, a in form:
+            up = exps[:v] + (exps[v] + 1,) + exps[v + 1 :]
+            if up in clean:
+                step[up] = step.get(up, 0) + c * a
+    return {m: c for m, c in step.items() if c}
+
+
+def per_degree_slice(ideal, degree) -> DegreeBasis:
+    """One degree slice of a HomogeneousIdeal with the order packed for the
+    degree alone (order_weights), every key a dot product and each power's
+    products multiplied out on exponent tuples (_clean_times): the library's
+    rows, skip and row order, keyed anew per degree."""
+    weights = order_weights(ideal.order, ideal.nvars, degree)
+
+    def key(exps):
+        return sum(map(mul, weights, exps))
+
+    columns = tuple(sorted(ideal.clean_monomials(degree), key=key, reverse=True))
+    position = {key(m): i for i, m in enumerate(columns)}
+    rows = []
+    for e, lines, leads in ideal._powers if columns else ():
+        if e > degree:
+            continue
+        factors = [
+            (key(q), sum(1 << v for v, a in enumerate(q) if a))
+            for q in ideal.clean_monomials(degree - e)
+        ]
+        forms = [[(v, 1) for v in line] for line in lines]
+        level = [((), {(0,) * ideal.nvars: 1})]
+        for _ in range(e):
+            level = [
+                (picked + (i,), terms)
+                for picked, partial in level
+                for i in range(picked[-1] if picked else 0, len(lines))
+                for terms in (_clean_times(ideal, partial, forms[i]),)
+                if terms
+            ]
+        for picked, terms in level:
+            skip = sum(set(leads[: picked[-1]]))
+            offsets = [(key(exps), c) for exps, c in terms.items()]
+            for base, support in factors:
+                if support & skip:
+                    continue
+                row = {}
+                for offset, c in offsets:
+                    pos = position.get(base + offset)
+                    if pos is not None:
+                        row[pos] = c
+                rows.append(row)
+    return DegreeBasis(columns, weights, position, position_echelon(rows, len(columns)))
+
+
+def per_degree_lefschetz_report(model) -> list:
+    """lefschetz_report on per_degree_slice: the powers of the block form
+    multiplied out on exponent tuples (_clean_times), and each image keyed in
+    the packing of its target degree."""
+    ideal, top = model.ideal, model.top_degree
+    form = tuple(_block_form(lefschetz_element(model.alpha, model.beta), model.grid).items())
+    powers = [{(0,) * ideal.nvars: 1}]
+    for _ in range(top):
+        powers.append(_clean_times(ideal, powers[-1], form))
+    out = []
+    for k in range(top // 2 + 1):
+        e = top - 2 * k
+        source = per_degree_slice(ideal, k).standard
+        target = per_degree_slice(ideal, top - k)
+        power = [(target.key(exps), c) for exps, c in powers[e].items()]
+        images = []
+        for mono in source:
+            base = target.key(mono)
+            image = {}
+            for key, c in power:
+                pos = target.position.get(base + key)
+                if pos is not None:
+                    image[pos] = c
+            target.reduce(image)
+            images.append(image)
+        rank = len(position_echelon(images, len(target.standard)))
+        out.append(
+            {
+                "k": k,
+                "power": e,
+                "dim_source": len(source),
+                "dim_target": len(target.standard),
+                "rank": rank,
+                "injective": rank == len(source),
+            }
+        )
+    return out

@@ -17,6 +17,8 @@ from oracles import (
     fraction_rref,
     margin_ideal,
     oracle_slice,
+    per_degree_lefschetz_report,
+    per_degree_slice,
     strict_compositions,
     unskipped_slice_rows,
 )
@@ -327,7 +329,9 @@ def test_times_is_poly_multiplication_restricted_to_clean_monomials():
     # powers: terms times a linear form, kept on the clean monomials of the
     # next degree, with the coefficients that cancel dropped.  Random ideals
     # with caps of 0, random terms, clean or not, and forms with mixed signs
-    # and repeated variables, against Poly multiplication
+    # and repeated variables, against Poly multiplication; the terms are
+    # keyed in the ideal's packing, which a slice of degree 4 makes exact up
+    # to degree 4
     rng = random.Random(27)
     cancelled = 0
     for _ in range(300):
@@ -337,6 +341,7 @@ def test_times_is_poly_multiplication_restricted_to_clean_monomials():
             for _ in range(rng.randint(0, 3))
         ]
         ideal = HomogeneousIdeal(nvars, None, caps=caps)
+        key = ideal.slice(4).key
         for d in range(4):
             clean = set(ideal.clean_monomials(d + 1))
             every = bounded_exponents(nvars, d)
@@ -347,8 +352,8 @@ def test_times_is_poly_multiplication_restricted_to_clean_monomials():
                 linear = linear + a * Poly.variable(nvars, v)
             product = (Poly(nvars, terms) * linear).terms
             expected = {m: c for m, c in product.items() if m in clean}
-            got = ideal.times(terms, form)
-            assert got == expected, (caps, terms, form)
+            got = ideal.times({key(m): c for m, c in terms.items()}, d, form)
+            assert got == {key(m): c for m, c in expected.items()}, (caps, terms, form)
             assert all(got.values())
             reached = {e[:v] + (e[v] + 1,) + e[v + 1 :] for e in terms for v, a in form if a}
             cancelled += len(got) < len(reached & clean)
@@ -357,15 +362,23 @@ def test_times_is_poly_multiplication_restricted_to_clean_monomials():
 
 def test_times_drops_the_terms_that_cancel():
     # (x0 - x1)(x0 + x1) = x0^2 - x1^2 loses x0 * x1; a cap of 1 on x0 then
-    # leaves -x1^2 only, and x0^2 * x1^2 loses every term
+    # leaves -x1^2 only, and x0^2 * x1^2 loses every term.  The terms are
+    # keyed in each ideal's packing, exact up to degree 3 after its slice
     free = HomogeneousIdeal(2, None)
-    assert free.times({(1, 0): 1, (0, 1): -1}, [(0, 1), (1, 1)]) == {(2, 0): 1, (0, 2): -1}
+    key = free.slice(3).key
+    assert free.times({key((1, 0)): 1, key((0, 1)): -1}, 1, [(0, 1), (1, 1)]) == {
+        key((2, 0)): 1,
+        key((0, 2)): -1,
+    }
     capped = HomogeneousIdeal(2, None, caps=[((0,), 1)])
-    assert capped.times({(1, 0): 1, (0, 1): -1}, [(0, 1), (1, 1)]) == {(0, 2): -1}
-    assert capped.times({(1, 1): 2}, [(0, 1)]) == {}
-    assert capped.times({}, [(0, 1)]) == {}
+    ckey = capped.slice(3).key
+    assert capped.times({ckey((1, 0)): 1, ckey((0, 1)): -1}, 1, [(0, 1), (1, 1)]) == {
+        ckey((0, 2)): -1
+    }
+    assert capped.times({ckey((1, 1)): 2}, 2, [(0, 1)]) == {}
+    assert capped.times({}, 0, [(0, 1)]) == {}
     # a form whose coefficients sum to zero on one variable adds nothing
-    assert free.times({(1, 0): 1}, [(1, 2), (1, -2)]) == {}
+    assert free.times({key((1, 0)): 1}, 1, [(1, 2), (1, -2)]) == {}
 
 
 def test_no_zero_coefficient_reaches_a_row(monkeypatch):
@@ -630,6 +643,82 @@ def test_packed_order_sorts_every_slice():
             ideal = HomogeneousIdeal(grid.nvars, order)
             _assert_columns_sorted(ideal, diagonal_key(grid, tiebreak), 4)
             assert (4,) + (0,) * (grid.nvars - 1) in ideal.slice(4).columns
+
+
+def _assert_per_degree(ideal, degree):
+    basis, expected = ideal.slice(degree), per_degree_slice(ideal, degree)
+    assert basis.columns == expected.columns, degree
+    assert {p: dict(row) for p, row in basis.rows.items()} == {
+        p: dict(row) for p, row in expected.rows.items()
+    }, degree
+    assert basis.standard == expected.standard, degree
+
+
+def test_one_packing_matches_the_per_degree_slices():
+    # the order packed once per ideal, with keys carried from the clean
+    # monomial walk through the products to the rows, against the order
+    # packed per degree with every key a dot product and the products on
+    # exponent tuples: every slice's columns, echelon rows and standard
+    # monomials, and every Lefschetz report, on every margin pair with
+    # n <= 5 and lengths <= 3 and on every one-row bound with total <= 8
+    slices = 0
+    for n in range(6):
+        comps = weak_compositions_upto(n, 3)
+        for alpha in comps:
+            for beta in comps:
+                model = QuotientModel(alpha, beta)
+                for d in range(n + 2):
+                    _assert_per_degree(model.ideal, d)
+                    slices += 1
+                assert lefschetz_report(model) == per_degree_lefschetz_report(model)
+    for bounds in [b for total in range(1, 9) for b in strict_compositions(total)]:
+        ideal = one_row_ideal(bounds)
+        for d in range(sum(bounds) + 2):
+            _assert_per_degree(ideal, d)
+            slices += 1
+    assert slices > 12000
+
+
+def test_an_uncapped_ideal_packs_again_past_its_degree():
+    # with a variable on no cap, every power of it is clean and no cap bounds
+    # the packing: a slice past it packs the order again, keys the clean
+    # monomials anew and drops the memos keyed in the old packing (the
+    # addable variables by key, the products and the slices), so degree 3,
+    # then 60, then 3 again each equal the slice packed for its own degree
+    ideals = [
+        HomogeneousIdeal(2, None),
+        HomogeneousIdeal(2, None, [([(0, 1)], 2)]),
+        HomogeneousIdeal(3, [(0, 1, 2), (2,), (1,), (0,)], [([(0, 1), (1, 2)], 2)], [((0,), 1)]),
+    ]
+    for ideal in ideals:
+        x0 = (1,) + (0,) * (ideal.nvars - 1)
+        x0_squared = (2,) + (0,) * (ideal.nvars - 1)
+        packings = []
+        for d in (3, 60, 3):
+            _assert_per_degree(ideal, d)
+            key = ideal.slice(d).key
+            packings.append(ideal.slice(d).weights)
+            assert ideal.times({key(x0): 1}, 1, [(0, 1)]) == (
+                {key(x0_squared): 1} if x0_squared in ideal.clean_monomials(2) else {}
+            )
+        assert packings[0] != packings[1] == packings[2]
+        assert ideal.slice(60).columns and ideal.slice(61).columns
+
+
+def test_a_model_packs_its_order_once(monkeypatch):
+    # with the block and the layout warm, building a model calls
+    # order_weights once, for its ideal, and not once per slice
+    QuotientModel((2, 2, 2), (2, 2, 1, 1))
+    calls = []
+    weights = ctring.linalg.order_weights
+
+    def counted(*args):
+        calls.append(args)
+        return weights(*args)
+
+    monkeypatch.setattr(ctring.linalg, "order_weights", counted)
+    model = QuotientModel((2, 2, 2), (2, 2, 1, 1))
+    assert len(model.hilbert) > 2 and len(calls) <= 1
 
 
 def test_simple_ideal_slice():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from oracles import brute_zigzag, random_matrix
+from oracles import brute_zigzag, random_matrix, row_by_row_contingency_tables
 from ctring.partitions import weak_compositions, weak_compositions_upto
 from ctring.tables import (
     col_sums,
@@ -183,3 +183,19 @@ def test_matrix_json_roundtrip():
     assert matrix_from_json(json.dumps(blob)) == GOLDEN_MATRIX
     with pytest.raises(ValueError):
         matrix_from_json({"rows": 2, "cols": 4, "entries": blob["entries"]})
+
+
+def test_last_row_is_the_column_sums_left():
+    # the last row of a table is the column sums the rows above leave, so
+    # it is not listed: the tables, in order, of every row listed as a
+    # composition, on every margin pair with n <= 6 and lengths <= 3
+    pairs = 0
+    for n in range(7):
+        comps = weak_compositions_upto(n, 3)
+        for alpha in comps:
+            for beta in comps:
+                assert contingency_tables(alpha, beta) == row_by_row_contingency_tables(
+                    alpha, beta
+                ), (alpha, beta)
+                pairs += 1
+    assert pairs > 2800
