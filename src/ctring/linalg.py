@@ -19,11 +19,10 @@ An ideal binds only its cap values, read by line index.
 The term order is packed once per ideal into one integer weight per variable
 (order_weights), exact on the monomials of degree at most a bound, so each
 monomial has one integer key, and the key is linear: key(f * g) = key(f) +
-key(g).  The bound is the sum of the caps of lines that cover every
-variable, which no clean monomial exceeds: the row caps of the margin block,
-the bounds of a one-row ideal.  With a variable on no line, every power of
-it is clean, and the ideal packs its order again for a slice past its
-bound, dropping every memo that holds keys.  The clean-monomial walk
+key(g).  Every variable lies on a cap line, so the bound is the sum of the
+caps of lines that cover every variable, which no clean monomial exceeds:
+the row caps of the margin block, the bounds of a one-row ideal.  The order
+is packed when the ideal is built and never again.  The clean-monomial walk
 carries the keys: a child's key is its parent's plus w[v].
 
 Products are multiplied out one linear factor at a time by one step
@@ -189,14 +188,13 @@ class DegreeBasis:
     """Echelon basis of one degree slice of a homogeneous ideal.
 
     `columns` lists the clean monomials of the degree in order-descending
-    sequence.  `weights` is the ideal's packing of the term order
+    sequence.  `weights` is the ideal's one packing of the term order
     (order_weights), so key(m) is one integer per monomial, injective up to
-    the ideal's packing degree, which is at least the slice degree when the
-    slice has a column, and `position` maps the key of each column to its
-    position.  `rows` holds the primitive
-    integer rows of forward elimination keyed by pivot position, in
-    ascending pivot order.  The slice is cached and shared by every caller,
-    so `position`, `rows` and each row are read-only views.
+    the degree the ideal's caps bound, and `position` maps the key of each
+    column to its position.  `rows` holds the primitive integer rows of
+    forward elimination keyed by pivot position, in ascending pivot order.
+    The slice is cached and shared by every caller, so `position`, `rows`
+    and each row are read-only views.
     """
 
     __slots__ = ("columns", "weights", "position", "rows", "standard")
@@ -212,8 +210,8 @@ class DegreeBasis:
 
     def key(self, exps) -> int:
         """The packed order key, injective on monomials of degree at most the
-        ideal's packing degree: position.get(key(m)) is m's column, or None
-        when m is not clean."""
+        degree the ideal's caps bound: position.get(key(m)) is m's column, or
+        None when m is not clean."""
         return sum(map(mul, self.weights, exps))
 
     def reduce(self, vec) -> int:
@@ -247,9 +245,10 @@ def _layout(nvars, order, powers, supports) -> tuple:
     dropped.  A power whose lines are single variables is the cap e - 1 on
     their union, added past the caps given.  The lines are the distinct cap
     supports, in order of first appearance.  Raises ValueError on an order
-    that is not total, an exponent below 1, or a bad line or support."""
-    order_weights(order, nvars, 0)  # raises on an order that is not total
-    key = order_weights(order, nvars, 1).__getitem__  # ranks the variables
+    that is not total, an exponent below 1, a bad line or support, or a
+    variable on no line."""
+    # raises on an order that is not total; ranks the variables
+    key = order_weights(order, nvars, 1).__getitem__
     powered = []
     extra = []
     for lines, e in powers:
@@ -284,6 +283,9 @@ def _layout(nvars, order, powers, supports) -> tuple:
         load = itemgetter(*support) if support[1:] else None
         for v in support:  # a single variable's getter slices out its 1-tuple
             touch[v].append((load or itemgetter(slice(v, v + 1)), line, ~masks[-1]))
+    for v, on in enumerate(touch):
+        if not on:
+            raise ValueError(f"variable {v} lies on no cap: caps must bound every variable")
     return (
         tuple(powered),
         lines,
@@ -305,8 +307,10 @@ class HomogeneousIdeal:
     to 0, and a power on single variables is a cap: every monomial of degree
     e on them.  `caps` holds (support, cap) pairs: every monomial on the
     variables of support of degree greater than cap lies in the ideal.  A
-    negative cap, an exponent below 1 or a variable index outside
-    range(nvars) raises ValueError.
+    negative cap, a variable on no cap (a power on single variables counts
+    as one), an exponent below 1 or a variable index outside range(nvars)
+    raises ValueError.  The caps thus bound the degree of every clean
+    monomial, and the order is packed once, here, up to that bound.
 
     `order` is the term order as supports, most significant first
     (order_weights; None: plain lex).  Monomials compare by their degree on
@@ -340,8 +344,7 @@ class HomogeneousIdeal:
         self.caps = tuple(zip(lines, bounds))
         addable = (1 << nvars) - 1  # the variables whose caps all have room
         # a clean monomial's degree is at most the caps of lines that cover
-        # every variable, taken in order; a variable on no line has every
-        # power clean, and the order is packed again past the degree asked
+        # every variable, taken in order
         bound, left = 0, addable
         for bits, cap in zip(masks, bounds):
             if not cap:
@@ -349,26 +352,14 @@ class HomogeneousIdeal:
             if left & bits:
                 bound += cap
                 left &= ~bits
+        self._weights = order_weights(self.order, nvars, bound)
         # per degree from 0: the clean monomials, and for each its addable
-        # variables and its variables as bitmasks, its last variable and its
-        # key in the packed order
+        # variables and its variables as bitmasks, and its key in the packed
+        # order
         self._clean = [((0,) * nvars,)]
         self._addable = [[addable]]
         self._support = [[0]]
-        self._last = [[0]]
         self._keys = [[0]]
-        self._capped = not left
-        self._pack(bound if self._capped else 0)
-
-    def _pack(self, degree):
-        """Pack the term order exactly up to the degree (order_weights) and
-        walk the clean monomials, which carry the keys, afresh from degree
-        0, dropping every memo that holds keys: the addable variables by
-        key, the products, the slices."""
-        self._bound = degree
-        self._weights = order_weights(self.order, self.nvars, degree)
-        for walked in (self._clean, self._addable, self._support, self._last, self._keys):
-            del walked[1:]
         self._addable_of = {}  # degree -> {key of a clean monomial: addable variables}
         self._products_of = {}  # (lines, e) -> the products of a power
         self._slices = {}
@@ -381,18 +372,18 @@ class HomogeneousIdeal:
         Degree d extends degree d - 1.  A clean monomial is made once, from
         its parent, which has one less on its last variable: the parent
         times a variable v at or after the parent's last, taken from the
-        parent's addable variables, those whose caps all have room.  A cap
-        on v that fills takes its support out of the child's addable
-        variables.  Parents in order, each extended by ascending v, come out
-        lexicographically descending.  Past an empty degree all are empty.
+        parent's addable variables, those whose caps all have room; the
+        parent's last is the top bit of its support.  A cap on v that fills
+        takes its support out of the child's addable variables.  Parents in
+        order, each extended by ascending v, come out lexicographically
+        descending.  Past an empty degree all are empty.
         A child's key is its parent's plus w[v], in the ideal's packing."""
         clean, touch, bounds, weights = self._clean, self._touch, self._bounds, self._weights
         while len(clean) <= degree and clean[-1]:
-            monomials, addables, supports, lasts, keys = [], [], [], [], []
-            parents = zip(
-                clean[-1], self._addable[-1], self._support[-1], self._last[-1], self._keys[-1]
-            )
-            for parent, addable, support, last, key in parents:
+            monomials, addables, supports, keys = [], [], [], []
+            parents = zip(clean[-1], self._addable[-1], self._support[-1], self._keys[-1])
+            for parent, addable, support, key in parents:
+                last = (support.bit_length() or 1) - 1
                 for v in _variables(addable >> last << last):
                     child = parent[:v] + (parent[v] + 1,) + parent[v + 1 :]
                     room = addable
@@ -402,12 +393,10 @@ class HomogeneousIdeal:
                     monomials.append(child)
                     addables.append(room)
                     supports.append(support | 1 << v)
-                    lasts.append(v)
                     keys.append(key + weights[v])
             clean.append(tuple(monomials))
             self._addable.append(addables)
             self._support.append(supports)
-            self._last.append(lasts)
             self._keys.append(keys)
         return clean[degree] if 0 <= degree < len(clean) else ()
 
@@ -422,8 +411,7 @@ class HomogeneousIdeal:
         only its clean multiples are made, each keyed key(m) + w[v].  Every
         multiple of an unclean monomial is unclean, so a product of linear
         forms taken a factor at a time keeps exactly the clean terms of the
-        whole product.  The keys are exact up to the degree the order is
-        packed for, which every slice of a degree with a column reaches."""
+        whole product."""
         if not terms:
             return {}
         addable = self._addable_of.get(degree)
@@ -452,18 +440,16 @@ class HomogeneousIdeal:
         products = self._products_of.get((lines, e))
         if products is None:
             forms = [[(v, 1) for v in line] for line in lines]
-            level = [((), {0: 1})]  # the products of t lines; key(1) = 0
+            level = [(0, {0: 1})]  # (last line, terms) per product of t lines; key(1) = 0
             for t in range(e):
                 level = [
-                    (picked + (i,), terms)
-                    for picked, partial in level
-                    for i in range(picked[-1] if picked else 0, len(lines))
+                    (i, terms)
+                    for last, partial in level
+                    for i in range(last, len(lines))
                     for terms in (self.times(partial, t, forms[i]),)
                     if terms
                 ]
-            products = [
-                (tuple(terms.items()), sum(set(leads[: picked[-1]]))) for picked, terms in level
-            ]
+            products = [(tuple(terms.items()), sum(set(leads[:last]))) for last, terms in level]
             self._products_of[lines, e] = products
         return products
 
@@ -473,13 +459,10 @@ class HomogeneousIdeal:
         product's terms are its offsets (key(f * q) = key(f) + key(q)), so
         no key is a dot product.  A product of a power of exponent e times
         a clean factor of degree - e is one row, unless it is skipped (see
-        the module docstring).  An ideal with a variable on no line packs
-        its order again for a degree past its packing."""
+        the module docstring)."""
         cached = self._slices.get(degree)
         if cached is not None:
             return cached
-        if degree > self._bound and not self._capped:
-            self._pack(max(degree, 2 * self._bound))
         monomials = self.clean_monomials(degree)
         keys = self._keys[degree] if monomials else []
         by_key = dict(zip(keys, monomials))

@@ -136,7 +136,8 @@ def count_contingency_tables(alpha, beta) -> int:
     over the shapes lam of the Kostka column of alpha."""
     alpha, beta = margins(alpha, beta)
     # K(lam, beta) through kostka, where perfbench/tracer.py measures the
-    # Kostka layer; see ROADMAP item 4 before making this a column join
+    # Kostka layer; see the ROADMAP item on the benchmark before making this
+    # a column join
     return sum(value * kostka(lam, beta) for lam, value in kostka_column(alpha).items())
 
 

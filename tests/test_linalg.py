@@ -78,38 +78,74 @@ def test_clean_monomials_cannot_be_changed_by_callers():
 
 
 def test_bad_powers_and_caps_rejected():
+    # each ideal holds a cap on all its variables, so only the fault named
+    # can raise
+    capped = [((0, 1), 1)]
     with pytest.raises(ValueError):
-        HomogeneousIdeal(2, None, caps=[((0,), -1)])
+        HomogeneousIdeal(2, None, caps=[((0,), -1)] + capped)
     with pytest.raises(ValueError):
-        HomogeneousIdeal(2, None, caps=[((2,), 1)])
+        HomogeneousIdeal(2, None, caps=[((2,), 1)] + capped)
     with pytest.raises(ValueError):
-        HomogeneousIdeal(2, None, powers=[([(0, 2)], 1)])
+        HomogeneousIdeal(2, None, powers=[([(0, 2)], 1)], caps=capped)
     with pytest.raises(ValueError):
-        HomogeneousIdeal(2, None, powers=[([(-1,)], 1)])
+        HomogeneousIdeal(2, None, powers=[([(-1,)], 1)], caps=capped)
     # the exponent of a power is at least 1, on any lines
     for lines in ([(0, 1)], [(0,), (1,)], []):
         with pytest.raises(ValueError, match="exponent"):
-            HomogeneousIdeal(2, None, powers=[(lines, 0)])
+            HomogeneousIdeal(2, None, powers=[(lines, 0)], caps=capped)
     # an order needs a singleton support on every variable to be total
     with pytest.raises(ValueError):
-        HomogeneousIdeal(3, [(0, 1, 2), (0,), (1,)])
+        HomogeneousIdeal(3, [(0, 1, 2), (0,), (1,)], caps=[((0, 1, 2), 1)])
     with pytest.raises(ValueError):
-        HomogeneousIdeal(2, [(0,), (1,), (2,)])
-    assert HomogeneousIdeal(3, [(0, 1), (2,), (1, 1), (0,)]).order == (
+        HomogeneousIdeal(2, [(0,), (1,), (2,)], caps=capped)
+    assert HomogeneousIdeal(3, [(0, 1), (2,), (1, 1), (0,)], caps=[((0, 1, 2), 1)]).order == (
         (0, 1), (2,), (1, 1), (0,)
     )
+
+
+def test_an_uncapped_variable_is_rejected():
+    # the caps bound every variable, a power on single variables counting as
+    # a cap and an empty line as nothing, so the order is packed once, when
+    # the ideal is built; a variable on no cap is a ValueError naming it
+    for nvars, order, powers, caps, v in [
+        (2, None, [], [], 0),
+        (2, None, [([(), ()], 3)], [], 0),
+        (3, None, [([(0, 1)], 2)], [((0,), 1)], 1),
+        (3, [(0, 1, 2), (2,), (1,), (0,)], [([(0, 1), (1, 2)], 2)], [((0,), 1), ((1, 0), 2)], 2),
+    ]:
+        with pytest.raises(ValueError, match=f"variable {v} lies on no cap"):
+            HomogeneousIdeal(nvars, order, powers, caps)
+    # caps of 0 and powers on single variables cover their variables
+    assert HomogeneousIdeal(2, None, caps=[((0, 1), 0)]).clean_monomials(1) == ()
+    assert HomogeneousIdeal(2, None, [([(0,)], 2), ([(1,)], 1)]).caps == (((0,), 1), ((1,), 0))
+    # every ideal the library builds has its variables capped: none at all,
+    # the margin block of every pair with n <= 5 and lengths <= 3, and every
+    # one-row ideal with total bound <= 8
+    assert HomogeneousIdeal(0, None).clean_monomials(0) == ((),)
+    models = 0
+    for n in range(6):
+        comps = weak_compositions_upto(n, 3)
+        for alpha in comps:
+            for beta in comps:
+                assert isinstance(QuotientModel(alpha, beta).ideal, HomogeneousIdeal)
+                models += 1
+    assert models > 1000
+    for bounds in [b for total in range(1, 9) for b in strict_compositions(total)]:
+        assert isinstance(one_row_ideal(bounds), HomogeneousIdeal)
 
 
 def test_powers_contract():
     # a power on one variable is the cap 0 on it, and on single variables
     # the cap e - 1 on their union; lines holding the same variables, in any
-    # order or repeated, are one line, and an empty line, the sum 0, is none
-    plain = HomogeneousIdeal(3, None, [([(0, 1)], 1)], [((2,), 0)])
-    single = HomogeneousIdeal(3, None, [([(0, 1)], 1), ([(2,)], 1)])
+    # order or repeated, are one line, and an empty line, the sum 0, is none.
+    # Each ideal holds a cap of 3 on all its variables, past the degrees read
+    every = [((0, 1, 2), 3)]
+    plain = HomogeneousIdeal(3, None, [([(0, 1)], 1)], every + [((2,), 0)])
+    single = HomogeneousIdeal(3, None, [([(0, 1)], 1), ([(2,)], 1)], every)
     listed = HomogeneousIdeal(
-        3, None, [([(0, 1), (1, 0), (0, 0, 1), ()], 1), ([(2,), (2,)], 1), ([()], 4)]
+        3, None, [([(0, 1), (1, 0), (0, 0, 1), ()], 1), ([(2,), (2,)], 1), ([()], 4)], every
     )
-    assert single.caps == listed.caps == plain.caps == (((2,), 0),)
+    assert single.caps == listed.caps == plain.caps == (((0, 1, 2), 3), ((2,), 0))
     for d in range(4):
         expected = plain.slice(d)
         for ideal in (single, listed):
@@ -117,12 +153,9 @@ def test_powers_contract():
             assert (basis.columns, basis.rows) == (expected.columns, expected.rows)
     assert plain.standard_monomials(2) == ((0, 2, 0),)
     # (x0, x1)^2 is every monomial of degree 2 on x0 and x1: the cap 1
-    square = HomogeneousIdeal(3, None, [([(0,), (1,)], 2)])
-    assert square.caps == (((0, 1), 1),)
+    square = HomogeneousIdeal(3, None, [([(0,), (1,)], 2)], [((0, 1, 2), 2)])
+    assert square.caps == (((0, 1, 2), 2), ((0, 1), 1))
     assert square.clean_monomials(2) == ((1, 0, 1), (0, 1, 1), (0, 0, 2))
-    # no power and no cap: nothing lies in the ideal
-    free = HomogeneousIdeal(2, None, [([(), ()], 3)])
-    assert free.caps == () and free.standard_monomials(3) == tuple(bounded_exponents(2, 3))
 
 
 def test_caps_match_divisibility_on_margin_ideals():
@@ -168,7 +201,9 @@ def _sum(support):
 
 # cap systems that are neither margin nor one-row ideals: (nvars, powers, caps)
 CAP_SYSTEMS = {
-    "uncapped variable": (4, _sum((0, 1, 2, 3)), [((0, 1), 2), ((1, 2), 1)]),
+    # variable 3 on the cap of 7 on every variable only, as "no caps" is:
+    # those caps remove no monomial of a degree the test reads, d < 7
+    "uncapped variable": (4, _sum((0, 1, 2, 3)), [((0, 1), 2), ((1, 2), 1), ((0, 1, 2, 3), 7)]),
     "cap of 0": (4, _sum((0, 3)) + _sum((1, 2)), [((0, 1, 2), 3), ((2, 3), 0)]),
     "overlapping supports": (
         5,
@@ -177,7 +212,7 @@ CAP_SYSTEMS = {
     ),
     # (0, 1) and (1, 0) are two caps on one support; (2, 2, 3) repeats 2
     "repeated support": (4, _sum((1, 2)), [((0, 1), 3), ((1, 0), 2), ((0, 1), 4), ((2, 2, 3), 1)]),
-    "no caps": (3, _sum((0, 1)), []),
+    "no caps": (3, _sum((0, 1)), [((0, 1, 2), 7)]),
     # powers: multinomial coefficients, products of overlapping lines, two
     # powers of one degree and of two, and the skip of the rows whose factor
     # a lead of an earlier line divides
@@ -256,7 +291,8 @@ def test_ideals_of_one_shape_keep_their_own_caps():
     for cap in (2, 0, 1):
         for sums in ([(0, 1), (2,)], [(2,), (0, 1)]):
             powers = [([support], 1) for support in sums]
-            ideal = HomogeneousIdeal(3, None, powers, [((2,), cap), ((0, 2), 2)])
+            # the cap of 4 on every variable is past the degrees read
+            ideal = HomogeneousIdeal(3, None, powers, [((2,), cap), ((0, 2), 2), ((0, 1, 2), 4)])
             gens = [linear_form(3, support) for support in sums]
             gens += [Poly.monomial((0, 0, cap + 1))]
             gens += [Poly.monomial((a, 0, 3 - a)) for a in range(4)]
@@ -271,7 +307,7 @@ def test_ideals_of_one_shape_keep_their_own_caps():
 @pytest.mark.parametrize("nvars", [0, 1, 2])
 def test_negative_degrees_are_empty(nvars):
     for ideal in (
-        HomogeneousIdeal(nvars, None),
+        HomogeneousIdeal(nvars, None, caps=[(tuple(range(nvars)), 1)]),
         HomogeneousIdeal(nvars, None, [([tuple(range(nvars))], 2)], [(tuple(range(nvars)), 2)]),
     ):
         for d in (-1, -2):
@@ -329,9 +365,9 @@ def test_times_is_poly_multiplication_restricted_to_clean_monomials():
     # powers: terms times a linear form, kept on the clean monomials of the
     # next degree, with the coefficients that cancel dropped.  Random ideals
     # with caps of 0, random terms, clean or not, and forms with mixed signs
-    # and repeated variables, against Poly multiplication; the terms are
-    # keyed in the ideal's packing, which a slice of degree 4 makes exact up
-    # to degree 4
+    # and repeated variables, against Poly multiplication; a cap of 4 on
+    # every variable keeps every degree read, and the terms are keyed in the
+    # ideal's packing, exact up to degree 4
     rng = random.Random(27)
     cancelled = 0
     for _ in range(300):
@@ -340,7 +376,7 @@ def test_times_is_poly_multiplication_restricted_to_clean_monomials():
             (rng.sample(range(nvars), rng.randint(1, nvars)), rng.randint(0, 3))
             for _ in range(rng.randint(0, 3))
         ]
-        ideal = HomogeneousIdeal(nvars, None, caps=caps)
+        ideal = HomogeneousIdeal(nvars, None, caps=caps + [(range(nvars), 4)])
         key = ideal.slice(4).key
         for d in range(4):
             clean = set(ideal.clean_monomials(d + 1))
@@ -362,15 +398,16 @@ def test_times_is_poly_multiplication_restricted_to_clean_monomials():
 
 def test_times_drops_the_terms_that_cancel():
     # (x0 - x1)(x0 + x1) = x0^2 - x1^2 loses x0 * x1; a cap of 1 on x0 then
-    # leaves -x1^2 only, and x0^2 * x1^2 loses every term.  The terms are
-    # keyed in each ideal's packing, exact up to degree 3 after its slice
-    free = HomogeneousIdeal(2, None)
+    # leaves -x1^2 only, and x0^2 * x1^2 loses every term.  A cap of 4 on
+    # both variables keeps every degree read, and the terms are keyed in each
+    # ideal's packing, exact up to degree 4
+    free = HomogeneousIdeal(2, None, caps=[((0, 1), 4)])
     key = free.slice(3).key
     assert free.times({key((1, 0)): 1, key((0, 1)): -1}, 1, [(0, 1), (1, 1)]) == {
         key((2, 0)): 1,
         key((0, 2)): -1,
     }
-    capped = HomogeneousIdeal(2, None, caps=[((0,), 1)])
+    capped = HomogeneousIdeal(2, None, caps=[((0,), 1), ((0, 1), 4)])
     ckey = capped.slice(3).key
     assert capped.times({ckey((1, 0)): 1, ckey((0, 1)): -1}, 1, [(0, 1), (1, 1)]) == {
         ckey((0, 2)): -1
@@ -633,14 +670,15 @@ def test_packed_order_sorts_every_slice():
     assert pairs > 1000
     for bounds in [b for total in range(1, 9) for b in strict_compositions(total)]:
         _assert_columns_sorted(one_row_ideal(bounds), None, sum(bounds) + 1)
-    # the carry edge: with no caps, the degree-d slice holds x_v^d, whose
-    # singleton digit is d, the largest that base d + 1 allows
+    # the carry edge: with a cap of 4 on every variable, the order is packed
+    # in base 5 and the degree-4 slice holds x_v^4, whose singleton digit 4
+    # is the largest that base 5 allows
     for grid in (Grid(2, 3), Grid(3, 2)):
         for tiebreak, order in (
             ("row", grid.diagonal_order()),
             ("column", column_diagonal_order(grid)),
         ):
-            ideal = HomogeneousIdeal(grid.nvars, order)
+            ideal = HomogeneousIdeal(grid.nvars, order, caps=[(range(grid.nvars), 4)])
             _assert_columns_sorted(ideal, diagonal_key(grid, tiebreak), 4)
             assert (4,) + (0,) * (grid.nvars - 1) in ideal.slice(4).columns
 
@@ -679,36 +717,14 @@ def test_one_packing_matches_the_per_degree_slices():
     assert slices > 12000
 
 
-def test_an_uncapped_ideal_packs_again_past_its_degree():
-    # with a variable on no cap, every power of it is clean and no cap bounds
-    # the packing: a slice past it packs the order again, keys the clean
-    # monomials anew and drops the memos keyed in the old packing (the
-    # addable variables by key, the products and the slices), so degree 3,
-    # then 60, then 3 again each equal the slice packed for its own degree
-    ideals = [
-        HomogeneousIdeal(2, None),
-        HomogeneousIdeal(2, None, [([(0, 1)], 2)]),
-        HomogeneousIdeal(3, [(0, 1, 2), (2,), (1,), (0,)], [([(0, 1), (1, 2)], 2)], [((0,), 1)]),
-    ]
-    for ideal in ideals:
-        x0 = (1,) + (0,) * (ideal.nvars - 1)
-        x0_squared = (2,) + (0,) * (ideal.nvars - 1)
-        packings = []
-        for d in (3, 60, 3):
-            _assert_per_degree(ideal, d)
-            key = ideal.slice(d).key
-            packings.append(ideal.slice(d).weights)
-            assert ideal.times({key(x0): 1}, 1, [(0, 1)]) == (
-                {key(x0_squared): 1} if x0_squared in ideal.clean_monomials(2) else {}
-            )
-        assert packings[0] != packings[1] == packings[2]
-        assert ideal.slice(60).columns and ideal.slice(61).columns
-
-
-def test_a_model_packs_its_order_once(monkeypatch):
-    # with the block and the layout warm, building a model calls
-    # order_weights once, for its ideal, and not once per slice
+def test_an_ideal_packs_its_order_once_at_construction(monkeypatch):
+    # with the block and the layout warm, an ideal calls order_weights once,
+    # when it is built, and keeps that packing: a one-row ideal through
+    # slices past its last clean degree, a long clean-monomial walk and a
+    # keyed clean-term step, and a model through its slices and its
+    # Lefschetz report
     QuotientModel((2, 2, 2), (2, 2, 1, 1))
+    one_row_ideal((1,) * 6)
     calls = []
     weights = ctring.linalg.order_weights
 
@@ -717,13 +733,23 @@ def test_a_model_packs_its_order_once(monkeypatch):
         return weights(*args)
 
     monkeypatch.setattr(ctring.linalg, "order_weights", counted)
+    ideal = one_row_ideal((1,) * 6)
+    packing = ideal._weights
+    assert [len(ideal.standard_monomials(d)) for d in range(11)] == [1, 5, 9, 5] + [0] * 7
+    assert ideal.clean_monomials(40) == () and ideal.slice(10).columns == ()
+    key = ideal.slice(1).key
+    assert ideal.times({key((1, 0, 0, 0, 0)): 1}, 1, [(1, 1)]) == {key((1, 1, 0, 0, 0)): 1}
+    assert len(calls) <= 1 and ideal._weights is packing
+    calls.clear()
     model = QuotientModel((2, 2, 2), (2, 2, 1, 1))
-    assert len(model.hilbert) > 2 and len(calls) <= 1
+    packing = model.ideal._weights
+    lefschetz_report(model)
+    assert len(model.hilbert) > 2 and len(calls) <= 1 and model.ideal._weights is packing
 
 
 def test_simple_ideal_slice():
     # (x1 + x2) in two variables: degree-1 leading {x1}, standard {x2}
-    ideal = HomogeneousIdeal(2, None, [([(0, 1)], 1)])
+    ideal = HomogeneousIdeal(2, None, [([(0, 1)], 1)], [((0, 1), 3)])
     basis = ideal.slice(1)
     assert [basis.columns[p] for p in basis.rows] == [(1, 0)]
     assert basis.standard == ((0, 1),)

@@ -295,11 +295,12 @@ def test_fully_saturated_composition_is_a_failed_check(monkeypatch):
 
 
 def test_nonterminating_walk_is_a_failed_check(monkeypatch):
-    # without its caps, or as the zero ideal, the quotient has standard
-    # monomials in every degree
+    # with its variable caps replaced by a cap of 10 on both, or as that cap
+    # alone, the quotient has standard monomials past sum(bounds) + 1, the
+    # last degree the walk reads
     for ideal in (
-        lambda bounds: HomogeneousIdeal(2, None, [([(0, 1)], bounds[0] + 1)]),
-        lambda bounds: HomogeneousIdeal(2, None),
+        lambda bounds: HomogeneousIdeal(2, None, [([(0, 1)], bounds[0] + 1)], [((0, 1), 10)]),
+        lambda bounds: HomogeneousIdeal(2, None, caps=[((0, 1), 10)]),
     ):
         monkeypatch.setattr(ctring.onerow, "one_row_ideal", ideal)
         with pytest.raises(CheckFailed, match="terminate"):
