@@ -266,14 +266,18 @@ def lefschetz_report(model: QuotientModel) -> list:
     (DegreeBasis.reduce: the normal form up to a scale), and the rank of the
     map is the rank of those reduced images.  They live on the target's
     standard columns, so their elimination stops once it holds that many
-    pivots.
+    pivots.  A model of top degree 0 has the one map L^0 = 1, so it builds no
+    form.
     """
-    form = tuple(_block_form(lefschetz_element(model.alpha, model.beta), model.grid).items())
     ideal = model.ideal
     top = model.top_degree
     powers = [{0: 1}]  # key(1) = 0
-    for degree in range(top):
-        powers.append(ideal.times(powers[-1], degree, form))
+    if top:
+        form = tuple(
+            _block_form(lefschetz_element(model.alpha, model.beta), model.grid).items()
+        )
+        for degree in range(top):
+            powers.append(ideal.times(powers[-1], degree, form))
     out = []
     for k in range(0, top // 2 + 1):
         e = top - 2 * k
@@ -313,6 +317,15 @@ def _lifts(length, cap) -> tuple:
     return tuple(bounded_exponents(length, cap + 1))
 
 
+@lru_cache(maxsize=1024)
+def _line_verdict(line, cap) -> bool:
+    """Whether the line sums to its cap and every monomial lift on it
+    vanishes at it."""
+    # the falling factorial perm(x, e) is 0 when e > x >= 0
+    lifted = any(all(map(perm, line, exps)) for exps in _lifts(len(line), cap))
+    return sum(line) == cap and not lifted
+
+
 def verify_associated_graded(alpha, beta, model: QuotientModel) -> dict:
     """Check the witnesses placing each generator in the graded vanishing ideal
     of the contingency-table locus, and the dimension count.
@@ -320,8 +333,9 @@ def verify_associated_graded(alpha, beta, model: QuotientModel) -> dict:
     Each line (row i or column j) has its sum lift to (sum - margin); a
     monomial on the line of degree margin + 1 lifts to the product of falling
     factorials of its exponents, which vanishes on every table because the
-    line cannot supply enough weight.  A model of other margins raises
-    ValueError.
+    line cannot supply enough weight.  Both are facts about one line and its
+    cap, so the verdict on each distinct (line, cap) pair is memoized across
+    calls.  A model of other margins raises ValueError.
     """
     alpha = tuple(alpha)
     beta = tuple(beta)
@@ -333,16 +347,9 @@ def verify_associated_graded(alpha, beta, model: QuotientModel) -> dict:
     lines = {
         pair for table in tables for pair in zip(table + tuple(zip(*table)), caps)
     }
-    lifts_vanish = True
-    for line, cap in lines:
-        if sum(line) != cap:
-            lifts_vanish = False
-        # the falling factorial perm(x, e) is 0 when e > x >= 0
-        if any(all(map(perm, line, exps)) for exps in _lifts(len(line), cap)):
-            lifts_vanish = False
     dim = sum(model.hilbert)
     return {
-        "lifts_vanish": lifts_vanish,
+        "lifts_vanish": all(_line_verdict(line, cap) for line, cap in lines),
         "dimension_match": dim == len(tables),
         "dimension": dim,
         "tables": len(tables),

@@ -133,8 +133,22 @@ def _contingency_tables(alpha, beta) -> tuple:
 
 def count_contingency_tables(alpha, beta) -> int:
     """Table count via the RSK identity: K(lam, alpha) * K(lam, beta) summed
-    over the shapes lam of the Kostka column of alpha."""
+    over the shapes lam of the Kostka column of alpha.
+
+    Permuting the rows or the columns, or dropping a zero line, maps the
+    tables one to one, so the count depends on the nonzero parts of each
+    margin alone; it is memoized on those parts sorted descending.  The
+    margins are checked on every call, before the memo."""
     alpha, beta = margins(alpha, beta)
+    return _count_tables(_parts(alpha), _parts(beta))
+
+
+def _parts(composition) -> tuple:
+    return tuple(sorted(filter(None, composition), reverse=True))
+
+
+@lru_cache(maxsize=1024)
+def _count_tables(alpha, beta) -> int:
     # K(lam, beta) through kostka, where perfbench/tracer.py measures the
     # Kostka layer; see the ROADMAP item on the benchmark before making this
     # a column join

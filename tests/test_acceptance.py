@@ -100,7 +100,8 @@ def test_criterion_03_standard_basis_theorem(sweep):
     records = sweep["records"]
     bad = [r for r in records if "standard-basis" in failed_checks(r["verify"])]
     ok = not bad
-    ok = ok and len(records) == sum((2 + n + comb(n + 2, 2)) ** 2 for n in range(7))
+    max_n = sweep["max_n"]
+    ok = ok and len(records) == sum((2 + n + comb(n + 2, 2)) ** 2 for n in range(max_n + 1))
     ok = ok and all(sum(r["hilbert_linear"]) == r["tables"] for r in records)
     seconds = sweep["seconds"]
     ok = ok and seconds < 300
@@ -108,7 +109,7 @@ def test_criterion_03_standard_basis_theorem(sweep):
         3,
         ok,
         f"standard monomials = matrix-ball image on {len(records)} margin pairs "
-        f"(n<=6, lengths<=3) in {seconds:.1f}s",
+        f"(n<={max_n}, lengths<=3) in {seconds:.1f}s",
     )
 
 
@@ -355,7 +356,7 @@ def test_criterion_09_conjecture_reports(sweep):
     dominance_bad = scan["dominance"]
     detail = (
         f"log-concavity n<=14: {len(log_concave)} violations; "
-        f"lefschetz (sweep n<=6 + partition pairs n<=5): "
+        f"lefschetz (sweep n<={sweep['max_n']} + partition pairs n<=5): "
         f"{len(lefschetz_bad)} non-injective maps; "
         f"equivariant dominance n<=5: {len(dominance_bad)} violations"
     )

@@ -246,9 +246,12 @@ def test_verify_exit_code(capsys):
 
 def test_line_over_its_margin_fails_verify(monkeypatch, capsys):
     # one extra matrix whose first column holds 3 against the margin 2: the
-    # lifts no longer vanish on every table, and verify reports the failure
+    # lifts no longer vanish on every table, and verify reports the failure,
+    # though a good verify of the same margins has filled the line memo
     import ctring.quotient
 
+    status, out = run_cli(capsys, ["verify", "--alpha", "3,2", "--beta", "2,2,1"])
+    assert status == 0 and json.loads(out)["lifts_vanish"] is True
     tables = ctring.quotient.contingency_tables
     bad = ((3, 0, 0), (0, 1, 1))
     monkeypatch.setattr(

@@ -217,7 +217,13 @@ def test_new_memos_are_lru_caches():
         (module, name): vars(importlib.import_module(module))[name]  # module-level
         for module, name in _decorated_memos()
     }
-    assert ("ctring.linalg", "_layout") in memos and ("ctring.quotient", "_lifts") in memos
+    for memo in [
+        ("ctring.linalg", "_layout"),
+        ("ctring.quotient", "_lifts"),
+        ("ctring.quotient", "_line_verdict"),
+        ("ctring.tables", "_count_tables"),
+    ]:
+        assert memo in memos, memo
     for memo in memos.values():  # what other tests filled does not count
         memo.cache_clear()
     cli.build_parser()

@@ -11,6 +11,7 @@ from oracles import (
     margin_ideal,
     nf_lefschetz_report,
     oracle_slice,
+    per_degree_lefschetz_report,
     row_support,
 )
 from ctring.experiments import sweep_record
@@ -390,6 +391,31 @@ def test_lefschetz_ranks_match_normal_form_route(sweep):
             assert r["lefschetz"] == nf_lefschetz_report(r["alpha"], r["beta"]), r
             pairs += 1
     assert pairs > 900
+
+
+def test_one_table_pair_builds_no_lefschetz_form(monkeypatch):
+    # a model of top degree 0 has the one map L^0 = 1: with no linear form to
+    # be had, every such model with n <= 4 and lengths <= 3 still reports as
+    # the per-degree route does, and a model of top degree 1 asks for a form
+    import ctring.quotient
+
+    def no_form(alpha, beta):
+        raise AssertionError(f"a Lefschetz form was built for {alpha}, {beta}")
+
+    monkeypatch.setattr(ctring.quotient, "lefschetz_element", no_form)
+    pairs = 0
+    for n in range(5):
+        comps = weak_compositions_upto(n, 3)
+        for alpha in comps:
+            for beta in comps:
+                if count_contingency_tables(alpha, beta) == 1:
+                    model = QuotientModel(alpha, beta)
+                    assert model.top_degree == 0
+                    assert lefschetz_report(model) == per_degree_lefschetz_report(model)
+                    pairs += 1
+    assert pairs > 400
+    with pytest.raises(AssertionError, match="form was built"):
+        lefschetz_report(QuotientModel((1, 1), (1, 1)))
 
 
 def test_deficient_lefschetz_ranks_match_normal_form_route(monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 from oracles import brute_zigzag, random_matrix, row_by_row_contingency_tables
 from ctring.partitions import weak_compositions, weak_compositions_upto
 from ctring.tables import (
+    _count_tables,
     col_sums,
     contingency_tables,
     count_contingency_tables,
@@ -145,13 +146,20 @@ def test_contingency_count_identity_golden():
 
 
 def test_contingency_count_identity_sweep():
-    # exhaustive for small n, then a seeded sample at the larger bound
-    for n in range(0, 6):
-        for alpha in weak_compositions_upto(n, 3):
-            for beta in weak_compositions_upto(n, 3):
-                assert len(contingency_tables(alpha, beta)) == count_contingency_tables(
-                    alpha, beta
-                )
+    # the count is memoized on the nonzero parts of each margin, sorted: on
+    # every weak pair with n <= 6 and lengths <= 3, a set that holds every
+    # rearrangement of its pairs' parts, and on each with a zero line put in,
+    # the count is the number of tables, whichever pair filled its entry;
+    # then a seeded sample at a larger bound
+    _count_tables.cache_clear()
+    for n in range(7):
+        comps = weak_compositions_upto(n, 3)
+        for alpha in comps:
+            for beta in comps:
+                for a, b in ((alpha, beta), ((0,) + alpha, beta), (alpha, beta + (0,))):
+                    count = count_contingency_tables(a, b)
+                    assert count == len(contingency_tables(a, b)), (a, b)
+                    assert count == len(row_by_row_contingency_tables(a, b)), (a, b)
     rng = random.Random(17)
     comps = weak_compositions_upto(8, 4)
     for _ in range(40):
@@ -160,6 +168,24 @@ def test_contingency_count_identity_sweep():
         assert len(contingency_tables(alpha, beta)) == count_contingency_tables(
             alpha, beta
         )
+
+
+def test_rearranged_pair_is_served_from_the_count_memo():
+    _count_tables.cache_clear()
+    assert count_contingency_tables((2, 1, 0), (1, 2)) == 2
+    misses = _count_tables.cache_info().misses
+    for alpha, beta in [((1, 0, 2), (2, 1)), ((1, 2), (0, 1, 2, 0)), ((2, 1), (2, 1))]:
+        hits = _count_tables.cache_info().hits
+        assert count_contingency_tables(alpha, beta) == 2
+        assert _count_tables.cache_info().hits == hits + 1
+    assert _count_tables.cache_info().misses == misses
+
+
+def test_bad_margins_raise_past_a_cached_key():
+    count_contingency_tables((2, 1), (3,))
+    for alpha, beta in [((1, 2), (4, -1)), ((2, 1), (1, 1))]:
+        with pytest.raises(ValueError):
+            count_contingency_tables(alpha, beta)
 
 
 def test_subtingency():
