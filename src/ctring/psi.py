@@ -20,6 +20,7 @@ by Young's rule, solved along each Kostka column.
 
 from functools import lru_cache
 from itertools import accumulate
+from operator import le, sub
 from types import MappingProxyType
 
 from .errors import CheckFailed
@@ -80,30 +81,33 @@ def _group_blocks(content, size, count, room) -> dict:
     letter counts `content`, as {(remaining counts sorted descending, zeros
     dropped; multiplicity type): number of multisets}.
 
-    Blocks come in weakly decreasing content order, which lists each multiset
-    once.  A block starts no later than `reach`, the last letter such that the
-    letters before it fit in `room`, the size of the later (smaller) groups:
-    the later blocks of this group start no earlier, so only those groups can
-    hold the letters it skips.  Once one block starts too late, every later
-    one does.
+    The blocks that fit in `content` are listed once, in decreasing content
+    order, and each block is drawn at or after the previous one's place in
+    that list, keeping those that fit in what is left: this lists each
+    multiset once.  A block starts no later than `reach`, the last letter
+    such that the letters before it fit in `room`, the size of the later
+    (smaller) groups: the later blocks of this group start no earlier, so
+    only those groups can hold the letters it skips.  Once one block starts
+    too late, every later one does.
     """
+    listed = bounded_compositions(size, content)
     out: dict = {}
 
-    def rec(remaining, blocks):
+    def rec(remaining, blocks, start):
         if len(blocks) == count:
             left = tuple(sorted((r for r in remaining if r), reverse=True))
             key = (left, _multiplicity_type(blocks))
             out[key] = out.get(key, 0) + 1
             return
         reach = sum(1 for held in accumulate(remaining) if held <= room)
-        for block in bounded_compositions(size, remaining):
+        for i in range(start, len(listed)):
+            block = listed[i]
             if not any(block[: reach + 1]):
                 break
-            if blocks and block > blocks[-1]:
-                continue
-            rec(tuple(r - b for r, b in zip(remaining, block)), blocks + [block])
+            if all(map(le, block, remaining)):
+                rec(tuple(map(sub, remaining, block)), blocks + [block], i)
 
-    rec(content, [])
+    rec(content, [], 0)
     return out
 
 

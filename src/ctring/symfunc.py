@@ -3,6 +3,14 @@ character arithmetic for products of symmetric groups.
 
 Irreducible characters are evaluated by border-strip removal on beta sets
 (first-column hook lengths); all arithmetic is exact.
+
+The character table of S_{m_1} x ... x S_{m_r} is the Kronecker product of
+the factors' tables, and it is never formed: a module's class values, and
+the inner products that give tensor multiplicities, are r contractions with
+the factor tables, one factor at a time (Van Loan, "The ubiquitous Kronecker
+product", J. Comput. Appl. Math. 2000).  For C = prod p(m_i) classes this
+costs C * sum p(m_i) instead of C^2, and it keeps only the factor tables and
+C-length data per group.
 """
 
 from collections import namedtuple
@@ -156,12 +164,13 @@ class TensorSymFunc:
 
     def character(self, class_tuple):
         """Character of the underlying module at a class of the product group,
-        given as one cycle type per factor; ValueError on any other tuple."""
-        table = _character_table(self.degrees)
-        column = table.columns.get(tuple(map(tuple, class_tuple)))
+        given as one cycle type per factor; ValueError on any other tuple.
+        The class values come factor by factor (_module_character), at cost
+        C * sum p(m_i) for C classes instead of C^2."""
+        column = _product_classes(self.degrees).index.get(tuple(map(tuple, class_tuple)))
         if column is None:
             raise ValueError(f"not a class of the group: {class_tuple}")
-        return _module_character(table, self.to_s().coeffs)[column]
+        return _module_character(self.degrees, self.to_s().coeffs)[column]
 
 
 def _expand(expansions):
@@ -176,33 +185,54 @@ def _expand(expansions):
     return combos
 
 
-CharacterTable = namedtuple("CharacterTable", "classes columns irreducibles index matrix")
+ProductClasses = namedtuple("ProductClasses", "labels index class_sizes")
 
 
 @lru_cache(maxsize=None)
-def _character_table(sizes) -> CharacterTable:
-    """The character table of S_{m_1} x ... x S_{m_r}: (class tuple, class
-    size) pairs, each class tuple's column, irreducible labels, each label's
-    row index, and one row of integer characters per irreducible, aligned
-    with the classes.  The matrix is the Kronecker product of the factors'
-    tables."""
-    classes = [((), 1)]
-    irreducibles = [()]
-    matrix = [[1]]
+def _product_classes(sizes) -> ProductClasses:
+    """The labels of S_{m_1} x ... x S_{m_r}, one partition per factor in
+    partitions(m) order, the first factor most significant; a label names a
+    conjugacy class (one cycle type per factor) and an irreducible alike.
+    With them, each label's position and each class's size."""
+    labels = [()]
+    class_sizes = [1]
     for m in sizes:
         parts = partitions(m)
-        class_sizes = [cycle_type_size(rho, m) for rho in parts]
-        classes = [
-            (key + (rho,), size * rho_size)
-            for key, size in classes
-            for rho, rho_size in zip(parts, class_sizes)
-        ]
-        irreducibles = [key + (lam,) for key in irreducibles for lam in parts]
-        factor = [[irreducible_character(lam, rho) for rho in parts] for lam in parts]
-        matrix = [[a * b for a in row for b in frow] for row in matrix for frow in factor]
-    columns = {cls: i for i, (cls, _) in enumerate(classes)}
-    index = {irrep: i for i, irrep in enumerate(irreducibles)}
-    return CharacterTable(tuple(classes), columns, tuple(irreducibles), index, matrix)
+        part_sizes = [cycle_type_size(rho, m) for rho in parts]
+        labels = [key + (rho,) for key in labels for rho in parts]
+        class_sizes = [size * s for size in class_sizes for s in part_sizes]
+    index = {label: i for i, label in enumerate(labels)}
+    return ProductClasses(tuple(labels), index, tuple(class_sizes))
+
+
+@lru_cache(maxsize=None)
+def _factor_table(m) -> tuple:
+    """The character table of S_m and its transpose: rows chi^lam(rho) by
+    lam, then columns by rho, both in partitions(m) order."""
+    parts = partitions(m)
+    rows = tuple(tuple(irreducible_character(lam, rho) for rho in parts) for lam in parts)
+    return rows, tuple(zip(*rows))
+
+
+def _contract(vector, sizes, transpose) -> list:
+    """The vector, indexed row-major by labels, times the Kronecker product
+    of the factors' character tables (of their transposes if `transpose`).
+
+    One factor at a time, last first: each contiguous fiber of the last
+    index is multiplied by that factor's table, and the index moves to the
+    front, so after all r factors the order is restored.  A factor of size
+    0 or 1 has the table [[1]] and is skipped.  The cost is C * sum p(m_i)
+    for C = prod p(m_i) labels, against C^2 for the product table.
+    """
+    for m in reversed(sizes):
+        if m < 2:
+            continue
+        rows, columns = _factor_table(m)
+        table = columns if transpose else rows
+        width = len(table)
+        fibers = [vector[i : i + width] for i in range(0, len(vector), width)]
+        vector = [sum(map(mul, row, fiber)) for row in table for fiber in fibers]
+    return vector
 
 
 class SymmetricProductGroup:
@@ -220,10 +250,11 @@ class SymmetricProductGroup:
 
     def classes(self):
         """(class tuple, class size) pairs."""
-        return list(_character_table(self.sizes).classes)
+        data = _product_classes(self.sizes)
+        return list(zip(data.labels, data.class_sizes))
 
     def irreducibles(self):
-        return list(_character_table(self.sizes).irreducibles)
+        return list(_product_classes(self.sizes).labels)
 
     def tensor_multiplicities(self, mod_a: dict, mod_b: dict) -> dict:
         """Irreducible multiplicities of the tensor product of two modules
@@ -231,15 +262,17 @@ class SymmetricProductGroup:
 
         The multiplicity of chi is <chi, f> = sum over classes of size * f *
         chi, over the group order, with f the product of the two characters
-        (a square evaluates its one character once); raises CheckFailed
-        unless every multiplicity is a nonnegative int."""
-        table = _character_table(self.sizes)
-        va = _module_character(table, mod_a)
-        vb = va if mod_b is mod_a else _module_character(table, mod_b)
-        weighted = [size * a * b for (_, size), a, b in zip(table.classes, va, vb)]
+        (a square evaluates its one character once).  Both the class values
+        and the inner products are taken factor by factor (_contract), at
+        cost C * sum p(m_i) for C classes instead of C^2.  Raises
+        CheckFailed unless every multiplicity is a nonnegative int."""
+        data = _product_classes(self.sizes)
+        va = _module_character(self.sizes, mod_a)
+        vb = va if mod_b is mod_a else _module_character(self.sizes, mod_b)
+        weighted = [size * a * b for size, a, b in zip(data.class_sizes, va, vb)]
         out = {}
-        for irrep, row in zip(table.irreducibles, table.matrix):
-            mult, rest = divmod(sum(map(mul, row, weighted)), self.order)
+        for irrep, total in zip(data.labels, _contract(weighted, self.sizes, False)):
+            mult, rest = divmod(total, self.order)
             if rest or mult < 0:
                 raise CheckFailed("class function is not a character")
             if mult:
@@ -247,12 +280,15 @@ class SymmetricProductGroup:
         return out
 
 
-def _module_character(table, module) -> list:
-    """Class values of the module with the given irreducible multiplicities."""
-    values = [0] * len(table.classes)
+def _module_character(sizes, module) -> list:
+    """Class values of the module over S_{m_1} x ... x S_{m_r}, `sizes` the
+    m_i, with the given irreducible multiplicities: the multiplicity vector
+    contracted with the transposed factor tables."""
+    index = _product_classes(sizes).index
+    vector = [0] * len(index)
     for irrep, c in module.items():
-        row = table.index.get(irrep)
+        row = index.get(irrep)
         if row is None:
             raise ValueError(f"not an irreducible of this group: {irrep}")
-        values = [v + c * x for v, x in zip(values, table.matrix[row])]
-    return values
+        vector[row] += c
+    return _contract(vector, sizes, True)

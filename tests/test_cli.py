@@ -680,8 +680,8 @@ def test_non_character_is_a_failed_check(monkeypatch, capsys):
     # symfunc: a module character raised by one on a single class is no character
     module_character = ctring.symfunc._module_character
 
-    def off_on_one_class(table, module):
-        values = module_character(table, module)
+    def off_on_one_class(sizes, module):
+        values = module_character(sizes, module)
         return [values[0] + 1] + values[1:]
 
     monkeypatch.setattr(ctring.symfunc, "_module_character", off_on_one_class)

@@ -221,6 +221,8 @@ def test_new_memos_are_lru_caches():
         ("ctring.linalg", "_layout"),
         ("ctring.quotient", "_lifts"),
         ("ctring.quotient", "_line_verdict"),
+        ("ctring.symfunc", "_factor_table"),
+        ("ctring.symfunc", "_product_classes"),
         ("ctring.tables", "_count_tables"),
     ]:
         assert memo in memos, memo
@@ -233,6 +235,11 @@ def test_new_memos_are_lru_caches():
     onerow.dimension_counts((1, 2, 1))
     psi.kronecker_dominance(
         *[psi.graded_decomposition((2, 1), (2, 1))[1]] * 2, psi.pair_group((2, 1), (2, 1))
+    )
+    # the group of (1, 1)/(1, 1) is S_2 x S_2: its factors are contracted,
+    # where the factors of size 1 above are skipped
+    psi.kronecker_dominance(
+        *[psi.graded_decomposition((1, 1), (1, 1))[1]] * 2, psi.pair_group((1, 1), (1, 1))
     )
     for name, memo in memos.items():
         assert memo.cache_info().currsize > 0, name

@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
+from itertools import product
 from math import factorial, prod
 
 import pytest
 
-from oracles import s_to_h_expansion, strip_kostka
+from oracles import classwise_tensor_multiplicities, s_to_h_expansion, strip_kostka
 from ctring.errors import CheckFailed
 from ctring.partitions import kostka_column, partitions
 from ctring.symfunc import (
@@ -175,6 +177,33 @@ def test_product_group_classes():
     assert sum(size for _, size in classes) == g.order
     assert len(classes) == 2 * 3
     assert len(g.irreducibles()) == 6
+
+
+def test_factor_order_matches_class_by_class_products():
+    # three or more factors of unequal sizes, some of size 1: a factor
+    # contracted out of turn, or a table in place of its transpose, puts a
+    # value under the wrong label
+    rng = random.Random(35)
+    for sizes in [(3, 1, 2), (2, 1, 3, 1), (1, 4, 2), (2, 3, 4, 1)]:
+        group = SymmetricProductGroup(sizes)
+        labels = list(product(*[partitions(m) for m in sizes]))
+        assert group.irreducibles() == labels
+        assert [cls for cls, _ in group.classes()] == labels
+        assert sum(size for _, size in group.classes()) == group.order
+        modules = [
+            {label: rng.randint(1, 3) for label in rng.sample(labels, k)}
+            for k in (1, 3, len(labels))
+        ]
+        for a in modules:
+            module = TensorSymFunc(sizes, "s", a)
+            for cls in labels:
+                expected = sum(
+                    c * prod(map(irreducible_character, irrep, cls)) for irrep, c in a.items()
+                )
+                assert module.character(cls) == expected, (sizes, cls)
+            for b in modules:
+                expected = classwise_tensor_multiplicities(sizes, a, b)
+                assert group.tensor_multiplicities(a, b) == expected, sizes
 
 
 def test_product_group_multiplicity_roundtrip():
