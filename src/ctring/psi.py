@@ -16,11 +16,19 @@ kept, since the count depends on the content only up to permuting letters
 (the h-image is an orbit count of a permutation module, as in Macdonald,
 Symmetric Functions and Hall Polynomials, I.7).  The Schur expansion follows
 by Young's rule, solved along each Kostka column.
+
+A degree's class values follow from the same sum: at a class (c_mu, c_nu)
+of the pair's group, degree d takes the value sum over lam with lam_1 = n - d
+of chi_{mu,lam}(c_mu) * chi_{nu,lam}(c_nu), where chi_{mu,lam} is the
+character of the lam invariants under the row group.  Each chi_{mu,lam} is
+formed once per (margin, lam) (_invariant_values), and every degree carries
+its values, so the Kronecker products of a dominance scan evaluate no degree
+again.
 """
 
 from functools import lru_cache
 from itertools import accumulate
-from operator import le, sub
+from operator import add, le, sub
 from types import MappingProxyType
 
 from .errors import CheckFailed
@@ -175,25 +183,43 @@ def invariants_frobenius_s(mu, lam) -> TensorSymFunc:
     return TensorSymFunc._from_terms(h_image.degrees, "s", coeffs)
 
 
+@lru_cache(maxsize=None)
+def _invariant_values(mu, lam) -> tuple:
+    """Class values of the lam invariants under the group of mu
+    (invariants_frobenius_s), in that group's class order."""
+    return invariants_frobenius_s(mu, lam).class_values()
+
+
 def graded_decomposition(mu, nu) -> dict:
     """Per-degree Frobenius image of the margin quotient for partitions mu, nu,
     over the product of the row and column symmetry groups.
 
     Degree d collects the partitions lam with lam_1 = n - d; each contributes
-    the tensor product of its row and column parabolic invariants.
+    the tensor product of its row and column parabolic invariants, and the
+    outer product of their class values (mu's class the more significant,
+    the row-major order of pair_group's classes).  Each degree is a fresh
+    TensorSymFunc that carries the sum of those values.
     """
     mu, nu = margins(check_partition(mu), check_partition(nu))
     n = sum(mu)
-    out: dict = {}
+    terms: dict = {}
+    values: dict = {}
     for lam in partitions(n):
         d = n - lam[0] if lam else 0
-        row_part = invariants_frobenius_s(mu, lam)
-        col_part = invariants_frobenius_s(nu, lam)
-        term = row_part.tensor(col_part)
+        term = invariants_frobenius_s(mu, lam).tensor(invariants_frobenius_s(nu, lam))
         if not term:
             continue
-        out[d] = out[d] + term if d in out else term
-    return {d: out[d] for d in sorted(out)}
+        col_values = _invariant_values(nu, lam)
+        outer = [a * b for a in _invariant_values(mu, lam) for b in col_values]
+        if d in terms:
+            terms[d] = terms[d] + term
+            values[d] = list(map(add, values[d], outer))
+        else:
+            terms[d], values[d] = term, outer
+    return {
+        d: TensorSymFunc._from_terms(terms[d].degrees, "s", terms[d].coeffs, tuple(values[d]))
+        for d in sorted(terms)
+    }
 
 
 def pair_group(mu, nu) -> SymmetricProductGroup:
@@ -203,33 +229,32 @@ def pair_group(mu, nu) -> SymmetricProductGroup:
 
 def kronecker_product(dec_a: TensorSymFunc, dec_b: TensorSymFunc, group) -> TensorSymFunc:
     """Irreducible decomposition of the internal tensor product of two modules
-    over `group`, the SymmetricProductGroup both live over (diagonal action)."""
-    if dec_a.degrees != dec_b.degrees:
-        raise ValueError("modules live over different groups")
-    mults_a = dec_a.to_s().coeffs
-    mults_b = dec_b.to_s().coeffs
-    if not mults_a or not mults_b:
+    over `group`, the SymmetricProductGroup both live over (diagonal action;
+    ValueError if the modules' degrees are not its sizes)."""
+    if not dec_a.degrees == dec_b.degrees == group.sizes:
+        raise ValueError("modules do not live over this group")
+    if not dec_a or not dec_b:
         return TensorSymFunc._from_terms(dec_a.degrees, "s", {})
     return TensorSymFunc._from_terms(
-        dec_a.degrees, "s", group.tensor_multiplicities(mults_a, mults_b)
+        dec_a.degrees, "s", group.tensor_multiplicities(dec_a, dec_b)
     )
 
 
 def kronecker_dominance(dec_a: TensorSymFunc, dec_b: TensorSymFunc, group):
     """Whether every irreducible multiplicity in dec_a (x) dec_a, over `group`,
     is at least its multiplicity in dec_b.  Returns the list of violating
-    irreducibles (empty means dominance holds).
+    irreducibles (empty means dominance holds); ValueError if the modules'
+    degrees are not the group's sizes.
 
     Equivalent, in characteristic zero, to the existence of an equivariant
     injection of the dec_b module into the tensor square of the dec_a module.
     """
-    if dec_a.degrees != dec_b.degrees:
-        raise ValueError("modules live over different groups")
-    mults_a = dec_a.to_s().coeffs
+    if not dec_a.degrees == dec_b.degrees == group.sizes:
+        raise ValueError("modules do not live over this group")
     mults_b = dec_b.to_s().coeffs
     if not mults_b:
         return []
-    square = group.tensor_multiplicities(mults_a, mults_a)
+    square = group.tensor_multiplicities(dec_a, dec_a)
     return sorted(
         irrep for irrep, c in mults_b.items() if square.get(irrep, 0) < c
     )

@@ -11,6 +11,11 @@ the factor tables, one factor at a time (Van Loan, "The ubiquitous Kronecker
 product", J. Comput. Appl. Math. 2000).  For C = prod p(m_i) classes this
 costs C * sum p(m_i) instead of C^2, and it keeps only the factor tables and
 C-length data per group.
+
+A TensorSymFunc may carry its class values, when whoever built it already
+knows them: psi.graded_decomposition takes each degree's values from the
+tensor-character rule, so a Kronecker product of two degrees, or a degree's
+square, costs one pointwise product and one contraction.
 """
 
 from collections import namedtuple
@@ -83,10 +88,12 @@ class TensorSymFunc:
 
     Keys are tuples of partitions, one per factor; used as Frobenius images of
     modules over a product of symmetric groups.  `coeffs` is a read-only
-    mapping, as memoised values are shared by every caller.
+    mapping, as memoised values are shared by every caller.  `_values` holds
+    the module's class values when it was built with them (_from_terms), and
+    is None otherwise.
     """
 
-    __slots__ = ("degrees", "basis", "coeffs")
+    __slots__ = ("degrees", "basis", "coeffs", "_values")
 
     def __init__(self, degrees, basis, coeffs=None):
         if basis not in ("h", "s"):
@@ -103,15 +110,19 @@ class TensorSymFunc:
             if c:
                 clean[key] = c
         self.coeffs = MappingProxyType(clean)
+        self._values = None
 
     @classmethod
-    def _from_terms(cls, degrees, basis, coeffs):
+    def _from_terms(cls, degrees, basis, coeffs, values=None):
         """Construct from terms built out of existing ones: keys already valid,
-        coefficients already ints; only zero terms are dropped."""
+        coefficients already ints; only zero terms are dropped.  `values`, if
+        given, are the module's class values in _product_classes(degrees)
+        order, a tuple the caller has formed from the same module."""
         self = object.__new__(cls)
         self.degrees = degrees
         self.basis = basis
         self.coeffs = MappingProxyType({key: c for key, c in coeffs.items() if c})
+        self._values = values
         return self
 
     def __eq__(self, other):
@@ -162,15 +173,22 @@ class TensorSymFunc:
             for key, c in self.to_s().coeffs.items()
         )
 
+    def class_values(self) -> tuple:
+        """The module's character at every class of the product group, in
+        _product_classes order: the values it was built with, else formed
+        factor by factor (_module_character), at cost C * sum p(m_i) for C
+        classes instead of C^2."""
+        if self._values is not None:
+            return self._values
+        return tuple(_module_character(self.degrees, self.to_s().coeffs))
+
     def character(self, class_tuple):
         """Character of the underlying module at a class of the product group,
-        given as one cycle type per factor; ValueError on any other tuple.
-        The class values come factor by factor (_module_character), at cost
-        C * sum p(m_i) for C classes instead of C^2."""
+        given as one cycle type per factor; ValueError on any other tuple."""
         column = _product_classes(self.degrees).index.get(tuple(map(tuple, class_tuple)))
         if column is None:
             raise ValueError(f"not a class of the group: {class_tuple}")
-        return _module_character(self.degrees, self.to_s().coeffs)[column]
+        return self.class_values()[column]
 
 
 def _expand(expansions):
@@ -256,19 +274,22 @@ class SymmetricProductGroup:
     def irreducibles(self):
         return list(_product_classes(self.sizes).labels)
 
-    def tensor_multiplicities(self, mod_a: dict, mod_b: dict) -> dict:
-        """Irreducible multiplicities of the tensor product of two modules
-        given by their own irreducible multiplicities.
+    def tensor_multiplicities(self, mod_a, mod_b) -> dict:
+        """Irreducible multiplicities of the tensor product of two modules,
+        each given by its irreducible multiplicities (a dict) or as a
+        TensorSymFunc over this group (ValueError if its degrees are not the
+        group's sizes), whose class values are read off it.
 
         The multiplicity of chi is <chi, f> = sum over classes of size * f *
         chi, over the group order, with f the product of the two characters
-        (a square evaluates its one character once).  Both the class values
-        and the inner products are taken factor by factor (_contract), at
-        cost C * sum p(m_i) for C classes instead of C^2.  Raises
-        CheckFailed unless every multiplicity is a nonnegative int."""
+        (a square evaluates its one character once).  Class values not
+        carried by a module, and the inner products, are taken factor by
+        factor (_contract), at cost C * sum p(m_i) for C classes instead of
+        C^2.  Raises CheckFailed unless every multiplicity is a nonnegative
+        int."""
         data = _product_classes(self.sizes)
-        va = _module_character(self.sizes, mod_a)
-        vb = va if mod_b is mod_a else _module_character(self.sizes, mod_b)
+        va = self._class_values(mod_a)
+        vb = va if mod_b is mod_a else self._class_values(mod_b)
         weighted = [size * a * b for size, a, b in zip(data.class_sizes, va, vb)]
         out = {}
         for irrep, total in zip(data.labels, _contract(weighted, self.sizes, False)):
@@ -278,6 +299,13 @@ class SymmetricProductGroup:
             if mult:
                 out[irrep] = mult
         return out
+
+    def _class_values(self, module):
+        if not isinstance(module, TensorSymFunc):
+            return _module_character(self.sizes, module)
+        if module.degrees != self.sizes:
+            raise ValueError("module lives over a different group")
+        return module.class_values()
 
 
 def _module_character(sizes, module) -> list:

@@ -677,7 +677,9 @@ def test_non_character_is_a_failed_check(monkeypatch, capsys):
         ctring.psi.invariants_frobenius_s.cache_clear()
     assert status == 1 and out == ""
     assert "nonnegative ints" in err["error"]
-    # symfunc: a module character raised by one on a single class is no character
+    # symfunc: a module character raised by one on a single class is no
+    # character; the per-(margin, lam) class values are memoised in psi, so
+    # the memo is emptied before the patch and again after it is undone
     module_character = ctring.symfunc._module_character
 
     def off_on_one_class(sizes, module):
@@ -685,8 +687,13 @@ def test_non_character_is_a_failed_check(monkeypatch, capsys):
         return [values[0] + 1] + values[1:]
 
     monkeypatch.setattr(ctring.symfunc, "_module_character", off_on_one_class)
+    ctring.psi._invariant_values.cache_clear()
     argv = ["conjectures", "--max-n", "0", "--lefschetz-n", "0", "--dominance-n", "3"]
-    status, out, err = run_failing(capsys, argv)
+    try:
+        status, out, err = run_failing(capsys, argv)
+    finally:
+        monkeypatch.undo()
+        ctring.psi._invariant_values.cache_clear()
     assert status == 1 and out == ""
     assert "not a character" in err["error"]
 

@@ -25,7 +25,7 @@ from ctring.psi import (
     stab_permutation,
 )
 from ctring.series import hilbert_kostka
-from ctring.symfunc import TensorSymFunc
+from ctring.symfunc import SymmetricProductGroup, TensorSymFunc, _module_character
 from ctring.tables import contingency_tables
 
 
@@ -292,3 +292,76 @@ def test_tensor_multiplicities_match_classwise_oracle_on_dominance_pairs():
                             assert group.tensor_multiplicities(a, b) == expected
                             checked += 1
     assert checked > 300
+
+
+def test_kronecker_functions_reject_a_group_of_other_sizes():
+    # the class values a degree carries are contracted with the group's
+    # factor tables, so a group whose sizes are not the degrees is refused,
+    # also when it has the same factors in another order
+    for degrees, sizes in [((1, 1, 1, 1), (1, 1, 2)), ((2, 1), (1, 2))]:
+        group = SymmetricProductGroup(sizes)
+        module = TensorSymFunc(degrees, "s", {tuple((m,) for m in degrees): 1})
+        empty = TensorSymFunc(degrees, "s")
+        for a, b in [(module, module), (module, empty), (empty, empty)]:
+            with pytest.raises(ValueError, match="do not live over this group"):
+                kronecker_product(a, b, group)
+            with pytest.raises(ValueError, match="do not live over this group"):
+                kronecker_dominance(a, b, group)
+        with pytest.raises(ValueError, match="different group"):
+            group.tensor_multiplicities(module, module)
+
+
+def test_degrees_carry_their_class_values():
+    # each degree's values, from the per-(margin, lam) invariant characters,
+    # equal the character formed from its multiplicities, class by class
+    for n in range(1, 7):
+        for mu in partitions(n):
+            for nu in partitions(n):
+                group = pair_group(mu, nu)
+                for d, degree in graded_decomposition(mu, nu).items():
+                    expected = _module_character(group.sizes, degree.coeffs)
+                    assert list(degree.class_values()) == expected, (mu, nu, d)
+
+
+@pytest.mark.parametrize("mu, nu", [((1,) * 6, (1,) * 6), ((2, 2, 1, 1), (3, 1, 1, 1))])
+def test_dominance_scan_forms_each_invariant_character_once(monkeypatch, mu, nu):
+    # a scan forms class values once per (margin, lam) and never in a
+    # Kronecker step: the steps multiply the values their degrees carry
+    import ctring.symfunc
+    from ctring.experiments import dominance_violations
+
+    module_character = ctring.symfunc._module_character
+    calls = []
+    steps = []
+    in_step = []
+
+    def counted(sizes, module):
+        calls.append(bool(in_step))
+        return module_character(sizes, module)
+
+    def step(kronecker):
+        def run(*args):
+            steps.append(kronecker)
+            in_step.append(True)
+            try:
+                return kronecker(*args)
+            finally:
+                in_step.pop()
+
+        return run
+
+    monkeypatch.setattr(ctring.symfunc, "_module_character", counted)
+    monkeypatch.setattr(ctring.psi, "kronecker_product", step(kronecker_product))
+    monkeypatch.setattr(ctring.psi, "kronecker_dominance", step(kronecker_dominance))
+    ctring.psi._invariant_values.cache_clear()
+    try:
+        dominance_violations(mu, nu)
+        distinct = {(margin, lam) for margin in (mu, nu) for lam in partitions(sum(mu))}
+        assert 0 < len(calls) <= len(distinct)
+        assert steps and not any(calls)  # no call from inside a Kronecker step
+        calls.clear()
+        dominance_violations(mu, nu)
+        assert calls == []
+    finally:
+        monkeypatch.undo()
+        ctring.psi._invariant_values.cache_clear()
