@@ -21,9 +21,9 @@ A degree's class values follow from the same sum: at a class (c_mu, c_nu)
 of the pair's group, degree d takes the value sum over lam with lam_1 = n - d
 of chi_{mu,lam}(c_mu) * chi_{nu,lam}(c_nu), where chi_{mu,lam} is the
 character of the lam invariants under the row group.  Each chi_{mu,lam} is
-formed once per (margin, lam) (_invariant_values), and every degree carries
-its values, so the Kronecker products of a dominance scan evaluate no degree
-again.
+the class values of the memoised invariants_frobenius_s(mu, lam), formed
+once per (margin, lam), and every degree carries its values, so the
+Kronecker products of a dominance scan evaluate no degree again.
 """
 
 from functools import lru_cache
@@ -140,7 +140,6 @@ def _h_counts(content, groups):
     return MappingProxyType(out)
 
 
-@lru_cache(maxsize=None)
 def invariants_frobenius_h(mu, lam) -> TensorSymFunc:
     """Frobenius image, on the h basis, of the parabolic invariants of the
     permutation module with content lam, as a module over the group permuting
@@ -183,13 +182,6 @@ def invariants_frobenius_s(mu, lam) -> TensorSymFunc:
     return TensorSymFunc._from_terms(h_image.degrees, "s", coeffs)
 
 
-@lru_cache(maxsize=None)
-def _invariant_values(mu, lam) -> tuple:
-    """Class values of the lam invariants under the group of mu
-    (invariants_frobenius_s), in that group's class order."""
-    return invariants_frobenius_s(mu, lam).class_values()
-
-
 def graded_decomposition(mu, nu) -> dict:
     """Per-degree Frobenius image of the margin quotient for partitions mu, nu,
     over the product of the row and column symmetry groups.
@@ -206,11 +198,12 @@ def graded_decomposition(mu, nu) -> dict:
     values: dict = {}
     for lam in partitions(n):
         d = n - lam[0] if lam else 0
-        term = invariants_frobenius_s(mu, lam).tensor(invariants_frobenius_s(nu, lam))
+        row, col = invariants_frobenius_s(mu, lam), invariants_frobenius_s(nu, lam)
+        term = row.tensor(col)
         if not term:
             continue
-        col_values = _invariant_values(nu, lam)
-        outer = [a * b for a in _invariant_values(mu, lam) for b in col_values]
+        col_values = col.class_values()
+        outer = [a * b for a in row.class_values() for b in col_values]
         if d in terms:
             terms[d] = terms[d] + term
             values[d] = list(map(add, values[d], outer))
@@ -230,11 +223,8 @@ def pair_group(mu, nu) -> SymmetricProductGroup:
 def kronecker_product(dec_a: TensorSymFunc, dec_b: TensorSymFunc, group) -> TensorSymFunc:
     """Irreducible decomposition of the internal tensor product of two modules
     over `group`, the SymmetricProductGroup both live over (diagonal action;
-    ValueError if the modules' degrees are not its sizes)."""
-    if not dec_a.degrees == dec_b.degrees == group.sizes:
-        raise ValueError("modules do not live over this group")
-    if not dec_a or not dec_b:
-        return TensorSymFunc._from_terms(dec_a.degrees, "s", {})
+    tensor_multiplicities raises ValueError if the modules' degrees are not
+    its sizes)."""
     return TensorSymFunc._from_terms(
         dec_a.degrees, "s", group.tensor_multiplicities(dec_a, dec_b)
     )
@@ -249,12 +239,9 @@ def kronecker_dominance(dec_a: TensorSymFunc, dec_b: TensorSymFunc, group):
     Equivalent, in characteristic zero, to the existence of an equivariant
     injection of the dec_b module into the tensor square of the dec_a module.
     """
-    if not dec_a.degrees == dec_b.degrees == group.sizes:
+    if dec_b.degrees != group.sizes:  # dec_a's are checked with its square
         raise ValueError("modules do not live over this group")
-    mults_b = dec_b.to_s().coeffs
-    if not mults_b:
-        return []
     square = group.tensor_multiplicities(dec_a, dec_a)
     return sorted(
-        irrep for irrep, c in mults_b.items() if square.get(irrep, 0) < c
+        irrep for irrep, c in dec_b.to_s().coeffs.items() if square.get(irrep, 0) < c
     )

@@ -93,18 +93,19 @@ def colsum_ideal_generators(alpha, p: int):
 
 
 @lru_cache(maxsize=256)
-def _block(order, k, p) -> tuple:
+def _block(k, p) -> tuple:
     """(order, row supports, column supports, slots, lift) of the block of
     rows 2..k and columns 2..p of the k x p grid: slots[v] is the block
     variable of the grid variable v, row-major, or -1 on the first row and
-    column; the order is the grid's restricted to the block, and the
-    supports those of the block's rows and columns, each empty when the
-    block is.  lift(m + (0,)) is the grid monomial of the block monomial m,
-    the slot -1 reading the 0 put last; on the 1 x 1 grid it slices, so
+    column; the order is the grid's diagonal order restricted to the block,
+    and the supports those of the block's rows and columns, each empty when
+    the block is.  lift(m + (0,)) is the grid monomial of the block monomial
+    m, the slot -1 reading the 0 put last; on the 1 x 1 grid it slices, so
     that it still returns a tuple.  Raises CheckFailed unless the leads of
-    the k + p line sums in degree 1 under the order are exactly the first
-    row and column, as the substitution onto the block needs."""
+    the k + p line sums in degree 1 under the diagonal order are exactly the
+    first row and column, as the substitution onto the block needs."""
     grid = Grid(k, p)
+    order = grid.diagonal_order()
     rows, cols = _lines(grid)
     line_sums = [linear_form(grid.nvars, line) for line in rows + cols]
     leads = {exps.index(1) for exps in extreme_monomials(line_sums, order)}
@@ -150,7 +151,7 @@ class QuotientModel:
         k, p = len(self.alpha), len(self.beta)
         self.n = sum(self.alpha)
         self.grid = Grid(k, p)
-        order, rows, cols, _, lift = _block(self.grid.diagonal_order(), k, p)
+        order, rows, cols, _, lift = _block(k, p)
         self.ideal = HomogeneousIdeal(
             (k - 1) * (p - 1),
             order,
@@ -227,7 +228,7 @@ def _block_form(lin: Poly, grid: Grid) -> dict:
     """A linear form on the grid through the substitution onto the block, as
     {block variable: coefficient}: x_11 -> T, x_1j -> -C_j, x_i1 -> -R_i,
     and each block variable to itself."""
-    _, rows, cols, slots, _ = _block(grid.diagonal_order(), grid.k, grid.p)
+    _, rows, cols, slots, _ = _block(grid.k, grid.p)
     out = {}
     for exps, c in lin.terms.items():
         v = exps.index(1)

@@ -12,10 +12,11 @@ product", J. Comput. Appl. Math. 2000).  For C = prod p(m_i) classes this
 costs C * sum p(m_i) instead of C^2, and it keeps only the factor tables and
 C-length data per group.
 
-A TensorSymFunc may carry its class values, when whoever built it already
-knows them: psi.graded_decomposition takes each degree's values from the
-tensor-character rule, so a Kronecker product of two degrees, or a degree's
-square, costs one pointwise product and one contraction.
+A TensorSymFunc keeps its class values once they are known: given at
+construction by whoever already knows them (psi.graded_decomposition takes
+each degree's values from the tensor-character rule), else formed by the
+first class_values() call.  A Kronecker product of two modules, or a
+module's square, then costs one pointwise product and one contraction.
 """
 
 from collections import namedtuple
@@ -89,8 +90,8 @@ class TensorSymFunc:
     Keys are tuples of partitions, one per factor; used as Frobenius images of
     modules over a product of symmetric groups.  `coeffs` is a read-only
     mapping, as memoised values are shared by every caller.  `_values` holds
-    the module's class values when it was built with them (_from_terms), and
-    is None otherwise.
+    the module's class values once they are known (_from_terms,
+    class_values), and is None before.
     """
 
     __slots__ = ("degrees", "basis", "coeffs", "_values")
@@ -176,11 +177,11 @@ class TensorSymFunc:
     def class_values(self) -> tuple:
         """The module's character at every class of the product group, in
         _product_classes order: the values it was built with, else formed
-        factor by factor (_module_character), at cost C * sum p(m_i) for C
-        classes instead of C^2."""
-        if self._values is not None:
-            return self._values
-        return tuple(_module_character(self.degrees, self.to_s().coeffs))
+        factor by factor (_module_character) on the first call and kept, at
+        cost C * sum p(m_i) for C classes instead of C^2."""
+        if self._values is None:
+            self._values = tuple(_module_character(self.degrees, self.to_s().coeffs))
+        return self._values
 
     def character(self, class_tuple):
         """Character of the underlying module at a class of the product group,
@@ -275,21 +276,20 @@ class SymmetricProductGroup:
         return list(_product_classes(self.sizes).labels)
 
     def tensor_multiplicities(self, mod_a, mod_b) -> dict:
-        """Irreducible multiplicities of the tensor product of two modules,
-        each given by its irreducible multiplicities (a dict) or as a
-        TensorSymFunc over this group (ValueError if its degrees are not the
-        group's sizes), whose class values are read off it.
+        """Irreducible multiplicities of the tensor product of two modules
+        over this group, TensorSymFuncs whose degrees are the group's sizes
+        (ValueError otherwise).
 
         The multiplicity of chi is <chi, f> = sum over classes of size * f *
-        chi, over the group order, with f the product of the two characters
-        (a square evaluates its one character once).  Class values not
-        carried by a module, and the inner products, are taken factor by
-        factor (_contract), at cost C * sum p(m_i) for C classes instead of
-        C^2.  Raises CheckFailed unless every multiplicity is a nonnegative
-        int."""
+        chi, over the group order, with f the product of the two modules'
+        class values (class_values, formed at most once per module).  The
+        inner products are taken factor by factor (_contract), at cost
+        C * sum p(m_i) for C classes instead of C^2.  Raises CheckFailed
+        unless every multiplicity is a nonnegative int."""
+        if not mod_a.degrees == mod_b.degrees == self.sizes:
+            raise ValueError("modules do not live over this group")
         data = _product_classes(self.sizes)
-        va = self._class_values(mod_a)
-        vb = va if mod_b is mod_a else self._class_values(mod_b)
+        va, vb = mod_a.class_values(), mod_b.class_values()
         weighted = [size * a * b for size, a, b in zip(data.class_sizes, va, vb)]
         out = {}
         for irrep, total in zip(data.labels, _contract(weighted, self.sizes, False)):
@@ -299,13 +299,6 @@ class SymmetricProductGroup:
             if mult:
                 out[irrep] = mult
         return out
-
-    def _class_values(self, module):
-        if not isinstance(module, TensorSymFunc):
-            return _module_character(self.sizes, module)
-        if module.degrees != self.sizes:
-            raise ValueError("module lives over a different group")
-        return module.class_values()
 
 
 def _module_character(sizes, module) -> list:

@@ -586,23 +586,31 @@ def test_line_sums_leading_off_the_first_row_and_column_is_a_failed_check(
     # the quotient is built on the block of rows 2..k and columns 2..p, which
     # needs the line sums to lead at the first row and column; an order with
     # the last cell first leads them at the last row and column, and the
-    # model's own check fails instead of a wrong basis or a crash
+    # model's own check fails instead of a wrong basis or a crash.  The block
+    # of each grid shape is memoised, so the memo is emptied when the patch
+    # starts and again after it is undone
+    import ctring.quotient
     from ctring.polys import Grid
 
     def last_cell_first(grid):
         return tuple((v,) for v in reversed(range(grid.nvars)))
 
     monkeypatch.setattr(Grid, "diagonal_order", last_cell_first)
-    for command in ("verify", "standard-basis", "lefschetz"):
-        status, out, err = run_failing(
-            capsys, [command, "--alpha", "3,2", "--beta", "2,2,1"]
-        )
-        assert status == 1 and out == ""
-        assert "(1, 3), (2, 1), (2, 2), (2, 3)" in err["error"]
-        assert "not the first row and column" in err["error"]
-    # one row is all first row, under any order
-    status, out = run_cli(capsys, ["verify", "--alpha", "5", "--beta", "2,3"])
-    assert status == 0 and json.loads(out)["dimension_match"]
+    ctring.quotient._block.cache_clear()
+    try:
+        for command in ("verify", "standard-basis", "lefschetz"):
+            status, out, err = run_failing(
+                capsys, [command, "--alpha", "3,2", "--beta", "2,2,1"]
+            )
+            assert status == 1 and out == ""
+            assert "(1, 3), (2, 1), (2, 2), (2, 3)" in err["error"]
+            assert "not the first row and column" in err["error"]
+        # one row is all first row, under any order
+        status, out = run_cli(capsys, ["verify", "--alpha", "5", "--beta", "2,3"])
+        assert status == 0 and json.loads(out)["dimension_match"]
+    finally:
+        monkeypatch.undo()
+        ctring.quotient._block.cache_clear()
 
 
 # stdout of margins whose block is empty (one row or one column), whose first
@@ -678,8 +686,9 @@ def test_non_character_is_a_failed_check(monkeypatch, capsys):
     assert status == 1 and out == ""
     assert "nonnegative ints" in err["error"]
     # symfunc: a module character raised by one on a single class is no
-    # character; the per-(margin, lam) class values are memoised in psi, so
-    # the memo is emptied before the patch and again after it is undone
+    # character; the per-(margin, lam) invariant modules, which keep their
+    # class values, are memoised in psi, so the memo is emptied before the
+    # patch and again after it is undone
     module_character = ctring.symfunc._module_character
 
     def off_on_one_class(sizes, module):
@@ -687,13 +696,13 @@ def test_non_character_is_a_failed_check(monkeypatch, capsys):
         return [values[0] + 1] + values[1:]
 
     monkeypatch.setattr(ctring.symfunc, "_module_character", off_on_one_class)
-    ctring.psi._invariant_values.cache_clear()
+    ctring.psi.invariants_frobenius_s.cache_clear()
     argv = ["conjectures", "--max-n", "0", "--lefschetz-n", "0", "--dominance-n", "3"]
     try:
         status, out, err = run_failing(capsys, argv)
     finally:
         monkeypatch.undo()
-        ctring.psi._invariant_values.cache_clear()
+        ctring.psi.invariants_frobenius_s.cache_clear()
     assert status == 1 and out == ""
     assert "not a character" in err["error"]
 

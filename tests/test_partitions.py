@@ -219,7 +219,7 @@ def test_new_memos_are_lru_caches():
     }
     for memo in [
         ("ctring.linalg", "_layout"),
-        ("ctring.psi", "_invariant_values"),
+        ("ctring.psi", "invariants_frobenius_s"),
         ("ctring.quotient", "_lifts"),
         ("ctring.quotient", "_line_verdict"),
         ("ctring.symfunc", "_factor_table"),

@@ -118,7 +118,6 @@ def test_counting_drops_dead_branches(monkeypatch):
 
     monkeypatch.setattr(ctring.psi, "bounded_compositions", counted)
     for n in (13, 16):
-        ctring.psi.invariants_frobenius_h.cache_clear()
         ctring.psi._h_counts.cache_clear()
         tried.clear()
         image = invariants_frobenius_h((1,) * n, (1,) * n)
@@ -289,7 +288,9 @@ def test_tensor_multiplicities_match_classwise_oracle_on_dominance_pairs():
                     for a, b in pairs:
                         if a and b:
                             expected = classwise_tensor_multiplicities(group.sizes, a, b)
-                            assert group.tensor_multiplicities(a, b) == expected
+                            module_a = TensorSymFunc(group.sizes, "s", a)
+                            module_b = TensorSymFunc(group.sizes, "s", b)
+                            assert group.tensor_multiplicities(module_a, module_b) == expected
                             checked += 1
     assert checked > 300
 
@@ -297,7 +298,7 @@ def test_tensor_multiplicities_match_classwise_oracle_on_dominance_pairs():
 def test_kronecker_functions_reject_a_group_of_other_sizes():
     # the class values a degree carries are contracted with the group's
     # factor tables, so a group whose sizes are not the degrees is refused,
-    # also when it has the same factors in another order
+    # also when it has the same factors in another order, with one message
     for degrees, sizes in [((1, 1, 1, 1), (1, 1, 2)), ((2, 1), (1, 2))]:
         group = SymmetricProductGroup(sizes)
         module = TensorSymFunc(degrees, "s", {tuple((m,) for m in degrees): 1})
@@ -307,7 +308,7 @@ def test_kronecker_functions_reject_a_group_of_other_sizes():
                 kronecker_product(a, b, group)
             with pytest.raises(ValueError, match="do not live over this group"):
                 kronecker_dominance(a, b, group)
-        with pytest.raises(ValueError, match="different group"):
+        with pytest.raises(ValueError, match="do not live over this group"):
             group.tensor_multiplicities(module, module)
 
 
@@ -353,7 +354,7 @@ def test_dominance_scan_forms_each_invariant_character_once(monkeypatch, mu, nu)
     monkeypatch.setattr(ctring.symfunc, "_module_character", counted)
     monkeypatch.setattr(ctring.psi, "kronecker_product", step(kronecker_product))
     monkeypatch.setattr(ctring.psi, "kronecker_dominance", step(kronecker_dominance))
-    ctring.psi._invariant_values.cache_clear()
+    ctring.psi.invariants_frobenius_s.cache_clear()
     try:
         dominance_violations(mu, nu)
         distinct = {(margin, lam) for margin in (mu, nu) for lam in partitions(sum(mu))}
@@ -364,4 +365,24 @@ def test_dominance_scan_forms_each_invariant_character_once(monkeypatch, mu, nu)
         assert calls == []
     finally:
         monkeypatch.undo()
-        ctring.psi._invariant_values.cache_clear()
+        ctring.psi.invariants_frobenius_s.cache_clear()
+
+
+def test_every_psi_and_symfunc_memo_is_hit_by_a_dominance_scan():
+    # a memo that no call reads back only holds memory, as a default that no
+    # call passes is a knob nothing turns: with the memos emptied, the n <= 6
+    # dominance scan hits each lru_cache of psi and symfunc at least once
+    import ctring.symfunc
+    from ctring.experiments import conjecture_scan
+
+    memos = {
+        f"{module.__name__}.{name}": value
+        for module in (ctring.psi, ctring.symfunc)
+        for name, value in vars(module).items()
+        if hasattr(value, "cache_info") and value.__module__ == module.__name__
+    }
+    assert "ctring.psi.invariants_frobenius_s" in memos
+    for memo in memos.values():
+        memo.cache_clear()
+    conjecture_scan(0, 0, 6)
+    assert [name for name, memo in memos.items() if not memo.cache_info().hits] == []

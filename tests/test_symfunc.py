@@ -203,23 +203,25 @@ def test_factor_order_matches_class_by_class_products():
                 assert module.character(cls) == expected, (sizes, cls)
             for b in modules:
                 expected = classwise_tensor_multiplicities(sizes, a, b)
-                assert group.tensor_multiplicities(a, b) == expected, sizes
+                module_b = TensorSymFunc(sizes, "s", b)
+                assert group.tensor_multiplicities(module, module_b) == expected, sizes
 
 
 def test_product_group_multiplicity_roundtrip():
     # the trivial module is the unit of the tensor product
     g = SymmetricProductGroup((2, 2))
-    module = {((2,), (1, 1)): 2, ((1, 1), (2,)): 1}
-    trivial = {((2,), (2,)): 1}
-    assert g.tensor_multiplicities(module, trivial) == module
-    assert g.tensor_multiplicities(trivial, module) == module
+    mults = {((2,), (1, 1)): 2, ((1, 1), (2,)): 1}
+    module = TensorSymFunc((2, 2), "s", mults)
+    trivial = TensorSymFunc((2, 2), "s", {((2,), (2,)): 1})
+    assert g.tensor_multiplicities(module, trivial) == mults
+    assert g.tensor_multiplicities(trivial, module) == mults
 
 
 def test_product_group_tensor():
     g = SymmetricProductGroup((2,))
-    sign = {((1, 1),): 1}
+    sign = TensorSymFunc((2,), "s", {((1, 1),): 1})
     assert g.tensor_multiplicities(sign, sign) == {((2,),): 1}
-    triv = {((2,),): 1}
+    triv = TensorSymFunc((2,), "s", {((2,),): 1})
     assert g.tensor_multiplicities(sign, triv) == {((1, 1),): 1}
 
 
@@ -228,11 +230,32 @@ def test_product_group_rejects_non_characters():
     # the virtual module trivial - sign, tensored with the trivial module:
     # integral, but one multiplicity is negative.  The non-integral case is
     # tests/test_cli.py::test_non_character_is_a_failed_check
-    difference = {((3,),): 1, ((1, 1, 1),): -1}
+    difference = TensorSymFunc((3,), "s", {((3,),): 1, ((1, 1, 1),): -1})
     with pytest.raises(CheckFailed):
-        g.tensor_multiplicities(difference, {((3,),): 1})
-    assert g.tensor_multiplicities({((2, 1),): 1}, {((2, 1),): 1}) == {
+        g.tensor_multiplicities(difference, TensorSymFunc((3,), "s", {((3,),): 1}))
+    standard = TensorSymFunc((3,), "s", {((2, 1),): 1})
+    assert g.tensor_multiplicities(standard, standard) == {
         ((3,),): 1,
         ((2, 1),): 1,
         ((1, 1, 1),): 1,
     }
+
+
+def test_a_module_forms_its_class_values_once(monkeypatch):
+    # a module keeps the class values it forms: a second product with it,
+    # and the second factor of its square, form none
+    import ctring.symfunc
+
+    module_character = ctring.symfunc._module_character
+    calls = []
+
+    def counted(sizes, module):
+        calls.append(sizes)
+        return module_character(sizes, module)
+
+    monkeypatch.setattr(ctring.symfunc, "_module_character", counted)
+    g = SymmetricProductGroup((3, 2))
+    module = TensorSymFunc((3, 2), "s", {((2, 1), (2,)): 1, ((3,), (1, 1)): 2})
+    square = g.tensor_multiplicities(module, module)
+    assert g.tensor_multiplicities(module, module) == square
+    assert calls == [(3, 2)]
