@@ -6,34 +6,46 @@ d piece of the quotient is the sum, over partitions lam of n with first part
 n - d, of (invariants of the lam-irreducible under the row parabolic) tensor
 (the same under the column parabolic).
 
-Taking parabolic invariants acts on Frobenius images by a combinatorial rule
-on the h basis: sum over multiset partitions of {1^lam_1, 2^lam_2, ...} whose
-block sizes are the parts of mu, each contributing the tensor product of the
-multiplicity types of its equal-size block groups.  The partitions are
-counted, not listed: the groups of equal blocks are placed largest size
-first, and after each group only the remaining letter counts, sorted, are
-kept, since the count depends on the content only up to permuting letters
-(the h-image is an orbit count of a permutation module, as in Macdonald,
-Symmetric Functions and Hall Polynomials, I.7).  The Schur expansion follows
-by Young's rule, solved along each Kostka column.
+The invariants of S^lam under the Young subgroup S_mu are a module for
+Stab(mu), which permutes the equal blocks of mu.  By the projection formula
+(Serre, Linear Representations of Finite Groups, 2.6), g in Stab(mu) has
+trace |S_mu|^-1 times the sum over h in S_mu of chi^lam(g'h), where g' moves
+the blocks rigidly.  The cycle types of the coset g'S_mu sit inside the
+wreath products S_a wr S_m (Macdonald, Symmetric Functions and Hall
+Polynomials, I.8 appendix A): an l-cycle of g on blocks of size a gives the
+cycle type l * sigma, with sigma the cycle type of a uniform element of S_a,
+and distinct block cycles are independent.  So each class of Stab(mu) is a
+short convolution, weighted by class sizes of the S_a and divided by the
+product of a!, and one pass per margin (_coset_characters) gives the
+characters of every lam at once from the S_n character table.  The Schur
+multiplicities are the inner products of those values with the
+irreducibles of Stab(mu), one contraction with the factor tables.  The older
+route, counting multiset partitions on the h basis and back-substituting
+along Young's rule, is kept as a test oracle (tests/oracles.py).
 
 A degree's class values follow from the same sum: at a class (c_mu, c_nu)
 of the pair's group, degree d takes the value sum over lam with lam_1 = n - d
 of chi_{mu,lam}(c_mu) * chi_{nu,lam}(c_nu), where chi_{mu,lam} is the
-character of the lam invariants under the row group.  Each chi_{mu,lam} is
-the class values of the memoised invariants_frobenius_s(mu, lam), formed
-once per (margin, lam), and every degree carries its values, so the
-Kronecker products of a dominance scan evaluate no degree again.
+character of the lam invariants under the row group, which the memoised
+invariants_frobenius_s(mu, lam) module carries.  Every degree carries its
+values, so the Kronecker products of a dominance scan evaluate no degree
+again.
 """
 
 from functools import lru_cache
-from itertools import accumulate
-from operator import add, le, sub
+from math import factorial
+from operator import add
 from types import MappingProxyType
 
 from .errors import CheckFailed
-from .partitions import bounded_compositions, check_partition, kostka_column, partitions
-from .symfunc import SymmetricProductGroup, TensorSymFunc
+from .partitions import check_partition, partitions
+from .symfunc import (
+    SymmetricProductGroup,
+    TensorSymFunc,
+    _factor_table,
+    _multiplicities,
+    cycle_type_size,
+)
 from .tables import margins
 
 
@@ -77,109 +89,74 @@ def stab_permutation(mu, class_tuple) -> tuple:
     return tuple(image)
 
 
-def _multiplicity_type(blocks) -> tuple:
-    counts: dict = {}
-    for b in blocks:
-        counts[b] = counts.get(b, 0) + 1
-    return tuple(sorted(counts.values(), reverse=True))
-
-
-def _group_blocks(content, size, count, room) -> dict:
-    """The multisets of `count` blocks of `size` letters each, drawn from the
-    letter counts `content`, as {(remaining counts sorted descending, zeros
-    dropped; multiplicity type): number of multisets}.
-
-    The blocks that fit in `content` are listed once, in decreasing content
-    order, and each block is drawn at or after the previous one's place in
-    that list, keeping those that fit in what is left: this lists each
-    multiset once.  A block starts no later than `reach`, the last letter
-    such that the letters before it fit in `room`, the size of the later
-    (smaller) groups: the later blocks of this group start no earlier, so
-    only those groups can hold the letters it skips.  Once one block starts
-    too late, every later one does.
-    """
-    listed = bounded_compositions(size, content)
+def _merge(weights, block) -> dict:
+    """The cycle types of two independent permutations on disjoint points,
+    {cycle type: weight} each: every union of one from each, weights
+    multiplied."""
     out: dict = {}
-
-    def rec(remaining, blocks, start):
-        if len(blocks) == count:
-            left = tuple(sorted((r for r in remaining if r), reverse=True))
-            key = (left, _multiplicity_type(blocks))
-            out[key] = out.get(key, 0) + 1
-            return
-        reach = sum(1 for held in accumulate(remaining) if held <= room)
-        for i in range(start, len(listed)):
-            block = listed[i]
-            if not any(block[: reach + 1]):
-                break
-            if all(map(le, block, remaining)):
-                rec(tuple(map(sub, remaining, block)), blocks + [block], i)
-
-    rec(content, [], 0)
+    for first, w in weights.items():
+        for second, c in block.items():
+            key = tuple(sorted(first + second, reverse=True))
+            out[key] = out.get(key, 0) + w * c
     return out
 
 
 @lru_cache(maxsize=None)
-def _h_counts(content, groups):
-    """{multiplicity types, one per group: number of multiset partitions} for
-    the letter counts `content`, sorted descending, split into blocks whose
-    sizes are given by `groups`, (size, count) pairs, largest size first.
+def _coset_characters(mu) -> MappingProxyType:
+    """{lam: class values of the invariants of S^lam under S_mu, as a module
+    over Stab(mu)} for every lam of n, the values in the class order of
+    stab_group(mu).
 
-    The count depends on the content only up to permuting letters, so every
-    choice of blocks that leaves the same sorted counts shares one state.
+    A class of Stab(mu) takes the average of chi^lam over the coset g'S_mu,
+    g' a rigid block permutation of the class.  Its cycle types, weighted by
+    how many h in S_mu give each, are the convolution over the block cycles
+    of g: an l-cycle on blocks of size a gives l * sigma with weight
+    |class of sigma in S_a|, and a! is its share of the denominator.  The
+    classes are built factor by factor, as the labels are, so a prefix of
+    factors is convolved once.  Raises CheckFailed if an average is not an
+    integer.
     """
-    if not groups:
-        return MappingProxyType({(): 1})
-    (size, count), rest = groups[0], groups[1:]
-    room = sum(content) - size * count
-    out: dict = {}
-    for (left, mtype), ways in _group_blocks(content, size, count, room).items():
-        for types, c in _h_counts(left, rest).items():
-            key = (mtype,) + types
-            out[key] = out.get(key, 0) + ways * c
-    return MappingProxyType(out)
-
-
-def invariants_frobenius_h(mu, lam) -> TensorSymFunc:
-    """Frobenius image, on the h basis, of the parabolic invariants of the
-    permutation module with content lam, as a module over the group permuting
-    equal parts of mu: the multiset partitions of lam counted by the
-    multiplicity types of their equal-size blocks, keys in factor order."""
-    mu = check_partition(mu)
-    lam = check_partition(lam)
-    if sum(mu) != sum(lam):
-        raise ValueError("partitions must have equal size")
-    factors = stab_factor_data(mu)
-    walk = sorted(factors, reverse=True)  # largest size first
-    order = [walk.index(factor) for factor in factors]
-    counts = _h_counts(lam, tuple((size, m) for size, m, _ in walk))
-    return TensorSymFunc._from_terms(
-        tuple(m for _, m, _ in factors),
-        "h",
-        {tuple(types[i] for i in order): c for types, c in counts.items()},
-    )
+    n = sum(mu)
+    parts = partitions(n)
+    columns = dict(zip(parts, _factor_table(n)[1]))  # rho: chi^lam(rho) by lam
+    classes = [({(): 1}, 1)]  # (cycle-type weights, denominator) per label
+    for size, m, _ in stab_factor_data(mu):
+        blocks = [(sigma, cycle_type_size(sigma, size)) for sigma in partitions(size)]
+        factor = []
+        for rho in partitions(m):
+            weights = {(): 1}
+            for length in rho:
+                scaled = {tuple(length * p for p in sigma): c for sigma, c in blocks}
+                weights = _merge(weights, scaled)
+            factor.append((weights, factorial(size) ** len(rho)))
+        classes = [(_merge(w, fw), d * fd) for w, d in classes for fw, fd in factor]
+    values = []
+    for weights, denominator in classes:
+        total = [0] * len(parts)
+        for rho, w in weights.items():
+            total = [t + w * chi for t, chi in zip(total, columns[rho])]
+        value = [divmod(t, denominator) for t in total]
+        if any(rest for _, rest in value):
+            raise CheckFailed("invariant class values must be ints")
+        values.append([q for q, _ in value])
+    return MappingProxyType(dict(zip(parts, zip(*values))))
 
 
 @lru_cache(maxsize=None)
 def invariants_frobenius_s(mu, lam) -> TensorSymFunc:
     """Schur expansion of the parabolic invariants of the irreducible labeled
-    lam; the coefficients are module multiplicities, hence checked to be
-    nonnegative.
-
-    Young's rule h_lam = sum of K(nu, lam) s_nu, solved for s_lam: the image
-    of h_lam less K(nu, lam) times the image of each other s_nu.  Such a nu
-    strictly dominates lam, so it comes earlier in partitions() order, and
-    the recursion ends at the one-row shape, alone in its Kostka column.
-    """
-    h_image = invariants_frobenius_h(mu, lam).to_s()
-    coeffs = dict(h_image.coeffs)
-    for nu, k in kostka_column(lam).items():
-        if nu != lam:
-            for key, value in invariants_frobenius_s(mu, nu).coeffs.items():
-                coeffs[key] = coeffs.get(key, 0) - k * value
-    if any(value < 0 for value in coeffs.values()):
-        raise CheckFailed("invariant multiplicities must be nonnegative ints")
-    return TensorSymFunc._from_terms(h_image.degrees, "s", coeffs)
+    lam, as a module over the group permuting equal parts of mu, carrying
+    its class values (_coset_characters).  The coefficients are the inner
+    products of those values with the group's irreducibles, module
+    multiplicities, hence checked to be nonnegative ints."""
+    mu = check_partition(mu)
+    lam = check_partition(lam)
+    if sum(mu) != sum(lam):
+        raise ValueError("partitions must have equal size")
+    values = _coset_characters(mu)[lam]
+    group = stab_group(mu)
+    coeffs = _multiplicities(group, values, "invariant multiplicities must be nonnegative ints")
+    return TensorSymFunc._from_terms(group.sizes, "s", coeffs, values)
 
 
 def graded_decomposition(mu, nu) -> dict:
@@ -187,31 +164,33 @@ def graded_decomposition(mu, nu) -> dict:
     over the product of the row and column symmetry groups.
 
     Degree d collects the partitions lam with lam_1 = n - d; each contributes
-    the tensor product of its row and column parabolic invariants, and the
-    outer product of their class values (mu's class the more significant,
-    the row-major order of pair_group's classes).  Each degree is a fresh
-    TensorSymFunc that carries the sum of those values.
+    the tensor product of its row and column parabolic invariants, their
+    coefficients multiplied into the degree's one dict, and the outer
+    product of their class values (mu's class the more significant, the
+    row-major order of pair_group's classes) added into its one list.  Each
+    degree is one TensorSymFunc, built at the end, that carries those values.
     """
     mu, nu = margins(check_partition(mu), check_partition(nu))
     n = sum(mu)
-    terms: dict = {}
+    coeffs: dict = {}
     values: dict = {}
     for lam in partitions(n):
         d = n - lam[0] if lam else 0
         row, col = invariants_frobenius_s(mu, lam), invariants_frobenius_s(nu, lam)
-        term = row.tensor(col)
-        if not term:
+        if not (row and col):
             continue
+        degrees = row.degrees + col.degrees
+        terms = coeffs.setdefault(d, {})
+        for k1, c1 in row.coeffs.items():
+            for k2, c2 in col.coeffs.items():
+                key = k1 + k2
+                terms[key] = terms.get(key, 0) + c1 * c2
         col_values = col.class_values()
         outer = [a * b for a in row.class_values() for b in col_values]
-        if d in terms:
-            terms[d] = terms[d] + term
-            values[d] = list(map(add, values[d], outer))
-        else:
-            terms[d], values[d] = term, outer
+        values[d] = list(map(add, values[d], outer)) if d in values else outer
     return {
-        d: TensorSymFunc._from_terms(terms[d].degrees, "s", terms[d].coeffs, tuple(values[d]))
-        for d in sorted(terms)
+        d: TensorSymFunc._from_terms(degrees, "s", coeffs[d], tuple(values[d]))
+        for d in sorted(coeffs)
     }
 
 

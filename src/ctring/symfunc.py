@@ -13,9 +13,10 @@ costs C * sum p(m_i) instead of C^2, and it keeps only the factor tables and
 C-length data per group.
 
 A TensorSymFunc keeps its class values once they are known: given at
-construction by whoever already knows them (psi.graded_decomposition takes
-each degree's values from the tensor-character rule), else formed by the
-first class_values() call.  A Kronecker product of two modules, or a
+construction by whoever already knows them (psi.invariants_frobenius_s
+takes an invariant module's values from its coset averages, and
+psi.graded_decomposition each degree's from the tensor-character rule),
+else formed by the first class_values() call.  A Kronecker product of two modules, or a
 module's square, then costs one pointwise product and one contraction.
 """
 
@@ -288,17 +289,26 @@ class SymmetricProductGroup:
         unless every multiplicity is a nonnegative int."""
         if not mod_a.degrees == mod_b.degrees == self.sizes:
             raise ValueError("modules do not live over this group")
-        data = _product_classes(self.sizes)
-        va, vb = mod_a.class_values(), mod_b.class_values()
-        weighted = [size * a * b for size, a, b in zip(data.class_sizes, va, vb)]
-        out = {}
-        for irrep, total in zip(data.labels, _contract(weighted, self.sizes, False)):
-            mult, rest = divmod(total, self.order)
-            if rest or mult < 0:
-                raise CheckFailed("class function is not a character")
-            if mult:
-                out[irrep] = mult
-        return out
+        product = map(mul, mod_a.class_values(), mod_b.class_values())
+        return _multiplicities(self, product, "class function is not a character")
+
+
+def _multiplicities(group, values, failure) -> dict:
+    """{irreducible: multiplicity} of the class function over `group`, a
+    SymmetricProductGroup, with the given class values: <chi, f> = sum over
+    classes of size * f * chi, over the group order, the sums taken factor
+    by factor (_contract).  Raises CheckFailed(failure) unless every
+    multiplicity is a nonnegative int."""
+    data = _product_classes(group.sizes)
+    weighted = list(map(mul, data.class_sizes, values))
+    out = {}
+    for irrep, total in zip(data.labels, _contract(weighted, group.sizes, False)):
+        mult, rest = divmod(total, group.order)
+        if rest or mult < 0:
+            raise CheckFailed(failure)
+        if mult:
+            out[irrep] = mult
+    return out
 
 
 def _module_character(sizes, module) -> list:

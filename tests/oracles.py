@@ -5,15 +5,16 @@ implementations under test.  The old routes kept here for rewritten layers
 (the per-shape Kostka series on the strip DP `strip_kostka`, class-by-class
 tensor multiplicities, normal forms and Lefschetz ranks over Fraction
 Gauss-Jordan in `RrefIdeal` and `nf_lefschetz_report`, the unskipped slice
-rows `unskipped_slice_rows`, the multiset partitions that the h-basis
-parabolic invariants count, listed one by one, `unpruned_multiset_partitions`,
-the inverse Kostka table `s_to_h_expansion` and the Schur-basis parabolic
-invariants through it, `h_route_invariants_s`,
+rows `unskipped_slice_rows`, the h-basis parabolic invariants, counted as
+multiset partitions over sorted contents, `invariants_frobenius_h`, those
+partitions listed one by one, `unpruned_multiset_partitions`, the inverse
+Kostka table `s_to_h_expansion` and the Schur-basis parabolic invariants
+through it, `h_route_invariants_s`,
 and the matrix-ball step and the zigzag witness read off a ball labeling
 built from its definition, `reference_labels`, in `diagram_ball_step` and
 `chain_witness`) reuse only library primitives that are tested on their own:
 `partitions`, `check_partition`, `kostka_column`, `irreducible_character`,
-the h-basis invariants `invariants_frobenius_h`, the generator list
+the factor order of a margin's group `stab_factor_data`, the generator list
 `contingency_generators`, the linear form `lefschetz_element`, `Grid.ddeg`,
 `Poly` products and the clean monomials of `HomogeneousIdeal`.  The line
 supports of a grid, `row_support` and `col_support`, are kept here for the
@@ -43,15 +44,15 @@ report on them `per_degree_lefschetz_report`.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import accumulate, combinations_with_replacement, product
 from math import factorial
-from operator import le, mul
+from operator import le, mul, sub
 from types import MappingProxyType
 
 from ctring.linalg import DegreeBasis, HomogeneousIdeal, linear_form, position_echelon
 from ctring.partitions import bounded_compositions, check_partition, kostka_column, partitions
 from ctring.polys import Grid, Poly, order_weights
-from ctring.psi import invariants_frobenius_h
+from ctring.psi import stab_factor_data
 from ctring.quotient import _block_form, contingency_generators, lefschetz_element
 from ctring.symfunc import TensorSymFunc, cycle_type_size, irreducible_character
 from ctring.tables import margins
@@ -471,8 +472,8 @@ def unpruned_multiset_partitions(content, shape):
     counts into blocks whose sizes are the parts of `shape`, each a tuple of
     blocks (content vectors) aligned with `shape`.  A branch is dropped only
     when no block fits: every block of each size in turn, descending, blocks
-    of equal size weakly decreasing.  The library counts these partitions by
-    multiplicity type (psi.invariants_frobenius_h) without listing them."""
+    of equal size weakly decreasing.  invariants_frobenius_h counts these
+    partitions by multiplicity type without listing them."""
     shape = check_partition(shape)
     out = []
 
@@ -783,6 +784,89 @@ def s_to_h_expansion(lam):
     """The h expansion of s_lam, as a read-only {mu: coefficient} mapping."""
     lam = check_partition(lam)
     return _s_to_h_table(sum(lam))[lam]
+
+
+def _multiplicity_type(blocks) -> tuple:
+    counts: dict = {}
+    for b in blocks:
+        counts[b] = counts.get(b, 0) + 1
+    return tuple(sorted(counts.values(), reverse=True))
+
+
+def _group_blocks(content, size, count, room) -> dict:
+    """The multisets of `count` blocks of `size` letters each, drawn from the
+    letter counts `content`, as {(remaining counts sorted descending, zeros
+    dropped; multiplicity type): number of multisets}.
+
+    The blocks that fit in `content` are listed once, in decreasing content
+    order, and each block is drawn at or after the previous one's place in
+    that list, keeping those that fit in what is left: this lists each
+    multiset once.  A block starts no later than `reach`, the last letter
+    such that the letters before it fit in `room`, the size of the later
+    (smaller) groups: the later blocks of this group start no earlier, so
+    only those groups can hold the letters it skips.  Once one block starts
+    too late, every later one does.
+    """
+    listed = bounded_compositions(size, content)
+    out: dict = {}
+
+    def rec(remaining, blocks, start):
+        if len(blocks) == count:
+            left = tuple(sorted((r for r in remaining if r), reverse=True))
+            key = (left, _multiplicity_type(blocks))
+            out[key] = out.get(key, 0) + 1
+            return
+        reach = sum(1 for held in accumulate(remaining) if held <= room)
+        for i in range(start, len(listed)):
+            block = listed[i]
+            if not any(block[: reach + 1]):
+                break
+            if all(map(le, block, remaining)):
+                rec(tuple(map(sub, remaining, block)), blocks + [block], i)
+
+    rec(content, [], 0)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _h_counts(content, groups):
+    """{multiplicity types, one per group: number of multiset partitions} for
+    the letter counts `content`, sorted descending, split into blocks whose
+    sizes are given by `groups`, (size, count) pairs, largest size first.
+
+    The count depends on the content only up to permuting letters, so every
+    choice of blocks that leaves the same sorted counts shares one state.
+    """
+    if not groups:
+        return MappingProxyType({(): 1})
+    (size, count), rest = groups[0], groups[1:]
+    room = sum(content) - size * count
+    out: dict = {}
+    for (left, mtype), ways in _group_blocks(content, size, count, room).items():
+        for types, c in _h_counts(left, rest).items():
+            key = (mtype,) + types
+            out[key] = out.get(key, 0) + ways * c
+    return MappingProxyType(out)
+
+
+def invariants_frobenius_h(mu, lam) -> TensorSymFunc:
+    """Frobenius image, on the h basis, of the parabolic invariants of the
+    permutation module with content lam, as a module over the group permuting
+    equal parts of mu: the multiset partitions of lam counted by the
+    multiplicity types of their equal-size blocks, keys in factor order."""
+    mu = check_partition(mu)
+    lam = check_partition(lam)
+    if sum(mu) != sum(lam):
+        raise ValueError("partitions must have equal size")
+    factors = stab_factor_data(mu)
+    walk = sorted(factors, reverse=True)  # largest size first
+    order = [walk.index(factor) for factor in factors]
+    counts = _h_counts(lam, tuple((size, m) for size, m, _ in walk))
+    return TensorSymFunc._from_terms(
+        tuple(m for _, m, _ in factors),
+        "h",
+        {tuple(types[i] for i in order): c for types, c in counts.items()},
+    )
 
 
 def h_route_invariants_s(mu, lam) -> TensorSymFunc:

@@ -15,6 +15,7 @@ from operator import mul
 from oracles import (
     all_shifts,
     count_fixed_tables,
+    invariants_frobenius_h,
     random_matrix,
     random_zigzag_matrix,
     strict_compositions,
@@ -47,7 +48,6 @@ from ctring.polys import (
 )
 from ctring.psi import (
     graded_decomposition,
-    invariants_frobenius_h,
     invariants_frobenius_s,
     stab_group,
     stab_permutation,

@@ -668,41 +668,41 @@ def test_non_character_is_a_failed_check(monkeypatch, capsys):
     import ctring.psi
     import ctring.symfunc
 
-    # psi: negated h-basis invariants give negative invariant multiplicities
-    invariants_h = ctring.psi.invariants_frobenius_h
+    # psi: negated coset characters give negative invariant multiplicities;
+    # both psi memos are emptied before the patch and again after it is undone
+    coset_characters = ctring.psi._coset_characters
 
-    def negated(mu, lam):
-        image = invariants_h(mu, lam)
-        coeffs = {key: -c for key, c in image.coeffs.items()}
-        return ctring.symfunc.TensorSymFunc(image.degrees, "h", coeffs)
+    def negated(mu):
+        return {lam: tuple(-v for v in values) for lam, values in coset_characters(mu).items()}
 
-    monkeypatch.setattr(ctring.psi, "invariants_frobenius_h", negated)
-    ctring.psi.invariants_frobenius_s.cache_clear()
+    def empty_psi_memos():
+        coset_characters.cache_clear()
+        ctring.psi.invariants_frobenius_s.cache_clear()
+
+    monkeypatch.setattr(ctring.psi, "_coset_characters", negated)
+    empty_psi_memos()
     try:
         status, out, err = run_failing(capsys, ["frobenius", "--mu", "2,1", "--nu", "2,1"])
     finally:
         monkeypatch.undo()
-        ctring.psi.invariants_frobenius_s.cache_clear()
+        empty_psi_memos()
     assert status == 1 and out == ""
     assert "nonnegative ints" in err["error"]
-    # symfunc: a module character raised by one on a single class is no
-    # character; the per-(margin, lam) invariant modules, which keep their
-    # class values, are memoised in psi, so the memo is emptied before the
-    # patch and again after it is undone
-    module_character = ctring.symfunc._module_character
+    # symfunc: module class values raised by one on a single class are no
+    # character; the patch changes what every module reads, not what the
+    # psi memos keep, so a scan after it is undone reads the true values
+    class_values = ctring.symfunc.TensorSymFunc.class_values
 
-    def off_on_one_class(sizes, module):
-        values = module_character(sizes, module)
-        return [values[0] + 1] + values[1:]
+    def off_on_one_class(module):
+        values = class_values(module)
+        return (values[0] + 1,) + values[1:]
 
-    monkeypatch.setattr(ctring.symfunc, "_module_character", off_on_one_class)
-    ctring.psi.invariants_frobenius_s.cache_clear()
+    monkeypatch.setattr(ctring.symfunc.TensorSymFunc, "class_values", off_on_one_class)
     argv = ["conjectures", "--max-n", "0", "--lefschetz-n", "0", "--dominance-n", "3"]
     try:
         status, out, err = run_failing(capsys, argv)
     finally:
         monkeypatch.undo()
-        ctring.psi.invariants_frobenius_s.cache_clear()
     assert status == 1 and out == ""
     assert "not a character" in err["error"]
 

@@ -219,6 +219,7 @@ def test_new_memos_are_lru_caches():
     }
     for memo in [
         ("ctring.linalg", "_layout"),
+        ("ctring.psi", "_coset_characters"),
         ("ctring.psi", "invariants_frobenius_s"),
         ("ctring.quotient", "_lifts"),
         ("ctring.quotient", "_line_verdict"),

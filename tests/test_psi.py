@@ -1,5 +1,7 @@
+import hashlib
 import random
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -7,15 +9,17 @@ from oracles import (
     classwise_tensor_multiplicities,
     count_fixed_tables,
     h_route_invariants_s,
+    invariants_frobenius_h,
     ordered_block_partition_count,
     s_to_h_expansion,
     unpruned_multiset_partitions,
 )
 import ctring.psi
+from ctring.errors import CheckFailed
+from ctring.experiments import dominance_violations
 from ctring.partitions import partitions
 from ctring.psi import (
     graded_decomposition,
-    invariants_frobenius_h,
     invariants_frobenius_s,
     kronecker_dominance,
     kronecker_product,
@@ -105,8 +109,10 @@ def test_counting_drops_dead_branches(monkeypatch):
     # is placed after trying at most three listed blocks, without it the 2^n
     # dead branches come back.  A group's blocks are listed once, so the
     # count is of the listed blocks tried, read off the list itself
+    import oracles
+
     tried = []
-    enumerate_blocks = ctring.psi.bounded_compositions
+    enumerate_blocks = oracles.bounded_compositions
 
     class Tried(list):
         def __getitem__(self, i):
@@ -116,9 +122,9 @@ def test_counting_drops_dead_branches(monkeypatch):
     def counted(total, bounds):
         return Tried(enumerate_blocks(total, bounds))
 
-    monkeypatch.setattr(ctring.psi, "bounded_compositions", counted)
+    monkeypatch.setattr(oracles, "bounded_compositions", counted)
     for n in (13, 16):
-        ctring.psi._h_counts.cache_clear()
+        oracles._h_counts.cache_clear()
         tried.clear()
         image = invariants_frobenius_h((1,) * n, (1,) * n)
         assert dict(image.coeffs) == {((1,) * n,): 1}
@@ -183,6 +189,66 @@ def test_invariants_s_nonnegative_small():
                 assert all(c >= 0 for c in t.coeffs.values())
 
 
+def test_coset_values_equal_the_character_of_the_multiplicities():
+    # every (mu, lam) with n <= 8: the class values an invariant module
+    # carries from the coset pass are the character of its Schur
+    # multiplicities, formed factor by factor
+    checked = 0
+    for n in range(9):
+        for mu in partitions(n):
+            for lam in partitions(n):
+                module = invariants_frobenius_s(mu, lam)
+                expected = _module_character(module.degrees, module.coeffs)
+                assert list(module.class_values()) == expected, (mu, lam)
+                checked += 1
+    assert checked == 919
+
+
+def test_coset_pass_worked_values():
+    # (2,1,1,1): Stab is S_3 x S_1, its classes (3), (2,1), (1^3) on the S_3
+    # factor.  The trivial irreducible has trivial invariants; for lam =
+    # (3,2) the invariants are s_(2,1) + s_(3) on the S_3 factor, so the
+    # values are -1 + 1, 0 + 1, 2 + 1
+    characters = ctring.psi._coset_characters((2, 1, 1, 1))
+    assert characters[(5,)] == (1, 1, 1)
+    assert characters[(3, 2)] == (0, 1, 3)
+    assert invariants_frobenius_s((2, 1, 1, 1), (3, 2)).class_values() == (0, 1, 3)
+
+
+def test_a_coset_average_that_is_no_int_is_a_failed_check(monkeypatch):
+    # every block cycle's share of the denominator doubled: the average of
+    # the trivial character over a coset is then a fraction
+    from math import factorial
+
+    monkeypatch.setattr(ctring.psi, "factorial", lambda a: 2 * factorial(a))
+    ctring.psi._coset_characters.cache_clear()
+    try:
+        with pytest.raises(CheckFailed, match="class values must be ints"):
+            ctring.psi._coset_characters((2, 1))
+    finally:
+        monkeypatch.undo()
+        ctring.psi._coset_characters.cache_clear()
+
+
+def test_graded_decompositions_and_dominance_golden():
+    # the coefficients and class values of every degree, and the dominance
+    # verdict, of every partition pair with n <= 7 (1351 degrees), hashed;
+    # the digest was taken from the h-basis route before the coset pass
+    digest = hashlib.sha256()
+    degrees = 0
+    for n in range(1, 8):
+        for mu, nu in product(partitions(n), repeat=2):
+            for d, module in graded_decomposition(mu, nu).items():
+                record = (mu, nu, d, sorted(module.coeffs.items()), module.class_values())
+                digest.update(repr(record).encode())
+                degrees += 1
+            digest.update(repr((mu, nu, dominance_violations(mu, nu))).encode())
+    assert degrees == 1351
+    assert digest.hexdigest() == (
+        "994363881350f06ebc2d5a5ff313828e933ba940665de9ddd6173bea8d074a87"
+    )
+
+
 def test_graded_decomposition_dimensions_golden():
     dec = graded_decomposition((3, 2), (2, 2, 1))
     assert [dec[d].dimension() for d in sorted(dec)] == [1, 2, 2]
@@ -225,7 +291,7 @@ def test_s_to_h_expansion_cannot_be_changed_by_callers():
     assert sorted(expected) == [0, 1]
     with pytest.raises(AttributeError):
         s_to_h_expansion((2, 1)).clear()
-    invariants_frobenius_s.cache_clear()  # recompute from the h-basis images
+    invariants_frobenius_s.cache_clear()  # recompute from the coset characters
     assert graded_decomposition((2, 1), (2, 1)) == expected
     assert invariants_frobenius_s((2, 1), (2, 1)) == h_route_invariants_s((2, 1), (2, 1))
 
@@ -326,18 +392,27 @@ def test_degrees_carry_their_class_values():
 
 @pytest.mark.parametrize("mu, nu", [((1,) * 6, (1,) * 6), ((2, 2, 1, 1), (3, 1, 1, 1))])
 def test_dominance_scan_forms_each_invariant_character_once(monkeypatch, mu, nu):
-    # a scan forms class values once per (margin, lam) and never in a
-    # Kronecker step: the steps multiply the values their degrees carry
+    # a scan runs the coset pass once per margin, never in a Kronecker step,
+    # and forms no module character: the steps multiply the values their
+    # degrees carry, which the invariant modules brought from the pass
     import ctring.symfunc
-    from ctring.experiments import dominance_violations
 
+    coset_characters = ctring.psi._coset_characters
     module_character = ctring.symfunc._module_character
-    calls = []
+    passes = []
+    characters = []
     steps = []
     in_step = []
 
-    def counted(sizes, module):
-        calls.append(bool(in_step))
+    def counted_pass(margin):
+        before = coset_characters.cache_info().misses
+        out = coset_characters(margin)
+        if coset_characters.cache_info().misses > before:
+            passes.append((margin, bool(in_step)))
+        return out
+
+    def counted_character(sizes, module):
+        characters.append(sizes)
         return module_character(sizes, module)
 
     def step(kronecker):
@@ -351,20 +426,23 @@ def test_dominance_scan_forms_each_invariant_character_once(monkeypatch, mu, nu)
 
         return run
 
-    monkeypatch.setattr(ctring.symfunc, "_module_character", counted)
+    monkeypatch.setattr(ctring.psi, "_coset_characters", counted_pass)
+    monkeypatch.setattr(ctring.symfunc, "_module_character", counted_character)
     monkeypatch.setattr(ctring.psi, "kronecker_product", step(kronecker_product))
     monkeypatch.setattr(ctring.psi, "kronecker_dominance", step(kronecker_dominance))
+    coset_characters.cache_clear()
     ctring.psi.invariants_frobenius_s.cache_clear()
     try:
         dominance_violations(mu, nu)
-        distinct = {(margin, lam) for margin in (mu, nu) for lam in partitions(sum(mu))}
-        assert 0 < len(calls) <= len(distinct)
-        assert steps and not any(calls)  # no call from inside a Kronecker step
-        calls.clear()
+        assert steps
+        assert sorted(passes) == sorted((margin, False) for margin in {mu, nu})
+        assert characters == []
+        passes.clear()
         dominance_violations(mu, nu)
-        assert calls == []
+        assert passes == [] and characters == []
     finally:
         monkeypatch.undo()
+        coset_characters.cache_clear()
         ctring.psi.invariants_frobenius_s.cache_clear()
 
 
@@ -381,7 +459,7 @@ def test_every_psi_and_symfunc_memo_is_hit_by_a_dominance_scan():
         for name, value in vars(module).items()
         if hasattr(value, "cache_info") and value.__module__ == module.__name__
     }
-    assert "ctring.psi.invariants_frobenius_s" in memos
+    assert {"ctring.psi._coset_characters", "ctring.psi.invariants_frobenius_s"} <= set(memos)
     for memo in memos.values():
         memo.cache_clear()
     conjecture_scan(0, 0, 6)

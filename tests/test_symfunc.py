@@ -90,7 +90,7 @@ def test_kostka_matrices_inverse():
                 assert total == (1 if lam == mu else 0)
         # both unitriangular against lexicographic order: every other shape
         # of a Kostka column precedes its content in partitions() order,
-        # which is what ends the recursion of invariants_frobenius_s
+        # which is what the back substitution of the inverse table relies on
         for mu in parts:
             for expansion in (kostka_column(mu), s_to_h_expansion(mu)):
                 assert all(lam >= mu for lam in expansion)
