@@ -8,6 +8,10 @@ Conventions used throughout the package:
 
 All enumeration functions return deterministic orders so that results can be
 frozen in golden tests.
+
+Data that depends on one partition is formed once per process: the bounded
+partitions, the Pieri columns (_KOSTKA_CACHE) and the horizontal strips they
+are built from (an lru_cache on shape, strip size and room).
 """
 
 from functools import lru_cache
@@ -102,11 +106,12 @@ def kostka(shape, content) -> int:
     return kostka_column(content, n - shape[0] if shape else 0).get(shape, 0)
 
 
-def _horizontal_strip_successors(shape, size, spare):
+@lru_cache(maxsize=None)
+def _horizontal_strip_successors(shape, size, below) -> tuple:
     """Partitions nu containing `shape` with nu/shape a horizontal strip of
-    `size` cells, at most `spare` of them below the first row."""
+    `size` cells, at most `below` (<= size) of them below the first row, as
+    a shared tuple."""
     rows = shape + (0,)  # the strip may open one new row
-    below = min(size, spare)
     out = []
 
     def rec(i, left, tail):
@@ -120,7 +125,7 @@ def _horizontal_strip_successors(shape, size, spare):
             rec(i - 1, left - add, (rows[i] + add,) + tail)
 
     rec(len(shape), below, ())
-    return out
+    return tuple(out)
 
 
 def kostka_column(content, depth=None):
@@ -132,7 +137,11 @@ def kostka_column(content, depth=None):
     step per nonzero part.  K is symmetric in the content, so the parts are
     taken in decreasing order and the column of every prefix is memoised.  A
     strip never shortens a row below the first, so cutting every step at the
-    depth loses no shape of the truncated column.
+    depth loses no shape of the truncated column.  The strips themselves are
+    memoised once per process on (shape, strip size, room), the room being
+    how many cells may go below the first row, the depth left capped at the
+    strip size; so columns of different contents and depths share each
+    successor tuple.
     """
     content = tuple(content)
     if any(c < 0 for c in content):
@@ -154,10 +163,12 @@ def _kostka_column(parts, depth):
         column = {(): 1}
     else:
         step: dict = {}
-        size = sum(parts) - parts[-1]
+        last = parts[-1]
+        size = sum(parts) - last
         for shape, value in _kostka_column(parts[:-1], depth).items():
-            spare = depth - size + (shape[0] if shape else 0)
-            for bigger in _horizontal_strip_successors(shape, parts[-1], spare):
+            # the strip reads the depth left only up to its own size
+            room = min(last, depth - size + (shape[0] if shape else 0))
+            for bigger in _horizontal_strip_successors(shape, last, room):
                 step[bigger] = step.get(bigger, 0) + value
         column = {lam: step[lam] for lam in sorted(step, reverse=True)}
     _KOSTKA_CACHE[key] = column = MappingProxyType(column)

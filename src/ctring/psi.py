@@ -30,6 +30,11 @@ character of the lam invariants under the row group, which the memoised
 invariants_frobenius_s(mu, lam) module carries.  Every degree carries its
 values, so the Kronecker products of a dominance scan evaluate no degree
 again.
+
+What depends on one margin is formed once per process, in lru_caches keyed
+on the checked partition: its factor data (_factor_data), its group
+(_stab_group) and its coset pass (_coset_characters).  The public
+functions check their input and then read these memos.
 """
 
 from functools import lru_cache
@@ -54,9 +59,16 @@ def stab_factor_data(mu) -> list:
 
     Returns (part size, multiplicity, 1-based positions) per distinct part,
     ordered by multiplicity descending then part size ascending.  All tensor
-    factors, class tuples, and irreducible labels follow this order.
+    factors, class tuples, and irreducible labels follow this order.  The
+    decomposition is formed once per margin (_factor_data); each call checks
+    mu and returns a fresh list of it.
     """
-    mu = check_partition(mu)
+    return list(_factor_data(check_partition(mu)))
+
+
+@lru_cache(maxsize=None)
+def _factor_data(mu) -> tuple:
+    """stab_factor_data of the checked partition mu, as a shared tuple."""
     groups: dict = {}
     for pos, part in enumerate(mu, start=1):
         groups.setdefault(part, []).append(pos)
@@ -64,11 +76,17 @@ def stab_factor_data(mu) -> list:
         (part, len(positions), tuple(positions)) for part, positions in groups.items()
     ]
     items.sort(key=lambda t: (-t[1], t[0]))
-    return items
+    return tuple(items)
+
+
+@lru_cache(maxsize=None)
+def _stab_group(mu) -> SymmetricProductGroup:
+    """stab_group of the checked partition mu, one shared group per margin."""
+    return SymmetricProductGroup([m for _, m, _ in _factor_data(mu)])
 
 
 def stab_group(mu) -> SymmetricProductGroup:
-    return SymmetricProductGroup([m for _, m, _ in stab_factor_data(mu)])
+    return _stab_group(check_partition(mu))
 
 
 def stab_permutation(mu, class_tuple) -> tuple:
@@ -77,7 +95,7 @@ def stab_permutation(mu, class_tuple) -> tuple:
     ValueError unless the tuple holds one cycle type per factor."""
     mu = check_partition(mu)
     image = list(range(len(mu)))
-    for (part, m, positions), rho in zip(stab_factor_data(mu), class_tuple, strict=True):
+    for (part, m, positions), rho in zip(_factor_data(mu), class_tuple, strict=True):
         if sum(rho) != m:
             raise ValueError("cycle type does not match factor size")
         idx = 0
@@ -120,7 +138,7 @@ def _coset_characters(mu) -> MappingProxyType:
     parts = partitions(n)
     columns = dict(zip(parts, _factor_table(n)[1]))  # rho: chi^lam(rho) by lam
     classes = [({(): 1}, 1)]  # (cycle-type weights, denominator) per label
-    for size, m, _ in stab_factor_data(mu):
+    for size, m, _ in _factor_data(mu):
         blocks = [(sigma, cycle_type_size(sigma, size)) for sigma in partitions(size)]
         factor = []
         for rho in partitions(m):
@@ -154,7 +172,7 @@ def invariants_frobenius_s(mu, lam) -> TensorSymFunc:
     if sum(mu) != sum(lam):
         raise ValueError("partitions must have equal size")
     values = _coset_characters(mu)[lam]
-    group = stab_group(mu)
+    group = _stab_group(mu)
     coeffs = _multiplicities(group, values, "invariant multiplicities must be nonnegative ints")
     return TensorSymFunc._from_terms(group.sizes, "s", coeffs, values)
 

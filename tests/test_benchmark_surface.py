@@ -82,3 +82,39 @@ def test_benchmark_suite_passes():
         timeout=300,
     )
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_clear_caches_empties_every_library_memo():
+    # a memo that the worker's clear_caches cannot reach would leave every
+    # timed pass after the first one warm and fake a gain.  The lru_caches
+    # are found here on the heap, not by the worker's scan of module
+    # attributes, after one op of each workload kind has filled them
+    import functools
+    import gc
+
+    from ctring import partitions as part_module
+    from ctring.experiments import conjecture_scan, sweep_record
+    from ctring.series import hilbert_kostka, uniform_family
+
+    worker = _load("worker")
+    sweep_record((2, 1), (1, 2))
+    conjecture_scan(0, 0, 4)
+    hilbert_kostka(uniform_family(1), uniform_family(1), max_degree=3)
+    memos = [
+        obj
+        for obj in gc.get_objects()
+        if isinstance(obj, functools._lru_cache_wrapper)
+        and (obj.__module__ or "").split(".")[0] == "ctring"
+    ]
+    filled = {f"{m.__module__}.{m.__qualname__}" for m in memos if m.cache_info().currsize}
+    assert {
+        "ctring.partitions._horizontal_strip_successors",
+        "ctring.psi._factor_data",
+        "ctring.psi._stab_group",
+    } <= filled
+    assert part_module._KOSTKA_CACHE
+    worker.clear_caches()
+    assert [
+        f"{m.__module__}.{m.__qualname__}" for m in memos if m.cache_info().currsize
+    ] == []
+    assert part_module._KOSTKA_CACHE == {}

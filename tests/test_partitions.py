@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import importlib
 import random
 from pathlib import Path
@@ -219,7 +220,10 @@ def test_new_memos_are_lru_caches():
     }
     for memo in [
         ("ctring.linalg", "_layout"),
+        ("ctring.partitions", "_horizontal_strip_successors"),
         ("ctring.psi", "_coset_characters"),
+        ("ctring.psi", "_factor_data"),
+        ("ctring.psi", "_stab_group"),
         ("ctring.psi", "invariants_frobenius_s"),
         ("ctring.quotient", "_lifts"),
         ("ctring.quotient", "_line_verdict"),
@@ -230,6 +234,7 @@ def test_new_memos_are_lru_caches():
         assert memo in memos, memo
     for memo in memos.values():  # what other tests filled does not count
         memo.cache_clear()
+    part_module._KOSTKA_CACHE.clear()  # a warm column would read no strip
     cli.build_parser()
     experiments.sweep_record((2, 1), (1, 2))
     experiments.sweep_record((1, 1, 1), (1, 1, 1))  # a power of two-cell lines
@@ -263,3 +268,39 @@ def test_snapshot_lists_each_kostka_number_once():
     assert sorted(t for t in snapshot if t[1] == (2, 1, 1)) == sorted(
         (lam, (2, 1, 1), value) for lam, value in kostka_column((2, 1, 1)).items()
     )
+
+
+def test_kostka_columns_golden():
+    # sha256 over every Kostka column of every content partition with
+    # n <= 12, full and truncated at depths 0-3, built cold; recorded before
+    # the strips were memoised.  A strip memo that ignored the room would
+    # hand a truncated column the successors of a deeper one
+    from ctring import partitions as part_module
+
+    part_module._KOSTKA_CACHE.clear()
+    part_module._horizontal_strip_successors.cache_clear()
+    digest = hashlib.sha256()
+    for n in range(13):
+        for content in partitions(n):
+            for depth in (None, 0, 1, 2, 3):
+                column = kostka_column(content, depth)
+                digest.update(repr((content, depth, list(column.items()))).encode())
+    assert digest.hexdigest() == (
+        "27b3306c508bde7778b48e4dd35ee022a2c7f0be7683563b20d7e6344d1b3722"
+    )
+
+
+def test_kostka_columns_run_each_strip_once():
+    # the full columns of every partition with n <= 10 ask for 1,016 strips,
+    # 159 of them distinct in (shape, size, room): the strip recursion runs
+    # once for each of those, and the other asks are memo hits
+    from ctring import partitions as part_module
+
+    strips = part_module._horizontal_strip_successors
+    part_module._KOSTKA_CACHE.clear()
+    strips.cache_clear()
+    for n in range(11):
+        for content in partitions(n):
+            kostka_column(content)
+    info = strips.cache_info()
+    assert (info.misses, info.hits + info.misses) == (159, 1016)

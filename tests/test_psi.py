@@ -39,6 +39,16 @@ def test_stab_factor_data():
     assert stab_factor_data((1, 1, 1)) == [(1, 3, (1, 2, 3))]
 
 
+def test_stab_factor_data_cannot_be_changed_by_callers():
+    # the data is memoised per margin; each call hands out a fresh list
+    data = stab_factor_data((2, 1, 1, 1))
+    data.append((5, 1, (5,)))
+    data[0] = (9, 9, ())
+    data.sort()
+    assert stab_factor_data((2, 1, 1, 1)) == [(1, 3, (2, 3, 4)), (2, 1, (1,))]
+    assert stab_group((2, 1, 1, 1)).sizes == (3, 1)
+
+
 def test_stab_permutation():
     # a 3-cycle on the three singleton positions of (2,1,1,1)
     w = stab_permutation((2, 1, 1, 1), ((3,), (1,)))
@@ -459,8 +469,30 @@ def test_every_psi_and_symfunc_memo_is_hit_by_a_dominance_scan():
         for name, value in vars(module).items()
         if hasattr(value, "cache_info") and value.__module__ == module.__name__
     }
-    assert {"ctring.psi._coset_characters", "ctring.psi.invariants_frobenius_s"} <= set(memos)
+    assert {
+        "ctring.psi._coset_characters",
+        "ctring.psi._factor_data",
+        "ctring.psi._stab_group",
+        "ctring.psi.invariants_frobenius_s",
+    } <= set(memos)
     for memo in memos.values():
         memo.cache_clear()
     conjecture_scan(0, 0, 6)
     assert [name for name, memo in memos.items() if not memo.cache_info().hits] == []
+
+
+def test_dominance_scan_forms_each_margins_factor_data_once():
+    # conjecture_scan(0, 0, 6) asks for the factor data 656 times; with the
+    # memos empty it forms the data, and the group, once per distinct margin
+    import ctring.symfunc
+    from ctring.experiments import conjecture_scan
+
+    for module in (ctring.psi, ctring.symfunc):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+    conjecture_scan(0, 0, 6)
+    margins = sum(len(partitions(n)) for n in range(1, 7))
+    assert margins == 29
+    assert ctring.psi._factor_data.cache_info().misses == margins
+    assert ctring.psi._stab_group.cache_info().misses == margins
