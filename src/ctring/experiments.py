@@ -107,6 +107,22 @@ def _partition_pairs(max_n: int):
         yield from product(partitions(n), repeat=2)
 
 
+def _log_concavity_violations(max_n: int):
+    """Yield (mu, nu, k) for each log-concavity violation of the Hilbert
+    series, over _partition_pairs(max_n).  The series, sum over lam of
+    K(lam, mu) * K(lam, nu) q^(n - lam_1), is symmetric in mu and nu, so
+    the pair (nu, mu), which comes later, reuses the verdict of (mu, nu)."""
+    earlier: dict = {}
+    for mu, nu in _partition_pairs(max_n):
+        ks = earlier.pop((nu, mu), None)
+        if ks is None:
+            ks = [k for _, k in conjecture_violations(series=hilbert_kostka(mu, nu))]
+            if mu != nu:
+                earlier[mu, nu] = ks
+        for k in ks:
+            yield mu, nu, k
+
+
 def conjecture_scan(max_n: int, lefschetz_n: int, dominance_n: int) -> dict:
     """Conjecture violations over partition pairs (mu, nu) of n = 1, 2, ...:
     log-concavity of the Hilbert series for n <= max_n, injectivity of the
@@ -115,11 +131,7 @@ def conjecture_scan(max_n: int, lefschetz_n: int, dominance_n: int) -> dict:
     from .quotient import QuotientModel, lefschetz_report
 
     return {
-        "log_concavity": [
-            (mu, nu, k)
-            for mu, nu in _partition_pairs(max_n)
-            for _, k in conjecture_violations(series=hilbert_kostka(mu, nu))
-        ],
+        "log_concavity": list(_log_concavity_violations(max_n)),
         "lefschetz": [
             (mu, nu, k)
             for mu, nu in _partition_pairs(lefschetz_n)

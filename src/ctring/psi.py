@@ -19,9 +19,10 @@ short convolution, weighted by class sizes of the S_a and divided by the
 product of a!, and one pass per margin (_coset_characters) gives the
 characters of every lam at once from the S_n character table.  The Schur
 multiplicities are the inner products of those values with the
-irreducibles of Stab(mu), one contraction with the factor tables.  The older
-route, counting multiset partitions on the h basis and back-substituting
-along Young's rule, is kept as a test oracle (tests/oracles.py).
+irreducible characters of Stab(mu), one contraction with the factor tables,
+and every module here is a Schur expansion.  The older route, counting
+multiset partitions on the h basis and expanding along Kostka columns, is
+kept as a test oracle (tests/oracles.py).
 
 A degree's class values follow from the same sum: at a class (c_mu, c_nu)
 of the pair's group, degree d takes the value sum over lam with lam_1 = n - d
@@ -165,7 +166,7 @@ def invariants_frobenius_s(mu, lam) -> TensorSymFunc:
     """Schur expansion of the parabolic invariants of the irreducible labeled
     lam, as a module over the group permuting equal parts of mu, carrying
     its class values (_coset_characters).  The coefficients are the inner
-    products of those values with the group's irreducibles, module
+    products of those values with the group's irreducible characters, module
     multiplicities, hence checked to be nonnegative ints."""
     mu = check_partition(mu)
     lam = check_partition(lam)
@@ -174,7 +175,7 @@ def invariants_frobenius_s(mu, lam) -> TensorSymFunc:
     values = _coset_characters(mu)[lam]
     group = _stab_group(mu)
     coeffs = _multiplicities(group, values, "invariant multiplicities must be nonnegative ints")
-    return TensorSymFunc._from_terms(group.sizes, "s", coeffs, values)
+    return TensorSymFunc._from_terms(group.sizes, coeffs, values)
 
 
 def graded_decomposition(mu, nu) -> dict:
@@ -207,7 +208,7 @@ def graded_decomposition(mu, nu) -> dict:
         outer = [a * b for a in row.class_values() for b in col_values]
         values[d] = list(map(add, values[d], outer)) if d in values else outer
     return {
-        d: TensorSymFunc._from_terms(degrees, "s", coeffs[d], tuple(values[d]))
+        d: TensorSymFunc._from_terms(degrees, coeffs[d], tuple(values[d]))
         for d in sorted(coeffs)
     }
 
@@ -222,16 +223,14 @@ def kronecker_product(dec_a: TensorSymFunc, dec_b: TensorSymFunc, group) -> Tens
     over `group`, the SymmetricProductGroup both live over (diagonal action;
     tensor_multiplicities raises ValueError if the modules' degrees are not
     its sizes)."""
-    return TensorSymFunc._from_terms(
-        dec_a.degrees, "s", group.tensor_multiplicities(dec_a, dec_b)
-    )
+    return TensorSymFunc._from_terms(dec_a.degrees, group.tensor_multiplicities(dec_a, dec_b))
 
 
 def kronecker_dominance(dec_a: TensorSymFunc, dec_b: TensorSymFunc, group):
     """Whether every irreducible multiplicity in dec_a (x) dec_a, over `group`,
-    is at least its multiplicity in dec_b.  Returns the list of violating
-    irreducibles (empty means dominance holds); ValueError if the modules'
-    degrees are not the group's sizes.
+    is at least its multiplicity in dec_b, both Schur expansions.  Returns
+    the sorted labels where it is not (empty means dominance holds);
+    ValueError if the modules' degrees are not the group's sizes.
 
     Equivalent, in characteristic zero, to the existence of an equivariant
     injection of the dec_b module into the tensor square of the dec_a module.
@@ -239,6 +238,4 @@ def kronecker_dominance(dec_a: TensorSymFunc, dec_b: TensorSymFunc, group):
     if dec_b.degrees != group.sizes:  # dec_a's are checked with its square
         raise ValueError("modules do not live over this group")
     square = group.tensor_multiplicities(dec_a, dec_a)
-    return sorted(
-        irrep for irrep, c in dec_b.to_s().coeffs.items() if square.get(irrep, 0) < c
-    )
+    return sorted(irrep for irrep, c in dec_b.coeffs.items() if square.get(irrep, 0) < c)

@@ -1,5 +1,7 @@
-"""Symmetric functions in the h and s bases, symmetric group characters, and
-character arithmetic for products of symmetric groups.
+"""Modules over products of symmetric groups as Schur expansions (their
+irreducible multiplicities), symmetric group characters, and character
+arithmetic for products of symmetric groups.  The h basis is kept only as
+a test oracle (tests/oracles.py).
 
 Irreducible characters are evaluated by border-strip removal on beta sets
 (first-column hook lengths); all arithmetic is exact.
@@ -86,20 +88,22 @@ def cycle_type_size(cycle_type, n: int) -> int:
 
 
 class TensorSymFunc:
-    """A sum of tensor products of symmetric functions across fixed factor degrees.
+    """A module over a product of symmetric groups: a sum of tensor products
+    of Schur functions across fixed factor degrees.
 
-    Keys are tuples of partitions, one per factor; used as Frobenius images of
-    modules over a product of symmetric groups.  `coeffs` is a read-only
-    mapping, as memoised values are shared by every caller.  `_values` holds
-    the module's class values once they are known (_from_terms,
-    class_values), and is None before.
+    Keys are tuples of partitions, one per factor, each an irreducible's
+    label.  `coeffs` is a read-only mapping, as memoised values are shared
+    by every caller.  `_values` holds the module's class values once they
+    are known (_from_terms, class_values), and is None before.
     """
 
     __slots__ = ("degrees", "basis", "coeffs", "_values")
 
     def __init__(self, degrees, basis, coeffs=None):
-        if basis not in ("h", "s"):
-            raise ValueError("basis must be 'h' or 's'")
+        # Only the Schur basis exists; `basis` stays, as argument and
+        # attribute, for callers that name it and digests that record it.
+        if basis != "s":
+            raise ValueError("basis must be 's'")
         self.degrees = tuple(degrees)
         self.basis = basis
         clean = {}
@@ -115,14 +119,14 @@ class TensorSymFunc:
         self._values = None
 
     @classmethod
-    def _from_terms(cls, degrees, basis, coeffs, values=None):
+    def _from_terms(cls, degrees, coeffs, values=None):
         """Construct from terms built out of existing ones: keys already valid,
         coefficients already ints; only zero terms are dropped.  `values`, if
         given, are the module's class values in _product_classes(degrees)
         order, a tuple the caller has formed from the same module."""
         self = object.__new__(cls)
         self.degrees = degrees
-        self.basis = basis
+        self.basis = "s"
         self.coeffs = MappingProxyType({key: c for key, c in coeffs.items() if c})
         self._values = values
         return self
@@ -130,41 +134,11 @@ class TensorSymFunc:
     def __eq__(self, other):
         return (
             isinstance(other, TensorSymFunc)
-            and (self.degrees, self.basis, self.coeffs)
-            == (other.degrees, other.basis, other.coeffs)
+            and (self.degrees, self.coeffs) == (other.degrees, other.coeffs)
         )
 
     def __bool__(self):
         return bool(self.coeffs)
-
-    def __add__(self, other):
-        if (self.degrees, self.basis) != (other.degrees, other.basis):
-            raise ValueError("mismatched tensor spaces")
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            out[key] = out.get(key, 0) + c
-        return TensorSymFunc._from_terms(self.degrees, self.basis, out)
-
-    def tensor(self, other):
-        if self.basis != other.basis:
-            raise ValueError("mismatched bases")
-        out = {}
-        for k1, c1 in self.coeffs.items():
-            for k2, c2 in other.coeffs.items():
-                key = k1 + k2
-                out[key] = out.get(key, 0) + c1 * c2
-        return TensorSymFunc._from_terms(self.degrees + other.degrees, self.basis, out)
-
-    def to_s(self):
-        """Rewrite in the Schur basis: each factor h_mu expands as the sum of
-        K(lam, mu) s_lam."""
-        if self.basis == "s":
-            return self
-        out: dict = {}
-        for key, c in self.coeffs.items():
-            for combo, value in _expand([kostka_column(lam) for lam in key]):
-                out[combo] = out.get(combo, 0) + c * value
-        return TensorSymFunc._from_terms(self.degrees, "s", out)
 
     def dimension(self):
         """The dimension of the module: in the Schur basis each factor s_lam
@@ -172,7 +146,7 @@ class TensorSymFunc:
         column per degree."""
         return sum(
             c * prod(kostka_column((1,) * sum(lam))[lam] for lam in key)
-            for key, c in self.to_s().coeffs.items()
+            for key, c in self.coeffs.items()
         )
 
     def class_values(self) -> tuple:
@@ -181,7 +155,7 @@ class TensorSymFunc:
         factor by factor (_module_character) on the first call and kept, at
         cost C * sum p(m_i) for C classes instead of C^2."""
         if self._values is None:
-            self._values = tuple(_module_character(self.degrees, self.to_s().coeffs))
+            self._values = tuple(_module_character(self.degrees, self.coeffs))
         return self._values
 
     def character(self, class_tuple):
@@ -191,18 +165,6 @@ class TensorSymFunc:
         if column is None:
             raise ValueError(f"not a class of the group: {class_tuple}")
         return self.class_values()[column]
-
-
-def _expand(expansions):
-    """Cartesian expansion of per-factor dictionaries into (key tuple, product)."""
-    combos = [((), 1)]
-    for expansion in expansions:
-        combos = [
-            (key + (lam,), value * c)
-            for key, value in combos
-            for lam, c in expansion.items()
-        ]
-    return combos
 
 
 ProductClasses = namedtuple("ProductClasses", "labels index class_sizes")
@@ -258,8 +220,8 @@ def _contract(vector, sizes, transpose) -> list:
 class SymmetricProductGroup:
     """A product of symmetric groups S_{m_1} x ... x S_{m_r}.
 
-    Conjugacy classes and irreducibles are tuples of partitions, one per
-    factor; characters multiply across factors.
+    Conjugacy classes and irreducible characters are labeled by tuples of
+    partitions, one per factor; characters multiply across factors.
     """
 
     def __init__(self, sizes):
@@ -272,9 +234,6 @@ class SymmetricProductGroup:
         """(class tuple, class size) pairs."""
         data = _product_classes(self.sizes)
         return list(zip(data.labels, data.class_sizes))
-
-    def irreducibles(self):
-        return list(_product_classes(self.sizes).labels)
 
     def tensor_multiplicities(self, mod_a, mod_b) -> dict:
         """Irreducible multiplicities of the tensor product of two modules

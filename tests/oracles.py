@@ -7,9 +7,10 @@ tensor multiplicities, normal forms and Lefschetz ranks over Fraction
 Gauss-Jordan in `RrefIdeal` and `nf_lefschetz_report`, the unskipped slice
 rows `unskipped_slice_rows`, the h-basis parabolic invariants, counted as
 multiset partitions over sorted contents, `invariants_frobenius_h`, those
-partitions listed one by one, `unpruned_multiset_partitions`, the inverse
-Kostka table `s_to_h_expansion` and the Schur-basis parabolic invariants
-through it, `h_route_invariants_s`,
+partitions listed one by one, `unpruned_multiset_partitions`, the h to s
+expansion by Kostka columns `h_to_s`, the inverse Kostka table
+`s_to_h_expansion` and the Schur-basis parabolic invariants through both,
+`h_route_invariants_s`,
 and the matrix-ball step and the zigzag witness read off a ball labeling
 built from its definition, `reference_labels`, in `diagram_ball_step` and
 `chain_witness`) reuse only library primitives that are tested on their own:
@@ -42,6 +43,7 @@ multiplied out on exponent tuples, are `per_degree_slice`, and the Lefschetz
 report on them `per_degree_lefschetz_report`.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations_with_replacement, product
@@ -849,11 +851,15 @@ def _h_counts(content, groups):
     return MappingProxyType(out)
 
 
-def invariants_frobenius_h(mu, lam) -> TensorSymFunc:
+HImage = namedtuple("HImage", "degrees coeffs")
+
+
+def invariants_frobenius_h(mu, lam) -> HImage:
     """Frobenius image, on the h basis, of the parabolic invariants of the
     permutation module with content lam, as a module over the group permuting
     equal parts of mu: the multiset partitions of lam counted by the
-    multiplicity types of their equal-size blocks, keys in factor order."""
+    multiplicity types of their equal-size blocks, keys in factor order.
+    The image is the factor degrees and a read-only {key: coefficient}."""
     mu = check_partition(mu)
     lam = check_partition(lam)
     if sum(mu) != sum(lam):
@@ -862,22 +868,40 @@ def invariants_frobenius_h(mu, lam) -> TensorSymFunc:
     walk = sorted(factors, reverse=True)  # largest size first
     order = [walk.index(factor) for factor in factors]
     counts = _h_counts(lam, tuple((size, m) for size, m, _ in walk))
-    return TensorSymFunc._from_terms(
+    return HImage(
         tuple(m for _, m, _ in factors),
-        "h",
-        {tuple(types[i] for i in order): c for types, c in counts.items()},
+        MappingProxyType({tuple(types[i] for i in order): c for types, c in counts.items()}),
     )
+
+
+def h_to_s(h_coeffs) -> dict:
+    """The Schur expansion {key: coefficient} of a sum of tensor products of
+    h functions, {key: coefficient}: each factor h_mu expands as the sum of
+    K(lam, mu) s_lam over its Kostka column (Macdonald, Symmetric Functions
+    and Hall Polynomials, I (6.5)), and the factors' expansions multiply."""
+    out: dict = {}
+    for key, c in h_coeffs.items():
+        combos = [((), c)]
+        for mu in key:
+            combos = [
+                (combo + (lam,), value * k)
+                for combo, value in combos
+                for lam, k in kostka_column(mu).items()
+            ]
+        for combo, value in combos:
+            out[combo] = out.get(combo, 0) + value
+    return {key: c for key, c in out.items() if c}
 
 
 def h_route_invariants_s(mu, lam) -> TensorSymFunc:
     """The Schur expansion of the parabolic invariants of the irreducible
     labeled lam, by the inverse Kostka table: s_lam on the h basis, each h_rho
-    replaced by the Schur expansion of its h-basis invariants."""
+    replaced by its h-basis invariants, the sum expanded by h_to_s."""
     coeffs: dict = {}
     for rho, c in s_to_h_expansion(lam).items():
-        for key, value in invariants_frobenius_h(mu, rho).to_s().coeffs.items():
+        for key, value in invariants_frobenius_h(mu, rho).coeffs.items():
             coeffs[key] = coeffs.get(key, 0) + c * value
-    return TensorSymFunc(invariants_frobenius_h(mu, lam).degrees, "s", coeffs)
+    return TensorSymFunc(invariants_frobenius_h(mu, lam).degrees, "s", h_to_s(coeffs))
 
 
 def row_by_row_contingency_tables(alpha, beta) -> tuple:

@@ -318,17 +318,13 @@ def test_criterion_08_module_structure():
                     dec[d].dimension() if d in dec else 0 for d in range(len(coeffs))
                 ]
                 ok = ok and dims == coeffs
-                total = None
-                for part in dec.values():
-                    total = part if total is None else total + part
                 tables = contingency_tables(mu, nu)
                 for cls_mu, _ in stab_group(mu).classes():
                     w1 = stab_permutation(mu, cls_mu)
                     for cls_nu, _ in stab_group(nu).classes():
                         w2 = stab_permutation(nu, cls_nu)
-                        ok = ok and total.character(cls_mu + cls_nu) == (
-                            count_fixed_tables(tables, w1, w2)
-                        )
+                        total = sum(part.character(cls_mu + cls_nu) for part in dec.values())
+                        ok = ok and total == count_fixed_tables(tables, w1, w2)
     # nonnegativity of all invariant multiplicities through n = 7
     for n in range(1, 8):
         for mu in partitions(n):

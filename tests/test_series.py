@@ -104,6 +104,37 @@ def test_log_concavity_examples():
     assert log_concavity_violations([5]) == []
 
 
+def test_log_concavity_scan_asks_once_per_unordered_pair(monkeypatch):
+    # the Hilbert series is symmetric in its margins, so the scan computes
+    # one series per unordered pair, and lists the verdicts in pair order;
+    # an odd coefficient stands in for a violation, so that there are some
+    import ctring.experiments as experiments
+
+    def odd(series):
+        return [k for k, c in enumerate(series) if c % 2]
+
+    calls = []
+
+    def counted(mu, nu):
+        calls.append(frozenset((mu, nu)))
+        return hilbert_kostka(mu, nu)
+
+    max_n = 7
+    expected = [
+        (mu, nu, k)
+        for n in range(1, max_n + 1)
+        for mu in partitions(n)
+        for nu in partitions(n)
+        for k in odd(hilbert_kostka(mu, nu))
+    ]
+    assert len(expected) > 100
+    monkeypatch.setattr(experiments, "log_concavity_violations", odd)
+    monkeypatch.setattr(experiments, "hilbert_kostka", counted)
+    assert experiments.conjecture_scan(max_n, 0, 0)["log_concavity"] == expected
+    p = [len(partitions(n)) for n in range(1, max_n + 1)]
+    assert len(calls) == len(set(calls)) == sum(c * (c + 1) // 2 for c in p)
+
+
 def test_q_ehrhart_basic():
     series = q_ehrhart((3, 2), (2, 2, 1), 2)
     assert series[0] == [1]

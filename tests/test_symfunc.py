@@ -5,7 +5,7 @@ from math import factorial, prod
 
 import pytest
 
-from oracles import classwise_tensor_multiplicities, s_to_h_expansion, strip_kostka
+from oracles import classwise_tensor_multiplicities, h_to_s, s_to_h_expansion, strip_kostka
 from ctring.errors import CheckFailed
 from ctring.partitions import kostka_column, partitions
 from ctring.symfunc import (
@@ -61,15 +61,14 @@ def test_s_to_h_golden():
 
 
 def test_transform_roundtrip():
-    # s_lam to h by s_to_h_expansion and back by to_s; h_lam to s by to_s and
-    # back by s_to_h_expansion
+    # s_lam to h by s_to_h_expansion and back by h_to_s; h_lam to s by h_to_s
+    # and back by s_to_h_expansion
     for n in range(0, 9):
         for lam in partitions(n):
-            f = TensorSymFunc((n,), "s", {(lam,): 1})
             h_terms = {(mu,): c for mu, c in s_to_h_expansion(lam).items()}
-            assert TensorSymFunc((n,), "h", h_terms).to_s() == f
+            assert h_to_s(h_terms) == {(lam,): 1}
             back = {}
-            for (nu,), c in TensorSymFunc((n,), "h", {(lam,): 1}).to_s().coeffs.items():
+            for (nu,), c in h_to_s({(lam,): 1}).items():
                 for mu, d in s_to_h_expansion(nu).items():
                     back[mu] = back.get(mu, 0) + c * d
             assert {mu: c for mu, c in back.items() if c} == {lam: 1}
@@ -98,17 +97,19 @@ def test_kostka_matrices_inverse():
 
 
 def test_symfunc_dimensions():
-    f = TensorSymFunc((3,), "h", {((2, 1),): 1})
+    # h_21 = s_3 + s_21, of dimension 1 + 2
+    f = TensorSymFunc((3,), "s", h_to_s({((2, 1),): 1}))
     assert f.dimension() == 3
-    assert f.to_s().dimension() == 3
-    assert type(f.to_s().dimension()) is int
+    assert type(f.dimension()) is int
 
 
 def test_h_basis_dimension_is_a_multinomial():
-    # h_mu is the permutation module of S_m on the cosets of S_mu
+    # h_mu is the permutation module of S_m on the cosets of S_mu, and its
+    # Schur expansion is the Kostka column of mu: sum over lam of
+    # K(lam, mu) * f^lam = m! / prod mu_i!
     for m in range(9):
         for mu in partitions(m):
-            f = TensorSymFunc((m,), "h", {(mu,): 1})
+            f = TensorSymFunc((m,), "s", {(lam,): k for lam, k in kostka_column(mu).items()})
             assert f.dimension() == factorial(m) // prod(map(factorial, mu))
 
 
@@ -121,37 +122,51 @@ def test_s_basis_dimension_is_a_tableau_count():
 
 
 def test_tensor_dimension_is_the_product():
+    # a module over S_a x S_b whose terms are the products of two modules'
+    # terms, on the s basis or on the h basis expanded by h_to_s
     for a in range(5):
         for b in range(5):
-            for basis in "hs":
-                f, g = (
-                    TensorSymFunc(
-                        (m,), basis, {(lam,): i + 1 for i, lam in enumerate(partitions(m))}
-                    )
-                    for m in (a, b)
-                )
-                assert f.tensor(g).dimension() == f.dimension() * g.dimension()
+            for to_s in (dict, h_to_s):
+                terms = [
+                    {(lam,): i + 1 for i, lam in enumerate(partitions(m))} for m in (a, b)
+                ]
+                outer = {
+                    k1 + k2: c1 * c2
+                    for k1, c1 in terms[0].items()
+                    for k2, c2 in terms[1].items()
+                }
+                f, g = (TensorSymFunc((m,), "s", to_s(t)) for m, t in zip((a, b), terms))
+                product_module = TensorSymFunc((a, b), "s", to_s(outer))
+                assert product_module.dimension() == f.dimension() * g.dimension()
 
 
 def test_symfunc_coefficients_are_ints():
-    f = TensorSymFunc((3,), "h", {((2, 1),): 2, ((1, 1, 1),): -1}).to_s()
+    f = TensorSymFunc((3,), "s", h_to_s({((2, 1),): 2, ((1, 1, 1),): -1}))
     assert all(type(c) is int for c in f.coeffs.values())
     for lam in partitions(6):
         assert all(type(c) is int for c in s_to_h_expansion(lam).values())
     for bad in (Fraction(1, 2), Fraction(2), 1.0):
         with pytest.raises(ValueError):
-            TensorSymFunc((3,), "h", {((2, 1),): bad})
+            TensorSymFunc((3,), "s", {((2, 1),): bad})
+
+
+def test_schur_is_the_only_basis():
+    # the h basis lives only in the test oracles; the constructor keeps its
+    # basis argument, and refuses every basis but "s"
+    for basis in ("h", "e", "p", "m", "S", None, ""):
+        with pytest.raises(ValueError):
+            TensorSymFunc((3,), basis, {((2, 1),): 1})
+        with pytest.raises(ValueError):
+            TensorSymFunc((2, 1), basis)
+    f = TensorSymFunc((3,), "s", {((2, 1),): 1})
+    assert f.basis == "s"
 
 
 def test_tensor_basics():
-    t = TensorSymFunc((2, 1), "h", {((2,), (1,)): 1, ((1, 1), (1,)): 2})
-    assert t.dimension() == 1 * 1 + 2 * 2
-    s = t.to_s()
-    # h_2 = s_2 and h_11 = s_2 + s_11
-    assert s == TensorSymFunc((2, 1), "s", {((2,), (1,)): 3, ((1, 1), (1,)): 2})
-    assert s.dimension() == t.dimension()
-    product = t.tensor(TensorSymFunc((1,), "h", {((1,),): 1}))
-    assert product.degrees == (2, 1, 1)
+    # h_2 = s_2 and h_11 = s_2 + s_11, factor by factor
+    s = h_to_s({((2,), (1,)): 1, ((1, 1), (1,)): 2})
+    assert s == {((2,), (1,)): 3, ((1, 1), (1,)): 2}
+    assert TensorSymFunc((2, 1), "s", s).dimension() == 1 * 1 + 2 * 2
 
 
 def test_tensor_character():
@@ -176,7 +191,7 @@ def test_product_group_classes():
     classes = g.classes()
     assert sum(size for _, size in classes) == g.order
     assert len(classes) == 2 * 3
-    assert len(g.irreducibles()) == 6
+    assert [cls for cls, _ in classes] == list(product(partitions(2), partitions(3)))
 
 
 def test_factor_order_matches_class_by_class_products():
@@ -186,9 +201,8 @@ def test_factor_order_matches_class_by_class_products():
     rng = random.Random(35)
     for sizes in [(3, 1, 2), (2, 1, 3, 1), (1, 4, 2), (2, 3, 4, 1)]:
         group = SymmetricProductGroup(sizes)
-        labels = list(product(*[partitions(m) for m in sizes]))
-        assert group.irreducibles() == labels
-        assert [cls for cls, _ in group.classes()] == labels
+        labels = [cls for cls, _ in group.classes()]
+        assert labels == list(product(*[partitions(m) for m in sizes]))
         assert sum(size for _, size in group.classes()) == group.order
         modules = [
             {label: rng.randint(1, 3) for label in rng.sample(labels, k)}
