@@ -11,10 +11,11 @@ monomials of degree d extend those of degree d - 1: each is made once, from
 its parent, by a variable at or after the parent's last whose caps all have
 room, so they come out lexicographically descending, with no search and no
 sort.  What the shape of a presentation fixes (the variable count, the order,
-the powers and the cap supports) is validated and laid out once, in a
-module-level memo: the lines of each power and their leads, the cap lines,
-their bitmasks and, per variable, the exponent getters of the lines on it.
-An ideal binds only its cap values, read by line index.
+the lines of the powers and the cap supports) is validated and laid out once
+per shape, in a module-level memo: the lines of each power and their leads,
+the cap lines, their bitmasks and, per variable, the exponent getters of the
+lines on it.  An ideal binds only its exponents and cap values, the latter
+read by line index.
 
 The term order is packed once per ideal into one integer weight per variable
 (order_weights), exact on the monomials of degree at most a bound, so each
@@ -52,7 +53,9 @@ are the standard monomials.  Elimination stops once every column is a pivot:
 the rows taken then span the whole slice, every later row would reduce to
 zero, and the echelon is the same.  A slice past the last standard monomial
 has full rank, so its dependent rows cost nothing.  These forward rows are
-the only echelon form.
+the only echelon form.  A slice that builds no row, below the exponent of
+every power (degree 0 among them) or past the last clean degree, has no
+pivot: it skips elimination, and its standard monomials are its columns.
 Normal forms need no back-substitution: a row holds no entries left of its
 pivot, so reducing against the pivots in ascending position order never
 brings back a pivot already cleared.  A normal form is computed on integers
@@ -184,6 +187,9 @@ def extreme_monomials(polys, order, smallest=False):
     return {columns[lead] for lead in position_echelon(rows, len(columns))}
 
 
+_NO_ROWS = MappingProxyType({})
+
+
 class DegreeBasis:
     """Echelon basis of one degree slice of a homogeneous ideal.
 
@@ -194,7 +200,8 @@ class DegreeBasis:
     column to its position.  `rows` holds the primitive integer rows of
     forward elimination keyed by pivot position, in ascending pivot order.
     The slice is cached and shared by every caller, so `position`, `rows`
-    and each row are read-only views.
+    and each row are read-only views.  A slice with no row has no pivot: its
+    `rows` is one shared empty mapping and `standard` is `columns`.
     """
 
     __slots__ = ("columns", "weights", "position", "rows", "standard")
@@ -203,6 +210,10 @@ class DegreeBasis:
         self.columns = columns
         self.weights = weights
         self.position = MappingProxyType(position)
+        if not rows:
+            self.rows = _NO_ROWS
+            self.standard = columns
+            return
         self.rows = MappingProxyType(
             {p: MappingProxyType(row) for p, row in sorted(rows.items())}
         )
@@ -234,26 +245,24 @@ def _variables(mask) -> tuple:
 
 @lru_cache(maxsize=1024)
 def _layout(nvars, order, powers, supports) -> tuple:
-    """The part of a HomogeneousIdeal that its shape fixes, whatever its cap
-    values: ((e, lines, lead bitmasks) per power, lines, line of each cap,
-    bitmask of each line, per variable the (exponent getter, line, ~bitmask)
-    of each line on it, the values of the caps past those given).  The
-    products of a power are left to HomogeneousIdeal._products.
+    """The part of a HomogeneousIdeal that its shape fixes, whatever its
+    exponents and cap values, with `powers` the lines of each power:
+    ((lines, lead bitmasks) per power, lines, line of each cap, bitmask of
+    each line, per variable the (exponent getter, line, ~bitmask) of each
+    line on it).  The ideal attaches the exponents; the products of a power
+    are left to HomogeneousIdeal._products.
 
     A power keeps its distinct nonempty lines, in order: an empty line sums
-    to 0, so a power with no line left puts nothing into the ideal and is
-    dropped.  A power whose lines are single variables is the cap e - 1 on
-    their union, added past the caps given.  The lines are the distinct cap
-    supports, in order of first appearance.  Raises ValueError on an order
-    that is not total, an exponent below 1, a bad line or support, or a
-    variable on no line."""
+    to 0, so a power with no line left puts nothing into the ideal, and its
+    lines read ().  A power whose lines are single variables is a cap on
+    their union, added past the caps given, and its leads read None.  The
+    lines are the distinct cap supports, in order of first appearance.
+    Raises ValueError on an order that is not total, a bad line or support,
+    or a variable on no line."""
     # raises on an order that is not total; ranks the variables
     key = order_weights(order, nvars, 1).__getitem__
     powered = []
-    extra = []
-    for lines, e in powers:
-        if e < 1:
-            raise ValueError(f"bad power exponent {e}")
+    for lines in powers:
         kept = []
         for line in lines:
             line = tuple(sorted(set(line)))
@@ -264,10 +273,9 @@ def _layout(nvars, order, powers, supports) -> tuple:
         if all(len(line) == 1 for line in kept):
             if kept:
                 supports += (tuple(v for (v,) in kept),)
-                extra.append(e - 1)
+            powered.append((tuple(kept), None))
             continue
-        leads = tuple(1 << max(line, key=key) for line in kept)
-        powered.append((e, tuple(kept), leads))
+        powered.append((tuple(kept), tuple(1 << max(line, key=key) for line in kept)))
     index = {}
     line_of = []
     for support in supports:
@@ -292,7 +300,6 @@ def _layout(nvars, order, powers, supports) -> tuple:
         tuple(line_of),
         tuple(masks),
         tuple(map(tuple, touch)),
-        tuple(extra),
     )
 
 
@@ -327,14 +334,26 @@ class HomogeneousIdeal:
         self.nvars = nvars
         self.order = None if order is None else tuple(map(tuple, order))
         caps = tuple(caps)
-        powers = tuple((tuple(map(tuple, lines)), e) for lines, e in powers)
-        self._powers, lines, line_of, masks, self._touch, extra = _layout(
-            nvars, self.order, powers, tuple(tuple(s) for s, _ in caps)
+        powers = tuple(powers)
+        shaped, lines, line_of, masks, self._touch = _layout(
+            nvars,
+            self.order,
+            tuple(tuple(map(tuple, lines)) for lines, _ in powers),
+            tuple(tuple(s) for s, _ in caps),
         )
-        # the cap of each line: the least cap on its support, a power on
-        # single variables giving a cap past those given
+        # attach the exponents: a power on single variables is the cap e - 1
+        # past the caps given, and one with no line is dropped
+        self._powers = []
+        values = [cap for _, cap in caps]
+        for (kept, leads), (_, e) in zip(shaped, powers):
+            if e < 1:
+                raise ValueError(f"bad power exponent {e}")
+            if leads is not None:
+                self._powers.append((e, kept, leads))
+            elif kept:
+                values.append(e - 1)
+        # the cap of each line: the least cap on its support
         bounds = [None] * len(lines)
-        values = [cap for _, cap in caps] + list(extra)
         for line, cap in zip(line_of, values):
             if cap < 0:
                 raise ValueError(f"bad cap {cap} on support {lines[line]}")
@@ -485,9 +504,8 @@ class HomogeneousIdeal:
                         if pos is not None:
                             row[pos] = c
                     rows.append(row)
-        basis = DegreeBasis(
-            columns, self._weights, position, position_echelon(rows, len(columns))
-        )
+        echelon = position_echelon(rows, len(columns)) if rows else {}
+        basis = DegreeBasis(columns, self._weights, position, echelon)
         self._slices[degree] = basis
         return basis
 

@@ -28,7 +28,6 @@ degree slices of J, and its exponent matrices are compared against the
 derived matrices of the contingency tables with margins (alpha, beta).
 """
 
-from collections import Counter
 from functools import lru_cache
 from math import perm
 from operator import itemgetter
@@ -192,10 +191,18 @@ def hilbert_series_linear(alpha, beta) -> list:
 
 
 def hilbert_series_zigzag(alpha, beta) -> list:
-    """Hilbert series read off the zigzag statistic over contingency tables."""
+    """Hilbert series read off the zigzag statistic over contingency tables:
+    the degree of a table is n minus its zigzag number, counted into a list
+    as long as the top degree.  contingency_tables checks the margins first,
+    and the quotient is generated in degree 1, so no degree up to the top is
+    empty and the list is no longer than the table count."""
+    tables = contingency_tables(alpha, beta)
     n = sum(alpha)
-    counts = Counter(n - zigzag_number(t) for t in contingency_tables(alpha, beta))
-    return [counts[d] for d in range(max(counts) + 1)]
+    degrees = [n - zigzag_number(t) for t in tables]
+    counts = [0] * (max(degrees) + 1)
+    for d in degrees:
+        counts[d] += 1
+    return counts
 
 
 def derived_matrix_set(alpha, beta) -> frozenset:
@@ -267,7 +274,9 @@ def lefschetz_report(model: QuotientModel) -> list:
     (DegreeBasis.reduce: the normal form up to a scale), and the rank of the
     map is the rank of those reduced images.  They live on the target's
     standard columns, so their elimination stops once it holds that many
-    pivots.  A model of top degree 0 has the one map L^0 = 1, so it builds no
+    pivots.  The map of power 0, k = top / 2 when top is even, is L^0 = 1,
+    the identity of R_k: its rank is dim R_k, with no image, reduction or
+    elimination.  A model of top degree 0 has that one map, so it builds no
     form.
     """
     ideal = model.ideal
@@ -283,27 +292,30 @@ def lefschetz_report(model: QuotientModel) -> list:
     for k in range(0, top // 2 + 1):
         e = top - 2 * k
         source = ideal.standard_monomials(k)
-        target = ideal.slice(top - k)
-        # the packed key is linear, key(mono * term) = key(mono) + key(term),
-        # and injective up to the ideal's packing degree
-        power = powers[e].items()
-        images = []
-        for mono in source:
-            base = target.key(mono)
-            image = {}
-            for key, c in power:
-                pos = target.position.get(base + key)
-                if pos is not None:
-                    image[pos] = c
-            target.reduce(image)
-            images.append(image)
-        rank = len(position_echelon(images, len(target.standard)))
+        rank = dim_target = len(source)  # L^0 = 1, the identity of R_k
+        if e:
+            target = ideal.slice(top - k)
+            # the packed key is linear, key(mono * term) = key(mono) + key(term),
+            # and injective up to the ideal's packing degree
+            power = powers[e].items()
+            images = []
+            for mono in source:
+                base = target.key(mono)
+                image = {}
+                for key, c in power:
+                    pos = target.position.get(base + key)
+                    if pos is not None:
+                        image[pos] = c
+                target.reduce(image)
+                images.append(image)
+            dim_target = len(target.standard)
+            rank = len(position_echelon(images, dim_target))
         out.append(
             {
                 "k": k,
                 "power": e,
                 "dim_source": len(source),
-                "dim_target": len(target.standard),
+                "dim_target": dim_target,
                 "rank": rank,
                 "injective": rank == len(source),
             }

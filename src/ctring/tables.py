@@ -59,8 +59,15 @@ def quadrant_maxima(matrix) -> tuple:
 
 def zigzag_number(matrix) -> int:
     """Maximum entry weight over zigzags (cell sets weakly increasing in both
-    coordinates): the corner of the zigzag DP."""
-    return quadrant_maxima(matrix)[-1][-1]
+    coordinates): the corner of the zigzag DP (quadrant_maxima), run on one
+    row that each matrix row overwrites left to right."""
+    best = [0] * len(matrix[0]) if matrix else []
+    for row in matrix:
+        left = 0
+        for j, a in enumerate(row):
+            up = best[j]
+            left = best[j] = a + (up if up > left else left)
+    return best[-1] if best else 0
 
 
 def is_zigzag_cells(cells) -> bool:

@@ -86,6 +86,20 @@ def test_usage_error_names_flag(capsys):
     assert "--alpha" in err and "malformed composition" in err
 
 
+def test_zigzag_route_checks_margins_before_counting(capsys):
+    # the zigzag route counts degrees into a list sized by the tables, so
+    # unequal margins stay a usage error however large n is, and one table
+    # of a huge n is degree 0 alone
+    argv = ["hilbert", "--alpha", "100000000000", "--beta", "1", "--method", "zigzag"]
+    status = main(argv)
+    captured = capsys.readouterr()
+    assert status == 2 and captured.out == ""
+    assert json.loads(captured.err) == {"error": "row and column sums must agree"}
+    argv[4] = "100000000000"
+    status, out = run_cli(capsys, argv)
+    assert status == 0 and json.loads(out)["coeffs"] == ["1"]
+
+
 def test_hilbert_json(capsys):
     status, out = run_cli(capsys, ["hilbert", "--alpha", "3,2", "--beta", "2,2,1"])
     assert status == 0

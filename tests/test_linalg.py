@@ -304,6 +304,64 @@ def test_ideals_of_one_shape_keep_their_own_caps():
                 ), (cap, sums, d)
 
 
+def _sweep_ideals():
+    """The block ideals of the weak pairs with n <= 4 and lengths <= 3, and
+    the one-row ideals of the 255 bounds of total at most 8, each with the
+    last degree whose slice is read."""
+    for n in range(5):
+        for alpha in weak_compositions_upto(n, 3):
+            for beta in weak_compositions_upto(n, 3):
+                yield QuotientModel(alpha, beta).ideal, n + 1
+    for total in range(1, 9):
+        for bounds in strict_compositions(total):
+            yield one_row_ideal(bounds), total + 1
+
+
+def test_one_layout_per_shape():
+    # the layout is keyed on the lines of the powers, not their exponents:
+    # one per grid shape and one per one-row length, however the margins
+    # and bounds vary, and each ideal still binds its own exponents
+    ctring.linalg._layout.cache_clear()
+    ideals = sum(1 for _ in _sweep_ideals())
+    info = ctring.linalg._layout.cache_info()
+    assert ideals == 811 + 255
+    assert info.misses == 9 + 8 and info.hits == ideals - info.misses
+    for e in (1, 2, 3):
+        # a power on single variables is the cap e - 1 on their union
+        ideal = HomogeneousIdeal(2, None, [([(0,), (1,)], e), ([(0, 1)], 2)], [((0,), 3)])
+        assert ideal.caps == (((0,), 3), ((0, 1), e - 1))
+        assert len(ideal.clean_monomials(e - 1)) == e and ideal.clean_monomials(e) == ()
+        with pytest.raises(ValueError, match="bad power exponent"):
+            HomogeneousIdeal(2, None, [([(0,), (1,)], 1 - e), ([(0, 1)], 2)], [((0,), 3)])
+    assert ctring.linalg._layout.cache_info().misses == info.misses + 1
+
+
+def test_row_free_slices_skip_elimination(monkeypatch):
+    # a slice below every power's exponent, degree 0 included, or past the
+    # last clean degree builds no row: it has no pivot, so it never reaches
+    # the echelon, and its standard monomials are its columns
+    calls = []
+    echelon = ctring.linalg.position_echelon
+
+    def counted(rows, ncols=None):
+        rows = list(rows)
+        assert rows
+        calls.append(len(rows))
+        return echelon(rows, ncols)
+
+    monkeypatch.setattr(ctring.linalg, "position_echelon", counted)
+    free = built = 0
+    for ideal, last in _sweep_ideals():
+        for d in range(last + 1):
+            basis = ideal.slice(d)
+            built += 1
+            if not basis.columns or all(e > d for e, _, _ in ideal._powers):
+                free += 1
+                assert not basis.rows and basis.standard is basis.columns, d
+    assert len(calls) == built - free
+    assert free > 2000 and calls
+
+
 @pytest.mark.parametrize("nvars", [0, 1, 2])
 def test_negative_degrees_are_empty(nvars):
     for ideal in (

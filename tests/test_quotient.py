@@ -234,6 +234,56 @@ def test_shared_slices_are_read_only():
     assert [entry["rank"] for entry in lefschetz_report(model)] == ranks
 
 
+def test_row_free_slices_are_read_only():
+    # a slice that builds no row, degree 0 or a degree below both powers of
+    # the block ideal, shares one empty, read-only row mapping, and its
+    # standard monomials are its columns
+    model = QuotientModel((2, 2, 2), (2, 2, 2))
+    free = [model.ideal.slice(d) for d in range(3)]
+    assert [len(basis.columns) for basis in free] == [1, 4, 10]
+    for basis in free:
+        assert basis.standard == basis.columns and len(basis.rows) == 0
+        assert basis.rows is free[0].rows
+        with pytest.raises(TypeError):
+            basis.rows[0] = {}
+        with pytest.raises((AttributeError, TypeError)):
+            basis.rows.clear()
+    assert model.ideal.slice(3).rows
+
+
+def test_power_zero_lefschetz_map_is_never_reduced(monkeypatch):
+    # L^0 = 1 is the identity of R_k: its rank is dim R_k without a single
+    # reduction, so on every pair with n <= 4 and lengths <= 3 the reductions
+    # are one per source monomial of the entries of positive power, and none
+    # lands on the middle slice of an even top degree
+    import ctring.linalg
+
+    reduce = ctring.linalg.DegreeBasis.reduce
+    reduced = []
+
+    def counted(basis, vec):
+        reduced.append(basis)
+        return reduce(basis, vec)
+
+    monkeypatch.setattr(ctring.linalg.DegreeBasis, "reduce", counted)
+    even = 0
+    for n in range(5):
+        for alpha in weak_compositions_upto(n, 3):
+            for beta in weak_compositions_upto(n, 3):
+                model = QuotientModel(alpha, beta)
+                reduced.clear()
+                report = lefschetz_report(model)
+                assert len(reduced) == sum(r["dim_source"] for r in report if r["power"])
+                if model.top_degree % 2 == 0:
+                    even += 1
+                    middle = model.ideal.slice(model.top_degree // 2)
+                    assert all(basis is not middle for basis in reduced)
+                    entry = report[-1]
+                    assert entry["power"] == 0 and entry["injective"]
+                    assert entry["rank"] == entry["dim_target"] == len(middle.standard)
+    assert even > 400
+
+
 def _both_sides(one_sided):
     """A one-sided generator helper takes one margin and the length of the
     other: ask it for both sides of the pair."""

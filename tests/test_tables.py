@@ -66,6 +66,36 @@ def test_quadrant_maxima_entries_are_zigzag_numbers():
         assert table[k][p] == zigzag_number(m)
 
 
+def test_one_row_zigzag_is_the_corner_of_the_table():
+    # the one-row DP against the full table's corner and the chain search,
+    # on every table of the weak pairs with n <= 5 and lengths <= 3
+    tables = {
+        t
+        for n in range(6)
+        for alpha in weak_compositions_upto(n, 3)
+        for beta in weak_compositions_upto(n, 3)
+        if sum(alpha) == sum(beta)
+        for t in contingency_tables(alpha, beta)
+    }
+    assert len(tables) > 1000
+    for t in tables:
+        assert zigzag_number(t) == quadrant_maxima(t)[-1][-1] == brute_zigzag(t), t
+
+
+def test_one_row_zigzag_on_lines_and_zeros():
+    # a single row or column is one zigzag, and a zero matrix weighs nothing
+    rng = random.Random(23)
+    for _ in range(40):
+        row = tuple(rng.randint(0, 4) for _ in range(rng.randint(1, 6)))
+        column = tuple((v,) for v in row)
+        assert zigzag_number((row,)) == zigzag_number(column) == sum(row)
+        assert zigzag_number((row,)) == quadrant_maxima((row,))[-1][-1]
+        assert zigzag_number(column) == quadrant_maxima(column)[-1][-1]
+    for k in range(1, 5):
+        for p in range(1, 5):
+            assert zigzag_number(((0,) * p,) * k) == 0
+
+
 def test_zigzag_transpose_invariant():
     rng = random.Random(13)
     for _ in range(60):
