@@ -4,11 +4,13 @@ scans over partition pairs.  What one margin pair must satisfy, and which
 conjectures it breaks, is judged here alone (verify_report, failed_checks,
 conjecture_violations); the CLI and the test suite format these verdicts.
 The module itself imports only partitions and series: each function that
-builds a quotient or a graded character imports quotient, psi or symfunc
-where it runs, so a caller of failed_checks or conjecture_violations alone
-never loads the linear algebra.
+builds a quotient or a graded character imports quotient or psi where it
+runs, so a caller of failed_checks or conjecture_violations alone never
+loads the linear algebra.
 
 Conjecture findings are data: the scans report violations and never raise.
+Transposition makes R_{mu,nu} and R_{nu,mu} isomorphic with the factors
+swapped, so each scan asks once per unordered pair (conjecture_scan).
 """
 
 from itertools import product
@@ -84,64 +86,57 @@ def sweep(max_n: int, max_len: int):
 def dominance_violations(mu, nu) -> list:
     """Degrees k where the degree-k graded character fails Kronecker dominance
     over the product of its degree k - 1 and k + 1 neighbours (equivariant
-    log-concavity).  k runs over 1 .. top - 1: at the top degree the upper
-    neighbour is zero, so dominance holds trivially."""
+    log-concavity), for k = 1 .. top - 1: the top degree's upper neighbour is
+    zero.  The quotient is generated in degree 1, so no degree is empty."""
     from .psi import graded_decomposition, kronecker_dominance, kronecker_product, pair_group
-    from .symfunc import TensorSymFunc
 
     decomposition = graded_decomposition(mu, nu)
     group = pair_group(mu, nu)
-    empty = TensorSymFunc(group.sizes, "s")
     out = []
-    for k in range(1, max(decomposition, default=0)):
-        product = kronecker_product(
-            decomposition.get(k - 1, empty), decomposition.get(k + 1, empty), group
-        )
-        if kronecker_dominance(decomposition.get(k, empty), product, group):
+    for k in range(1, max(decomposition)):
+        product = kronecker_product(decomposition[k - 1], decomposition[k + 1], group)
+        if kronecker_dominance(decomposition[k], product, group):
             out.append(k)
     return out
 
 
-def _partition_pairs(max_n: int):
+def _by_unordered_pair(max_n: int, verdict):
+    """Yield (mu, nu, k) for each k in verdict(mu, nu), over the partition
+    pairs of n = 1 .. max_n in the order of product(partitions(n), repeat=2).
+    verdict is asked once per unordered pair: the mirrored pair, which comes
+    later in the same n, yields its k's again."""
     for n in range(1, max_n + 1):
-        yield from product(partitions(n), repeat=2)
-
-
-def _log_concavity_violations(max_n: int):
-    """Yield (mu, nu, k) for each log-concavity violation of the Hilbert
-    series, over _partition_pairs(max_n).  The series, sum over lam of
-    K(lam, mu) * K(lam, nu) q^(n - lam_1), is symmetric in mu and nu, so
-    the pair (nu, mu), which comes later, reuses the verdict of (mu, nu)."""
-    earlier: dict = {}
-    for mu, nu in _partition_pairs(max_n):
-        ks = earlier.pop((nu, mu), None)
-        if ks is None:
-            ks = [k for _, k in conjecture_violations(series=hilbert_kostka(mu, nu))]
-            if mu != nu:
-                earlier[mu, nu] = ks
-        for k in ks:
-            yield mu, nu, k
+        pending: dict = {}
+        for mu, nu in product(partitions(n), repeat=2):
+            ks = pending.pop((nu, mu), None)
+            if ks is None:
+                ks = verdict(mu, nu)
+                if mu != nu:
+                    pending[mu, nu] = ks
+            for k in ks:
+                yield mu, nu, k
 
 
 def conjecture_scan(max_n: int, lefschetz_n: int, dominance_n: int) -> dict:
     """Conjecture violations over partition pairs (mu, nu) of n = 1, 2, ...:
     log-concavity of the Hilbert series for n <= max_n, injectivity of the
     Lefschetz maps for n <= lefschetz_n, and Kronecker dominance for
-    n <= dominance_n.  Each key maps to a list of (mu, nu, k) triples."""
+    n <= dominance_n, as lists of (mu, nu, k) triples.  Transposition
+    x_ij -> x_ji carries I_{mu,nu} onto I_{nu,mu}: a graded isomorphism that
+    swaps the row and column factors and fixes the diagonal-block Lefschetz
+    element.  So (nu, mu) has the verdicts of (mu, nu), and each scan asks
+    once per unordered pair."""
     from .quotient import QuotientModel, lefschetz_report
 
+    def log_concavity(mu, nu):
+        return [k for _, k in conjecture_violations(series=hilbert_kostka(mu, nu))]
+
+    def lefschetz(mu, nu):
+        report = lefschetz_report(QuotientModel(mu, nu))
+        return [k for _, k in conjecture_violations(lefschetz=report)]
+
     return {
-        "log_concavity": list(_log_concavity_violations(max_n)),
-        "lefschetz": [
-            (mu, nu, k)
-            for mu, nu in _partition_pairs(lefschetz_n)
-            for _, k in conjecture_violations(
-                lefschetz=lefschetz_report(QuotientModel(mu, nu))
-            )
-        ],
-        "dominance": [
-            (mu, nu, k)
-            for mu, nu in _partition_pairs(dominance_n)
-            for k in dominance_violations(mu, nu)
-        ],
+        "log_concavity": list(_by_unordered_pair(max_n, log_concavity)),
+        "lefschetz": list(_by_unordered_pair(lefschetz_n, lefschetz)),
+        "dominance": list(_by_unordered_pair(dominance_n, dominance_violations)),
     }

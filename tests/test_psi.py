@@ -278,6 +278,42 @@ def test_graded_dimensions_match_hilbert():
                 assert dims == coeffs
 
 
+def test_graded_decomposition_swaps_factors_under_transposition():
+    # transposition x_ij -> x_ji carries I_{mu,nu} onto I_{nu,mu}, so each
+    # degree of (nu, mu) is that of (mu, nu) with the row and column factors
+    # swapped: in every key, and in the class values, whose row-major order
+    # puts the first margin's classes first; the conjecture scans rest on it
+    def swap(key, rows):
+        return key[rows:] + key[:rows]
+
+    for n in range(1, 8):
+        for mu, nu in product(partitions(n), repeat=2):
+            factors = len(stab_group(mu).sizes)
+            classes = len(stab_group(mu).classes())
+            ahead, mirrored = graded_decomposition(mu, nu), graded_decomposition(nu, mu)
+            assert list(ahead) == list(mirrored), (mu, nu)
+            for d, module in ahead.items():
+                swapped = mirrored[d]
+                assert swapped.degrees == swap(module.degrees, factors)
+                assert swapped.coeffs == {
+                    swap(key, factors): c for key, c in module.coeffs.items()
+                }, (mu, nu, d)
+                values = module.class_values()
+                across = len(values) // classes
+                transposed = tuple(v for j in range(across) for v in values[j::across])
+                assert swapped.class_values() == transposed, (mu, nu, d)
+
+
+def test_graded_degrees_run_from_zero_to_the_top():
+    # the quotient is generated in degree 1, so no degree up to the top is
+    # empty: dominance_violations reads every degree 0 .. top by index
+    for n in range(1, 9):
+        for mu, nu in product(partitions(n), repeat=2):
+            dec = graded_decomposition(mu, nu)
+            assert list(dec) == list(range(len(hilbert_kostka(mu, nu)))), (mu, nu)
+            assert all(dec.values()), (mu, nu)
+
+
 def test_ungraded_character_counts_fixed_tables():
     for n in range(1, 6):
         for mu in partitions(n):

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import combinations
 
 import pytest
 
@@ -16,7 +17,7 @@ from oracles import (
 )
 from ctring.experiments import sweep_record
 from ctring.linalg import HomogeneousIdeal, linear_form
-from ctring.partitions import weak_compositions, weak_compositions_upto
+from ctring.partitions import partitions, weak_compositions, weak_compositions_upto
 from ctring.polys import Grid, Poly, polarize_row
 from ctring.quotient import (
     QuotientModel,
@@ -166,6 +167,16 @@ def test_lefschetz_report_golden():
     }
     assert report[1]["k"] == 1 and report[1]["power"] == 0
     assert report[1]["injective"] is True
+
+
+def test_lefschetz_report_is_symmetric_under_transposition():
+    # transposition x_ij -> x_ji is a graded isomorphism of the two quotients
+    # that fixes the blocks meeting the diagonal, hence the Lefschetz element:
+    # every map has the same ranks, so the conjecture scan asks once per pair
+    for n in range(1, 7):
+        for mu, nu in combinations(partitions(n), 2):
+            ahead = lefschetz_report(QuotientModel(mu, nu))
+            assert ahead == lefschetz_report(QuotientModel(nu, mu)), (mu, nu)
 
 
 def test_lefschetz_trivial_quotient():

@@ -4,7 +4,7 @@ import pytest
 
 import ctring.partitions
 import ctring.series
-from oracles import per_shape_hilbert_kostka
+from oracles import jacobi_trudi_kostka, per_shape_hilbert_kostka, strip_kostka
 from ctring.partitions import partitions, weak_compositions
 from ctring.series import (
     hilbert_kostka,
@@ -29,6 +29,27 @@ def test_hilbert_kostka_families():
     for part, coeffs in expected.items():
         alpha = uniform_family(part)
         assert hilbert_kostka(alpha, alpha, max_degree=3) == coeffs
+
+
+def test_jacobi_trudi_kostka_matches_the_strip_oracle():
+    for n in range(1, 7):
+        for lam in partitions(n):
+            for content in partitions(n):
+                assert jacobi_trudi_kostka(lam, content) == strip_kostka(lam, content)
+    assert jacobi_trudi_kostka((2, 1), (1, 1, 1)) == 2
+
+
+def test_truncated_series_matches_jacobi_trudi_on_every_family():
+    # a second route at n = 60 for all twelve families through q^3: the
+    # degree-d coefficient sums K(lam, alpha)^2 over lam = (60 - d, rho),
+    # rho a partition of d, each K a Jacobi-Trudi sum of table counts
+    for part in (p for p in range(1, 61) if 60 % p == 0):
+        alpha = uniform_family(part)
+        expected = [
+            sum(jacobi_trudi_kostka((60 - d,) + rho, alpha) ** 2 for rho in partitions(d))
+            for d in range(4)
+        ]
+        assert hilbert_kostka(alpha, alpha, max_degree=3) == expected, part
 
 
 def test_hilbert_kostka_truncation_consistency():
@@ -133,6 +154,82 @@ def test_log_concavity_scan_asks_once_per_unordered_pair(monkeypatch):
     assert experiments.conjecture_scan(max_n, 0, 0)["log_concavity"] == expected
     p = [len(partitions(n)) for n in range(1, max_n + 1)]
     assert len(calls) == len(set(calls)) == sum(c * (c + 1) // 2 for c in p)
+
+
+def _unordered_pairs(max_n):
+    return sum(c * (c + 1) // 2 for c in (len(partitions(n)) for n in range(1, max_n + 1)))
+
+
+def test_lefschetz_scan_asks_once_per_unordered_pair(monkeypatch):
+    # transposition fixes the Lefschetz element, so the scan builds one model
+    # and report per unordered pair; a zero element makes every map of
+    # positive power a violation, so that the lists are not empty
+    import ctring.experiments as experiments
+    import ctring.quotient
+    from ctring.polys import Poly
+
+    monkeypatch.setattr(
+        ctring.quotient,
+        "lefschetz_element",
+        lambda alpha, beta: Poly(len(alpha) * len(beta)),
+    )
+    report = ctring.quotient.lefschetz_report
+    max_n = 5
+    expected = [
+        (mu, nu, entry["k"])
+        for n in range(1, max_n + 1)
+        for mu in partitions(n)
+        for nu in partitions(n)
+        for entry in report(ctring.quotient.QuotientModel(mu, nu))
+        if not entry["injective"]
+    ]
+    assert len(expected) > 50 and any(mu != nu for mu, nu, _ in expected)
+    calls = []
+
+    def counted(model):
+        calls.append(frozenset((model.alpha, model.beta)))
+        return report(model)
+
+    monkeypatch.setattr(ctring.quotient, "lefschetz_report", counted)
+    assert experiments.conjecture_scan(0, max_n, 0)["lefschetz"] == expected
+    assert len(calls) == len(set(calls)) == _unordered_pairs(max_n)
+
+
+def test_dominance_scan_asks_once_per_unordered_pair(monkeypatch):
+    # the graded modules of (mu, nu) and (nu, mu) differ by the factor swap,
+    # so the scan asks one dominance verdict per unordered pair; doubling
+    # every product multiplicity stands in for violations, so that there are
+    # some
+    import ctring.experiments as experiments
+    import ctring.psi
+    from ctring.symfunc import TensorSymFunc
+
+    product = ctring.psi.kronecker_product
+
+    def doubled(dec_a, dec_b, group):
+        coeffs = product(dec_a, dec_b, group).coeffs
+        return TensorSymFunc._from_terms(dec_a.degrees, {k: 2 * c for k, c in coeffs.items()})
+
+    monkeypatch.setattr(ctring.psi, "kronecker_product", doubled)
+    verdict = experiments.dominance_violations
+    max_n = 5
+    expected = [
+        (mu, nu, k)
+        for n in range(1, max_n + 1)
+        for mu in partitions(n)
+        for nu in partitions(n)
+        for k in verdict(mu, nu)
+    ]
+    assert len(expected) > 10 and any(mu != nu for mu, nu, _ in expected)
+    calls = []
+
+    def counted(mu, nu):
+        calls.append(frozenset((mu, nu)))
+        return verdict(mu, nu)
+
+    monkeypatch.setattr(experiments, "dominance_violations", counted)
+    assert experiments.conjecture_scan(0, 0, max_n)["dominance"] == expected
+    assert len(calls) == len(set(calls)) == _unordered_pairs(max_n)
 
 
 def test_q_ehrhart_basic():
